@@ -26,7 +26,8 @@ import scipy.linalg
 
 from .channel import CfoPrior, ChannelStats, _psd_factor
 from .errors import NumericalError, ParameterError
-from .estimator import EstimatorWorkspace, build_workspace, rotated_design
+from .estimator import (EstimatorWorkspace, _lag_series, build_workspace,
+                        rotated_design)
 from .pilots import PilotMatrix
 
 BETA_REL_TOL = 1e-9
@@ -46,22 +47,18 @@ def compute_beta(pilot: PilotMatrix, l_r: int, stats: ChannelStats, *,
     """Closed-form Fisher information of the common normalized offset.
 
     Shares the contraction tables of the estimator: the expected lag series
-    uses the same kernel Sb A Sb^H, contracted against the second moment of
-    y instead of an observed y.
+    uses the same kernel K, contracted against the second moment
+    R + ybar ybar^H + I of y instead of an observed y.
     """
     ws = workspace or build_workspace(pilot, l_r, stats, CfoPrior.ml())
-    n = ws.n
+    n, ybar = ws.n, ws.ybar
     if n == 1:
         return 0.0
-    mu = stats.mu_h
-    ybar = ws.sbreve @ mu
-    second_moment = stats.sigma_h + np.outer(mu, mu.conj())
-    r0 = ws.sbreve @ second_moment @ ws.sbreve.conj().T
-    r0 = r0 + np.eye(r0.shape[0])  # noise term, never reaches a nonzero lag
-    first = np.einsum("rk,rk->k", ws.lin_table, ybar.reshape(l_r, n).conj())
-    folded = (ws.quad_kernel * r0.T).reshape(l_r, n, l_r, n).sum(axis=(0, 2))
+    # the noise term I never reaches a nonzero lag
+    second_moment = ws.R + np.outer(ybar, ybar.conj()) + np.eye(ybar.size)
+    first = np.einsum("rk,rk->k", ws.lin_table, ybar.reshape(ws.l_r, n).conj())
+    zbar = _lag_series(first, ws.quad_kernel * second_moment.T, ws.l_r, n)
     lags = np.arange(1, n)
-    zbar = np.array([first[lag] + np.trace(folded, offset=-lag) for lag in lags])
     beta = 8.0 * np.pi ** 2 * float(np.real(np.sum(lags ** 2 * zbar)))
     scale = 8.0 * np.pi ** 2 * float(np.sum(lags ** 2 * np.abs(zbar))) + 1.0
     if beta < -BETA_REL_TOL * scale:

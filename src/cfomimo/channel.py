@@ -200,6 +200,20 @@ def sample_ar1_trajectory(model: CorrelationModel, n: int, rng: np.random.Genera
     return h.reshape(n, model.l_r, model.l_t).transpose(1, 0, 2).ravel()
 
 
+def _rotation(f, l_r: int, n: int) -> np.ndarray:
+    """exp(j 2 pi f_r k) on the (l_r, n) receive grid.
+
+    f is a scalar offset shared by every receive antenna or a length-l_r
+    vector of per-antenna offsets, in cycles per symbol.
+    """
+    f = np.atleast_1d(np.asarray(f, dtype=float))
+    if f.size == 1:
+        f = np.full(l_r, f[0])
+    elif f.shape != (l_r,):
+        raise ParameterError(f"offset must be scalar or length {l_r}, got shape {f.shape}")
+    return np.exp(2j * np.pi * np.outer(f, np.arange(n)))
+
+
 def synthesize_rx(pilot: PilotMatrix, l_r: int, f_true, h: np.ndarray,
                   noise_rng: np.random.Generator | None = None) -> np.ndarray:
     """Received vector y of length n*l_r; pass noise_rng=None for a noiseless run.
@@ -211,14 +225,8 @@ def synthesize_rx(pilot: PilotMatrix, l_r: int, f_true, h: np.ndarray,
     h = np.asarray(h, dtype=np.complex128)
     if h.shape != (l_r * n * l_t,):
         raise ParameterError(f"channel vector must have length {l_r * n * l_t}")
-    f = np.atleast_1d(np.asarray(f_true, dtype=float))
-    if f.size == 1:
-        f = np.full(l_r, f[0])
-    elif f.shape != (l_r,):
-        raise ParameterError(f"f_true must be scalar or length {l_r}")
-    h3 = h.reshape(l_r, n, l_t)
-    phases = np.exp(2j * np.pi * np.outer(f, np.arange(n)))
-    y = phases * np.einsum("kt,rkt->rk", pilot.entries, h3)
+    phases = _rotation(f_true, l_r, n)
+    y = phases * np.einsum("kt,rkt->rk", pilot.entries, h.reshape(l_r, n, l_t))
     if noise_rng is not None:
         y = y + (noise_rng.standard_normal((l_r, n))
                  + 1j * noise_rng.standard_normal((l_r, n))) / np.sqrt(2.0)

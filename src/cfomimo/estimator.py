@@ -3,22 +3,23 @@
 For a Gaussian channel prior and a Gaussian (or flat) prior on the normalized
 carrier frequency offset f, the joint MAP problem separates: maximize a scalar
 metric g(y, f) over f alone, then read off the channel as the MMSE estimate
-at the chosen offset.  The pieces are
+at the chosen offset.
 
-    A = (Sb^H Sb + Sigma_h^{-1})^{-1}      posterior channel covariance,
-    b = (I - A Sb^H Sb) mu_h               f-independent affine part,
-    h_hat(f) = A X(f)^H y + b              MMSE channel estimate,
-    g(y, f) = 2 Re<X(f)^H y, b> + (X(f)^H y)^H A (X(f)^H y)
-              - f^2 / (2 sigma_f^2) + mu_f f / sigma_f^2,
+The offset problem lives in the n*l_r receive space.  With Sb the zero-offset
+block design matrix, D(f) = diag(exp(j 2 pi f_r k)) the per-antenna rotation
+and w = D(f)^H y the de-rotated received signal,
 
-where Sb is the zero-offset block design matrix and X(f) its de-rotated
-version.  A and b never depend on f, so they are computed once per
-configuration.  A is always evaluated through the matrix-inversion lemma
+    R = Sb Sigma_h Sb^H,   ybar = Sb mu_h     zero-offset received moments,
+    K = I - (I + R)^{-1}                      quadratic kernel,
+    lin = (I + R)^{-1} ybar                   linear table,
+    g(y, f) = w^H K w + 2 Re<lin, w> - f^2 / (2 sigma_f^2) + mu_f f / sigma_f^2.
 
-    A = Sigma_h - Sigma_h Sb^H (I + Sb Sigma_h Sb^H)^{-1} Sb Sigma_h,
-
-which never inverts Sigma_h and therefore tolerates singular channel
-covariances (e.g. a channel frozen over the whole pilot).
+K and lin are computed once per configuration.  Only I + R is factored, so
+singular channel covariances (a channel frozen over the pilot) are fine.
+The MMSE channel estimate h_hat(f) = A X(f)^H y + b, with X(f) = D(f) Sb,
+A = (Sb^H Sb + Sigma_h^{-1})^{-1} its error covariance and
+b = (I - A Sb^H Sb) mu_h, is the only user of channel-space objects; they
+are built on demand, and K = Sb A Sb^H, lin = Sb b.
 
 Collecting g by time lag turns it into a short complex series,
 
@@ -33,11 +34,12 @@ the linearized step.  No phase unwrapping is involved anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
-from .channel import CfoPrior, ChannelStats
+from .channel import CfoPrior, ChannelStats, _rotation
 from .errors import EstimationError, NumericalError, ParameterError
 from .pilots import PilotMatrix, expand_block
 
@@ -69,19 +71,21 @@ class EstimatorWorkspace:
     """Precomputed, f-independent quantities for one (pilot, stats, prior) triple.
 
     Immutable and shareable across threads; every estimation routine is a
-    pure function of (y, workspace).  quad_kernel is Sb A Sb^H and lin_table
-    holds sum_t S[k, t] b[r, t, k]; together they reduce the six-index lag
-    sums to small matrix contractions.  A doubles as the MMSE error
-    covariance of the channel estimate.
+    pure function of (y, workspace).  The offset search and the bounds read
+    only n*l_r receive-space tables: R = Sb Sigma_h Sb^H and ybar = Sb mu_h
+    (the zero-offset received covariance and mean), quad_kernel
+    K = I - (I + R)^{-1} and lin_table (I + R)^{-1} ybar shaped (l_r, n),
+    which give g = w^H K w + 2 Re<lin, w> at w = D(f)^H y.  condition is
+    that of I + R.  sbreve, A (also the MMSE error covariance) and b are
+    channel-space objects, built on first access for the channel estimate.
     """
 
     pilot: PilotMatrix
     l_r: int
     stats: ChannelStats
     prior: CfoPrior
-    A: np.ndarray
-    b: np.ndarray
-    sbreve: np.ndarray
+    R: np.ndarray
+    ybar: np.ndarray
     quad_kernel: np.ndarray
     lin_table: np.ndarray
     condition: float
@@ -93,6 +97,19 @@ class EstimatorWorkspace:
     @property
     def l_t(self) -> int:
         return self.pilot.l_t
+
+    @cached_property
+    def sbreve(self) -> np.ndarray:
+        return expand_block(self.pilot, self.l_r)
+
+    @cached_property
+    def A(self) -> np.ndarray:
+        return mmse_gain(self.sbreve, self.stats.sigma_h)[0]
+
+    @cached_property
+    def b(self) -> np.ndarray:
+        mu, sb = self.stats.mu_h, self.sbreve
+        return mu - self.A @ (sb.conj().T @ (sb @ mu))
 
 
 def _solve_hermitian(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -131,66 +148,73 @@ def mmse_gain(design: np.ndarray, sigma_h: np.ndarray,
 
 def build_workspace(pilot: PilotMatrix, l_r: int, stats: ChannelStats,
                     prior: CfoPrior) -> EstimatorWorkspace:
-    """Assemble A, b and the lag contraction tables for one configuration."""
+    """Assemble the receive-space kernel and linear table for one configuration."""
     if stats.l_t != pilot.l_t or stats.n != pilot.n or stats.l_r != l_r:
         raise ParameterError(
             f"stats built for (l_t={stats.l_t}, l_r={stats.l_r}, n={stats.n}) do not "
             f"match pilot (l_t={pilot.l_t}, n={pilot.n}) with l_r={l_r}")
-    sbreve = expand_block(pilot, l_r)
-    gain, condition = mmse_gain(sbreve, stats.sigma_h)
-    b = stats.mu_h - gain @ (sbreve.conj().T @ (sbreve @ stats.mu_h))
-    kernel = sbreve @ gain @ sbreve.conj().T
-    kernel = 0.5 * (kernel + kernel.conj().T)
-    b3 = b.reshape(l_r, pilot.n, pilot.l_t)
-    lin = np.einsum("kt,rkt->rk", pilot.entries, b3)
+    n, l_t, s = pilot.n, pilot.l_t, pilot.entries
+    sigma6 = stats.sigma_h.reshape(l_r, n, l_t, l_r, n, l_t)
+    r = np.einsum("kt,rktRKT,KT->rkRK", s, sigma6, s.conj(),
+                  optimize=True).reshape(l_r * n, l_r * n)
+    r = 0.5 * (r + r.conj().T)
+    ybar = np.einsum("kt,rkt->rk", s, stats.mu_h.reshape(l_r, n, l_t)).ravel()
+    eye = np.eye(l_r * n)
+    inner = eye + r
+    eig = np.linalg.eigvalsh(inner)
+    condition = float(eig[-1] / eig[0]) if eig[0] > 0 else np.inf
+    if not condition <= CONDITION_LIMIT:
+        raise NumericalError("I + Sb Sigma_h Sb^H is too ill-conditioned",
+                             condition=condition)
+    solved = _solve_hermitian(inner, np.column_stack([eye, ybar]))
+    kernel = eye - solved[:, :-1]
     return EstimatorWorkspace(pilot=pilot, l_r=l_r, stats=stats, prior=prior,
-                              A=gain, b=b, sbreve=sbreve, quad_kernel=kernel,
-                              lin_table=lin, condition=condition)
+                              R=r, ybar=ybar,
+                              quad_kernel=0.5 * (kernel + kernel.conj().T),
+                              lin_table=solved[:, -1].reshape(l_r, n),
+                              condition=condition)
 
 
-def lag_statistics(y: np.ndarray, lin_table: np.ndarray, quad_kernel: np.ndarray,
-                   l_r: int, n: int) -> np.ndarray:
-    """The complex lag series z_1 .. z_{n-1} from precomputed tables."""
-    y = np.asarray(y, dtype=np.complex128).ravel()
-    y2 = y.reshape(l_r, n)
+def _lag_series(first: np.ndarray, weighted: np.ndarray, l_r: int, n: int) -> np.ndarray:
+    """z_k = first[k] + the k-th subdiagonal sum of weighted, folded over
+    receive-antenna pairs, for k = 1 .. n-1."""
+    folded = weighted.reshape(l_r, n, l_r, n).sum(axis=(0, 2))
+    return np.array([first[lag] + np.trace(folded, offset=-lag)
+                     for lag in range(1, n)], dtype=np.complex128)
+
+
+def lag_statistics(y2: np.ndarray, lin_table: np.ndarray,
+                   quad_kernel: np.ndarray) -> np.ndarray:
+    """The complex lag series z_1 .. z_{n-1} of an (l_r, n) signal from its tables."""
+    l_r, n = y2.shape
+    y = y2.ravel()
     first = np.einsum("rk,rk->k", lin_table, y2.conj())
     weighted = (y.conj()[:, None] * quad_kernel) * y[None, :]
-    folded = weighted.reshape(l_r, n, l_r, n).sum(axis=(0, 2))
-    z = np.empty(n - 1, dtype=np.complex128)
-    for lag in range(1, n):
-        z[lag - 1] = first[lag] + np.trace(folded, offset=-lag)
-    return z
+    return _lag_series(first, weighted, l_r, n)
 
 
 def compute_z(y: np.ndarray, ws: EstimatorWorkspace) -> np.ndarray:
-    """Lag series z_k; depends only on (y, S, A, b), never on the prior or a trial f."""
-    return lag_statistics(y, ws.lin_table, ws.quad_kernel, ws.l_r, ws.n)
+    """Lag series z_k; depends only on (y, pilot, stats), never on the prior or a trial f."""
+    y2 = np.asarray(y, dtype=np.complex128).reshape(ws.l_r, ws.n)
+    return lag_statistics(y2, ws.lin_table, ws.quad_kernel)
 
 
 def rotated_design(pilot: PilotMatrix, l_r: int, f) -> np.ndarray:
     """Design matrix X(f): the block expansion of S with rows rotated by
     exp(j 2 pi f_r k); f is a scalar or a length-l_r vector."""
-    design = expand_block(pilot, l_r)
-    f = np.atleast_1d(np.asarray(f, dtype=float))
-    if f.size == 1:
-        f = np.full(l_r, f[0])
-    elif f.shape != (l_r,):
-        raise ParameterError(f"f must be scalar or length {l_r}")
-    phase = np.exp(2j * np.pi * np.outer(f, np.arange(pilot.n))).ravel()
-    return phase[:, None] * design
+    return _rotation(f, l_r, pilot.n).reshape(-1, 1) * expand_block(pilot, l_r)
 
 
-def _design_adjoint_apply(ws: EstimatorWorkspace, y: np.ndarray, f) -> np.ndarray:
-    """u = X(f)^H y for a scalar or per-antenna offset."""
-    y2 = np.asarray(y, dtype=np.complex128).reshape(ws.l_r, ws.n)
-    f = np.atleast_1d(np.asarray(f, dtype=float))
-    if f.size == 1:
-        f = np.full(ws.l_r, f[0])
-    elif f.shape != (ws.l_r,):
-        raise ParameterError(f"f must be scalar or length {ws.l_r}")
-    phase = np.exp(-2j * np.pi * np.outer(f, np.arange(ws.n)))
-    u3 = (phase * y2)[:, :, None] * ws.pilot.entries.conj()[None, :, :]
-    return u3.ravel()
+def _derotated(y2: np.ndarray, f) -> np.ndarray:
+    """w = D(f)^H y on the (l_r, n) grid, for a scalar or per-antenna offset."""
+    return _rotation(f, *y2.shape).conj() * y2
+
+
+def _data_term(w: np.ndarray, ws: EstimatorWorkspace) -> float:
+    """The y-dependent part of g at the de-rotated signal w: w^H K w + 2 Re<lin, w>."""
+    w = w.ravel()
+    return float(np.real(np.vdot(w, ws.quad_kernel @ w))
+                 + 2.0 * np.real(np.vdot(ws.lin_table, w)))
 
 
 def map_metric(y: np.ndarray, f: float, ws: EstimatorWorkspace) -> float:
@@ -199,8 +223,8 @@ def map_metric(y: np.ndarray, f: float, ws: EstimatorWorkspace) -> float:
     The prior contribution is -f^2/(2 sigma_f^2) + mu_f f / sigma_f^2 and
     vanishes in ML mode.
     """
-    u = _design_adjoint_apply(ws, y, float(f))
-    g = 2.0 * np.real(np.vdot(ws.b, u)) + np.real(np.vdot(u, ws.A @ u))
+    y2 = np.asarray(y, dtype=np.complex128).reshape(ws.l_r, ws.n)
+    g = _data_term(_derotated(y2, float(f)), ws)
     iv = ws.prior.inv_var
     if iv:
         g += -0.5 * iv * f * f + iv * ws.prior.mu_f * f
@@ -303,8 +327,7 @@ def estimate_cfo_universal(y: np.ndarray, ws: EstimatorWorkspace, *,
     prior = ws.prior
     if derotate_by_prior_mean and prior.mu_f != 0.0:
         y2 = np.asarray(y, dtype=np.complex128).reshape(ws.l_r, ws.n)
-        rot = np.exp(-2j * np.pi * prior.mu_f * np.arange(ws.n))
-        z = compute_z((y2 * rot).ravel(), ws)
+        z = compute_z(_derotated(y2, prior.mu_f), ws)
         offset, mu_f = prior.mu_f, 0.0
     else:
         z = compute_z(y, ws)
@@ -319,8 +342,9 @@ def estimate_cfo_universal(y: np.ndarray, ws: EstimatorWorkspace, *,
 
 def estimate_channel_mmse(y: np.ndarray, f_hat, ws: EstimatorWorkspace) -> np.ndarray:
     """MMSE channel estimate A X(f_hat)^H y + b; ws.A is its error covariance."""
-    u = _design_adjoint_apply(ws, y, f_hat)
-    return ws.A @ u + ws.b
+    y2 = np.asarray(y, dtype=np.complex128).reshape(ws.l_r, ws.n)
+    u = _derotated(y2, f_hat)[:, :, None] * ws.pilot.entries.conj()[None, :, :]
+    return ws.A @ u.ravel() + ws.b
 
 
 def _prior_vectors(prior, l_r: int):
@@ -340,8 +364,8 @@ def per_antenna_metric(y: np.ndarray, f_vec: np.ndarray, ws: EstimatorWorkspace,
     """MAP objective for a vector of per-receive-antenna offsets."""
     _, mu, inv_var = _prior_vectors(ws.prior if prior is None else prior, ws.l_r)
     f_vec = np.asarray(f_vec, dtype=float)
-    u = _design_adjoint_apply(ws, y, f_vec)
-    g = 2.0 * np.real(np.vdot(ws.b, u)) + np.real(np.vdot(u, ws.A @ u))
+    y2 = np.asarray(y, dtype=np.complex128).reshape(ws.l_r, ws.n)
+    g = _data_term(_derotated(y2, f_vec), ws)
     g += np.sum(-0.5 * inv_var * f_vec ** 2 + inv_var * mu * f_vec)
     return float(g)
 
@@ -350,45 +374,25 @@ def _per_antenna_grad_hess(y2: np.ndarray, ws: EstimatorWorkspace, f_vec: np.nda
                            mu: np.ndarray, inv_var: np.ndarray):
     """Exact gradient and Hessian of g with respect to the offset vector.
 
-    Differentiating u(f) = X(f)^H y through g gives, with D_r the diagonal
-    symbol-index mask of antenna r and v = A u,
+    Differentiating w(f) = D(f)^H y through g gives, with M_r the diagonal
+    symbol-index mask k on antenna r,
 
-        dg/df_r = 4 pi Im[b^H D_r u] - 4 pi Im[u^H D_r v] - (f_r - mu_r)/sigma_r^2.
+        dg/df_r = 4 pi Im[lin^H M_r w] - 4 pi Im[(M_r w)^H K w] - (f_r - mu_r)/sigma_r^2.
     """
-    n, l_t, l_r = ws.n, ws.l_t, ws.l_r
+    l_r, n = ws.l_r, ws.n
     k = np.arange(n, dtype=float)
-    phase = np.exp(-2j * np.pi * np.outer(f_vec, k))
-    u3 = (phase * y2)[:, :, None] * ws.pilot.entries.conj()[None, :, :]
-    u = u3.ravel()
-    v3 = (ws.A @ u).reshape(l_r, n, l_t)
-    b3 = ws.b.reshape(l_r, n, l_t)
-    kcol = k[None, :, None]
-    bu1 = np.einsum("rkt,rkt->r", b3.conj(), kcol * u3)
-    bu2 = np.einsum("rkt,rkt->r", b3.conj(), kcol ** 2 * u3)
-    uv1 = np.einsum("rkt,rkt->r", u3.conj(), kcol * v3)
-    uv2 = np.einsum("rkt,rkt->r", u3.conj(), kcol ** 2 * v3)
-    grad = 4.0 * np.pi * (np.imag(bu1) - np.imag(uv1)) - inv_var * (f_vec - mu)
-    masked = np.zeros((l_r, u.size), dtype=np.complex128)
-    for r in range(l_r):
-        block = np.zeros_like(u3)
-        block[r] = kcol[0] * u3[r]
-        masked[r] = block.ravel()
-    cross = masked.conj() @ (ws.A @ masked.T)
+    w = _derotated(y2, f_vec)
+    kw = k * w
+    lin_terms = ws.lin_table.conj() * kw  # summed over k: lin^H M_r w, (M_r w)^H K w
+    quad_terms = kw.conj() * (ws.quad_kernel @ w.ravel()).reshape(l_r, n)
+    grad = (4.0 * np.pi * np.imag(np.sum(lin_terms - quad_terms, axis=1))
+            - inv_var * (f_vec - mu))
+    cross = np.einsum("ak,akbl,bl->ab", kw.conj(),
+                      ws.quad_kernel.reshape(l_r, n, l_r, n), kw)
     hess = 8.0 * np.pi ** 2 * np.real(cross)
-    hess[np.diag_indices(l_r)] += (-8.0 * np.pi ** 2 * (np.real(bu2) + np.real(uv2))
-                                   - inv_var)
+    curvature = np.real(np.sum(k * (lin_terms + quad_terms), axis=1))
+    hess[np.diag_indices(l_r)] -= 8.0 * np.pi ** 2 * curvature + inv_var
     return grad, hess
-
-
-def _antenna_tables(ws: EstimatorWorkspace, r: int):
-    """Lag tables of the decoupled single-antenna subproblem for antenna r."""
-    n, l_t = ws.n, ws.l_t
-    a6 = ws.A.reshape(ws.l_r, n, l_t, ws.l_r, n, l_t)
-    a_rr = a6[r, :, :, r, :, :].reshape(n * l_t, n * l_t)
-    sb1 = expand_block(ws.pilot, 1)
-    kernel = sb1 @ a_rr @ sb1.conj().T
-    lin = ws.lin_table[r:r + 1]
-    return lin, kernel
 
 
 def estimate_cfo_per_antenna(y: np.ndarray, pilot: PilotMatrix, stats: ChannelStats,
@@ -398,7 +402,7 @@ def estimate_cfo_per_antenna(y: np.ndarray, pilot: PilotMatrix, stats: ChannelSt
     """Per-receive-antenna offsets f_r under independent Gaussian priors.
 
     Stage 1 runs the scalar universal search on each antenna's decoupled
-    subproblem (cross-antenna coupling in A ignored), costing O(l_r n) grid
+    subproblem (cross-antenna coupling in K ignored), costing O(l_r n) grid
     work.  Stage 2 jointly refines all offsets by linearizing the rotations
     around the stage-1 values and solving the resulting l_r x l_r real
     system, repeated until the step is below epsilon.  A singular refinement
@@ -413,10 +417,10 @@ def estimate_cfo_per_antenna(y: np.ndarray, pilot: PilotMatrix, stats: ChannelSt
         return CfoEstimate(f_hat=np.array([est.f_hat]), metric=est.metric,
                            iterations=est.iterations, converged=est.converged)
     y2 = np.asarray(y, dtype=np.complex128).reshape(l_r, n)
+    kernel = ws.quad_kernel.reshape(l_r, n, l_r, n)
     stage1 = np.empty(l_r)
     for r in range(l_r):
-        lin, kernel = _antenna_tables(ws, r)
-        z_r = lag_statistics(y2[r], lin, kernel, 1, n)
+        z_r = lag_statistics(y2[r:r + 1], ws.lin_table[r:r + 1], kernel[r, :, r, :])
         f_r, _, _, _ = _universal_from_z(z_r, n, mu[r], inv_var[r],
                                          grid_size, epsilon, max_iter)
         stage1[r] = f_r
@@ -428,10 +432,7 @@ def estimate_cfo_per_antenna(y: np.ndarray, pilot: PilotMatrix, stats: ChannelSt
         try:
             step = np.linalg.solve(hess, -grad)
         except np.linalg.LinAlgError:
-            f_hat = wrap_frequency(stage1)
-            return CfoEstimate(f_hat=f_hat,
-                               metric=per_antenna_metric(y, f_hat, ws, priors),
-                               iterations=iterations, converged=False, degraded=True)
+            step = np.full(l_r, np.nan)
         if not np.all(np.isfinite(step)):
             f_hat = wrap_frequency(stage1)
             return CfoEstimate(f_hat=f_hat,
