@@ -25,7 +25,7 @@ Collecting g by time lag turns it into a short complex series,
 
     g(y, f) = const + 2 Re sum_{k=1}^{n-1} e^{j 2 pi f k} z_k + prior terms,
 
-with z_k a pure function of (y, S, A, b).  The universal search evaluates a
+with z_k a pure function of (y, K, lin).  The universal search evaluates a
 coarse grid of 4n offsets, solves the linearized stationary condition at each
 point, keeps the candidate with the best metric, and polishes it by repeating
 the linearized step.  No phase unwrapping is involved anywhere.
@@ -175,6 +175,16 @@ def build_workspace(pilot: PilotMatrix, l_r: int, stats: ChannelStats,
                               condition=condition)
 
 
+def _received(y, ws: EstimatorWorkspace) -> np.ndarray:
+    """y as an (l_r, n) complex array; a wrong length or a non-finite sample is rejected."""
+    y = np.asarray(y, dtype=np.complex128)
+    if y.size != ws.l_r * ws.n:
+        raise ParameterError(f"y must have l_r*n = {ws.l_r * ws.n} samples, got {y.size}")
+    if not np.all(np.isfinite(y)):
+        raise ParameterError("y has non-finite samples")
+    return y.reshape(ws.l_r, ws.n)
+
+
 def _lag_series(first: np.ndarray, weighted: np.ndarray, l_r: int, n: int) -> np.ndarray:
     """z_k = first[k] + the k-th subdiagonal sum of weighted, folded over
     receive-antenna pairs, for k = 1 .. n-1."""
@@ -195,8 +205,7 @@ def lag_statistics(y2: np.ndarray, lin_table: np.ndarray,
 
 def compute_z(y: np.ndarray, ws: EstimatorWorkspace) -> np.ndarray:
     """Lag series z_k; depends only on (y, pilot, stats), never on the prior or a trial f."""
-    y2 = np.asarray(y, dtype=np.complex128).reshape(ws.l_r, ws.n)
-    return lag_statistics(y2, ws.lin_table, ws.quad_kernel)
+    return lag_statistics(_received(y, ws), ws.lin_table, ws.quad_kernel)
 
 
 def rotated_design(pilot: PilotMatrix, l_r: int, f) -> np.ndarray:
@@ -223,8 +232,7 @@ def map_metric(y: np.ndarray, f: float, ws: EstimatorWorkspace) -> float:
     The prior contribution is -f^2/(2 sigma_f^2) + mu_f f / sigma_f^2 and
     vanishes in ML mode.
     """
-    y2 = np.asarray(y, dtype=np.complex128).reshape(ws.l_r, ws.n)
-    g = _data_term(_derotated(y2, float(f)), ws)
+    g = _data_term(_derotated(_received(y, ws), float(f)), ws)
     iv = ws.prior.inv_var
     if iv:
         g += -0.5 * iv * f * f + iv * ws.prior.mu_f * f
@@ -325,25 +333,24 @@ def estimate_cfo_universal(y: np.ndarray, ws: EstimatorWorkspace, *,
     range on the prior mean.
     """
     prior = ws.prior
+    y2 = _received(y, ws)
     if derotate_by_prior_mean and prior.mu_f != 0.0:
-        y2 = np.asarray(y, dtype=np.complex128).reshape(ws.l_r, ws.n)
         z = compute_z(_derotated(y2, prior.mu_f), ws)
         offset, mu_f = prior.mu_f, 0.0
     else:
-        z = compute_z(y, ws)
+        z = compute_z(y2, ws)
         offset, mu_f = 0.0, prior.mu_f
     f0, iterations, converged, diagnostics = _universal_from_z(
         z, ws.n, mu_f, prior.inv_var, grid_size, epsilon, max_iter)
     f_hat = float(wrap_frequency(f0 + offset))
-    return CfoEstimate(f_hat=f_hat, metric=map_metric(y, f_hat, ws),
+    return CfoEstimate(f_hat=f_hat, metric=map_metric(y2, f_hat, ws),
                        iterations=iterations, converged=converged,
                        diagnostics=diagnostics if return_diagnostics else None)
 
 
 def estimate_channel_mmse(y: np.ndarray, f_hat, ws: EstimatorWorkspace) -> np.ndarray:
     """MMSE channel estimate A X(f_hat)^H y + b; ws.A is its error covariance."""
-    y2 = np.asarray(y, dtype=np.complex128).reshape(ws.l_r, ws.n)
-    u = _derotated(y2, f_hat)[:, :, None] * ws.pilot.entries.conj()[None, :, :]
+    u = _derotated(_received(y, ws), f_hat)[:, :, None] * ws.pilot.entries.conj()[None, :, :]
     return ws.A @ u.ravel() + ws.b
 
 
@@ -364,8 +371,7 @@ def per_antenna_metric(y: np.ndarray, f_vec: np.ndarray, ws: EstimatorWorkspace,
     """MAP objective for a vector of per-receive-antenna offsets."""
     _, mu, inv_var = _prior_vectors(ws.prior if prior is None else prior, ws.l_r)
     f_vec = np.asarray(f_vec, dtype=float)
-    y2 = np.asarray(y, dtype=np.complex128).reshape(ws.l_r, ws.n)
-    g = _data_term(_derotated(y2, f_vec), ws)
+    g = _data_term(_derotated(_received(y, ws), f_vec), ws)
     g += np.sum(-0.5 * inv_var * f_vec ** 2 + inv_var * mu * f_vec)
     return float(g)
 
@@ -411,12 +417,12 @@ def estimate_cfo_per_antenna(y: np.ndarray, pilot: PilotMatrix, stats: ChannelSt
     priors, mu, inv_var = _prior_vectors(prior, stats.l_r)
     ws = workspace or build_workspace(pilot, stats.l_r, stats, priors[0])
     l_r, n = ws.l_r, ws.n
+    y2 = _received(y, ws)
     if l_r == 1:
-        est = estimate_cfo_universal(y, ws, grid_size=grid_size, epsilon=epsilon,
+        est = estimate_cfo_universal(y2, ws, grid_size=grid_size, epsilon=epsilon,
                                      max_iter=max_iter)
         return CfoEstimate(f_hat=np.array([est.f_hat]), metric=est.metric,
                            iterations=est.iterations, converged=est.converged)
-    y2 = np.asarray(y, dtype=np.complex128).reshape(l_r, n)
     kernel = ws.quad_kernel.reshape(l_r, n, l_r, n)
     stage1 = np.empty(l_r)
     for r in range(l_r):
@@ -436,7 +442,7 @@ def estimate_cfo_per_antenna(y: np.ndarray, pilot: PilotMatrix, stats: ChannelSt
         if not np.all(np.isfinite(step)):
             f_hat = wrap_frequency(stage1)
             return CfoEstimate(f_hat=f_hat,
-                               metric=per_antenna_metric(y, f_hat, ws, priors),
+                               metric=per_antenna_metric(y2, f_hat, ws, priors),
                                iterations=iterations, converged=False, degraded=True)
         f_vec = f_vec + step
         iterations += 1
@@ -444,5 +450,5 @@ def estimate_cfo_per_antenna(y: np.ndarray, pilot: PilotMatrix, stats: ChannelSt
             converged = True
             break
     f_hat = wrap_frequency(f_vec)
-    return CfoEstimate(f_hat=f_hat, metric=per_antenna_metric(y, f_hat, ws, priors),
+    return CfoEstimate(f_hat=f_hat, metric=per_antenna_metric(y2, f_hat, ws, priors),
                        iterations=iterations, converged=converged)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cfomimo import (CfoPrior, ChannelStats, EstimationError, NumericalError,
-                     build_stats, build_workspace, compute_z, custom_pilot,
+                     ParameterError, build_stats, build_workspace, compute_z, custom_pilot,
                      estimate_cfo_per_antenna, estimate_cfo_universal,
                      estimate_channel_mmse, generate_periodic_pilot,
                      generate_td_pilot, make_model, map_metric,
@@ -492,3 +492,61 @@ def test_per_antenna_degraded_fallback(rng, monkeypatch):
     est = est_mod.estimate_cfo_per_antenna(y, pilot, stats, prior)
     assert est.degraded and not est.converged
     assert est.f_hat.shape == (2,)
+
+
+# ---------------------------------------------------------------------------
+# input validation
+
+
+def _small_case():
+    pilot = generate_td_pilot(2, 3)
+    model = make_model(2, 2, 0.9)
+    stats = build_stats(model, pilot.n)
+    prior = CfoPrior(0.05, 1e-4)
+    return pilot, model, stats, prior, build_workspace(pilot, 2, stats, prior)
+
+
+OFFSET_CALLERS = {
+    "synthesize_rx": lambda pilot, model, ws, y, f: synthesize_rx(
+        pilot, 2, f, np.zeros(model.l_t * model.l_r * pilot.n, dtype=complex)),
+    "rotated_design": lambda pilot, model, ws, y, f: rotated_design(pilot, 2, f),
+    "estimate_channel_mmse": lambda pilot, model, ws, y, f: estimate_channel_mmse(y, f, ws),
+    "per_antenna_metric": lambda pilot, model, ws, y, f: per_antenna_metric(y, f, ws),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(OFFSET_CALLERS))
+def test_wrong_length_offset_raises(caller, rng):
+    pilot, model, stats, _, ws = _small_case()
+    y, _ = draw_y(rng, pilot, model, stats, 0.05)
+    for f in (np.zeros(3), np.zeros((2, 2))):
+        with pytest.raises(ParameterError):
+            OFFSET_CALLERS[caller](pilot, model, ws, y, f)
+
+
+Y_CALLERS = {
+    "compute_z": lambda pilot, stats, ws, y: compute_z(y, ws),
+    "map_metric": lambda pilot, stats, ws, y: map_metric(y, 0.05, ws),
+    "per_antenna_metric": lambda pilot, stats, ws, y: per_antenna_metric(y, [0.0, 0.1], ws),
+    "estimate_cfo_universal": lambda pilot, stats, ws, y: estimate_cfo_universal(y, ws),
+    "estimate_cfo_universal_derotated": lambda pilot, stats, ws, y: estimate_cfo_universal(
+        y, ws, derotate_by_prior_mean=True),
+    "estimate_cfo_per_antenna": lambda pilot, stats, ws, y: estimate_cfo_per_antenna(
+        y, pilot, stats, ws.prior, workspace=ws),
+    "estimate_channel_mmse": lambda pilot, stats, ws, y: estimate_channel_mmse(y, 0.05, ws),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(Y_CALLERS))
+def test_received_signal_is_validated(caller, rng):
+    pilot, model, stats, _, ws = _small_case()
+    y, _ = draw_y(rng, pilot, model, stats, 0.05)
+    call = Y_CALLERS[caller]
+    call(pilot, stats, ws, y)  # a well-formed y passes
+    with pytest.raises(ParameterError, match="samples"):
+        call(pilot, stats, ws, y[:5])
+    for bad in (np.nan, np.inf):
+        y_bad = y.copy()
+        y_bad[3] = bad
+        with pytest.raises(ParameterError, match="non-finite"):
+            call(pilot, stats, ws, y_bad)
