@@ -52,6 +52,40 @@ CSV_HEADER = "sweep_var,value,mse,crlb,bcrlb,trials,failures,mean_iters"
 PLOT_HEADER = "figure,series,x,y"
 WORKERS_ENV = "CFOMIMO_WORKERS"
 PILOT_STRUCTURES = ("periodic", "td")
+CONFIG_KEYS = ("pilot", "l_r", "channel", "prior", "f_true", "snr_db", "trials",
+               "seed", "noise", "workers")
+INT_FIELDS = ("l_t", "m", "l_r", "trials", "seed", "workers")
+FLOAT_FIELDS = ("rho_h", "spatial_a", "spatial_b", "sigma_h_sq", "rician_k",
+                "mu_f", "sigma_f_sq")
+
+
+def _coerce(name: str, value, kind):
+    """value converted by kind (int or float).  Strings that spell a number
+    are accepted; booleans and values the conversion would change (2.5 for
+    an integer) are not."""
+    try:
+        out = kind(value)
+    except (TypeError, ValueError):
+        out = None
+    if out is None or isinstance(value, bool) or (
+            not isinstance(value, str) and out != value):
+        raise ParameterError(f"{name} must be {kind.__name__}, got {value!r}")
+    return out
+
+
+def _as_tuple(value) -> tuple:
+    return (value,) if np.isscalar(value) else tuple(value)
+
+
+def _section(section, label: str, allowed: tuple) -> dict:
+    """A config mapping (empty when absent) whose keys must all be in allowed."""
+    section = section or {}
+    if not isinstance(section, dict):
+        raise ParameterError(f"config section {label!r} must be a mapping")
+    unknown = sorted(set(section) - set(allowed))
+    if unknown:
+        raise ParameterError(f"unknown {label} keys: {unknown}")
+    return section
 
 
 @dataclass(frozen=True)
@@ -81,18 +115,27 @@ class ExperimentConfig:
     workers: int = 0  # 0: take CFOMIMO_WORKERS, else 1
 
     def __post_init__(self):
+        for name in INT_FIELDS:
+            object.__setattr__(self, name, _coerce(name, getattr(self, name), int))
+        for name in FLOAT_FIELDS:
+            object.__setattr__(self, name, _coerce(name, getattr(self, name), float))
         if self.pilot_structure not in PILOT_STRUCTURES:
             raise ParameterError(f"pilot structure must be one of {PILOT_STRUCTURES}")
         if self.l_t < 1 or self.m < 1 or self.l_r < 1:
             raise ParameterError("l_t, m and l_r must be positive")
         if self.trials < 1:
             raise ParameterError("trials must be >= 1")
+        if self.seed < 0:
+            raise ParameterError("seed must be >= 0")
+        if self.workers < 0:
+            raise ParameterError(f"workers must be >= 0 (0: ${WORKERS_ENV}, else 1)")
         if len(self.snr_db) == 0:
             raise ParameterError("snr_db grid must be non-empty")
         if self.f_true_mode not in ("prior", "fixed"):
             raise ParameterError("f_true must be 'prior' or 'fixed'")
-        object.__setattr__(self, "snr_db", tuple(float(v) for v in self.snr_db))
-        object.__setattr__(self, "rho_h_grid", tuple(float(v) for v in self.rho_h_grid))
+        for name in ("snr_db", "rho_h_grid"):
+            object.__setattr__(self, name, tuple(_coerce(name, v, float)
+                                                 for v in getattr(self, name)))
 
     @property
     def n(self) -> int:
@@ -100,40 +143,35 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, data: dict) -> "ExperimentConfig":
-        data = dict(data or {})
-        kwargs = {}
-        pilot = data.pop("pilot", None) or {}
-        kwargs["pilot_structure"] = pilot.get("structure", cls.pilot_structure)
-        kwargs["l_t"] = int(pilot.get("l_t", cls.l_t))
-        kwargs["m"] = int(pilot.get("m", cls.m))
-        channel = data.pop("channel", None) or {}
-        if "rho_h" in channel:
-            kwargs["rho_h"] = float(channel["rho_h"])
-        if "rho_h_grid" in channel:
-            kwargs["rho_h_grid"] = tuple(channel["rho_h_grid"])
-        spatial = channel.get("spatial") or {}
-        kwargs["spatial_kind"] = spatial.get("kind", cls.spatial_kind)
-        kwargs["spatial_a"] = float(spatial.get("a", cls.spatial_a))
-        kwargs["spatial_b"] = float(spatial.get("b", cls.spatial_b))
-        kwargs["sigma_h_sq"] = float(spatial.get("sigma_h_sq", cls.sigma_h_sq))
-        mean = channel.get("mean") or {}
-        kwargs["mean_kind"] = mean.get("kind", cls.mean_kind)
-        kwargs["rician_k"] = float(mean.get("k_factor", cls.rician_k))
-        prior = data.pop("prior", None) or {}
-        kwargs["prior_ml"] = bool(prior.get("ml", cls.prior_ml))
-        kwargs["mu_f"] = float(prior.get("mu_f", cls.mu_f))
-        if "sigma_f_sq" in prior:
-            kwargs["sigma_f_sq"] = float(prior["sigma_f_sq"])
-        if "f_true" in data:
-            kwargs["f_true_mode"] = data.pop("f_true")
-        if "snr_db" in data:
-            snr = data.pop("snr_db")
-            kwargs["snr_db"] = (float(snr),) if np.isscalar(snr) else tuple(snr)
+        data = _section(data, "config", CONFIG_KEYS)
+        pilot = _section(data.get("pilot"), "pilot", ("structure", "l_t", "m"))
+        channel = _section(data.get("channel"), "channel",
+                           ("rho_h", "rho_h_grid", "spatial", "mean"))
+        spatial = _section(channel.get("spatial"), "spatial",
+                           ("kind", "a", "b", "sigma_h_sq"))
+        mean = _section(channel.get("mean"), "mean", ("kind", "k_factor"))
+        prior = _section(data.get("prior"), "prior", ("ml", "mu_f", "sigma_f_sq"))
+        kwargs = {
+            "pilot_structure": pilot.get("structure", cls.pilot_structure),
+            "l_t": pilot.get("l_t", cls.l_t),
+            "m": pilot.get("m", cls.m),
+            "spatial_kind": spatial.get("kind", cls.spatial_kind),
+            "spatial_a": spatial.get("a", cls.spatial_a),
+            "spatial_b": spatial.get("b", cls.spatial_b),
+            "sigma_h_sq": spatial.get("sigma_h_sq", cls.sigma_h_sq),
+            "mean_kind": mean.get("kind", cls.mean_kind),
+            "rician_k": mean.get("k_factor", cls.rician_k),
+            "prior_ml": bool(prior.get("ml", cls.prior_ml)),
+            "mu_f": prior.get("mu_f", cls.mu_f),
+            "sigma_f_sq": prior.get("sigma_f_sq", cls.sigma_f_sq),
+            "rho_h": channel.get("rho_h", cls.rho_h),
+            "rho_h_grid": _as_tuple(channel.get("rho_h_grid", cls.rho_h_grid)),
+            "snr_db": _as_tuple(data.get("snr_db", cls.snr_db)),
+            "f_true_mode": data.get("f_true", cls.f_true_mode),
+        }
         for key in ("l_r", "trials", "seed", "noise", "workers"):
             if key in data:
-                kwargs[key] = data.pop(key)
-        if data:
-            raise ParameterError(f"unknown config keys: {sorted(data)}")
+                kwargs[key] = data[key]
         return cls(**kwargs)
 
     def prior(self) -> CfoPrior:

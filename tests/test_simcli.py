@@ -43,8 +43,15 @@ def test_config_defaults_and_nested_mapping():
 
 
 def test_config_rejects_unknown_keys():
-    with pytest.raises(ParameterError):
-        ExperimentConfig.from_mapping({"bogus": 1})
+    for data in ({"bogus": 1},
+                 {"pilot": {"structre": "periodic"}},
+                 {"channel": {"rho": 0.5}},
+                 {"channel": {"spatial": {"kind": "iid", "sigma": 2.0}}},
+                 {"channel": {"mean": {"kind": "rician", "k": 2.0}}},
+                 {"prior": {"sigma_f": 1}},
+                 {"prior": [0.1, 1e-5]}):
+        with pytest.raises(ParameterError):
+            ExperimentConfig.from_mapping(data)
 
 
 def test_config_validation():
@@ -56,6 +63,21 @@ def test_config_validation():
         ExperimentConfig(pilot_structure="zadoff")
     with pytest.raises(ParameterError):
         ExperimentConfig(f_true_mode="oracle")
+    # integer fields: spelled-out integers are coerced, anything else rejected
+    config = ExperimentConfig.from_mapping({"trials": "10", "pilot": {"m": "3"}})
+    assert config.trials == 10 and config.m == 3
+    for bad in ("ten", 2.5, True, None):
+        with pytest.raises(ParameterError):
+            ExperimentConfig.from_mapping({"trials": bad})
+    with pytest.raises(ParameterError):
+        ExperimentConfig.from_mapping({"channel": {"rho_h": "high"}})
+    with pytest.raises(ParameterError):
+        ExperimentConfig.from_mapping({"snr_db": [10, "loud"]})
+    # workers: 0 defers to the environment, negative counts are errors
+    assert ExperimentConfig(workers=0).workers == 0
+    for bad in (-1, -3):
+        with pytest.raises(ParameterError):
+            ExperimentConfig.from_mapping({"workers": bad})
 
 
 def test_load_config_yaml_with_overrides(tmp_path):
@@ -245,12 +267,18 @@ def test_cli_single_json(tmp_path, capsys):
     assert payload["status"] in ("ok", "low_confidence")
 
 
-def test_cli_error_paths(tmp_path):
+def test_cli_error_paths(tmp_path, capsys):
     missing = tmp_path / "nope.yaml"
     assert main(["mse-vs-snr", "--config", str(missing)]) == 1
     bad = tmp_path / "bad.yaml"
-    bad.write_text("bogus_key: 1\n")
-    assert main(["mse-vs-snr", "--config", str(bad)]) == 1
+    for text in ("bogus_key: 1\n", "pilot: {structre: periodic}\n",
+                 "prior: {sigma_f: 1}\n", "trials: ten\n", "workers: -3\n"):
+        bad.write_text(text)
+        capsys.readouterr()
+        assert main(["mse-vs-snr", "--config", str(bad)]) == 1, text
+        assert capsys.readouterr().err.startswith("error: "), text
+    assert main(["mse-vs-snr", "--workers", "-3"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_validate_passes():
