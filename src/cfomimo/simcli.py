@@ -119,6 +119,9 @@ class ExperimentConfig:
             object.__setattr__(self, name, _coerce(name, getattr(self, name), int))
         for name in FLOAT_FIELDS:
             object.__setattr__(self, name, _coerce(name, getattr(self, name), float))
+        for name in ("prior_ml", "noise"):
+            if not isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ParameterError(f"{name} must be true or false, got {getattr(self, name)!r}")
         if self.pilot_structure not in PILOT_STRUCTURES:
             raise ParameterError(f"pilot structure must be one of {PILOT_STRUCTURES}")
         if self.l_t < 1 or self.m < 1 or self.l_r < 1:
@@ -161,7 +164,7 @@ class ExperimentConfig:
             "sigma_h_sq": spatial.get("sigma_h_sq", cls.sigma_h_sq),
             "mean_kind": mean.get("kind", cls.mean_kind),
             "rician_k": mean.get("k_factor", cls.rician_k),
-            "prior_ml": bool(prior.get("ml", cls.prior_ml)),
+            "prior_ml": prior.get("ml", cls.prior_ml),
             "mu_f": prior.get("mu_f", cls.mu_f),
             "sigma_f_sq": prior.get("sigma_f_sq", cls.sigma_f_sq),
             "rho_h": channel.get("rho_h", cls.rho_h),

@@ -73,6 +73,11 @@ def test_config_validation():
         ExperimentConfig.from_mapping({"channel": {"rho_h": "high"}})
     with pytest.raises(ParameterError):
         ExperimentConfig.from_mapping({"snr_db": [10, "loud"]})
+    # a quoted "false" is not a boolean
+    with pytest.raises(ParameterError):
+        ExperimentConfig.from_mapping({"prior": {"ml": "false"}})
+    with pytest.raises(ParameterError):
+        ExperimentConfig.from_mapping({"noise": "false"})
     # workers: 0 defers to the environment, negative counts are errors
     assert ExperimentConfig(workers=0).workers == 0
     for bad in (-1, -3):
