@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -75,6 +76,13 @@ class CorrelationModel:
         object.__setattr__(self, "spatial_cov", cov)
         object.__setattr__(self, "mean", mean)
 
+    @cached_property
+    def _spatial_factor(self) -> np.ndarray:
+        """L with L L^H = spatial_cov, factored once per model for the sampler."""
+        factor = _psd_factor(self.spatial_cov)
+        factor.setflags(write=False)
+        return factor
+
     def per_coefficient_power(self) -> float:
         """Average of E|h[r,t,k]|^2 over antenna pairs (variance plus |mean|^2)."""
         return float(np.mean(np.diag(self.spatial_cov).real + np.abs(self.mean) ** 2))
@@ -123,7 +131,15 @@ def make_model(l_t: int, l_r: int, rho_h: float, *, spatial: str = "iid",
 
 @dataclass(frozen=True)
 class ChannelStats:
-    """Mean and covariance of the length l_t*l_r*n vectorized channel."""
+    """Mean and covariance of the length l_t*l_r*n vectorized channel.
+
+    Constructed directly, it holds the dense (l_t*l_r*n)^2 covariance
+    sigma_h, which must be Hermitian and positive semidefinite.  Stats made
+    by build_stats keep the covariance in its separable form instead (see
+    there); sigma_h is then built densely on first read.  Other modules
+    reach the covariance only through _receive_cov and _apply_cov, which
+    work on either form.
+    """
 
     l_t: int
     l_r: int
@@ -147,18 +163,77 @@ class ChannelStats:
     def dim(self) -> int:
         return self.l_t * self.l_r * self.n
 
+    def _receive_cov(self, entries: np.ndarray) -> np.ndarray:
+        """R = Sb Sigma_h Sb^H for the (n, l_t) pilot entries, (n*l_r)^2."""
+        l_t, l_r, n = self.l_t, self.l_r, self.n
+        sigma6 = self.sigma_h.reshape(l_r, n, l_t, l_r, n, l_t)
+        return np.einsum("kt,rktRKT,KT->rkRK", entries, sigma6, entries.conj(),
+                         optimize=True).reshape(l_r * n, l_r * n)
+
+    def _apply_cov(self, u: np.ndarray) -> np.ndarray:
+        """Sigma_h u for a channel-space vector u."""
+        return self.sigma_h @ u
+
+
+class _SeparableStats(ChannelStats):
+    """ChannelStats of a CorrelationModel, Sigma_h = rho_h^|k-k'| * C kept as
+    its two factors: time_corr (n x n) and spatial_cov (l_t*l_r square).
+
+    No dense Hermitian or PSD check is run: spatial_cov was checked by
+    CorrelationModel, rho_h^|k-k'| is PSD for rho_h in [0, 1] (the AR(1)
+    correlation), and the Kronecker product of PSD factors is PSD.
+    """
+
+    def __init__(self, l_t: int, l_r: int, n: int, mu_h: np.ndarray,
+                 time_corr: np.ndarray, spatial_cov: np.ndarray):
+        for name, value in (("l_t", l_t), ("l_r", l_r), ("n", n), ("mu_h", mu_h),
+                            ("time_corr", time_corr), ("spatial_cov", spatial_cov)):
+            object.__setattr__(self, name, value)
+
+    def __repr__(self) -> str:
+        return f"ChannelStats(l_t={self.l_t}, l_r={self.l_r}, n={self.n}, separable)"
+
+    def _spatial4(self) -> np.ndarray:
+        return self.spatial_cov.reshape(self.l_r, self.l_t, self.l_r, self.l_t)
+
+    @cached_property
+    def sigma_h(self) -> np.ndarray:
+        sigma = np.einsum("kK,rtRT->rktRKT", self.time_corr,
+                          self._spatial4()).reshape(self.dim, self.dim)
+        sigma.setflags(write=False)
+        return sigma
+
+    def _receive_cov(self, entries: np.ndarray) -> np.ndarray:
+        # R[(r,k),(r',k')] = T[k,k'] * S[k,:] C_{rr'} S[k',:]^H
+        r4 = np.einsum("kt,rtRT,KT->rkRK", entries, self._spatial4(), entries.conj(),
+                       optimize=True)
+        r4 *= self.time_corr[None, :, None, :]
+        return r4.reshape(self.l_r * self.n, self.l_r * self.n)
+
+    def _apply_cov(self, u: np.ndarray) -> np.ndarray:
+        u3 = u.reshape(self.l_r, self.n, self.l_t)
+        return np.einsum("kK,rtRT,RKT->rkt", self.time_corr, self._spatial4(), u3,
+                         optimize=True).ravel()
+
 
 def build_stats(model: CorrelationModel, n: int) -> ChannelStats:
-    """Expand a correlation model over n symbol times in the package layout."""
+    """Channel statistics of a correlation model over n symbol times, in the
+    package layout.
+
+    The covariance stays in its separable form rho_h^|k-k'| * spatial_cov:
+    no (l_t*l_r*n)^2 matrix is formed until sigma_h is read, and the dense
+    Hermitian/PSD check of a directly constructed ChannelStats is skipped,
+    because the model's factors make it PSD by construction.
+    """
     if n < 1:
         raise ParameterError("n must be a positive integer")
     l_t, l_r = model.l_t, model.l_r
     lags = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
     time_corr = model.rho_h ** lags  # 0**0 == 1 covers rho_h = 0
-    c4 = model.spatial_cov.reshape(l_r, l_t, l_r, l_t)
-    sigma = np.einsum("kK,rtRT->rktRKT", time_corr, c4).reshape(model.mean.size * n, -1)
+    time_corr.setflags(write=False)
     mu = np.broadcast_to(model.mean.reshape(l_r, 1, l_t), (l_r, n, l_t)).ravel()
-    return ChannelStats(l_t=l_t, l_r=l_r, n=n, mu_h=mu, sigma_h=sigma)
+    mu.setflags(write=False)
+    return _SeparableStats(l_t, l_r, n, mu, time_corr, model.spatial_cov)
 
 
 def _psd_factor(cov: np.ndarray) -> np.ndarray:
@@ -187,8 +262,7 @@ def sample_ar1_trajectory(model: CorrelationModel, n: int, rng: np.random.Genera
     """
     if n < 1:
         raise ParameterError("n must be a positive integer")
-    factor = _psd_factor(model.spatial_cov)
-    w = complex_gaussian(rng, factor, n)
+    w = complex_gaussian(rng, model._spatial_factor, n)
     rho = model.rho_h
     h = np.empty_like(w)
     h[0] = w[0] + model.mean

@@ -18,8 +18,14 @@ K and lin are computed once per configuration.  Only I + R is factored, so
 singular channel covariances (a channel frozen over the pilot) are fine.
 The MMSE channel estimate h_hat(f) = A X(f)^H y + b, with X(f) = D(f) Sb,
 A = (Sb^H Sb + Sigma_h^{-1})^{-1} its error covariance and
-b = (I - A Sb^H Sb) mu_h, is the only user of channel-space objects; they
-are built on demand, and K = Sb A Sb^H, lin = Sb b.
+b = (I - A Sb^H Sb) mu_h, is evaluated in the receive space too: by
+A Sb^H = Sigma_h Sb^H (I + R)^{-1} and (I + R)^{-1} = I - K,
+
+    h_hat(f) = mu_h + Sigma_h Sb^H (I - K)(w - ybar),
+
+one product with Sigma_h, which ChannelStats applies in its separable form.
+A, b and Sb exist only for the oracles (K = Sb A Sb^H, lin = Sb b) and are
+built on demand.
 
 Collecting g by time lag turns it into a short complex series,
 
@@ -76,8 +82,10 @@ class EstimatorWorkspace:
     (the zero-offset received covariance and mean), quad_kernel
     K = I - (I + R)^{-1} and lin_table (I + R)^{-1} ybar shaped (l_r, n),
     which give g = w^H K w + 2 Re<lin, w> at w = D(f)^H y.  condition is
-    that of I + R.  sbreve, A (also the MMSE error covariance) and b are
-    channel-space objects, built on first access for the channel estimate.
+    that of I + R.  The channel estimate adds one product with Sigma_h:
+    h_hat = mu_h + Sigma_h Sb^H (I - K)(w - ybar).  sbreve, A (the MMSE
+    error covariance) and b are channel-space objects, built on first
+    access for the oracles only.
     """
 
     pilot: PilotMatrix
@@ -154,9 +162,7 @@ def build_workspace(pilot: PilotMatrix, l_r: int, stats: ChannelStats,
             f"stats built for (l_t={stats.l_t}, l_r={stats.l_r}, n={stats.n}) do not "
             f"match pilot (l_t={pilot.l_t}, n={pilot.n}) with l_r={l_r}")
     n, l_t, s = pilot.n, pilot.l_t, pilot.entries
-    sigma6 = stats.sigma_h.reshape(l_r, n, l_t, l_r, n, l_t)
-    r = np.einsum("kt,rktRKT,KT->rkRK", s, sigma6, s.conj(),
-                  optimize=True).reshape(l_r * n, l_r * n)
+    r = stats._receive_cov(s)
     r = 0.5 * (r + r.conj().T)
     ybar = np.einsum("kt,rkt->rk", s, stats.mu_h.reshape(l_r, n, l_t)).ravel()
     eye = np.eye(l_r * n)
@@ -349,9 +355,15 @@ def estimate_cfo_universal(y: np.ndarray, ws: EstimatorWorkspace, *,
 
 
 def estimate_channel_mmse(y: np.ndarray, f_hat, ws: EstimatorWorkspace) -> np.ndarray:
-    """MMSE channel estimate A X(f_hat)^H y + b; ws.A is its error covariance."""
-    u = _derotated(_received(y, ws), f_hat)[:, :, None] * ws.pilot.entries.conj()[None, :, :]
-    return ws.A @ u.ravel() + ws.b
+    """MMSE channel estimate mu_h + Sigma_h Sb^H (I - K)(w - ybar) at w = D(f_hat)^H y.
+
+    Equal to A X(f_hat)^H y + b (ws.A is its error covariance) by
+    A Sb^H = Sigma_h Sb^H (I + R)^{-1} and (I + R)^{-1} = I - K.
+    """
+    resid = _derotated(_received(y, ws), f_hat).ravel() - ws.ybar
+    resid = resid - ws.quad_kernel @ resid
+    u = resid.reshape(ws.l_r, ws.n)[:, :, None] * ws.pilot.entries.conj()[None, :, :]
+    return ws.stats.mu_h + ws.stats._apply_cov(u.ravel())
 
 
 def _prior_vectors(prior, l_r: int):

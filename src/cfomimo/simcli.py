@@ -139,6 +139,8 @@ class ExperimentConfig:
         for name in ("snr_db", "rho_h_grid"):
             object.__setattr__(self, name, tuple(_coerce(name, v, float)
                                                  for v in getattr(self, name)))
+        if not all(math.isfinite(v) for v in self.snr_db):
+            raise ParameterError(f"snr_db must be finite, got {self.snr_db}")
 
     @property
     def n(self) -> int:
@@ -583,12 +585,18 @@ def _overrides_from(args) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             overrides[key] = value
-    if getattr(args, "snr_db", None):
-        overrides["snr_db"] = tuple(float(v) for v in args.snr_db.split(","))
-    if getattr(args, "rho_grid", None):
-        start, stop, count = args.rho_grid.split(":")
-        overrides["rho_h_grid"] = tuple(np.linspace(float(start), float(stop),
-                                                    int(count)))
+    if getattr(args, "snr_db", None) is not None:
+        overrides["snr_db"] = tuple(_coerce("--snr-db", v, float)
+                                    for v in args.snr_db.split(","))
+    if getattr(args, "rho_grid", None) is not None:
+        parts = args.rho_grid.split(":")
+        if len(parts) != 3:
+            raise ParameterError(f"--rho-grid must be START:STOP:COUNT, got {args.rho_grid!r}")
+        start, stop = (_coerce("--rho-grid", v, float) for v in parts[:2])
+        count = _coerce("--rho-grid COUNT", parts[2], int)
+        if count < 1:
+            raise ParameterError(f"--rho-grid COUNT must be >= 1, got {count}")
+        overrides["rho_h_grid"] = tuple(np.linspace(start, stop, count))
     return overrides
 
 

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from cfomimo import (CfoPrior, ChannelStats, EstimationError, NumericalError,
-                     ParameterError, build_stats, build_workspace, compute_z, custom_pilot,
-                     estimate_cfo_per_antenna, estimate_cfo_universal,
-                     estimate_channel_mmse, generate_periodic_pilot,
+                     ParameterError, build_stats, build_workspace, compute_beta,
+                     compute_z, custom_pilot, estimate_cfo_per_antenna,
+                     estimate_cfo_universal, estimate_channel_mmse,
+                     evaluate_bounds, generate_periodic_pilot,
                      generate_td_pilot, make_model, map_metric,
                      metric_gradient, mmse_gain, per_antenna_metric,
                      rotated_design, sample_ar1_trajectory, synthesize_rx,
@@ -86,6 +89,52 @@ def test_workspace_accepts_singular_sigma(rng):
     ws = build_workspace(pilot, 2, stats, CfoPrior.ml())
     assert np.all(np.isfinite(ws.A))
     assert np.linalg.eigvalsh(ws.A)[0] > -1e-10
+
+
+@pytest.mark.parametrize("rho_h", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("maker", [generate_periodic_pilot, generate_td_pilot])
+def test_separable_stats_match_dense_copy(rho_h, maker):
+    # build_stats keeps Sigma_h as its time and spatial factors; a workspace
+    # built from them must equal one built from the dense matrix
+    l_t, l_r = 2, 3
+    pilot = maker(l_t, 4, rho=1.7)
+    model = make_model(l_t, l_r, rho_h, spatial="exponential", spatial_a=0.6,
+                       spatial_b=0.4, mean="rician", rician_k=1.5)
+    stats = build_stats(model, pilot.n)
+    dense = ChannelStats(l_t, l_r, pilot.n, stats.mu_h, stats.sigma_h)
+    ws = build_workspace(pilot, l_r, stats, CfoPrior.ml())
+    ref = build_workspace(pilot, l_r, dense, CfoPrior.ml())
+
+    def close(a, b):
+        return np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+    for name in ("R", "quad_kernel", "lin_table"):
+        assert close(getattr(ws, name), getattr(ref, name)), name
+    assert close(ws.condition, ref.condition)
+    assert close(compute_beta(pilot, l_r, stats, workspace=ws),
+                 compute_beta(pilot, l_r, dense, workspace=ref))
+
+
+def test_large_array_setup_never_forms_dense_covariance():
+    # (l_t, m, l_r) = (8, 16, 8): one dense (l_t l_r n)^2 complex matrix is
+    # 1024 MB, the n*l_r receive-space tables are 16 MB each
+    pilot = generate_periodic_pilot(8, 16, rho=1.0)
+    model = make_model(8, 8, 0.95, spatial="exponential", mean="rician")
+    rng = np.random.default_rng(7)
+    tracemalloc.start()
+    try:
+        stats = build_stats(model, pilot.n)
+        ws = build_workspace(pilot, 8, stats, CfoPrior.ml())
+        evaluate_bounds(pilot, 8, stats, ws.prior, workspace=ws)
+        h = sample_ar1_trajectory(model, pilot.n, rng)
+        y = synthesize_rx(pilot, 8, 0.05, h, rng)
+        est = estimate_cfo_universal(y, ws)
+        h_hat = estimate_channel_mmse(y, est.f_hat, ws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(h_hat))
+    assert peak < 256 * 2 ** 20, f"peak {peak / 2 ** 20:.0f} MB"
 
 
 def test_ill_conditioned_raises():
@@ -342,16 +391,20 @@ def test_channel_estimate_matches_normal_equations(rng):
     dim = l_t * l_r * n
     sigma = random_psd(rng, dim)
     mu = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    stats = ChannelStats(l_t, l_r, n, mu, sigma)
-    ws = build_workspace(pilot, l_r, stats, CfoPrior.ml())
-    y = rng.standard_normal(n * l_r) + 1j * rng.standard_normal(n * l_r)
-    f_hat = 0.09
-    h_hat = estimate_channel_mmse(y, f_hat, ws)
-    design = rotated_design(pilot, l_r, f_hat)
-    lhs = design.conj().T @ design + np.linalg.inv(sigma)
-    rhs = design.conj().T @ y + np.linalg.inv(sigma) @ mu
-    h_ref = np.linalg.solve(lhs, rhs)
-    assert np.max(np.abs(h_hat - h_ref)) < 1e-9 * max(1.0, np.max(np.abs(h_ref)))
+    user_supplied = ChannelStats(l_t, l_r, n, mu, sigma)
+    model_built = build_stats(make_model(l_t, l_r, 0.6, spatial="exponential",
+                                         mean="rician"), n)
+    for stats in (user_supplied, model_built):
+        ws = build_workspace(pilot, l_r, stats, CfoPrior.ml())
+        y = rng.standard_normal(n * l_r) + 1j * rng.standard_normal(n * l_r)
+        f_hat = 0.09
+        h_hat = estimate_channel_mmse(y, f_hat, ws)
+        design = rotated_design(pilot, l_r, f_hat)
+        sigma_inv = np.linalg.inv(stats.sigma_h)
+        lhs = design.conj().T @ design + sigma_inv
+        rhs = design.conj().T @ y + sigma_inv @ stats.mu_h
+        h_ref = np.linalg.solve(lhs, rhs)
+        assert np.max(np.abs(h_hat - h_ref)) < 1e-9 * max(1.0, np.max(np.abs(h_ref)))
 
 
 def test_channel_estimate_high_snr_recovers_truth(rng):

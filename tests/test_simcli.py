@@ -284,6 +284,13 @@ def test_cli_error_paths(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: "), text
     assert main(["mse-vs-snr", "--workers", "-3"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+    for argv in (["bounds-vs-rho", "--rho-grid", "0:1"],
+                 ["bounds-vs-rho", "--rho-grid", "0:1:-2"],
+                 ["bounds-vs-rho", "--rho-grid", "0:1:0"],
+                 ["bounds-vs-snr", "--snr-db", "abc"],
+                 ["mse-vs-snr", "--snr-db", "10,inf"]):
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
 
 
 def test_cli_validate_passes():
