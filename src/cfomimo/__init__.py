@@ -11,7 +11,8 @@ from .channel import (CfoPrior, ChannelStats, CorrelationModel, build_stats,
                       sample_ar1_trajectory, synthesize_rx)
 from .estimator import (CfoEstimate, EstimatorWorkspace, build_workspace,
                         compute_z, estimate_cfo_per_antenna,
-                        estimate_cfo_universal, estimate_channel_mmse,
+                        estimate_cfo_universal, estimate_cfo_universal_batch,
+                        estimate_channel_mmse,
                         map_metric, metric_gradient, mmse_gain,
                         per_antenna_metric, rotated_design, wrap_frequency)
 from .bounds import (BoundResult, compute_beta, compute_bounds,
@@ -25,7 +26,8 @@ __all__ = [
     "NumericalError", "ParameterError", "PilotMatrix", "PilotStructure",
     "build_stats", "build_workspace", "compute_beta", "compute_bounds",
     "compute_z", "custom_pilot", "estimate_cfo_per_antenna",
-    "estimate_cfo_universal", "estimate_channel_mmse", "evaluate_bounds",
+    "estimate_cfo_universal", "estimate_cfo_universal_batch",
+    "estimate_channel_mmse", "evaluate_bounds",
     "expand_block", "exponential_spatial_cov", "fisher_oracle",
     "generate_periodic_pilot", "generate_td_pilot", "make_model", "map_metric",
     "metric_gradient", "mmse_gain", "per_antenna_metric", "pilot_from_config",

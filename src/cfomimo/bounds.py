@@ -26,7 +26,7 @@ import scipy.linalg
 
 from .channel import CfoPrior, ChannelStats, _psd_factor
 from .errors import NumericalError, ParameterError
-from .estimator import (EstimatorWorkspace, _lag_series, build_workspace,
+from .estimator import (EstimatorWorkspace, _lag_fold, build_workspace,
                         rotated_design)
 from .pilots import PilotMatrix
 
@@ -57,7 +57,8 @@ def compute_beta(pilot: PilotMatrix, l_r: int, stats: ChannelStats, *,
     # the noise term I never reaches a nonzero lag
     second_moment = ws.R + np.outer(ybar, ybar.conj()) + np.eye(ybar.size)
     first = np.einsum("rk,rk->k", ws.lin_table, ybar.reshape(ws.l_r, n).conj())
-    zbar = _lag_series(first, ws.quad_kernel * second_moment.T, ws.l_r, n)
+    weighted = (ws.quad_kernel * second_moment.T).reshape(ws.l_r, n, ws.l_r, n)
+    zbar = _lag_fold(first, weighted.sum(axis=(0, 2)))
     lags = np.arange(1, n)
     beta = 8.0 * np.pi ** 2 * float(np.real(np.sum(lags ** 2 * zbar)))
     scale = 8.0 * np.pi ** 2 * float(np.sum(lags ** 2 * np.abs(zbar))) + 1.0

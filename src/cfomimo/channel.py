@@ -67,10 +67,13 @@ class CorrelationModel:
         cov = np.array(self.spatial_cov, dtype=np.complex128)
         if cov.shape != (d, d):
             raise ModelError(f"spatial_cov must be {d}x{d}")
-        _check_hermitian_psd(cov, "spatial_cov")
         mean = np.array(self.mean, dtype=np.complex128)
         if mean.shape != (d,):
             raise ModelError(f"mean must have length {d}")
+        for label, value in (("spatial_cov", cov), ("mean", mean)):
+            if not np.all(np.isfinite(value)):
+                raise ModelError(f"{label} has non-finite entries")
+        _check_hermitian_psd(cov, "spatial_cov")
         cov.setflags(write=False)
         mean.setflags(write=False)
         object.__setattr__(self, "spatial_cov", cov)
@@ -246,11 +249,37 @@ def _psd_factor(cov: np.ndarray) -> np.ndarray:
         return eigvec * np.sqrt(eigval)[None, :]
 
 
+def _unit_complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """CN(0, 1) samples from independent standard-normal real and imaginary parts."""
+    out = np.empty(np.shape(re), dtype=np.complex128)
+    scale = 1.0 / np.sqrt(2.0)
+    np.multiply(re, scale, out=out.real)
+    np.multiply(im, scale, out=out.imag)
+    return out
+
+
 def complex_gaussian(rng: np.random.Generator, factor: np.ndarray, size: int) -> np.ndarray:
     """size i.i.d. draws of CN(0, factor @ factor^H), one per row."""
     d = factor.shape[1]
-    z = (rng.standard_normal((size, d)) + 1j * rng.standard_normal((size, d))) / np.sqrt(2.0)
-    return z @ factor.T
+    return _unit_complex(rng.standard_normal((size, d)), rng.standard_normal((size, d))) @ factor.T
+
+
+def _ar1_trajectories(model: CorrelationModel, re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The recursion of sample_ar1_trajectory for T trials at once, from the
+    standard-normal real and imaginary parts (T, n, l_r*l_t) of the
+    innovations; returns (T, l_t*l_r*n) in the package layout.  Vectorized
+    over trials, looped over k only."""
+    w = _unit_complex(re, im) @ model._spatial_factor.T
+    trials, n, _ = w.shape
+    rho = model.rho_h
+    h = np.sqrt(1.0 - rho * rho) * w
+    h[:, 0] = w[:, 0] + model.mean
+    drift = (1.0 - rho) * model.mean
+    for k in range(1, n):
+        h[:, k] += rho * h[:, k - 1]
+        h[:, k] += drift
+    # (T, n, l_r*l_t) -> flat (r, k, t) per trial
+    return h.reshape(trials, n, model.l_r, model.l_t).transpose(0, 2, 1, 3).reshape(trials, -1)
 
 
 def sample_ar1_trajectory(model: CorrelationModel, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -262,16 +291,15 @@ def sample_ar1_trajectory(model: CorrelationModel, n: int, rng: np.random.Genera
     """
     if n < 1:
         raise ParameterError("n must be a positive integer")
-    w = complex_gaussian(rng, model._spatial_factor, n)
-    rho = model.rho_h
-    h = np.empty_like(w)
-    h[0] = w[0] + model.mean
-    scale = np.sqrt(1.0 - rho * rho)
-    drift = (1.0 - rho) * model.mean
-    for k in range(1, n):
-        h[k] = rho * h[k - 1] + scale * w[k] + drift
-    # (n, l_r*l_t) -> flat (r, k, t)
-    return h.reshape(n, model.l_r, model.l_t).transpose(1, 0, 2).ravel()
+    d = model.l_t * model.l_r
+    re = rng.standard_normal((n, d))
+    im = rng.standard_normal((n, d))
+    return _ar1_trajectories(model, re[None], im[None])[0]
+
+
+def _phases(f: np.ndarray, n: int) -> np.ndarray:
+    """exp(j 2 pi f k) for k = 0 .. n-1, one row per entry of f: shape f.shape + (n,)."""
+    return np.exp(2j * np.pi * np.multiply.outer(f, np.arange(n)))
 
 
 def _rotation(f, l_r: int, n: int) -> np.ndarray:
@@ -285,7 +313,17 @@ def _rotation(f, l_r: int, n: int) -> np.ndarray:
         f = np.full(l_r, f[0])
     elif f.shape != (l_r,):
         raise ParameterError(f"offset must be scalar or length {l_r}, got shape {f.shape}")
-    return np.exp(2j * np.pi * np.outer(f, np.arange(n)))
+    return _phases(f, n)
+
+
+def _synthesize(entries: np.ndarray, phases: np.ndarray, h: np.ndarray,
+                noise: np.ndarray | None) -> np.ndarray:
+    """Received signals (T, l_r, n) of T channel vectors h (T, l_t*l_r*n):
+    phases * sum_t S[k, t] h[r, t, k], plus noise (T, l_r, n) unless None.
+    phases broadcasts against (T, l_r, n)."""
+    n, l_t = entries.shape
+    y = phases * np.einsum("kt,brkt->brk", entries, h.reshape(h.shape[0], -1, n, l_t))
+    return y if noise is None else y + noise
 
 
 def synthesize_rx(pilot: PilotMatrix, l_r: int, f_true, h: np.ndarray,
@@ -300,11 +338,11 @@ def synthesize_rx(pilot: PilotMatrix, l_r: int, f_true, h: np.ndarray,
     if h.shape != (l_r * n * l_t,):
         raise ParameterError(f"channel vector must have length {l_r * n * l_t}")
     phases = _rotation(f_true, l_r, n)
-    y = phases * np.einsum("kt,rkt->rk", pilot.entries, h.reshape(l_r, n, l_t))
+    noise = None
     if noise_rng is not None:
-        y = y + (noise_rng.standard_normal((l_r, n))
-                 + 1j * noise_rng.standard_normal((l_r, n))) / np.sqrt(2.0)
-    return y.ravel()
+        noise = _unit_complex(noise_rng.standard_normal((l_r, n)),
+                              noise_rng.standard_normal((l_r, n)))[None]
+    return _synthesize(pilot.entries, phases, h[None], noise).ravel()
 
 
 @dataclass(frozen=True)
@@ -315,6 +353,8 @@ class CfoPrior:
     sigma_f_sq: float = math.inf
 
     def __post_init__(self):
+        if not math.isfinite(self.mu_f):
+            raise ModelError(f"mu_f must be finite, got {self.mu_f}")
         if not (self.sigma_f_sq > 0):
             raise ModelError("sigma_f_sq must be positive (use inf for ML mode)")
 

@@ -35,6 +35,18 @@ with z_k a pure function of (y, K, lin).  The universal search evaluates a
 coarse grid of 4n offsets, solves the linearized stationary condition at each
 point, keeps the candidate with the best metric, and polishes it by repeating
 the linearized step.  No phase unwrapping is involved anywhere.
+
+On the grid f_g = -1/2 + g/G the step needs sum_k e^{j 2 pi f_g k} {z_k,
+k z_k, k^2 z_k}; since e^{j 2 pi f_g k} = (-1)^k e^{j 2 pi g k / G}, all G
+points come from one inverse FFT of length G of (-1)^k k^m z_k, with lags
+k >= G folded onto k mod G (the periodogram trick of Rife and Boorstyn,
+IEEE Trans. IT, 1974).  The candidates' metrics follow from the lag series
+by Horner's rule in e^{j 2 pi f}.  Every trial routine works on a batch of
+received signals at once, the single-trial functions being the batch of
+one: estimate_cfo_universal_batch takes a (T, n*l_r) array, forms all T
+lag series with one contraction against K and refines all trials together
+under per-trial convergence masks.  No arithmetic mixes two trials, so a
+trial's results do not depend on the batch it was run in.
 """
 
 from __future__ import annotations
@@ -111,6 +123,13 @@ class EstimatorWorkspace:
         return expand_block(self.pilot, self.l_r)
 
     @cached_property
+    def _kernel_rows(self) -> np.ndarray:
+        """K regrouped by row time: [k1, r, (r', k2)] = K[(r, k1), (r', k2)]."""
+        n, l_r = self.n, self.l_r
+        return np.ascontiguousarray(
+            self.quad_kernel.reshape(l_r, n, l_r * n).transpose(1, 0, 2))
+
+    @cached_property
     def A(self) -> np.ndarray:
         return mmse_gain(self.sbreve, self.stats.sigma_h)[0]
 
@@ -181,37 +200,62 @@ def build_workspace(pilot: PilotMatrix, l_r: int, stats: ChannelStats,
                               condition=condition)
 
 
+def _received_rows(y, ws: EstimatorWorkspace) -> np.ndarray:
+    """A (T, n*l_r) batch of received signals as a (T, l_r, n) complex array;
+    a wrong shape or a non-finite sample is rejected."""
+    y = np.asarray(y, dtype=np.complex128)
+    if y.ndim != 2 or y.shape[1] != ws.l_r * ws.n:
+        raise ParameterError(f"y must have l_r*n = {ws.l_r * ws.n} samples per row, "
+                             f"got shape {y.shape}")
+    if not np.all(np.isfinite(y)):
+        raise ParameterError("y has non-finite samples")
+    return y.reshape(-1, ws.l_r, ws.n)
+
+
 def _received(y, ws: EstimatorWorkspace) -> np.ndarray:
     """y as an (l_r, n) complex array; a wrong length or a non-finite sample is rejected."""
     y = np.asarray(y, dtype=np.complex128)
     if y.size != ws.l_r * ws.n:
         raise ParameterError(f"y must have l_r*n = {ws.l_r * ws.n} samples, got {y.size}")
-    if not np.all(np.isfinite(y)):
-        raise ParameterError("y has non-finite samples")
-    return y.reshape(ws.l_r, ws.n)
+    return _received_rows(y.reshape(1, -1), ws)[0]
 
 
-def _lag_series(first: np.ndarray, weighted: np.ndarray, l_r: int, n: int) -> np.ndarray:
-    """z_k = first[k] + the k-th subdiagonal sum of weighted, folded over
-    receive-antenna pairs, for k = 1 .. n-1."""
-    folded = weighted.reshape(l_r, n, l_r, n).sum(axis=(0, 2))
-    return np.array([first[lag] + np.trace(folded, offset=-lag)
-                     for lag in range(1, n)], dtype=np.complex128)
+def _lag_fold(first: np.ndarray, folded: np.ndarray) -> np.ndarray:
+    """z_k = first[..., k] + sum_{k1 - k2 = k} folded[..., k1, k2] for
+    k = 1 .. n-1, over any leading batch axes."""
+    n = first.shape[-1]
+    lead = folded.shape[:-2]
+    # rows of width 2n read with a stride of 2n + 1 line the subdiagonals
+    # up as columns: skewed[..., k2, k] = folded[..., k2 + k, k2], zero past the end
+    padded = np.zeros(lead + (n + 1, 2 * n), dtype=np.complex128)
+    padded[..., :n, :n] = np.swapaxes(folded, -1, -2)
+    skewed = padded.reshape(lead + (2 * n * (n + 1),))[..., :n * (2 * n + 1)].reshape(
+        lead + (n, 2 * n + 1))
+    return first[..., 1:] + skewed[..., 1:n].sum(axis=-2)
 
 
-def lag_statistics(y2: np.ndarray, lin_table: np.ndarray,
-                   quad_kernel: np.ndarray) -> np.ndarray:
-    """The complex lag series z_1 .. z_{n-1} of an (l_r, n) signal from its tables."""
-    l_r, n = y2.shape
-    y = y2.ravel()
-    first = np.einsum("rk,rk->k", lin_table, y2.conj())
-    weighted = (y.conj()[:, None] * quad_kernel) * y[None, :]
-    return _lag_series(first, weighted, l_r, n)
+def _lag_terms(y3: np.ndarray, ws: EstimatorWorkspace):
+    """Lag series (T, n-1) and the f-independent lag-0 part of g (T,) of a
+    (T, l_r, n) batch.
+
+    folded[t, k1, k2] = sum_{r, r'} conj(y[t, r, k1]) K[(r, k1), (r', k2)]
+    y[t, r', k2] is formed with at most T*l_r*n^2 complex values alive; its
+    trace and the k = 0 linear term make up the lag-0 part.
+    """
+    trials, l_r, n = y3.shape
+    y_conj = y3.conj()
+    first = np.einsum("rk,brk->bk", ws.lin_table, y_conj)
+    # one (1 x l_r) @ (l_r x n*l_r) product per (trial, k1): no BLAS call
+    # spans two trials, so a trial's z does not depend on its batch
+    kernel_y = np.matmul(y_conj.transpose(0, 2, 1)[:, :, None, :], ws._kernel_rows)
+    folded = np.einsum("bjrk,brk->bjk", kernel_y.reshape(trials, n, l_r, n), y3)
+    lag0 = np.real(np.trace(folded, axis1=1, axis2=2)) + 2.0 * np.real(first[:, 0])
+    return _lag_fold(first, folded), lag0
 
 
 def compute_z(y: np.ndarray, ws: EstimatorWorkspace) -> np.ndarray:
     """Lag series z_k; depends only on (y, pilot, stats), never on the prior or a trial f."""
-    return lag_statistics(_received(y, ws), ws.lin_table, ws.quad_kernel)
+    return _lag_terms(_received(y, ws)[None], ws)[0][0]
 
 
 def rotated_design(pilot: PilotMatrix, l_r: int, f) -> np.ndarray:
@@ -245,14 +289,19 @@ def map_metric(y: np.ndarray, f: float, ws: EstimatorWorkspace) -> float:
     return float(g)
 
 
-def _lag_metric(z: np.ndarray, f, mu_f: float, inv_var: float) -> np.ndarray:
-    """g up to an f-independent constant, from the lag series; vectorized in f."""
-    f = np.atleast_1d(np.asarray(f, dtype=float))
-    k = np.arange(1, z.size + 1)
-    val = 2.0 * np.real(np.exp(2j * np.pi * np.outer(f, k)) @ z)
-    if inv_var:
-        val = val - 0.5 * inv_var * f * f + inv_var * mu_f * f
-    return val
+def _lag_metric(z: np.ndarray, f, mu_f, inv_var) -> np.ndarray:
+    """g up to an f-independent constant, from the lag series.
+
+    z has shape (..., n-1) and f (..., m), with matching leading axes; mu_f
+    and inv_var broadcast against f.  sum_k z_k e^{j 2 pi f k} is evaluated
+    by Horner's rule in e^{j 2 pi f}.
+    """
+    f = np.asarray(f, dtype=float)
+    u = np.exp(2j * np.pi * f)
+    acc = np.zeros(f.shape, dtype=np.complex128)
+    for k in range(z.shape[-1] - 1, -1, -1):
+        acc = (acc + z[..., k, None]) * u
+    return 2.0 * acc.real - 0.5 * inv_var * f * f + inv_var * mu_f * f
 
 
 def metric_gradient(y: np.ndarray, f: float, ws: EstimatorWorkspace,
@@ -273,56 +322,145 @@ def wrap_frequency(f):
     return (f + 0.5) % 1.0 - 0.5
 
 
-def _refine_terms(z: np.ndarray, f0, mu_f: float, inv_var: float):
-    """Numerator and denominator of the linearized stationary-point step.
-
-    Vectorized over candidate grid offsets f0.
-    """
-    f0 = np.atleast_1d(np.asarray(f0, dtype=float))
-    k = np.arange(1, z.size + 1)
-    phases = np.exp(2j * np.pi * np.outer(f0, k))
-    s1 = phases @ (k * z)
-    s2 = phases @ (k * k * z)
+def _step_terms(s1, s2, f0, mu_f, inv_var):
+    """Numerator and denominator of the linearized stationary-point step at
+    f0, from s_m = sum_k e^{j 2 pi f0 k} k^m z_k."""
     prior_scale = inv_var / (8.0 * np.pi ** 2)
-    num = -np.imag(s1) / (2.0 * np.pi) + prior_scale * (mu_f - f0)
-    den = np.real(s2) + prior_scale
-    return num, den
+    return (-np.imag(s1) / (2.0 * np.pi) + prior_scale * (mu_f - f0),
+            np.real(s2) + prior_scale)
 
 
-def _universal_from_z(z: np.ndarray, n: int, mu_f: float, inv_var: float,
-                      grid_size: int | None, epsilon: float, max_iter: int):
-    """Core grid-plus-refinement search on a precomputed lag series."""
+def _grid_sums(z: np.ndarray, grid_size: int) -> np.ndarray:
+    """sum_k e^{j 2 pi f_g k} k^m z_k for m = 1, 2 at the G = grid_size points
+    f_g = -1/2 + g/G, shape (T, 2, G), by one unnormalized inverse FFT."""
+    trials, lags = z.shape
+    k = np.arange(1, lags + 1)
+    width = -(-(lags + 1) // grid_size) * grid_size
+    terms = np.zeros((trials, 2, width), dtype=np.complex128)
+    alternating = np.where(k % 2, -1.0, 1.0) * k
+    terms[:, 0, 1:lags + 1] = alternating * z
+    terms[:, 1, 1:lags + 1] = alternating * k * z
+    folded = terms.reshape(trials, 2, width // grid_size, grid_size).sum(axis=2)  # k -> k mod G
+    return np.fft.ifft(folded, axis=-1, norm="forward")
+
+
+@dataclass(frozen=True)
+class _Search:
+    """Per-row outcome of the universal search on a batch of lag series."""
+
+    f0: np.ndarray          # (T,) refined offsets, not wrapped; NaN where failed
+    iterations: np.ndarray  # (T,) int
+    converged: np.ndarray   # (T,) bool, False where failed
+    failed: np.ndarray      # (T,) bool: every grid denominator was numerically zero
+    grid: np.ndarray        # (G,)
+    usable: np.ndarray      # (T, G) bool
+    candidates: np.ndarray  # (T, G) grid points after one linearized step
+    metrics: np.ndarray     # (T, G) -inf where not usable
+
+
+def _universal_search(z: np.ndarray, mu_f: np.ndarray, inv_var: np.ndarray,
+                      grid_size: int | None, epsilon: float, max_iter: int) -> _Search:
+    """Grid-plus-refinement search on a (T, n-1) batch of lag series, each
+    row under its own prior mean and inverse variance."""
+    trials, lags = z.shape
     if grid_size is None:
-        grid_size = 4 * n
+        grid_size = 4 * (lags + 1)
     if grid_size < 1:
         raise ParameterError("grid_size must be positive")
+    mu_col, iv_col = mu_f[:, None], inv_var[:, None]
     grid = -0.5 + np.arange(grid_size) / grid_size
-    num, den = _refine_terms(z, grid, mu_f, inv_var)
+    s1, s2 = _grid_sums(z, grid_size).transpose(1, 0, 2)
+    num, den = _step_terms(s1, s2, grid, mu_col, iv_col)
     usable = np.abs(den) >= DENOMINATOR_FLOOR
-    if not np.any(usable):
-        raise EstimationError(
-            "all grid candidates were skipped: every refinement denominator "
-            "is numerically zero (degenerate metric)")
-    grid = grid[usable]
-    fe = num[usable] / den[usable]
+    fe = num / np.where(usable, den, 1.0)
     candidates = grid + fe
-    metrics = _lag_metric(z, candidates, mu_f, inv_var)
-    best = float(np.max(metrics))
-    tied = np.flatnonzero(metrics >= best - METRIC_TIE_TOL * max(1.0, abs(best)))
-    pick = tied[np.argmin(np.abs(candidates[tied] - mu_f))]
-    f0 = float(candidates[pick])
-    fe_cur = float(fe[pick])
-    iterations = 0
-    while abs(fe_cur) > epsilon and iterations < max_iter:
-        num, den = _refine_terms(z, f0, mu_f, inv_var)
-        if abs(den[0]) < DENOMINATOR_FLOOR:
-            break
-        fe_cur = float(num[0] / den[0])
-        f0 += fe_cur
-        iterations += 1
-    diagnostics = {"grid_f0": grid, "grid_candidates": candidates,
-                   "grid_metrics": metrics}
-    return f0, iterations, abs(fe_cur) <= epsilon, diagnostics
+    metrics = np.where(usable, _lag_metric(z, candidates, mu_col, iv_col), -np.inf)
+    failed = ~usable.any(axis=1)
+    best = metrics.max(axis=1, keepdims=True)
+    tied = metrics >= best - METRIC_TIE_TOL * np.maximum(1.0, np.abs(best))
+    pick = np.argmin(np.where(tied, np.abs(candidates - mu_col), np.inf), axis=1)
+    rows = np.arange(trials)
+    f0 = np.where(failed, np.nan, candidates[rows, pick])
+    step = np.where(failed, np.nan, fe[rows, pick])
+    iterations = np.zeros(trials, dtype=int)
+    active = (np.abs(step) > epsilon) & (iterations < max_iter)
+    k = np.arange(1, lags + 1)
+    kz = k * z
+    k2z = k * kz
+    while np.any(active):
+        idx = np.flatnonzero(active)
+        phases = np.exp(2j * np.pi * (f0[idx, None] * k))
+        num, den = _step_terms(np.sum(phases * kz[idx], axis=1),
+                               np.sum(phases * k2z[idx], axis=1),
+                               f0[idx], mu_f[idx], inv_var[idx])
+        moving = np.abs(den) >= DENOMINATOR_FLOOR  # a flat row stops where it is
+        idx, fe = idx[moving], num[moving] / den[moving]
+        active[:] = False
+        step[idx] = fe
+        f0[idx] += fe
+        iterations[idx] += 1
+        active[idx] = (np.abs(fe) > epsilon) & (iterations[idx] < max_iter)
+    return _Search(f0=f0, iterations=iterations, converged=np.abs(step) <= epsilon,
+                   failed=failed, grid=grid, usable=usable, candidates=candidates,
+                   metrics=metrics)
+
+
+DEGENERATE = ("all grid candidates were skipped: every refinement denominator "
+              "is numerically zero (degenerate metric)")
+
+
+@dataclass(frozen=True)
+class CfoBatchEstimate:
+    """Per-trial results of estimate_cfo_universal_batch, one entry per row of Y.
+
+    f_hat is wrapped into [-0.5, 0.5) and metric is the MAP objective there.
+    failed marks rows whose every grid candidate was skipped (a degenerate
+    metric, such as y = 0 under zero-mean fading in ML mode); on those
+    f_hat and metric are NaN, iterations 0 and converged False.
+    """
+
+    f_hat: np.ndarray
+    metric: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+    failed: np.ndarray
+
+
+def _estimate_rows(y3: np.ndarray, ws: EstimatorWorkspace, grid_size, epsilon,
+                   max_iter, derotate_by_prior_mean: bool):
+    """The common-offset search on a validated (T, l_r, n) batch; returns the
+    CfoBatchEstimate and the _Search behind it."""
+    prior = ws.prior
+    offset, mu_f = 0.0, prior.mu_f
+    if derotate_by_prior_mean and prior.mu_f != 0.0:
+        y3 = _rotation(prior.mu_f, ws.l_r, ws.n).conj() * y3
+        offset, mu_f = prior.mu_f, 0.0
+    z, lag0 = _lag_terms(y3, ws)
+    trials = z.shape[0]
+    search = _universal_search(z, np.full(trials, mu_f), np.full(trials, prior.inv_var),
+                               grid_size, epsilon, max_iter)
+    f_hat = wrap_frequency(search.f0 + offset)
+    iv = prior.inv_var
+    metric = (lag0 + _lag_metric(z, (f_hat - offset)[:, None], 0.0, 0.0)[:, 0]
+              - 0.5 * iv * f_hat * f_hat + iv * prior.mu_f * f_hat)
+    estimate = CfoBatchEstimate(f_hat=f_hat, metric=metric, iterations=search.iterations,
+                                converged=search.converged, failed=search.failed)
+    return estimate, search
+
+
+def estimate_cfo_universal_batch(y: np.ndarray, ws: EstimatorWorkspace, *,
+                                 grid_size: int | None = None, epsilon: float = 1e-10,
+                                 max_iter: int = 10,
+                                 derotate_by_prior_mean: bool = False) -> CfoBatchEstimate:
+    """estimate_cfo_universal for every row of a (T, n*l_r) array of received
+    signals, in one pass.
+
+    Each row gets exactly the search of estimate_cfo_universal, and a row's
+    results do not depend on the other rows.  A row whose metric is
+    degenerate is marked in failed instead of raising.
+    """
+    return _estimate_rows(_received_rows(y, ws), ws, grid_size, epsilon, max_iter,
+                          derotate_by_prior_mean)[0]
 
 
 def estimate_cfo_universal(y: np.ndarray, ws: EstimatorWorkspace, *,
@@ -336,22 +474,22 @@ def estimate_cfo_universal(y: np.ndarray, ws: EstimatorWorkspace, *,
     kept and then refined until the step falls below epsilon (at most
     max_iter times).  With derotate_by_prior_mean the received signal is
     first rotated by exp(-j 2 pi mu_f k), which re-centers the acquisition
-    range on the prior mean.
+    range on the prior mean.  This is estimate_cfo_universal_batch on one
+    row; a degenerate metric raises EstimationError.
     """
-    prior = ws.prior
-    y2 = _received(y, ws)
-    if derotate_by_prior_mean and prior.mu_f != 0.0:
-        z = compute_z(_derotated(y2, prior.mu_f), ws)
-        offset, mu_f = prior.mu_f, 0.0
-    else:
-        z = compute_z(y2, ws)
-        offset, mu_f = 0.0, prior.mu_f
-    f0, iterations, converged, diagnostics = _universal_from_z(
-        z, ws.n, mu_f, prior.inv_var, grid_size, epsilon, max_iter)
-    f_hat = float(wrap_frequency(f0 + offset))
-    return CfoEstimate(f_hat=f_hat, metric=map_metric(y2, f_hat, ws),
-                       iterations=iterations, converged=converged,
-                       diagnostics=diagnostics if return_diagnostics else None)
+    estimate, search = _estimate_rows(_received(y, ws)[None], ws, grid_size, epsilon,
+                                      max_iter, derotate_by_prior_mean)
+    if estimate.failed[0]:
+        raise EstimationError(DEGENERATE)
+    diagnostics = None
+    if return_diagnostics:
+        usable = search.usable[0]
+        diagnostics = {"grid_f0": search.grid[usable],
+                       "grid_candidates": search.candidates[0, usable],
+                       "grid_metrics": search.metrics[0, usable]}
+    return CfoEstimate(f_hat=float(estimate.f_hat[0]), metric=float(estimate.metric[0]),
+                       iterations=int(estimate.iterations[0]),
+                       converged=bool(estimate.converged[0]), diagnostics=diagnostics)
 
 
 def estimate_channel_mmse(y: np.ndarray, f_hat, ws: EstimatorWorkspace) -> np.ndarray:
@@ -435,13 +573,14 @@ def estimate_cfo_per_antenna(y: np.ndarray, pilot: PilotMatrix, stats: ChannelSt
                                      max_iter=max_iter)
         return CfoEstimate(f_hat=np.array([est.f_hat]), metric=est.metric,
                            iterations=est.iterations, converged=est.converged)
-    kernel = ws.quad_kernel.reshape(l_r, n, l_r, n)
-    stage1 = np.empty(l_r)
-    for r in range(l_r):
-        z_r = lag_statistics(y2[r:r + 1], ws.lin_table[r:r + 1], kernel[r, :, r, :])
-        f_r, _, _, _ = _universal_from_z(z_r, n, mu[r], inv_var[r],
-                                         grid_size, epsilon, max_iter)
-        stage1[r] = f_r
+    # one row per antenna: its own diagonal block of K, prior mean and variance
+    blocks = np.einsum("rjrk->rjk", ws.quad_kernel.reshape(l_r, n, l_r, n))
+    folded = (y2.conj()[:, :, None] * blocks) * y2[:, None, :]
+    z_rows = _lag_fold(ws.lin_table * y2.conj(), folded)
+    search = _universal_search(z_rows, mu, inv_var, grid_size, epsilon, max_iter)
+    if np.any(search.failed):
+        raise EstimationError(DEGENERATE)
+    stage1 = search.f0
     f_vec = stage1.copy()
     iterations = 0
     converged = False

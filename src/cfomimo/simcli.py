@@ -19,8 +19,10 @@ file values.  Example config::
 SNR is defined as pilot power times per-coefficient channel power with unit
 noise variance, so sweeps rescale the pilot power only.  Every trial draws
 from its own counter-based random stream keyed by (sweep point, trial), so
-results are reproducible and independent of the worker count; identical
-config and seed give byte-identical CSV output.
+results are reproducible; identical config and seed give byte-identical CSV
+output.  Trials run on one thread, in blocks through the batched channel and
+estimator cores; a trial's result depends neither on the block it ran in
+nor on the worker count, which is accepted and validated but no longer used.
 
 CSV schema (fixed): sweep_var,value,mse,crlb,bcrlb,trials,failures,mean_iters
 with infinities serialized as "inf" and inapplicable cells left empty.
@@ -33,19 +35,20 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 import yaml
 
 from .bounds import evaluate_bounds
-from .channel import (CfoPrior, build_stats, make_model, sample_ar1_trajectory,
-                      synthesize_rx)
+from .channel import (CfoPrior, _ar1_trajectories, _phases, _synthesize,
+                      _unit_complex, build_stats, make_model,
+                      sample_ar1_trajectory, synthesize_rx)
 from .errors import (EstimationError, ModelError, NumericalError,
                      ParameterError)
 from .estimator import (build_workspace, compute_z, estimate_cfo_universal,
-                        estimate_channel_mmse, map_metric, metric_gradient)
+                        estimate_cfo_universal_batch, estimate_channel_mmse,
+                        map_metric, metric_gradient)
 from .pilots import generate_periodic_pilot, generate_td_pilot
 
 CSV_HEADER = "sweep_var,value,mse,crlb,bcrlb,trials,failures,mean_iters"
@@ -57,6 +60,9 @@ CONFIG_KEYS = ("pilot", "l_r", "channel", "prior", "f_true", "snr_db", "trials",
 INT_FIELDS = ("l_t", "m", "l_r", "trials", "seed", "workers")
 FLOAT_FIELDS = ("rho_h", "spatial_a", "spatial_b", "sigma_h_sq", "rician_k",
                 "mu_f", "sigma_f_sq")
+# the largest temporary of a block of trials, T * l_r * n^2 complex values
+# in the lag-series contraction, is kept near this size
+BLOCK_BYTES = 1 << 20
 
 
 def _coerce(name: str, value, kind):
@@ -68,7 +74,7 @@ def _coerce(name: str, value, kind):
     except (TypeError, ValueError):
         out = None
     if out is None or isinstance(value, bool) or (
-            not isinstance(value, str) and out != value):
+            not isinstance(value, str) and out != value and out == out):
         raise ParameterError(f"{name} must be {kind.__name__}, got {value!r}")
     return out
 
@@ -118,7 +124,10 @@ class ExperimentConfig:
         for name in INT_FIELDS:
             object.__setattr__(self, name, _coerce(name, getattr(self, name), int))
         for name in FLOAT_FIELDS:
-            object.__setattr__(self, name, _coerce(name, getattr(self, name), float))
+            value = _coerce(name, getattr(self, name), float)
+            if not (math.isfinite(value) or (name == "sigma_f_sq" and value == math.inf)):
+                raise ParameterError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
         for name in ("prior_ml", "noise"):
             if not isinstance(getattr(self, name), (bool, np.bool_)):
                 raise ParameterError(f"{name} must be true or false, got {getattr(self, name)!r}")
@@ -139,8 +148,9 @@ class ExperimentConfig:
         for name in ("snr_db", "rho_h_grid"):
             object.__setattr__(self, name, tuple(_coerce(name, v, float)
                                                  for v in getattr(self, name)))
-        if not all(math.isfinite(v) for v in self.snr_db):
-            raise ParameterError(f"snr_db must be finite, got {self.snr_db}")
+        for name in ("snr_db", "rho_h_grid"):
+            if not all(math.isfinite(v) for v in getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
 
     @property
     def n(self) -> int:
@@ -198,6 +208,8 @@ class ExperimentConfig:
         return generate_td_pilot(self.l_t, self.m, rho)
 
     def effective_workers(self) -> int:
+        """The worker count the config resolves to (workers, else
+        $CFOMIMO_WORKERS, else 1).  Results do not depend on it."""
         if self.workers > 0:
             return self.workers
         env = os.environ.get(WORKERS_ENV, "")
@@ -314,13 +326,6 @@ def _trial_rng(seed: int, point: int, trial: int) -> np.random.Generator:
                                                         spawn_key=(point, trial)))
 
 
-def _map_trials(fn, trials: int, workers: int) -> list:
-    if workers <= 1:
-        return [fn(i) for i in range(trials)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(trials)))
-
-
 def _snr_to_rho(config: ExperimentConfig, snr_db: float, model) -> float:
     # SNR = rho * per-coefficient channel power, unit noise variance
     return 10.0 ** (snr_db / 10.0) / model.per_coefficient_power()
@@ -361,29 +366,57 @@ def run_bounds_vs_snr(config: ExperimentConfig) -> SweepResult:
     return SweepResult(rows=tuple(rows))
 
 
+def _trial_block(l_r: int, n: int) -> int:
+    """Trials per block: as many as keep T * l_r * n^2 complex values near BLOCK_BYTES."""
+    return max(1, BLOCK_BYTES // (16 * l_r * n * n))
+
+
+def _draw_block(config: ExperimentConfig, point: int, trials: range, prior: CfoPrior,
+                d: int):
+    """Random inputs of the given trials, each from its own stream in the
+    order prior sample, innovation real and imaginary parts, noise real and
+    imaginary parts.  Returns f_true, the innovations' real and imaginary
+    parts and the complex noise (None for a noiseless config)."""
+    sample_from_prior = config.f_true_mode == "prior" and not prior.is_ml
+    count, n, l_r = len(trials), config.n, config.l_r
+    f_true = np.full(count, prior.mu_f)
+    parts = [np.empty((count, n, d)), np.empty((count, n, d))]
+    if config.noise:
+        parts += [np.empty((count, l_r, n)), np.empty((count, l_r, n))]
+    for i, trial in enumerate(trials):
+        rng = _trial_rng(config.seed, point, trial)
+        if sample_from_prior:
+            f_true[i] = prior.sample(rng)
+        for out in parts:
+            rng.standard_normal(out=out[i])
+    noise = _unit_complex(*parts[2:]) if config.noise else None
+    return f_true, parts[0], parts[1], noise
+
+
 def _run_point_trials(config: ExperimentConfig, point: int, pilot, model, ws,
                       prior: CfoPrior):
-    """Monte-Carlo trials for one sweep point; returns (mse, fails, mean_iters)."""
-    sample_from_prior = config.f_true_mode == "prior" and not prior.is_ml
+    """Monte-Carlo trials for one sweep point; returns (mse, fails, mean_iters).
 
-    def one(trial: int):
-        rng = _trial_rng(config.seed, point, trial)
-        f_true = prior.sample(rng) if sample_from_prior else prior.mu_f
-        h = sample_ar1_trajectory(model, config.n, rng)
-        y = synthesize_rx(pilot, config.l_r, f_true, h,
-                          rng if config.noise else None)
-        try:
-            est = estimate_cfo_universal(y, ws)
-        except EstimationError:
-            return None
-        return (est.f_hat - f_true) ** 2, est.iterations
-
-    outcomes = _map_trials(one, config.trials, config.effective_workers())
-    good = [o for o in outcomes if o is not None]
-    failures = config.trials - len(good)
-    if good:
-        mse = float(np.mean([g[0] for g in good]))
-        mean_iters = float(np.mean([g[1] for g in good]))
+    Trials run in blocks of _trial_block(l_r, n): the draws of a block are
+    made trial by trial, everything after them for the whole block at once.
+    """
+    n = config.n
+    block = _trial_block(config.l_r, n)
+    sq_errors, iterations = [], []
+    for start in range(0, config.trials, block):
+        trials = range(start, min(start + block, config.trials))
+        f_true, w_re, w_im, noise = _draw_block(config, point, trials, prior,
+                                                model.l_t * model.l_r)
+        h = _ar1_trajectories(model, w_re, w_im)
+        y = _synthesize(pilot.entries, _phases(f_true, n)[:, None, :], h, noise)
+        est = estimate_cfo_universal_batch(y.reshape(len(trials), -1), ws)
+        ok = ~est.failed
+        sq_errors.append((est.f_hat[ok] - f_true[ok]) ** 2)
+        iterations.append(est.iterations[ok])
+    sq_errors, iterations = np.concatenate(sq_errors), np.concatenate(iterations)
+    failures = config.trials - sq_errors.size
+    if sq_errors.size:
+        mse, mean_iters = float(np.mean(sq_errors)), float(np.mean(iterations))
     else:
         mse, mean_iters = None, None
     return mse, failures, mean_iters
@@ -573,7 +606,8 @@ def _add_common(parser):
     parser.add_argument("--seed", type=int)
     parser.add_argument("--trials", type=int)
     parser.add_argument("--workers", type=int,
-                        help=f"thread count (default ${WORKERS_ENV} or 1)")
+                        help=f"accepted for compatibility; trials run in blocks on "
+                             f"one thread (default ${WORKERS_ENV} or 1)")
     parser.add_argument("--snr-db", help="comma-separated SNR grid override, dB")
     parser.add_argument("--emit-plot-data", metavar="PATH",
                         help="also write long-format plot series CSV")

@@ -80,6 +80,12 @@ def test_non_psd_spatial_rejected():
     with pytest.raises(ModelError):
         CorrelationModel(l_t=2, l_r=1, rho_h=0.5, spatial_cov=bad,
                          mean=np.zeros(2, dtype=complex))
+    # non-finite entries are named before any eigenvalue solve sees them
+    for cov, mean in ((np.diag([1.0, np.inf]), np.zeros(2)),
+                      (np.diag([1.0, np.nan]), np.zeros(2)),
+                      (np.eye(2), np.array([0.0, np.inf]))):
+        with pytest.raises(ModelError, match="non-finite"):
+            CorrelationModel(l_t=2, l_r=1, rho_h=0.5, spatial_cov=cov, mean=mean)
 
 
 def test_rho_h_range_checked():
@@ -215,5 +221,8 @@ def test_prior_modes():
     assert gauss.inv_var == pytest.approx(1e5)
     with pytest.raises(ModelError):
         CfoPrior(0.0, 0.0)
+    for mu_f in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ModelError, match="mu_f"):
+            CfoPrior(mu_f, 1e-5)
     with pytest.raises(ModelError):
         ml.sample(np.random.default_rng(0))

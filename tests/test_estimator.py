@@ -6,13 +6,15 @@ import pytest
 from cfomimo import (CfoPrior, ChannelStats, EstimationError, NumericalError,
                      ParameterError, build_stats, build_workspace, compute_beta,
                      compute_z, custom_pilot, estimate_cfo_per_antenna,
-                     estimate_cfo_universal, estimate_channel_mmse,
+                     estimate_cfo_universal, estimate_cfo_universal_batch,
+                     estimate_channel_mmse,
                      evaluate_bounds, generate_periodic_pilot,
                      generate_td_pilot, make_model, map_metric,
                      metric_gradient, mmse_gain, per_antenna_metric,
                      rotated_design, sample_ar1_trajectory, synthesize_rx,
                      wrap_frequency)
-from cfomimo.estimator import _lag_metric, _per_antenna_grad_hess, _prior_vectors
+from cfomimo.estimator import (_grid_sums, _lag_metric, _per_antenna_grad_hess,
+                               _prior_vectors)
 
 from conftest import random_case
 from reference_impls import reference_gain_and_offset, reference_z
@@ -342,14 +344,139 @@ def test_estimate_always_in_acquisition_range(rng):
 
 def test_degenerate_input_raises_estimation_error(rng):
     pilot, model, stats, _ = random_case(rng)
-    ws = build_workspace(pilot, model.l_r, stats, CfoPrior.ml())
     zero_mean = ChannelStats(stats.l_t, stats.l_r, stats.n,
                              np.zeros_like(stats.mu_h), stats.sigma_h)
     ws0 = build_workspace(pilot, model.l_r, zero_mean, CfoPrior.ml())
     y0 = np.zeros(model.l_r * pilot.n, dtype=complex)
     with pytest.raises(EstimationError):
         estimate_cfo_universal(y0, ws0)
-    del ws
+    # in a batch the degenerate row is marked failed and the others go on
+    y, _ = draw_y(rng, pilot, model, stats, 0.1)
+    batch = estimate_cfo_universal_batch(np.stack([y, y0, y]), ws0)
+    np.testing.assert_array_equal(batch.failed, [False, True, False])
+    assert np.isnan(batch.f_hat[1]) and np.isnan(batch.metric[1])
+    assert batch.iterations[1] == 0 and not batch.converged[1]
+    assert batch.f_hat[0] == batch.f_hat[2] == estimate_cfo_universal(y, ws0).f_hat
+
+
+def reference_search(z, mu_f, inv_var, grid_size, epsilon=1e-10, max_iter=10):
+    """The universal search on one lag series with every sum over lags taken
+    directly against a phase matrix: (f0, iterations, converged), or None
+    when every grid denominator is numerically zero."""
+    k = np.arange(1, z.size + 1)
+    prior_scale = inv_var / (8.0 * np.pi ** 2)
+
+    def step_terms(f):
+        phases = np.exp(2j * np.pi * np.outer(f, k))
+        return (-np.imag(phases @ (k * z)) / (2.0 * np.pi) + prior_scale * (mu_f - f),
+                np.real(phases @ (k * k * z)) + prior_scale)
+
+    def metric(f):
+        return (2.0 * np.real(np.exp(2j * np.pi * np.outer(f, k)) @ z)
+                - 0.5 * inv_var * f * f + inv_var * mu_f * f)
+
+    grid = -0.5 + np.arange(grid_size) / grid_size
+    num, den = step_terms(grid)
+    usable = np.abs(den) >= 1e-300
+    if not np.any(usable):
+        return None
+    fe = num[usable] / den[usable]
+    candidates = grid[usable] + fe
+    metrics = metric(candidates)
+    best = np.max(metrics)
+    tied = np.flatnonzero(metrics >= best - 1e-12 * max(1.0, abs(best)))
+    pick = tied[np.argmin(np.abs(candidates[tied] - mu_f))]
+    f0, step, iterations = candidates[pick], fe[pick], 0
+    while abs(step) > epsilon and iterations < max_iter:
+        num, den = step_terms(np.array([f0]))
+        if abs(den[0]) < 1e-300:
+            break
+        step = num[0] / den[0]
+        f0 += step
+        iterations += 1
+    return f0, iterations, abs(step) <= epsilon
+
+
+def test_batch_search_matches_reference_search(rng):
+    # every row of a batch against the search with direct lag sums: the
+    # same offsets up to the refinement tolerance, the same iteration
+    # counts and the same failures
+    for case in range(20):
+        pilot, model, stats, prior = random_case(rng)
+        if case % 4 == 0:  # zero-mean stats and ML prior make y = 0 degenerate
+            prior = CfoPrior.ml(prior.mu_f)
+            stats = ChannelStats(stats.l_t, stats.l_r, stats.n,
+                                 np.zeros_like(stats.mu_h), stats.sigma_h)
+        ws = build_workspace(pilot, model.l_r, stats, prior)
+        rows = [draw_y(rng, pilot, model, stats, float(rng.uniform(-0.5, 0.5)))[0]
+                for _ in range(5)]
+        rows.append(np.zeros(model.l_r * pilot.n, dtype=complex))
+        batch = estimate_cfo_universal_batch(np.stack(rows), ws)
+        for i, y in enumerate(rows):
+            ref = reference_search(compute_z(y, ws), prior.mu_f, prior.inv_var, 4 * pilot.n)
+            assert batch.failed[i] == (ref is None), (case, i)
+            if ref is None:
+                continue
+            f0, iterations, converged = ref
+            assert abs(wrap_frequency(batch.f_hat[i] - f0)) < 1e-9, (case, i)
+            assert batch.iterations[i] == iterations, (case, i)
+            assert batch.converged[i] == converged, (case, i)
+            assert batch.metric[i] == pytest.approx(map_metric(y, batch.f_hat[i], ws),
+                                                    rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("grid_size", [1, 3, 10, 11, 12, 40])
+def test_fft_grid_sums_match_direct_sums(grid_size, rng):
+    # n = 12: lag counts n-1 = 11 above, at and below the grid size; lags
+    # at or beyond the grid size fold onto k mod G
+    z = rng.standard_normal((3, 11)) + 1j * rng.standard_normal((3, 11))
+    k = np.arange(1, 12)
+    grid = -0.5 + np.arange(grid_size) / grid_size
+    phases = np.exp(2j * np.pi * np.outer(grid, k))
+    sums = _grid_sums(z, grid_size)
+    assert sums.shape == (3, 2, grid_size)
+    for row in range(3):
+        for m in (1, 2):
+            direct = phases @ (k ** m * z[row])
+            np.testing.assert_allclose(sums[row, m - 1], direct,
+                                       atol=1e-12 * np.sum(k ** m * np.abs(z[row])))
+
+
+def test_grid_size_must_be_positive(rng):
+    pilot, model, stats, prior, ws = _small_case()
+    y, _ = draw_y(rng, pilot, model, stats, 0.05)
+    for call in (estimate_cfo_universal, lambda y, ws, **kw: estimate_cfo_universal_batch(
+            y[None], ws, **kw)):
+        with pytest.raises(ParameterError, match="grid_size"):
+            call(y, ws, grid_size=0)
+    with pytest.raises(ParameterError, match="grid_size"):
+        estimate_cfo_per_antenna(y, pilot, stats, prior, grid_size=-1, workspace=ws)
+
+
+@pytest.mark.parametrize("derotate", [False, True])
+def test_batch_results_do_not_depend_on_the_split(derotate, rng):
+    # byte-identical per-trial results whether the trials run one by one,
+    # all together or in uneven blocks
+    pilot = generate_periodic_pilot(4, 3, rho=10.0)
+    model = make_model(4, 4, 0.9, spatial="exponential", mean="rician")
+    stats = build_stats(model, pilot.n)
+    ws = build_workspace(pilot, 4, stats, CfoPrior(0.05, 1e-3))
+    rows = np.stack([draw_y(rng, pilot, model, stats, float(f))[0]
+                     for f in rng.uniform(-0.3, 0.3, 11)])
+    whole = estimate_cfo_universal_batch(rows, ws, derotate_by_prior_mean=derotate)
+    fields = ("f_hat", "metric", "iterations", "converged", "failed")
+    for cuts in ((3, 7), (1, 2, 10), tuple(range(1, 11))):
+        parts = [estimate_cfo_universal_batch(part, ws, derotate_by_prior_mean=derotate)
+                 for part in np.split(rows, cuts)]
+        for name in fields:
+            np.testing.assert_array_equal(
+                np.concatenate([getattr(p, name) for p in parts]), getattr(whole, name))
+    empty = estimate_cfo_universal_batch(rows[:0], ws, derotate_by_prior_mean=derotate)
+    assert all(getattr(empty, name).shape == (0,) for name in fields)
+    for i, y in enumerate(rows):
+        single = estimate_cfo_universal(y, ws, derotate_by_prior_mean=derotate)
+        assert (single.f_hat, single.metric, single.iterations, single.converged) == (
+            whole.f_hat[i], whole.metric[i], whole.iterations[i], whole.converged[i])
 
 
 def test_derotation_matches_manual_recentering(rng):
@@ -579,6 +706,8 @@ def test_wrong_length_offset_raises(caller, rng):
 
 Y_CALLERS = {
     "compute_z": lambda pilot, stats, ws, y: compute_z(y, ws),
+    "estimate_cfo_universal_batch": lambda pilot, stats, ws, y: estimate_cfo_universal_batch(
+        np.stack([y, y]), ws),
     "map_metric": lambda pilot, stats, ws, y: map_metric(y, 0.05, ws),
     "per_antenna_metric": lambda pilot, stats, ws, y: per_antenna_metric(y, [0.0, 0.1], ws),
     "estimate_cfo_universal": lambda pilot, stats, ws, y: estimate_cfo_universal(y, ws),

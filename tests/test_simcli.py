@@ -78,6 +78,19 @@ def test_config_validation():
         ExperimentConfig.from_mapping({"prior": {"ml": "false"}})
     with pytest.raises(ParameterError):
         ExperimentConfig.from_mapping({"noise": "false"})
+    # non-finite floats are named as such; sigma_f_sq = inf means ML mode
+    for data in ({"channel": {"spatial": {"kind": "exponential", "a": math.inf}}},
+                 {"channel": {"spatial": {"sigma_h_sq": math.inf}}},
+                 {"channel": {"mean": {"kind": "rician", "k_factor": math.inf}}},
+                 {"channel": {"rho_h": math.nan}},
+                 {"channel": {"rho_h_grid": [0.5, math.inf]}},
+                 {"prior": {"mu_f": math.inf}},
+                 {"prior": {"mu_f": math.nan}},
+                 {"prior": {"sigma_f_sq": math.nan}},
+                 {"prior": {"sigma_f_sq": -math.inf}}):
+        with pytest.raises(ParameterError, match="must be finite"):
+            ExperimentConfig.from_mapping(data)
+    assert ExperimentConfig.from_mapping({"prior": {"sigma_f_sq": math.inf}}).prior().is_ml
     # workers: 0 defers to the environment, negative counts are errors
     assert ExperimentConfig(workers=0).workers == 0
     for bad in (-1, -3):
@@ -161,12 +174,19 @@ def test_mse_vs_snr_basic_row_contract():
     assert row.mean_iters is not None
 
 
-def test_mse_vs_snr_deterministic_rerun_and_workers():
+def test_mse_vs_snr_deterministic_rerun_and_workers(monkeypatch):
+    import cfomimo.simcli as cli
+
     config = ExperimentConfig(**FAST, workers=1)
     text1 = run_mse_vs_snr(config).to_csv_text()
     text2 = run_mse_vs_snr(config).to_csv_text()
     text4 = run_mse_vs_snr(replace(config, workers=4)).to_csv_text()
-    assert text1 == text2 == text4
+    assert cli._trial_block(config.l_r, config.n) >= config.trials  # one block
+    # blocks of 4 for 6 trials: a full block and a partial one
+    monkeypatch.setattr(cli, "BLOCK_BYTES", 16 * config.l_r * config.n ** 2 * 4)
+    assert cli._trial_block(config.l_r, config.n) == 4
+    blocked = run_mse_vs_snr(config).to_csv_text()
+    assert text1 == text2 == text4 == blocked
 
 
 def test_mse_vs_snr_seed_changes_result_not_schema():
@@ -179,19 +199,21 @@ def test_mse_vs_snr_seed_changes_result_not_schema():
 
 
 def test_failures_are_counted_and_excluded(monkeypatch):
+    # the sweep runs its trials through the batch search; every third trial
+    # is reported as failed there and must be counted, not averaged
     import cfomimo.simcli as cli
-    from cfomimo import EstimationError
 
-    calls = {"k": 0}
-    real = cli.estimate_cfo_universal
+    seen = {"trials": 0}
+    real = cli.estimate_cfo_universal_batch
 
     def flaky(y, ws, **kwargs):
-        calls["k"] += 1
-        if calls["k"] % 3 == 0:
-            raise EstimationError("synthetic failure")
-        return real(y, ws, **kwargs)
+        est = real(y, ws, **kwargs)
+        index = seen["trials"] + np.arange(len(y))
+        seen["trials"] += len(y)
+        failed = est.failed | (index % 3 == 2)
+        return replace(est, f_hat=np.where(failed, np.nan, est.f_hat), failed=failed)
 
-    monkeypatch.setattr(cli, "estimate_cfo_universal", flaky)
+    monkeypatch.setattr(cli, "estimate_cfo_universal_batch", flaky)
     config = ExperimentConfig(**FAST)
     row = run_mse_vs_snr(config).rows[0]
     assert row.failures == 2
@@ -282,6 +304,16 @@ def test_cli_error_paths(tmp_path, capsys):
         capsys.readouterr()
         assert main(["mse-vs-snr", "--config", str(bad)]) == 1, text
         assert capsys.readouterr().err.startswith("error: "), text
+    for text in ("channel: {spatial: {kind: exponential, a: .inf}}\n",
+                 "channel: {spatial: {sigma_h_sq: .inf}}\n",
+                 "prior: {mu_f: .inf}\n",
+                 "channel: {mean: {kind: rician, k_factor: .inf}}\n",
+                 "channel: {rho_h: .nan}\n"):
+        bad.write_text(text)
+        capsys.readouterr()
+        assert main(["mse-vs-snr", "--config", str(bad)]) == 1, text
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must be finite" in err, (text, err)
     assert main(["mse-vs-snr", "--workers", "-3"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     for argv in (["bounds-vs-rho", "--rho-grid", "0:1"],
