@@ -86,6 +86,38 @@ class CorrelationModel:
         factor.setflags(write=False)
         return factor
 
+    @cached_property
+    def _kronecker_factors(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(A_r, B_t) with spatial_cov = kron(A_r, B_t), A_r over the receive
+        and B_t over the transmit antennas, or None when it does not factor.
+
+        Van Loan and Pitsianis's rearrangement maps kron(A_r, B_t) to the
+        rank-one vec(A_r) vec(B_t)^T, so a Kronecker covariance C is fixed by
+        its largest diagonal entry C[(r0,t0),(r0,t0)] = A_r[r0,r0] B_t[t0,t0]
+        and the two diagonal blocks through it, C[(:,t0),(:,t0)] =
+        B_t[t0,t0] A_r and C[(r0,:),(r0,:)] = A_r[r0,r0] B_t.  Both are
+        principal submatrices, hence Hermitian PSD even for a complex B_t.
+        The pair is kept only if its Kronecker product reproduces C within
+        HERMITIAN_TOL, that is, if the rearranged C is rank one.
+        """
+        l_r, l_t = self.l_r, self.l_t
+        c4 = self.spatial_cov.reshape(l_r, l_t, l_r, l_t)
+        diag = np.einsum("rtrt->rt", c4).real
+        r0, t0 = np.unravel_index(np.argmax(diag), diag.shape)
+        pivot = diag[r0, t0]
+        if pivot > 0:
+            a = c4[:, t0, :, t0] / pivot
+        else:  # a PSD matrix with a zero diagonal is zero
+            a = np.zeros((l_r, l_r), dtype=np.complex128)
+        b = c4[r0, :, r0, :].copy()
+        # |C_ij| <= max_i C_ii for a PSD C, so the pivot is max |C|
+        misfit = np.abs(a[:, None, :, None] * b[None, :, None, :] - c4).max()
+        if misfit > HERMITIAN_TOL * max(1.0, pivot):
+            return None
+        for factor in (a, b):
+            factor.setflags(write=False)
+        return a, b
+
     def per_coefficient_power(self) -> float:
         """Average of E|h[r,t,k]|^2 over antenna pairs (variance plus |mean|^2)."""
         return float(np.mean(np.diag(self.spatial_cov).real + np.abs(self.mean) ** 2))
@@ -140,8 +172,8 @@ class ChannelStats:
     sigma_h, which must be Hermitian and positive semidefinite.  Stats made
     by build_stats keep the covariance in its separable form instead (see
     there); sigma_h is then built densely on first read.  Other modules
-    reach the covariance only through _receive_cov and _apply_cov, which
-    work on either form.
+    reach the covariance only through _receive_factors and _apply_cov,
+    which work on either form.
     """
 
     l_t: int
@@ -173,6 +205,12 @@ class ChannelStats:
         return np.einsum("kt,rktRKT,KT->rkRK", entries, sigma6, entries.conj(),
                          optimize=True).reshape(l_r * n, l_r * n)
 
+    def _receive_factors(self, entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(A_r, M) with R = Sb Sigma_h Sb^H = kron(A_r, M): A_r over the
+        receive antennas, M over the symbol times.  A dense covariance has no
+        such split and gives the 1 x 1 factor and R itself."""
+        return np.ones((1, 1), dtype=np.complex128), self._receive_cov(entries)
+
     def _apply_cov(self, u: np.ndarray) -> np.ndarray:
         """Sigma_h u for a channel-space vector u."""
         return self.sigma_h @ u
@@ -181,6 +219,8 @@ class ChannelStats:
 class _SeparableStats(ChannelStats):
     """ChannelStats of a CorrelationModel, Sigma_h = rho_h^|k-k'| * C kept as
     its two factors: time_corr (n x n) and spatial_cov (l_t*l_r square).
+    spatial_factors is the model's (A_r, B_t) with spatial_cov =
+    kron(A_r, B_t), or None when spatial_cov does not factor.
 
     No dense Hermitian or PSD check is run: spatial_cov was checked by
     CorrelationModel, rho_h^|k-k'| is PSD for rho_h in [0, 1] (the AR(1)
@@ -188,9 +228,11 @@ class _SeparableStats(ChannelStats):
     """
 
     def __init__(self, l_t: int, l_r: int, n: int, mu_h: np.ndarray,
-                 time_corr: np.ndarray, spatial_cov: np.ndarray):
+                 time_corr: np.ndarray, spatial_cov: np.ndarray,
+                 spatial_factors: tuple[np.ndarray, np.ndarray] | None):
         for name, value in (("l_t", l_t), ("l_r", l_r), ("n", n), ("mu_h", mu_h),
-                            ("time_corr", time_corr), ("spatial_cov", spatial_cov)):
+                            ("time_corr", time_corr), ("spatial_cov", spatial_cov),
+                            ("spatial_factors", spatial_factors)):
             object.__setattr__(self, name, value)
 
     def __repr__(self) -> str:
@@ -212,6 +254,13 @@ class _SeparableStats(ChannelStats):
                        optimize=True)
         r4 *= self.time_corr[None, :, None, :]
         return r4.reshape(self.l_r * self.n, self.l_r * self.n)
+
+    def _receive_factors(self, entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if self.spatial_factors is None:
+            return super()._receive_factors(entries)
+        # R[(r,k),(r',k')] = A_r[r,r'] * T[k,k'] * (S B_t S^H)[k,k']
+        a, b = self.spatial_factors
+        return a, self.time_corr * (entries @ b @ entries.conj().T)
 
     def _apply_cov(self, u: np.ndarray) -> np.ndarray:
         u3 = u.reshape(self.l_r, self.n, self.l_t)
@@ -236,7 +285,8 @@ def build_stats(model: CorrelationModel, n: int) -> ChannelStats:
     time_corr.setflags(write=False)
     mu = np.broadcast_to(model.mean.reshape(l_r, 1, l_t), (l_r, n, l_t)).ravel()
     mu.setflags(write=False)
-    return _SeparableStats(l_t, l_r, n, mu, time_corr, model.spatial_cov)
+    return _SeparableStats(l_t, l_r, n, mu, time_corr, model.spatial_cov,
+                           model._kronecker_factors)
 
 
 def _psd_factor(cov: np.ndarray) -> np.ndarray:

@@ -14,8 +14,20 @@ and w = D(f)^H y the de-rotated received signal,
     lin = (I + R)^{-1} ybar                   linear table,
     g(y, f) = w^H K w + 2 Re<lin, w> - f^2 / (2 sigma_f^2) + mu_f f / sigma_f^2.
 
-K and lin are computed once per configuration.  Only I + R is factored, so
-singular channel covariances (a channel frozen over the pilot) are fine.
+K and lin are computed once per configuration, from the spectrum of R.  The
+channel statistics give R as a Kronecker product R = A_r kron M of two
+Hermitian PSD factors: for a spatial covariance A_r kron B_t (every model of
+make_model) A_r acts on the receive antennas and M = rho_h^|k-k'| o
+(S B_t S^H) on the symbol times; for any other covariance, and for a
+directly constructed ChannelStats, A_r is the 1 x 1 matrix 1 and M = R.
+With A_r = U diag(a) U^H and M = V diag(m) V^H, R = W diag(lam) W^H for
+W = U kron V and lam = a_i m_j, so
+
+    K = W diag(lam / (1 + lam)) W^H,   lin = W diag(1 / (1 + lam)) W^H ybar,
+
+and the condition of I + R is max(1 + lam) / min(1 + lam).  Only the two
+factors are diagonalized, never Sigma_h, so singular channel covariances
+(a channel frozen over the pilot) are fine.
 The MMSE channel estimate h_hat(f) = A X(f)^H y + b, with X(f) = D(f) Sb,
 A = (Sb^H Sb + Sigma_h^{-1})^{-1} its error covariance and
 b = (I - A Sb^H Sb) mu_h, is evaluated in the receive space too: by
@@ -93,8 +105,12 @@ class EstimatorWorkspace:
     only n*l_r receive-space tables: R = Sb Sigma_h Sb^H and ybar = Sb mu_h
     (the zero-offset received covariance and mean), quad_kernel
     K = I - (I + R)^{-1} and lin_table (I + R)^{-1} ybar shaped (l_r, n),
-    which give g = w^H K w + 2 Re<lin, w> at w = D(f)^H y.  condition is
-    that of I + R.  The channel estimate adds one product with Sigma_h:
+    which give g = w^H K w + 2 Re<lin, w> at w = D(f)^H y.  build_workspace
+    forms them from the eigenpairs of the factors of R = A_r kron M (a 1 x 1
+    A_r for dense stats): with W = U kron V and lam = a_i m_j,
+    K = W diag(lam / (1 + lam)) W^H and lin = W diag(1 / (1 + lam)) W^H ybar.
+    condition is that of I + R, max(1 + lam) / min(1 + lam).  The channel
+    estimate adds one product with Sigma_h:
     h_hat = mu_h + Sigma_h Sb^H (I - K)(w - ybar).  sbreve, A (the MMSE
     error covariance) and b are channel-space objects, built on first
     access for the oracles only.
@@ -175,28 +191,39 @@ def mmse_gain(design: np.ndarray, sigma_h: np.ndarray,
 
 def build_workspace(pilot: PilotMatrix, l_r: int, stats: ChannelStats,
                     prior: CfoPrior) -> EstimatorWorkspace:
-    """Assemble the receive-space kernel and linear table for one configuration."""
+    """Assemble the receive-space kernel and linear table for one configuration,
+    from one eigendecomposition per factor of R = A_r kron M."""
     if stats.l_t != pilot.l_t or stats.n != pilot.n or stats.l_r != l_r:
         raise ParameterError(
             f"stats built for (l_t={stats.l_t}, l_r={stats.l_r}, n={stats.n}) do not "
             f"match pilot (l_t={pilot.l_t}, n={pilot.n}) with l_r={l_r}")
     n, l_t, s = pilot.n, pilot.l_t, pilot.entries
-    r = stats._receive_cov(s)
-    r = 0.5 * (r + r.conj().T)
-    ybar = np.einsum("kt,rkt->rk", s, stats.mu_h.reshape(l_r, n, l_t)).ravel()
-    eye = np.eye(l_r * n)
-    inner = eye + r
-    eig = np.linalg.eigvalsh(inner)
-    condition = float(eig[-1] / eig[0]) if eig[0] > 0 else np.inf
+    a, m = (0.5 * (x + x.conj().T) for x in stats._receive_factors(s))
+    ybar = np.einsum("kt,rkt->rk", s, stats.mu_h.reshape(l_r, n, l_t))
+    eig_a, u = np.linalg.eigh(a)
+    eig_m, v = np.linalg.eigh(m)
+    p, q = eig_a.size, eig_m.size  # (l_r, n), or (1, n*l_r) for dense stats
+    lam = np.multiply.outer(eig_a, eig_m)  # eigenvalues of R on W = U kron V
+    inner = 1.0 + lam
+    low = inner.min()
+    condition = float(inner.max() / low) if low > 0 else np.inf
     if not condition <= CONDITION_LIMIT:
         raise NumericalError("I + Sb Sigma_h Sb^H is too ill-conditioned",
                              condition=condition)
-    solved = _solve_hermitian(inner, np.column_stack([eye, ybar]))
-    kernel = eye - solved[:, :-1]
+    # K = sum_i (u_i u_i^H) kron (V diag(lam_i / (1 + lam_i)) V^H); with both
+    # small factors made exactly Hermitian, the (r, r') and (r', r) blocks of
+    # K are conjugate sums of the same terms, so K itself needs no pass
+    per_a = (v * (lam / inner)[:, None, :]) @ v.conj().T
+    per_a = 0.5 * (per_a + per_a.conj().transpose(0, 2, 1))
+    weights = (u[:, None, :] * u.conj()[None, :, :]).reshape(p * p, p)
+    kernel = (weights @ per_a.reshape(p, q * q)).reshape(p, p, q, q)
+    kernel = kernel.transpose(0, 2, 1, 3).reshape(p * q, p * q)
+    # lin = W diag(1 / (1 + lam)) W^H ybar, with W^H ybar = U^H ybar conj(V)
+    lin = u @ ((u.conj().T @ ybar.reshape(p, q) @ v.conj()) / inner) @ v.T
     return EstimatorWorkspace(pilot=pilot, l_r=l_r, stats=stats, prior=prior,
-                              R=r, ybar=ybar,
-                              quad_kernel=0.5 * (kernel + kernel.conj().T),
-                              lin_table=solved[:, -1].reshape(l_r, n),
+                              R=np.kron(a, m), ybar=ybar.ravel(),
+                              quad_kernel=kernel,
+                              lin_table=lin.reshape(l_r, n),
                               condition=condition)
 
 

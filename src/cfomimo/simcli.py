@@ -209,14 +209,21 @@ class ExperimentConfig:
 
     def effective_workers(self) -> int:
         """The worker count the config resolves to (workers, else
-        $CFOMIMO_WORKERS, else 1).  Results do not depend on it."""
+        $CFOMIMO_WORKERS, else 1).  Results do not depend on it; an
+        environment value that is not an integer >= 0 raises ParameterError."""
         if self.workers > 0:
             return self.workers
-        env = os.environ.get(WORKERS_ENV, "")
-        try:
-            return max(1, int(env))
-        except ValueError:
+        env = os.environ.get(WORKERS_ENV, "").strip()
+        if not env:
             return 1
+        try:
+            workers = int(env)
+            if workers < 0:
+                raise ValueError(env)
+        except ValueError:
+            raise ParameterError(
+                f"${WORKERS_ENV} must be an integer >= 0, got {env!r}") from None
+        return max(1, workers)
 
 
 def load_config(path: str | None, overrides: dict | None = None) -> ExperimentConfig:
@@ -228,6 +235,7 @@ def load_config(path: str | None, overrides: dict | None = None) -> ExperimentCo
     config = ExperimentConfig.from_mapping(data)
     if overrides:
         config = replace(config, **overrides)
+    config.effective_workers()  # reject a malformed $CFOMIMO_WORKERS here
     return config
 
 

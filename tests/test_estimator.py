@@ -3,7 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cfomimo import (CfoPrior, ChannelStats, EstimationError, NumericalError,
+from cfomimo import (CfoPrior, ChannelStats, CorrelationModel, EstimationError,
+                     NumericalError,
                      ParameterError, build_stats, build_workspace, compute_beta,
                      compute_z, custom_pilot, estimate_cfo_per_antenna,
                      estimate_cfo_universal, estimate_cfo_universal_batch,
@@ -13,7 +14,7 @@ from cfomimo import (CfoPrior, ChannelStats, EstimationError, NumericalError,
                      metric_gradient, mmse_gain, per_antenna_metric,
                      rotated_design, sample_ar1_trajectory, synthesize_rx,
                      wrap_frequency)
-from cfomimo.estimator import (_grid_sums, _lag_metric, _per_antenna_grad_hess,
+from cfomimo.estimator import (CONDITION_LIMIT, _grid_sums, _lag_metric, _per_antenna_grad_hess,
                                _prior_vectors)
 
 from conftest import random_case
@@ -93,15 +94,44 @@ def test_workspace_accepts_singular_sigma(rng):
     assert np.linalg.eigvalsh(ws.A)[0] > -1e-10
 
 
-@pytest.mark.parametrize("rho_h", [0.0, 0.5, 1.0])
-@pytest.mark.parametrize("maker", [generate_periodic_pilot, generate_td_pilot])
-def test_separable_stats_match_dense_copy(rho_h, maker):
-    # build_stats keeps Sigma_h as its time and spatial factors; a workspace
-    # built from them must equal one built from the dense matrix
+def _hermitian(matrix):
+    return 0.5 * (matrix + matrix.conj().T)
+
+
+def _spatial_model(spatial, l_t, l_r, rho_h):
+    """A Rician model whose spatial covariance is iid, exponential, a
+    Kronecker product of complex Hermitian factors, or a PSD matrix that
+    is not a Kronecker product."""
+    if spatial in ("iid", "exponential"):
+        return make_model(l_t, l_r, rho_h, spatial=spatial, spatial_a=0.6,
+                          spatial_b=0.4, mean="rician", rician_k=1.5)
+    rng = np.random.default_rng(5)
+    if spatial == "complex-kron":
+        cov = np.kron(_hermitian(random_psd(rng, l_r)), _hermitian(random_psd(rng, l_t)))
+    else:
+        cov = _hermitian(random_psd(rng, l_t * l_r))
+    mean = 0.5 * np.exp(2j * np.pi * rng.random(l_t * l_r))
+    return CorrelationModel(l_t, l_r, rho_h, cov, mean)
+
+
+def _dense_copy_cases():
+    # exponential is the default spatial model and carries no prefix
+    for spatial in ("exponential", "iid", "complex-kron", "non-kron"):
+        for maker in (generate_periodic_pilot, generate_td_pilot):
+            for rho_h in (0.0, 0.5, 1.0):
+                prefix = "" if spatial == "exponential" else f"{spatial}-"
+                yield pytest.param(spatial, maker, rho_h,
+                                   id=f"{prefix}{maker.__name__}-{rho_h}")
+
+
+@pytest.mark.parametrize("spatial,maker,rho_h", _dense_copy_cases())
+def test_separable_stats_match_dense_copy(spatial, maker, rho_h):
+    # build_stats keeps Sigma_h as its time and spatial factors and R as
+    # kron(A_r, M) when the spatial covariance factors; a workspace built
+    # from them must equal one built from the dense matrix (1 x 1 kron R)
     l_t, l_r = 2, 3
     pilot = maker(l_t, 4, rho=1.7)
-    model = make_model(l_t, l_r, rho_h, spatial="exponential", spatial_a=0.6,
-                       spatial_b=0.4, mean="rician", rician_k=1.5)
+    model = _spatial_model(spatial, l_t, l_r, rho_h)
     stats = build_stats(model, pilot.n)
     dense = ChannelStats(l_t, l_r, pilot.n, stats.mu_h, stats.sigma_h)
     ws = build_workspace(pilot, l_r, stats, CfoPrior.ml())
@@ -115,6 +145,29 @@ def test_separable_stats_match_dense_copy(rho_h, maker):
     assert close(ws.condition, ref.condition)
     assert close(compute_beta(pilot, l_r, stats, workspace=ws),
                  compute_beta(pilot, l_r, dense, workspace=ref))
+    a, m = stats._receive_factors(pilot.entries)
+    if spatial == "non-kron":
+        assert model._kronecker_factors is None
+        assert (a.shape, m.shape) == ((1, 1), (pilot.n * l_r, pilot.n * l_r))
+    else:
+        assert (a.shape, m.shape) == ((l_r, l_r), (pilot.n, pilot.n))
+    a, m = dense._receive_factors(pilot.entries)
+    assert (a.shape, m.shape) == ((1, 1), (pilot.n * l_r, pilot.n * l_r))
+
+
+def test_zero_covariance_workspace():
+    # a deterministic channel: R = 0, so K = 0, I + R = I and lin = ybar
+    l_t, l_r = 2, 3
+    pilot = generate_td_pilot(l_t, 3)
+    model = CorrelationModel(l_t, l_r, 0.5, np.zeros((6, 6)), np.arange(6) + 1j)
+    stats = build_stats(model, pilot.n)
+    a, m = stats._receive_factors(pilot.entries)
+    assert (a.shape, m.shape) == ((l_r, l_r), (pilot.n, pilot.n))
+    ws = build_workspace(pilot, l_r, stats, CfoPrior.ml())
+    assert ws.condition == 1.0
+    np.testing.assert_array_equal(ws.quad_kernel, 0.0)
+    np.testing.assert_allclose(ws.lin_table.ravel(), ws.ybar, rtol=1e-14, atol=0)
+    assert np.isfinite(compute_beta(pilot, l_r, stats, workspace=ws))
 
 
 def test_large_array_setup_never_forms_dense_covariance():
@@ -148,6 +201,19 @@ def test_ill_conditioned_raises():
     with pytest.raises(NumericalError) as info:
         build_workspace(pilot, 1, stats, CfoPrior.ml())
     assert info.value.condition is not None
+
+
+def test_ill_conditioned_model_raises():
+    # a channel frozen over the pilot with a huge variance: R is singular,
+    # so the condition of I + R is 1 + its largest eigenvalue, about 1e15
+    pilot = generate_periodic_pilot(2, 3, rho=1.0)
+    stats = build_stats(make_model(2, 2, 1.0, spatial="exponential",
+                                   sigma_h_sq=1e14), pilot.n)
+    assert stats._receive_factors(pilot.entries)[0].shape == (2, 2)
+    with pytest.raises(NumericalError) as info:
+        build_workspace(pilot, 2, stats, CfoPrior.ml())
+    assert np.isfinite(info.value.condition)
+    assert info.value.condition > CONDITION_LIMIT
 
 
 def test_dimension_mismatch_rejected(rng):

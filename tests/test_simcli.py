@@ -294,7 +294,7 @@ def test_cli_single_json(tmp_path, capsys):
     assert payload["status"] in ("ok", "low_confidence")
 
 
-def test_cli_error_paths(tmp_path, capsys):
+def test_cli_error_paths(tmp_path, capsys, monkeypatch):
     missing = tmp_path / "nope.yaml"
     assert main(["mse-vs-snr", "--config", str(missing)]) == 1
     bad = tmp_path / "bad.yaml"
@@ -323,6 +323,10 @@ def test_cli_error_paths(tmp_path, capsys):
                  ["mse-vs-snr", "--snr-db", "10,inf"]):
         assert main(argv) == 1, argv
         assert capsys.readouterr().err.startswith("error: "), argv
+    for env in ("junk", "-1", "2.5"):
+        monkeypatch.setenv("CFOMIMO_WORKERS", env)
+        assert main(["mse-vs-snr", "--trials", "2"]) == 1, env
+        assert capsys.readouterr().err.startswith("error: "), env
 
 
 def test_cli_validate_passes():
@@ -332,7 +336,15 @@ def test_cli_validate_passes():
 def test_worker_env_var(monkeypatch):
     monkeypatch.setenv("CFOMIMO_WORKERS", "3")
     assert ExperimentConfig(**FAST).effective_workers() == 3
-    monkeypatch.setenv("CFOMIMO_WORKERS", "junk")
+    monkeypatch.setenv("CFOMIMO_WORKERS", "")
     assert ExperimentConfig(**FAST).effective_workers() == 1
+    for env in ("junk", "-2", "1.5"):
+        monkeypatch.setenv("CFOMIMO_WORKERS", env)
+        with pytest.raises(ParameterError):
+            ExperimentConfig(**FAST).effective_workers()
+        with pytest.raises(ParameterError):
+            load_config(None)
+    # an explicit worker count never reads the environment
     config = replace(ExperimentConfig(**FAST), workers=2)
     assert config.effective_workers() == 2
+    assert load_config(None, {"workers": 2}).workers == 2
