@@ -268,20 +268,26 @@ class _SeparableStats(ChannelStats):
                          optimize=True).ravel()
 
 
-def build_stats(model: CorrelationModel, n: int) -> ChannelStats:
+def build_stats(model: CorrelationModel, n: int,
+                rho_h: float | None = None) -> ChannelStats:
     """Channel statistics of a correlation model over n symbol times, in the
     package layout.
 
     The covariance stays in its separable form rho_h^|k-k'| * spatial_cov:
     no (l_t*l_r*n)^2 matrix is formed until sigma_h is read, and the dense
     Hermitian/PSD check of a directly constructed ChannelStats is skipped,
-    because the model's factors make it PSD by construction.
+    because the model's factors make it PSD by construction.  rho_h, when
+    given, replaces the model's time correlation, so that a sweep over
+    rho_h reuses one model's checks and factors.
     """
     if n < 1:
         raise ParameterError("n must be a positive integer")
+    rho_h = model.rho_h if rho_h is None else rho_h
+    if not (0.0 <= rho_h <= 1.0):
+        raise ModelError(f"rho_h must lie in [0, 1], got {rho_h}")
     l_t, l_r = model.l_t, model.l_r
     lags = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
-    time_corr = model.rho_h ** lags  # 0**0 == 1 covers rho_h = 0
+    time_corr = rho_h ** lags  # 0**0 == 1 covers rho_h = 0
     time_corr.setflags(write=False)
     mu = np.broadcast_to(model.mean.reshape(l_r, 1, l_t), (l_r, n, l_t)).ravel()
     mu.setflags(write=False)

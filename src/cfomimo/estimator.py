@@ -20,14 +20,25 @@ Hermitian PSD factors: for a spatial covariance A_r kron B_t (every model of
 make_model) A_r acts on the receive antennas and M = rho_h^|k-k'| o
 (S B_t S^H) on the symbol times; for any other covariance, and for a
 directly constructed ChannelStats, A_r is the 1 x 1 matrix 1 and M = R.
-With A_r = U diag(a) U^H and M = V diag(m) V^H, R = W diag(lam) W^H for
-W = U kron V and lam = a_i m_j, so
+With A_r = U diag(a) U^H (p eigenpairs) and M = V diag(m) V^H (q x q),
+R = W diag(lam) W^H for W = U kron V and lam_i = a_i m, so
 
-    K = W diag(lam / (1 + lam)) W^H,   lin = W diag(1 / (1 + lam)) W^H ybar,
+    K = sum_i (u_i u_i^H) kron K_i,   K_i = V diag(lam_i / (1 + lam_i)) V^H,
+    lin = W diag(1 / (1 + lam)) W^H ybar,
 
 and the condition of I + R is max(1 + lam) / min(1 + lam).  Only the two
 factors are diagonalized, never Sigma_h, so singular channel covariances
-(a channel frozen over the pilot) are fine.
+(a channel frozen over the pilot) are fine.  The workspace keeps K as its p
+kernels K_i, (p, q, q): l_r kernels of n^2 when R factors, one of (n*l_r)^2
+for dense stats, which run the same code with p = 1.  Once the de-rotated
+w is formed, for a common or a per-antenna offset, K applies row by row in
+the eigen-antenna basis: with wt = U^H w (one row of length q per i),
+w^H K w = sum_i wt_i^H K_i wt_i and K w = U (K_i wt_i).  The metric, the
+channel estimate and the bounds are evaluated that way.  The dense K is
+built on demand: for the oracles, for the per-antenna search (its
+symbol-index masks do not commute with U), and for the per-trial lag
+series, one BLAS product per trial.
+
 The MMSE channel estimate h_hat(f) = A X(f)^H y + b, with X(f) = D(f) Sb,
 A = (Sb^H Sb + Sigma_h^{-1})^{-1} its error covariance and
 b = (I - A Sb^H Sb) mu_h, is evaluated in the receive space too: by
@@ -67,7 +78,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .channel import CfoPrior, ChannelStats, _rotation
 from .errors import EstimationError, NumericalError, ParameterError
@@ -102,29 +112,38 @@ class EstimatorWorkspace:
 
     Immutable and shareable across threads; every estimation routine is a
     pure function of (y, workspace).  The offset search and the bounds read
-    only n*l_r receive-space tables: R = Sb Sigma_h Sb^H and ybar = Sb mu_h
-    (the zero-offset received covariance and mean), quad_kernel
-    K = I - (I + R)^{-1} and lin_table (I + R)^{-1} ybar shaped (l_r, n),
-    which give g = w^H K w + 2 Re<lin, w> at w = D(f)^H y.  build_workspace
-    forms them from the eigenpairs of the factors of R = A_r kron M (a 1 x 1
-    A_r for dense stats): with W = U kron V and lam = a_i m_j,
-    K = W diag(lam / (1 + lam)) W^H and lin = W diag(1 / (1 + lam)) W^H ybar.
-    condition is that of I + R, max(1 + lam) / min(1 + lam).  The channel
-    estimate adds one product with Sigma_h:
-    h_hat = mu_h + Sigma_h Sb^H (I - K)(w - ybar).  sbreve, A (the MMSE
-    error covariance) and b are channel-space objects, built on first
-    access for the oracles only.
+    only n*l_r receive-space tables, kept in the factor form of
+    R = Sb Sigma_h Sb^H = A_r kron M (a 1 x 1 A_r = 1 and M = R for dense
+    stats): ybar = Sb mu_h, the zero-offset received mean; lin_table
+    (I + R)^{-1} ybar shaped (l_r, n); a and U, the eigenvalues and
+    eigenvectors of A_r (p of them: l_r, or 1 for dense stats); the time
+    factor M (q x q: n, or n*l_r for dense stats); and kernels, the stack
+    K_i = V diag(lam_i / (1 + lam_i)) V^H of shape (p, q, q), with
+    M = V diag(m) V^H and lam_i = a_i m.  The quadratic kernel is
+    K = I - (I + R)^{-1} = sum_i (u_i u_i^H) kron K_i, so w^H K w =
+    sum_i wt_i^H K_i wt_i over the rows of wt = U^H w, and
+    g = w^H K w + 2 Re<lin, w> at w = D(f)^H y.  condition is that of
+    I + R, max(1 + lam) / min(1 + lam).  The channel estimate adds one
+    product with Sigma_h: h_hat = mu_h + Sigma_h Sb^H (I - K)(w - ybar).
+
+    Dense (n*l_r)^2 objects are cached properties, built on first read:
+    quad_kernel (K itself) and R for the oracles and the per-antenna
+    search, _kernel_rows (K regrouped) for the per-trial lag series.
+    sbreve, A (the MMSE error covariance) and b are channel-space objects,
+    built on first access for the oracles only.
     """
 
     pilot: PilotMatrix
     l_r: int
     stats: ChannelStats
     prior: CfoPrior
-    R: np.ndarray
     ybar: np.ndarray
-    quad_kernel: np.ndarray
     lin_table: np.ndarray
     condition: float
+    a: np.ndarray
+    U: np.ndarray
+    M: np.ndarray
+    kernels: np.ndarray
 
     @property
     def n(self) -> int:
@@ -138,12 +157,30 @@ class EstimatorWorkspace:
     def sbreve(self) -> np.ndarray:
         return expand_block(self.pilot, self.l_r)
 
+    def _dense_kernel(self) -> np.ndarray:
+        """K = sum_i (u_i u_i^H) kron K_i as one (n*l_r)^2 matrix."""
+        p, q = self.kernels.shape[:2]
+        u = self.U
+        weights = (u[:, None, :] * u.conj()[None, :, :]).reshape(p * p, p)
+        kernel = (weights @ self.kernels.reshape(p, q * q)).reshape(p, p, q, q)
+        return kernel.transpose(0, 2, 1, 3).reshape(p * q, p * q)
+
+    @cached_property
+    def quad_kernel(self) -> np.ndarray:
+        """K = I - (I + R)^{-1}, dense."""
+        return self._dense_kernel()
+
+    @cached_property
+    def R(self) -> np.ndarray:
+        """R = kron(A_r, M) with A_r = U diag(a) U^H, dense."""
+        return np.kron((self.U * self.a) @ self.U.conj().T, self.M)
+
     @cached_property
     def _kernel_rows(self) -> np.ndarray:
         """K regrouped by row time: [k1, r, (r', k2)] = K[(r, k1), (r', k2)]."""
         n, l_r = self.n, self.l_r
         return np.ascontiguousarray(
-            self.quad_kernel.reshape(l_r, n, l_r * n).transpose(1, 0, 2))
+            self._dense_kernel().reshape(l_r, n, l_r * n).transpose(1, 0, 2))
 
     @cached_property
     def A(self) -> np.ndarray:
@@ -157,6 +194,7 @@ class EstimatorWorkspace:
 
 def _solve_hermitian(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """SPD solve with a single jitter retry before giving up."""
+    import scipy.linalg  # oracle path only; loading it costs about 27 MB of RSS
     try:
         factor = scipy.linalg.cho_factor(matrix, check_finite=False)
     except scipy.linalg.LinAlgError:
@@ -191,8 +229,9 @@ def mmse_gain(design: np.ndarray, sigma_h: np.ndarray,
 
 def build_workspace(pilot: PilotMatrix, l_r: int, stats: ChannelStats,
                     prior: CfoPrior) -> EstimatorWorkspace:
-    """Assemble the receive-space kernel and linear table for one configuration,
-    from one eigendecomposition per factor of R = A_r kron M."""
+    """Assemble the receive-space kernels K_i and linear table for one
+    configuration, from one eigendecomposition per factor of R = A_r kron M;
+    no (n*l_r)^2 matrix is formed when R factors."""
     if stats.l_t != pilot.l_t or stats.n != pilot.n or stats.l_r != l_r:
         raise ParameterError(
             f"stats built for (l_t={stats.l_t}, l_r={stats.l_r}, n={stats.n}) do not "
@@ -210,21 +249,16 @@ def build_workspace(pilot: PilotMatrix, l_r: int, stats: ChannelStats,
     if not condition <= CONDITION_LIMIT:
         raise NumericalError("I + Sb Sigma_h Sb^H is too ill-conditioned",
                              condition=condition)
-    # K = sum_i (u_i u_i^H) kron (V diag(lam_i / (1 + lam_i)) V^H); with both
-    # small factors made exactly Hermitian, the (r, r') and (r', r) blocks of
-    # K are conjugate sums of the same terms, so K itself needs no pass
-    per_a = (v * (lam / inner)[:, None, :]) @ v.conj().T
-    per_a = 0.5 * (per_a + per_a.conj().transpose(0, 2, 1))
-    weights = (u[:, None, :] * u.conj()[None, :, :]).reshape(p * p, p)
-    kernel = (weights @ per_a.reshape(p, q * q)).reshape(p, p, q, q)
-    kernel = kernel.transpose(0, 2, 1, 3).reshape(p * q, p * q)
+    # K_i = V diag(lam_i / (1 + lam_i)) V^H, made exactly Hermitian, so the
+    # (r, r') and (r', r) blocks of K are conjugate sums of the same terms
+    kernels = (v * (lam / inner)[:, None, :]) @ v.conj().T
+    kernels = 0.5 * (kernels + kernels.conj().transpose(0, 2, 1))
     # lin = W diag(1 / (1 + lam)) W^H ybar, with W^H ybar = U^H ybar conj(V)
     lin = u @ ((u.conj().T @ ybar.reshape(p, q) @ v.conj()) / inner) @ v.T
     return EstimatorWorkspace(pilot=pilot, l_r=l_r, stats=stats, prior=prior,
-                              R=np.kron(a, m), ybar=ybar.ravel(),
-                              quad_kernel=kernel,
-                              lin_table=lin.reshape(l_r, n),
-                              condition=condition)
+                              ybar=ybar.ravel(), lin_table=lin.reshape(l_r, n),
+                              condition=condition, a=eig_a, U=u, M=m,
+                              kernels=kernels)
 
 
 def _received_rows(y, ws: EstimatorWorkspace) -> np.ndarray:
@@ -296,10 +330,19 @@ def _derotated(y2: np.ndarray, f) -> np.ndarray:
     return _rotation(f, *y2.shape).conj() * y2
 
 
+def _eigen_rows(w: np.ndarray, ws: EstimatorWorkspace):
+    """wt = U^H w for a receive-space vector w, one row per eigen-antenna i,
+    and the rows K_i wt_i, shape (p, q) each: K w = U (K_i wt_i)."""
+    p, q = ws.kernels.shape[:2]
+    wt = ws.U.conj().T @ w.reshape(p, q)
+    return wt, np.matmul(ws.kernels, wt[:, :, None])[:, :, 0]
+
+
 def _data_term(w: np.ndarray, ws: EstimatorWorkspace) -> float:
-    """The y-dependent part of g at the de-rotated signal w: w^H K w + 2 Re<lin, w>."""
-    w = w.ravel()
-    return float(np.real(np.vdot(w, ws.quad_kernel @ w))
+    """The y-dependent part of g at the de-rotated signal w:
+    w^H K w + 2 Re<lin, w>, with w^H K w = sum_i wt_i^H K_i wt_i."""
+    wt, kernel_wt = _eigen_rows(w, ws)
+    return float(np.real(np.vdot(wt, kernel_wt))
                  + 2.0 * np.real(np.vdot(ws.lin_table, w)))
 
 
@@ -526,7 +569,7 @@ def estimate_channel_mmse(y: np.ndarray, f_hat, ws: EstimatorWorkspace) -> np.nd
     A Sb^H = Sigma_h Sb^H (I + R)^{-1} and (I + R)^{-1} = I - K.
     """
     resid = _derotated(_received(y, ws), f_hat).ravel() - ws.ybar
-    resid = resid - ws.quad_kernel @ resid
+    resid = resid - (ws.U @ _eigen_rows(resid, ws)[1]).ravel()
     u = resid.reshape(ws.l_r, ws.n)[:, :, None] * ws.pilot.entries.conj()[None, :, :]
     return ws.stats.mu_h + ws.stats._apply_cov(u.ravel())
 

@@ -151,6 +151,9 @@ class ExperimentConfig:
         for name in ("snr_db", "rho_h_grid"):
             if not all(math.isfinite(v) for v in getattr(self, name)):
                 raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
+        for rho_h in (self.rho_h,) + self.rho_h_grid:
+            if not 0.0 <= rho_h <= 1.0:
+                raise ParameterError(f"rho_h must lie in [0, 1], got {rho_h}")
 
     @property
     def n(self) -> int:
@@ -194,9 +197,8 @@ class ExperimentConfig:
             return CfoPrior.ml(self.mu_f)
         return CfoPrior(self.mu_f, self.sigma_f_sq)
 
-    def model(self, rho_h: float | None = None):
-        return make_model(self.l_t, self.l_r,
-                          self.rho_h if rho_h is None else rho_h,
+    def model(self):
+        return make_model(self.l_t, self.l_r, self.rho_h,
                           spatial=self.spatial_kind, spatial_a=self.spatial_a,
                           spatial_b=self.spatial_b, sigma_h_sq=self.sigma_h_sq,
                           mean=self.mean_kind, rician_k=self.rician_k)
@@ -342,17 +344,19 @@ def _snr_to_rho(config: ExperimentConfig, snr_db: float, model) -> float:
 def run_bounds_vs_rho(config: ExperimentConfig) -> SweepResult:
     """Closed-form CRLB/BCRLB over a rho_h grid for both pilot structures.
 
-    No sampling; evaluated at the first SNR grid point.
+    No sampling; evaluated at the first SNR grid point.  The model and, per
+    structure, the pilot are built once: neither the per-coefficient power
+    nor the pilot depends on rho_h.
     """
     grid = config.rho_h_grid or tuple(np.linspace(0.0, 1.0, 50))
-    snr_db = config.snr_db[0]
     prior = config.prior()
+    model = config.model()
+    rho = _snr_to_rho(config, config.snr_db[0], model)
     rows = []
     for structure in PILOT_STRUCTURES:
+        pilot = config.pilot(rho, structure)
         for rho_h in grid:
-            model = config.model(rho_h)
-            pilot = config.pilot(_snr_to_rho(config, snr_db, model), structure)
-            stats = build_stats(model, config.n)
+            stats = build_stats(model, config.n, rho_h)
             res = evaluate_bounds(pilot, config.l_r, stats, prior)
             rows.append(SweepRow(f"rho_h[{structure}]", rho_h, None,
                                  res.crlb, res.bcrlb, 0, 0, None))
@@ -362,12 +366,12 @@ def run_bounds_vs_rho(config: ExperimentConfig) -> SweepResult:
 def run_bounds_vs_snr(config: ExperimentConfig) -> SweepResult:
     """Closed-form CRLB/BCRLB over the SNR grid for both pilot structures."""
     prior = config.prior()
+    model = config.model()
+    stats = build_stats(model, config.n)
     rows = []
     for structure in PILOT_STRUCTURES:
         for snr_db in config.snr_db:
-            model = config.model()
             pilot = config.pilot(_snr_to_rho(config, snr_db, model), structure)
-            stats = build_stats(model, config.n)
             res = evaluate_bounds(pilot, config.l_r, stats, prior)
             rows.append(SweepRow(f"snr_db[{structure}]", snr_db, None,
                                  res.crlb, res.bcrlb, 0, 0, None))
@@ -433,11 +437,11 @@ def _run_point_trials(config: ExperimentConfig, point: int, pilot, model, ws,
 def run_mse_vs_snr(config: ExperimentConfig) -> SweepResult:
     """Empirical MSE of the universal estimator next to its bounds, per SNR."""
     prior = config.prior()
+    model = config.model()
+    stats = build_stats(model, config.n)
     rows = []
     for point, snr_db in enumerate(config.snr_db):
-        model = config.model()
         pilot = config.pilot(_snr_to_rho(config, snr_db, model))
-        stats = build_stats(model, config.n)
         ws = build_workspace(pilot, config.l_r, stats, prior)
         res = evaluate_bounds(pilot, config.l_r, stats, prior, workspace=ws)
         mse, failures, mean_iters = _run_point_trials(config, point, pilot,

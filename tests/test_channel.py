@@ -32,6 +32,12 @@ def test_build_stats_geometric_decay():
         [0.25, 0.5, 1.0],
     ])
     np.testing.assert_allclose(stats.sigma_h, expected, atol=1e-15)
+    # rho_h given to build_stats replaces the model's, and is range-checked
+    override = build_stats(scalar_model(0.9), 3, 0.5)
+    np.testing.assert_array_equal(override.sigma_h, stats.sigma_h)
+    for bad in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ModelError):
+            build_stats(scalar_model(0.9), 3, bad)
 
 
 def test_build_stats_separability_entrywise():

@@ -153,6 +153,13 @@ def test_separable_stats_match_dense_copy(spatial, maker, rho_h):
         assert (a.shape, m.shape) == ((l_r, l_r), (pilot.n, pilot.n))
     a, m = dense._receive_factors(pilot.entries)
     assert (a.shape, m.shape) == ((1, 1), (pilot.n * l_r, pilot.n * l_r))
+    # the factor-basis data term and (I - K) product against the p = 1 path
+    rng = np.random.default_rng(11)
+    y = rng.standard_normal(pilot.n * l_r) + 1j * rng.standard_normal(pilot.n * l_r)
+    f_vec = rng.uniform(-0.3, 0.3, l_r)
+    assert close(map_metric(y, 0.13, ws), map_metric(y, 0.13, ref))
+    assert close(per_antenna_metric(y, f_vec, ws), per_antenna_metric(y, f_vec, ref))
+    assert close(estimate_channel_mmse(y, 0.13, ws), estimate_channel_mmse(y, 0.13, ref))
 
 
 def test_zero_covariance_workspace():
@@ -190,6 +197,26 @@ def test_large_array_setup_never_forms_dense_covariance():
         tracemalloc.stop()
     assert np.all(np.isfinite(h_hat))
     assert peak < 256 * 2 ** 20, f"peak {peak / 2 ** 20:.0f} MB"
+
+
+def test_workspace_and_beta_stay_factored():
+    # (l_t, m, l_r) = (8, 16, 8): one dense (n l_r)^2 complex matrix is 16 MB,
+    # the l_r kernels K_i of n^2 are 2 MB together
+    pilot = generate_periodic_pilot(8, 16, rho=1.0)
+    model = make_model(8, 8, 0.95, spatial="exponential", mean="rician")
+    stats = build_stats(model, pilot.n)
+    tracemalloc.start()
+    try:
+        ws = build_workspace(pilot, 8, stats, CfoPrior.ml())
+        beta = compute_beta(pilot, 8, stats, workspace=ws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert beta > 0
+    assert peak < 12 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+    assert ws.kernels.shape == (8, pilot.n, pilot.n)
+    for name in ("quad_kernel", "R", "_kernel_rows"):
+        assert name not in ws.__dict__, name
 
 
 def test_ill_conditioned_raises():

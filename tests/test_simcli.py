@@ -91,6 +91,13 @@ def test_config_validation():
         with pytest.raises(ParameterError, match="must be finite"):
             ExperimentConfig.from_mapping(data)
     assert ExperimentConfig.from_mapping({"prior": {"sigma_f_sq": math.inf}}).prior().is_ml
+    # rho_h is a correlation coefficient: outside [0, 1] it fails at once
+    for data in ({"channel": {"rho_h": 1.5}}, {"channel": {"rho_h": -0.1}},
+                 {"channel": {"rho_h_grid": [0.5, 2.0]}},
+                 {"channel": {"rho_h_grid": -0.5}}):
+        with pytest.raises(ParameterError, match=r"rho_h must lie in \[0, 1\]"):
+            ExperimentConfig.from_mapping(data)
+    assert ExperimentConfig.from_mapping({"channel": {"rho_h_grid": [0, 1]}}).rho_h_grid == (0.0, 1.0)
     # workers: 0 defers to the environment, negative counts are errors
     assert ExperimentConfig(workers=0).workers == 0
     for bad in (-1, -3):
@@ -323,6 +330,15 @@ def test_cli_error_paths(tmp_path, capsys, monkeypatch):
                  ["mse-vs-snr", "--snr-db", "10,inf"]):
         assert main(argv) == 1, argv
         assert capsys.readouterr().err.startswith("error: "), argv
+    # an out-of-range rho_h is rejected before any point is computed
+    for argv in (["bounds-vs-rho", "--rho-grid", "0:2:3"],
+                 ["bounds-vs-rho", "--rho-grid=-1:1:3"]):
+        assert main(argv) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: rho_h must lie in [0, 1]"), (argv, err)
+    bad.write_text("channel: {rho_h: 1.5}\n")
+    assert main(["bounds-vs-snr", "--config", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith("error: rho_h must lie in [0, 1]")
     for env in ("junk", "-1", "2.5"):
         monkeypatch.setenv("CFOMIMO_WORKERS", env)
         assert main(["mse-vs-snr", "--trials", "2"]) == 1, env
