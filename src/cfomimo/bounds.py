@@ -6,14 +6,12 @@ of z_k by the moments of y at zero offset,
 
     E[y] = Sb mu_h,     E[y y^H] = Sb (Sigma_h + mu_h mu_h^H) Sb^H + I,
 
-and accumulate beta = 8 pi^2 Re sum_k k^2 zbar_k.  The sum runs on the
-workspace's factor form (eigenpairs a, U of the receive factor A_r, time
-factor M, kernels K_i; see estimator): with yt = U^H ybar the folded lag
-matrix is F[k1, k2] = sum_i K_i[k1, k2] (a_i M[k2, k1] + conj(yt_i[k1])
-yt_i[k2]), l_r kernels of n^2 when R = A_r kron M factors, and for dense
-stats (p = 1 kernel of (n*l_r)^2, indexed by (r, k)) the sum of F's l_r^2
-receive blocks.  The result does not depend on the true offset.  Bounds
-follow as
+and accumulate beta = 8 pi^2 Re sum_k k^2 zbar_k.  zbar is the estimator's
+lag series at ybar plus the fold of the covariance R = A_r kron M, read in
+the same eigen-antenna basis as the trial lag series (see estimator):
+with yt = U^H ybar, its folded lag matrix is F[k1, k2] = sum_i K_i[k1, k2]
+(a_i M[k2, k1] + conj(yt_i[k1]) yt_i[k2]), and the noise I only reaches
+lag 0.  The result does not depend on the true offset.  Bounds follow as
 
     CRLB  = 1 / beta                (error floor of any unbiased estimator),
     BCRLB = 1 / (beta + 1/sigma_f^2)   (Bayesian version, ML prior gives CRLB).
@@ -31,7 +29,7 @@ import numpy as np
 
 from .channel import CfoPrior, ChannelStats, _psd_factor
 from .errors import NumericalError, ParameterError
-from .estimator import (EstimatorWorkspace, _lag_fold, build_workspace,
+from .estimator import (EstimatorWorkspace, _expected_lags, build_workspace,
                         rotated_design)
 from .pilots import PilotMatrix
 
@@ -51,28 +49,17 @@ def compute_beta(pilot: PilotMatrix, l_r: int, stats: ChannelStats, *,
                  workspace: EstimatorWorkspace | None = None) -> float:
     """Closed-form Fisher information of the common normalized offset.
 
-    Shares the contraction tables of the estimator: the expected lag series
-    uses the same kernel K, contracted against the second moment
-    R + ybar ybar^H + I of y instead of an observed y.  The sum runs in the
-    eigen-antenna basis of the workspace, where K and R are block diagonal:
-    with yt = U^H ybar, the folded lag matrix is
-
-        F[k1, k2] = sum_i K_i[k1, k2] (a_i M[k2, k1] + conj(yt_i[k1]) yt_i[k2]),
-
-    and the noise term I only reaches lag 0.  For dense stats (p = 1,
-    q = n*l_r) F is indexed by (r, k) and its l_r^2 receive blocks are summed.
+    Shares the contraction of the estimator: the expected lag series zbar
+    is the lag series at ybar plus the fold of the covariance,
+    sum_i a_i K_i o M^T in the eigen-antenna basis, so the kernel K is
+    contracted against the second moment R + ybar ybar^H + I of y instead
+    of an observed y (the noise term I only reaches lag 0).
     """
     ws = workspace or build_workspace(pilot, l_r, stats, CfoPrior.ml())
     n = ws.n
     if n == 1:
         return 0.0
-    p, q = ws.kernels.shape[:2]
-    first = np.einsum("rk,rk->k", ws.lin_table, ws.ybar.reshape(ws.l_r, n).conj())
-    yt = ws.U.conj().T @ ws.ybar.reshape(p, q)
-    folded = np.tensordot(ws.a, ws.kernels, axes=1) * ws.M.T
-    folded += np.einsum("ij,ijk,ik->jk", yt.conj(), ws.kernels, yt)
-    blocks = q // n
-    zbar = _lag_fold(first, folded.reshape(blocks, n, blocks, n).sum(axis=(0, 2)))
+    zbar = _expected_lags(ws)
     lags = np.arange(1, n)
     beta = 8.0 * np.pi ** 2 * float(np.real(np.sum(lags ** 2 * zbar)))
     scale = 8.0 * np.pi ** 2 * float(np.sum(lags ** 2 * np.abs(zbar))) + 1.0

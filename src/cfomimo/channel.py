@@ -362,13 +362,16 @@ def _rotation(f, l_r: int, n: int) -> np.ndarray:
     """exp(j 2 pi f_r k) on the (l_r, n) receive grid.
 
     f is a scalar offset shared by every receive antenna or a length-l_r
-    vector of per-antenna offsets, in cycles per symbol.
+    vector of per-antenna offsets, in cycles per symbol; a non-finite
+    offset is rejected.
     """
     f = np.atleast_1d(np.asarray(f, dtype=float))
     if f.size == 1:
         f = np.full(l_r, f[0])
     elif f.shape != (l_r,):
         raise ParameterError(f"offset must be scalar or length {l_r}, got shape {f.shape}")
+    if not np.all(np.isfinite(f)):
+        raise ParameterError(f"offset must be finite, got {f}")
     return _phases(f, n)
 
 

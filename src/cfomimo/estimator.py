@@ -34,10 +34,8 @@ for dense stats, which run the same code with p = 1.  Once the de-rotated
 w is formed, for a common or a per-antenna offset, K applies row by row in
 the eigen-antenna basis: with wt = U^H w (one row of length q per i),
 w^H K w = sum_i wt_i^H K_i wt_i and K w = U (K_i wt_i).  The metric, the
-channel estimate and the bounds are evaluated that way.  The dense K is
-built on demand: for the oracles, for the per-antenna search (its
-symbol-index masks do not commute with U), and for the per-trial lag
-series, one BLAS product per trial.
+channel estimate, the lag series and the bounds are evaluated that way;
+the dense K is built on demand for the oracles only.
 
 The MMSE channel estimate h_hat(f) = A X(f)^H y + b, with X(f) = D(f) Sb,
 A = (Sb^H Sb + Sigma_h^{-1})^{-1} its error covariance and
@@ -54,10 +52,14 @@ Collecting g by time lag turns it into a short complex series,
 
     g(y, f) = const + 2 Re sum_{k=1}^{n-1} e^{j 2 pi f k} z_k + prior terms,
 
-with z_k a pure function of (y, K, lin).  The universal search evaluates a
-coarse grid of 4n offsets, solves the linearized stationary condition at each
-point, keeps the candidate with the best metric, and polishes it by repeating
-the linearized step.  No phase unwrapping is involved anywhere.
+with z_k a pure function of (y, K, lin): the sum of the k-th subdiagonal
+of the folded lag matrix F[k1, k2] = sum_i conj(yt_i[k1]) K_i[k1, k2] yt_i[k2]
+of yt = U^H y, plus a linear term.  The Fisher information (bounds) reads
+the same fold at ybar plus that of the covariance, sum_i a_i K_i o M^T.
+The universal search evaluates a coarse grid of 4n offsets, solves the
+linearized stationary condition at each point, keeps the candidate with the
+best metric, and polishes it by repeating the linearized step.  No phase
+unwrapping is involved anywhere.
 
 On the grid f_g = -1/2 + g/G the step needs sum_k e^{j 2 pi f_g k} {z_k,
 k z_k, k^2 z_k}; since e^{j 2 pi f_g k} = (-1)^k e^{j 2 pi g k / G}, all G
@@ -67,9 +69,9 @@ IEEE Trans. IT, 1974).  The candidates' metrics follow from the lag series
 by Horner's rule in e^{j 2 pi f}.  Every trial routine works on a batch of
 received signals at once, the single-trial functions being the batch of
 one: estimate_cfo_universal_batch takes a (T, n*l_r) array, forms all T
-lag series with one contraction against K and refines all trials together
-under per-trial convergence masks.  No arithmetic mixes two trials, so a
-trial's results do not depend on the batch it was run in.
+lag series with one contraction against the K_i and refines all trials
+together under per-trial convergence masks.  No arithmetic mixes two
+trials, so a trial's results do not depend on the batch it was run in.
 """
 
 from __future__ import annotations
@@ -126,11 +128,10 @@ class EstimatorWorkspace:
     I + R, max(1 + lam) / min(1 + lam).  The channel estimate adds one
     product with Sigma_h: h_hat = mu_h + Sigma_h Sb^H (I - K)(w - ybar).
 
-    Dense (n*l_r)^2 objects are cached properties, built on first read:
-    quad_kernel (K itself) and R for the oracles and the per-antenna
-    search, _kernel_rows (K regrouped) for the per-trial lag series.
-    sbreve, A (the MMSE error covariance) and b are channel-space objects,
-    built on first access for the oracles only.
+    The dense (n*l_r)^2 quad_kernel (K itself) and R are cached properties
+    built on first read, for the oracles and tests only; no estimation
+    routine reads them.  sbreve, A (the MMSE error covariance) and b are
+    channel-space objects, built on first access for the oracles only.
     """
 
     pilot: PilotMatrix
@@ -157,8 +158,9 @@ class EstimatorWorkspace:
     def sbreve(self) -> np.ndarray:
         return expand_block(self.pilot, self.l_r)
 
-    def _dense_kernel(self) -> np.ndarray:
-        """K = sum_i (u_i u_i^H) kron K_i as one (n*l_r)^2 matrix."""
+    @cached_property
+    def quad_kernel(self) -> np.ndarray:
+        """K = I - (I + R)^{-1} = sum_i (u_i u_i^H) kron K_i, dense."""
         p, q = self.kernels.shape[:2]
         u = self.U
         weights = (u[:, None, :] * u.conj()[None, :, :]).reshape(p * p, p)
@@ -166,21 +168,9 @@ class EstimatorWorkspace:
         return kernel.transpose(0, 2, 1, 3).reshape(p * q, p * q)
 
     @cached_property
-    def quad_kernel(self) -> np.ndarray:
-        """K = I - (I + R)^{-1}, dense."""
-        return self._dense_kernel()
-
-    @cached_property
     def R(self) -> np.ndarray:
         """R = kron(A_r, M) with A_r = U diag(a) U^H, dense."""
         return np.kron((self.U * self.a) @ self.U.conj().T, self.M)
-
-    @cached_property
-    def _kernel_rows(self) -> np.ndarray:
-        """K regrouped by row time: [k1, r, (r', k2)] = K[(r, k1), (r', k2)]."""
-        n, l_r = self.n, self.l_r
-        return np.ascontiguousarray(
-            self._dense_kernel().reshape(l_r, n, l_r * n).transpose(1, 0, 2))
 
     @cached_property
     def A(self) -> np.ndarray:
@@ -295,23 +285,41 @@ def _lag_fold(first: np.ndarray, folded: np.ndarray) -> np.ndarray:
     return first[..., 1:] + skewed[..., 1:n].sum(axis=-2)
 
 
+def _folded_lags(y3: np.ndarray, ws: EstimatorWorkspace, cov_weights=None):
+    """Linear terms (T, n) and folded lag matrix (T, n, n) of a (T, l_r, n) batch.
+
+    first[t, k] = sum_r lin[r, k] conj(y[t, r, k]) and, with yt = U^H y[t]
+    (one product per trial, so no BLAS call spans two trials),
+    F[t, k1, k2] = sum_i conj(yt_i[k1]) K_i[k1, k2] yt_i[k2], summed over
+    its l_r^2 receive blocks for dense stats.  cov_weights c adds
+    sum_i c_i K_i o M^T, the fold of the covariance c_i M of the rows yt_i.
+    """
+    n = ws.n
+    p, q = ws.kernels.shape[:2]
+    blocks = q // n
+    kernels = ws.kernels.reshape(p, blocks, n, blocks, n)
+    yt = np.matmul(ws.U.conj().T, y3.reshape(-1, p, q)).reshape(-1, p, blocks, n)
+    folded = np.einsum("tiak,iakbl,tibl->tkl", yt.conj(), kernels, yt)
+    if cov_weights is not None:
+        folded += np.einsum("akbl,blak->kl", np.tensordot(cov_weights, kernels, axes=1),
+                            ws.M.reshape(blocks, n, blocks, n))
+    return np.einsum("rk,trk->tk", ws.lin_table, y3.conj()), folded
+
+
 def _lag_terms(y3: np.ndarray, ws: EstimatorWorkspace):
     """Lag series (T, n-1) and the f-independent lag-0 part of g (T,) of a
-    (T, l_r, n) batch.
-
-    folded[t, k1, k2] = sum_{r, r'} conj(y[t, r, k1]) K[(r, k1), (r', k2)]
-    y[t, r', k2] is formed with at most T*l_r*n^2 complex values alive; its
-    trace and the k = 0 linear term make up the lag-0 part.
-    """
-    trials, l_r, n = y3.shape
-    y_conj = y3.conj()
-    first = np.einsum("rk,brk->bk", ws.lin_table, y_conj)
-    # one (1 x l_r) @ (l_r x n*l_r) product per (trial, k1): no BLAS call
-    # spans two trials, so a trial's z does not depend on its batch
-    kernel_y = np.matmul(y_conj.transpose(0, 2, 1)[:, :, None, :], ws._kernel_rows)
-    folded = np.einsum("bjrk,brk->bjk", kernel_y.reshape(trials, n, l_r, n), y3)
+    (T, l_r, n) batch: the trace of F plus the k = 0 linear term."""
+    first, folded = _folded_lags(y3, ws)
     lag0 = np.real(np.trace(folded, axis1=1, axis2=2)) + 2.0 * np.real(first[:, 0])
     return _lag_fold(first, folded), lag0
+
+
+def _expected_lags(ws: EstimatorWorkspace) -> np.ndarray:
+    """The lag series at the zero-offset moments of y: the fold at ybar
+    plus that of the covariance R = A_r kron M, a_i M on the rows of U^H y;
+    the noise I only reaches lag 0."""
+    first, folded = _folded_lags(ws.ybar.reshape(1, ws.l_r, ws.n), ws, ws.a)
+    return _lag_fold(first, folded)[0]
 
 
 def compute_z(y: np.ndarray, ws: EstimatorWorkspace) -> np.ndarray:
@@ -331,11 +339,12 @@ def _derotated(y2: np.ndarray, f) -> np.ndarray:
 
 
 def _eigen_rows(w: np.ndarray, ws: EstimatorWorkspace):
-    """wt = U^H w for a receive-space vector w, one row per eigen-antenna i,
-    and the rows K_i wt_i, shape (p, q) each: K w = U (K_i wt_i)."""
+    """wt = U^H w for a batch of receive-space vectors w (any shape holding
+    T*n*l_r entries), one row per eigen-antenna i, and the rows K_i wt_i,
+    shape (T, p, q) each: K w = U (K_i wt_i)."""
     p, q = ws.kernels.shape[:2]
-    wt = ws.U.conj().T @ w.reshape(p, q)
-    return wt, np.matmul(ws.kernels, wt[:, :, None])[:, :, 0]
+    wt = np.matmul(ws.U.conj().T, w.reshape(-1, p, q))
+    return wt, np.matmul(ws.kernels, wt[..., None])[..., 0]
 
 
 def _data_term(w: np.ndarray, ws: EstimatorWorkspace) -> float:
@@ -346,13 +355,22 @@ def _data_term(w: np.ndarray, ws: EstimatorWorkspace) -> float:
                  + 2.0 * np.real(np.vdot(ws.lin_table, w)))
 
 
+def _common_offset(f) -> float:
+    """A common offset as a float; anything but one finite number is rejected."""
+    f = np.asarray(f, dtype=float)
+    if f.size != 1 or not np.isfinite(f).all():
+        raise ParameterError(f"a common offset must be one finite number, got {f!r}")
+    return float(f.reshape(()))
+
+
 def map_metric(y: np.ndarray, f: float, ws: EstimatorWorkspace) -> float:
     """MAP objective g(y, f) for a common offset, exact matrix form.
 
     The prior contribution is -f^2/(2 sigma_f^2) + mu_f f / sigma_f^2 and
     vanishes in ML mode.
     """
-    g = _data_term(_derotated(_received(y, ws), float(f)), ws)
+    f = _common_offset(f)
+    g = _data_term(_derotated(_received(y, ws), f), ws)
     iv = ws.prior.inv_var
     if iv:
         g += -0.5 * iv * f * f + iv * ws.prior.mu_f * f
@@ -377,6 +395,7 @@ def _lag_metric(z: np.ndarray, f, mu_f, inv_var) -> np.ndarray:
 def metric_gradient(y: np.ndarray, f: float, ws: EstimatorWorkspace,
                     z: np.ndarray | None = None) -> float:
     """dg/df at a common offset: -4 pi Im sum k e^{j2pi f k} z_k - (f - mu_f)/sigma_f^2."""
+    f = _common_offset(f)
     if z is None:
         z = compute_z(y, ws)
     k = np.arange(1, ws.n)
@@ -435,8 +454,11 @@ def _universal_search(z: np.ndarray, mu_f: np.ndarray, inv_var: np.ndarray,
     trials, lags = z.shape
     if grid_size is None:
         grid_size = 4 * (lags + 1)
-    if grid_size < 1:
-        raise ParameterError("grid_size must be positive")
+    for name, value, low in (("grid_size", grid_size, 1), ("max_iter", max_iter, 0)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+            raise ParameterError(f"{name} must be an integer >= {low}, got {value!r}")
+    if not 0.0 <= epsilon < np.inf:
+        raise ParameterError(f"epsilon must be finite and >= 0, got {epsilon!r}")
     mu_col, iv_col = mu_f[:, None], inv_var[:, None]
     grid = -0.5 + np.arange(grid_size) / grid_size
     s1, s2 = _grid_sums(z, grid_size).transpose(1, 0, 2)
@@ -569,7 +591,7 @@ def estimate_channel_mmse(y: np.ndarray, f_hat, ws: EstimatorWorkspace) -> np.nd
     A Sb^H = Sigma_h Sb^H (I + R)^{-1} and (I + R)^{-1} = I - K.
     """
     resid = _derotated(_received(y, ws), f_hat).ravel() - ws.ybar
-    resid = resid - (ws.U @ _eigen_rows(resid, ws)[1]).ravel()
+    resid = resid - (ws.U @ _eigen_rows(resid, ws)[1][0]).ravel()
     u = resid.reshape(ws.l_r, ws.n)[:, :, None] * ws.pilot.entries.conj()[None, :, :]
     return ws.stats.mu_h + ws.stats._apply_cov(u.ravel())
 
@@ -609,12 +631,13 @@ def _per_antenna_grad_hess(y2: np.ndarray, ws: EstimatorWorkspace, f_vec: np.nda
     k = np.arange(n, dtype=float)
     w = _derotated(y2, f_vec)
     kw = k * w
+    # K applied to w and to the l_r masked vectors M_r w, in the eigen basis
+    wt, kernel_wt = _eigen_rows(np.concatenate([w[None], kw * np.eye(l_r)[:, :, None]]), ws)
     lin_terms = ws.lin_table.conj() * kw  # summed over k: lin^H M_r w, (M_r w)^H K w
-    quad_terms = kw.conj() * (ws.quad_kernel @ w.ravel()).reshape(l_r, n)
+    quad_terms = kw.conj() * (ws.U @ kernel_wt[0]).reshape(l_r, n)
     grad = (4.0 * np.pi * np.imag(np.sum(lin_terms - quad_terms, axis=1))
             - inv_var * (f_vec - mu))
-    cross = np.einsum("ak,akbl,bl->ab", kw.conj(),
-                      ws.quad_kernel.reshape(l_r, n, l_r, n), kw)
+    cross = np.einsum("aiq,biq->ab", wt[1:].conj(), kernel_wt[1:])  # (M_a w)^H K (M_b w)
     hess = 8.0 * np.pi ** 2 * np.real(cross)
     curvature = np.real(np.sum(k * (lin_terms + quad_terms), axis=1))
     hess[np.diag_indices(l_r)] -= 8.0 * np.pi ** 2 * curvature + inv_var
@@ -636,17 +659,16 @@ def estimate_cfo_per_antenna(y: np.ndarray, pilot: PilotMatrix, stats: ChannelSt
     """
     priors, mu, inv_var = _prior_vectors(prior, stats.l_r)
     ws = workspace or build_workspace(pilot, stats.l_r, stats, priors[0])
-    l_r, n = ws.l_r, ws.n
+    l_r = ws.l_r
     y2 = _received(y, ws)
     if l_r == 1:
         est = estimate_cfo_universal(y2, ws, grid_size=grid_size, epsilon=epsilon,
                                      max_iter=max_iter)
         return CfoEstimate(f_hat=np.array([est.f_hat]), metric=est.metric,
                            iterations=est.iterations, converged=est.converged)
-    # one row per antenna: its own diagonal block of K, prior mean and variance
-    blocks = np.einsum("rjrk->rjk", ws.quad_kernel.reshape(l_r, n, l_r, n))
-    folded = (y2.conj()[:, :, None] * blocks) * y2[:, None, :]
-    z_rows = _lag_fold(ws.lin_table * y2.conj(), folded)
+    # one row per antenna, under its own prior: the lag series of y masked
+    # to that antenna, which reads only the antenna's diagonal block of K
+    z_rows = _lag_terms(y2 * np.eye(l_r)[:, :, None], ws)[0]
     search = _universal_search(z_rows, mu, inv_var, grid_size, epsilon, max_iter)
     if np.any(search.failed):
         raise EstimationError(DEGENERATE)

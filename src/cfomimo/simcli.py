@@ -60,8 +60,8 @@ CONFIG_KEYS = ("pilot", "l_r", "channel", "prior", "f_true", "snr_db", "trials",
 INT_FIELDS = ("l_t", "m", "l_r", "trials", "seed", "workers")
 FLOAT_FIELDS = ("rho_h", "spatial_a", "spatial_b", "sigma_h_sq", "rician_k",
                 "mu_f", "sigma_f_sq")
-# the largest temporary of a block of trials, T * l_r * n^2 complex values
-# in the lag-series contraction, is kept near this size
+# trials run in blocks of T, with T * l_r * n^2 (the terms of a block's
+# lag-series contraction) complex values kept near this size
 BLOCK_BYTES = 1 << 20
 
 
