@@ -16,6 +16,14 @@ The received sample at antenna r, time k (0-based) is
     y[r, k] = exp(j 2 pi f_r k) * sum_t S[k, t] h[r, t, k] + noise,
 
 with i.i.d. unit-variance circularly-symmetric complex Gaussian noise.
+
+sample_ar1_trajectory and synthesize_rx build y through the channel h.  The
+Monte-Carlo sweeps need only y, so they sample it in the receive space from
+the same normals: with h_k = mu + L e_k (L L^H = spatial_cov), the mean
+passes through the pilot as ybar = Sb mu_h, the zero-mean AR(1) recursion
+runs on the white innovations e_k, and G[k] = (I_r kron S[k, :]) L maps
+e_k to the n*l_r receive space (_receive_map, _received_trials).  The two
+paths agree up to rounding.
 """
 
 from __future__ import annotations
@@ -320,24 +328,6 @@ def complex_gaussian(rng: np.random.Generator, factor: np.ndarray, size: int) ->
     return _unit_complex(rng.standard_normal((size, d)), rng.standard_normal((size, d))) @ factor.T
 
 
-def _ar1_trajectories(model: CorrelationModel, re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """The recursion of sample_ar1_trajectory for T trials at once, from the
-    standard-normal real and imaginary parts (T, n, l_r*l_t) of the
-    innovations; returns (T, l_t*l_r*n) in the package layout.  Vectorized
-    over trials, looped over k only."""
-    w = _unit_complex(re, im) @ model._spatial_factor.T
-    trials, n, _ = w.shape
-    rho = model.rho_h
-    h = np.sqrt(1.0 - rho * rho) * w
-    h[:, 0] = w[:, 0] + model.mean
-    drift = (1.0 - rho) * model.mean
-    for k in range(1, n):
-        h[:, k] += rho * h[:, k - 1]
-        h[:, k] += drift
-    # (T, n, l_r*l_t) -> flat (r, k, t) per trial
-    return h.reshape(trials, n, model.l_r, model.l_t).transpose(0, 2, 1, 3).reshape(trials, -1)
-
-
 def sample_ar1_trajectory(model: CorrelationModel, n: int, rng: np.random.Generator) -> np.ndarray:
     """One channel trajectory h of length l_t*l_r*n in the package layout.
 
@@ -350,7 +340,61 @@ def sample_ar1_trajectory(model: CorrelationModel, n: int, rng: np.random.Genera
     d = model.l_t * model.l_r
     re = rng.standard_normal((n, d))
     im = rng.standard_normal((n, d))
-    return _ar1_trajectories(model, re[None], im[None])[0]
+    w = _unit_complex(re, im) @ model._spatial_factor.T
+    rho = model.rho_h
+    h = np.sqrt(1.0 - rho * rho) * w
+    h[0] = w[0] + model.mean
+    drift = (1.0 - rho) * model.mean
+    for k in range(1, n):
+        h[k] += rho * h[k - 1]
+        h[k] += drift
+    # (n, l_r*l_t) -> flat (r, k, t)
+    return h.reshape(n, model.l_r, model.l_t).transpose(1, 0, 2).ravel()
+
+
+def _receive_map(model: CorrelationModel, entries: np.ndarray) -> np.ndarray:
+    """G[k] = (I_r kron S[k, :]) L for the (n, l_t) pilot entries S and the
+    spatial factor L (L L^H = spatial_cov), shape (n, l_r, l_t*l_r).
+
+    With h_k = mu + L e_k, the zero-offset noiseless sample of symbol k is
+    sum_t S[k, t] h[r, t, k] = ybar[r, k] + (G[k] e_k)[r], so G takes the
+    white innovations straight to the receive space.  Any L will do, so a
+    spatial covariance that is not a Kronecker product runs the same code.
+    """
+    factor = model._spatial_factor.reshape(model.l_r, model.l_t, -1)
+    return np.einsum("kt,rtd->krd", entries, factor)
+
+
+def _received_trials(rho_h: float, rx_map: np.ndarray, ybar: np.ndarray,
+                     f: np.ndarray, re: np.ndarray, im: np.ndarray,
+                     noise: np.ndarray | None) -> np.ndarray:
+    """Received signals (T, l_r, n) of T trials, sampled in the receive space.
+
+    re and im are the standard-normal real and imaginary parts (T, n, d) of
+    each trial's innovations, in the order sample_ar1_trajectory draws
+    them; rx_map is _receive_map's G (n, l_r, d), ybar the zero-offset mean
+    Sb mu_h (l_r, n), f the T offsets and noise (T, l_r, n) complex or None.
+    The zero-mean AR(1) recursion e_1 = xi_1, e_k = rho_h e_{k-1} +
+    sqrt(1 - rho_h^2) xi_k runs on the white xi in time-major (n, T, d)
+    layout, so each step reads one contiguous slab; the mean of every h_k
+    is mu, which ybar carries.  Then y = D(f)(ybar + G[k] e_k) + noise: one
+    (l_r x d)(d) product per symbol and trial, so no BLAS call spans two
+    trials and a trial's y does not depend on its block.  Same law as
+    synthesize_rx of sample_ar1_trajectory from the same draws, equal to
+    it up to rounding.
+    """
+    n = rx_map.shape[0]
+    xi = _unit_complex(re.transpose(1, 0, 2), im.transpose(1, 0, 2))
+    xi[1:] *= math.sqrt(1.0 - rho_h * rho_h)
+    for k in range(1, n):
+        xi[k] += rho_h * xi[k - 1]
+    y0 = np.matmul(rx_map[:, None], xi[..., None])[..., 0]  # (n, T, l_r)
+    y = np.empty(y0.shape[1:] + (n,), dtype=np.complex128)
+    np.add(ybar, y0.transpose(1, 2, 0), out=y)
+    y *= _phases(f, n)[:, None, :]
+    if noise is not None:
+        y += noise
+    return y
 
 
 def _phases(f: np.ndarray, n: int) -> np.ndarray:
@@ -375,16 +419,6 @@ def _rotation(f, l_r: int, n: int) -> np.ndarray:
     return _phases(f, n)
 
 
-def _synthesize(entries: np.ndarray, phases: np.ndarray, h: np.ndarray,
-                noise: np.ndarray | None) -> np.ndarray:
-    """Received signals (T, l_r, n) of T channel vectors h (T, l_t*l_r*n):
-    phases * sum_t S[k, t] h[r, t, k], plus noise (T, l_r, n) unless None.
-    phases broadcasts against (T, l_r, n)."""
-    n, l_t = entries.shape
-    y = phases * np.einsum("kt,brkt->brk", entries, h.reshape(h.shape[0], -1, n, l_t))
-    return y if noise is None else y + noise
-
-
 def synthesize_rx(pilot: PilotMatrix, l_r: int, f_true, h: np.ndarray,
                   noise_rng: np.random.Generator | None = None) -> np.ndarray:
     """Received vector y of length n*l_r; pass noise_rng=None for a noiseless run.
@@ -396,12 +430,12 @@ def synthesize_rx(pilot: PilotMatrix, l_r: int, f_true, h: np.ndarray,
     h = np.asarray(h, dtype=np.complex128)
     if h.shape != (l_r * n * l_t,):
         raise ParameterError(f"channel vector must have length {l_r * n * l_t}")
-    phases = _rotation(f_true, l_r, n)
-    noise = None
+    y = _rotation(f_true, l_r, n) * np.einsum("kt,rkt->rk", pilot.entries,
+                                                h.reshape(l_r, n, l_t))
     if noise_rng is not None:
-        noise = _unit_complex(noise_rng.standard_normal((l_r, n)),
-                              noise_rng.standard_normal((l_r, n)))[None]
-    return _synthesize(pilot.entries, phases, h[None], noise).ravel()
+        y = y + _unit_complex(noise_rng.standard_normal((l_r, n)),
+                              noise_rng.standard_normal((l_r, n)))
+    return y.ravel()
 
 
 @dataclass(frozen=True)

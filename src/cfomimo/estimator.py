@@ -97,7 +97,8 @@ class CfoEstimate:
     f_hat is a float for the common-offset estimator and a length-l_r array
     for the per-antenna variant, always wrapped into [-0.5, 0.5).  metric is
     the MAP objective at f_hat.  degraded marks a per-antenna refinement that
-    fell back to its independent first stage.
+    fell back to its independent first stage, because its system was
+    singular or it ended below the first stage's metric.
     """
 
     f_hat: float | np.ndarray
@@ -482,8 +483,12 @@ def _universal_search(z: np.ndarray, mu_f: np.ndarray, inv_var: np.ndarray,
     while np.any(active):
         idx = np.flatnonzero(active)
         phases = np.exp(2j * np.pi * (f0[idx, None] * k))
-        num, den = _step_terms(np.sum(phases * kz[idx], axis=1),
-                               np.sum(phases * k2z[idx], axis=1),
+        # np.multiply, not phases * kz[idx]: on a temporary past 256 KiB numpy
+        # would compute kz[idx] *= phases, and a complex product with the
+        # operands swapped can differ in the last bit, so a row's result
+        # would depend on how many rows are still refining
+        num, den = _step_terms(np.sum(np.multiply(phases, kz[idx]), axis=1),
+                               np.sum(np.multiply(phases, k2z[idx]), axis=1),
                                f0[idx], mu_f[idx], inv_var[idx])
         moving = np.abs(den) >= DENOMINATOR_FLOOR  # a flat row stops where it is
         idx, fe = idx[moving], num[moving] / den[moving]
@@ -655,7 +660,9 @@ def estimate_cfo_per_antenna(y: np.ndarray, pilot: PilotMatrix, stats: ChannelSt
     work.  Stage 2 jointly refines all offsets by linearizing the rotations
     around the stage-1 values and solving the resulting l_r x l_r real
     system, repeated until the step is below epsilon.  A singular refinement
-    system returns the stage-1 estimates flagged as degraded.
+    system, or a refinement that ends with a lower metric than stage 1 (by
+    more than the grid's tie tolerance), returns the stage-1 estimates
+    flagged as degraded.
     """
     priors, mu, inv_var = _prior_vectors(prior, stats.l_r)
     ws = workspace or build_workspace(pilot, stats.l_r, stats, priors[0])
@@ -672,10 +679,9 @@ def estimate_cfo_per_antenna(y: np.ndarray, pilot: PilotMatrix, stats: ChannelSt
     search = _universal_search(z_rows, mu, inv_var, grid_size, epsilon, max_iter)
     if np.any(search.failed):
         raise EstimationError(DEGENERATE)
-    stage1 = search.f0
-    f_vec = stage1.copy()
+    f_vec = search.f0
     iterations = 0
-    converged = False
+    converged = singular = False
     for _ in range(max_iter):
         grad, hess = _per_antenna_grad_hess(y2, ws, f_vec, mu, inv_var)
         try:
@@ -683,15 +689,20 @@ def estimate_cfo_per_antenna(y: np.ndarray, pilot: PilotMatrix, stats: ChannelSt
         except np.linalg.LinAlgError:
             step = np.full(l_r, np.nan)
         if not np.all(np.isfinite(step)):
-            f_hat = wrap_frequency(stage1)
-            return CfoEstimate(f_hat=f_hat,
-                               metric=per_antenna_metric(y2, f_hat, ws, priors),
-                               iterations=iterations, converged=False, degraded=True)
+            singular = True
+            break
         f_vec = f_vec + step
         iterations += 1
         if np.max(np.abs(step)) <= epsilon:
             converged = True
             break
+    stage1 = wrap_frequency(search.f0)
+    stage1_metric = per_antenna_metric(y2, stage1, ws, priors)
     f_hat = wrap_frequency(f_vec)
-    return CfoEstimate(f_hat=f_hat, metric=per_antenna_metric(y2, f_hat, ws, priors),
-                       iterations=iterations, converged=converged)
+    metric = per_antenna_metric(y2, f_hat, ws, priors)
+    # full Newton steps can climb down to a lower stationary point or wander
+    if singular or metric < stage1_metric - METRIC_TIE_TOL * max(1.0, abs(stage1_metric)):
+        return CfoEstimate(f_hat=stage1, metric=stage1_metric, iterations=iterations,
+                           converged=False, degraded=True)
+    return CfoEstimate(f_hat=f_hat, metric=metric, iterations=iterations,
+                       converged=converged)

@@ -20,9 +20,15 @@ SNR is defined as pilot power times per-coefficient channel power with unit
 noise variance, so sweeps rescale the pilot power only.  Every trial draws
 from its own counter-based random stream keyed by (sweep point, trial), so
 results are reproducible; identical config and seed give byte-identical CSV
-output.  Trials run on one thread, in blocks through the batched channel and
-estimator cores; a trial's result depends neither on the block it ran in
-nor on the worker count, which is accepted and validated but no longer used.
+output.  Trials run on one thread, in blocks.  A trial's normals are the
+ones sample_ar1_trajectory and synthesize_rx would draw from its stream,
+but mse-vs-snr takes them straight to the n*l_r received signal: the AR(1)
+recursion runs on the white innovations and one map per symbol,
+G[k] = (I_r kron S[k, :]) L, replaces the l_t*l_r*n channel and its
+projection through the pilot (channel._received_trials).  The batched
+estimator core then searches the whole block.  A trial's result depends
+neither on the block it ran in nor on the worker count, which is accepted
+and validated but no longer used.
 
 CSV schema (fixed): sweep_var,value,mse,crlb,bcrlb,trials,failures,mean_iters
 with infinities serialized as "inf" and inapplicable cells left empty.
@@ -41,9 +47,9 @@ import numpy as np
 import yaml
 
 from .bounds import evaluate_bounds
-from .channel import (CfoPrior, _ar1_trajectories, _phases, _synthesize,
-                      _unit_complex, build_stats, make_model,
-                      sample_ar1_trajectory, synthesize_rx)
+from .channel import (CfoPrior, _receive_map, _received_trials, _unit_complex,
+                      build_stats, make_model, sample_ar1_trajectory,
+                      synthesize_rx)
 from .errors import (EstimationError, ModelError, NumericalError,
                      ParameterError)
 from .estimator import (build_workspace, compute_z, estimate_cfo_universal,
@@ -60,9 +66,11 @@ CONFIG_KEYS = ("pilot", "l_r", "channel", "prior", "f_true", "snr_db", "trials",
 INT_FIELDS = ("l_t", "m", "l_r", "trials", "seed", "workers")
 FLOAT_FIELDS = ("rho_h", "spatial_a", "spatial_b", "sigma_h_sq", "rician_k",
                 "mu_f", "sigma_f_sq")
-# trials run in blocks of T, with T * l_r * n^2 (the terms of a block's
-# lag-series contraction) complex values kept near this size
-BLOCK_BYTES = 1 << 20
+# trials run in blocks of T, with T * _trial_bytes (a trial's share of the
+# block's draws, innovations and lag-fold arrays, whichever phase holds
+# more) kept near this size: 40 trials at the benchmark's (8,3,8), where the
+# grid search stops being overhead-bound, at about 1 MB more peak RSS
+BLOCK_BYTES = 1 << 21
 
 
 def _coerce(name: str, value, kind):
@@ -378,49 +386,75 @@ def run_bounds_vs_snr(config: ExperimentConfig) -> SweepResult:
     return SweepResult(rows=tuple(rows))
 
 
-def _trial_block(l_r: int, n: int) -> int:
-    """Trials per block: as many as keep T * l_r * n^2 complex values near BLOCK_BYTES."""
-    return max(1, BLOCK_BYTES // (16 * l_r * n * n))
+def _trial_bytes(n: int, l_r: int, d: int) -> int:
+    """Bytes one trial holds in a block at the larger of its two peaks:
+    sampling (its 2*n*d + 2*l_r*n normals and n*d complex innovations) and
+    estimation (its n^2 complex folded lag matrix and the 2 n^2 skewed copy
+    _lag_fold reads it through).  _sample_block drops the draws before the
+    estimator runs, so the two never coexist."""
+    return max(8 * (2 * n * d + 2 * l_r * n) + 16 * n * d, 48 * n * n)
+
+
+def _trial_block(n: int, l_r: int, d: int) -> int:
+    """Trials per block: as many as keep the block's largest arrays near BLOCK_BYTES."""
+    return max(1, BLOCK_BYTES // _trial_bytes(n, l_r, d))
 
 
 def _draw_block(config: ExperimentConfig, point: int, trials: range, prior: CfoPrior,
                 d: int):
-    """Random inputs of the given trials, each from its own stream in the
-    order prior sample, innovation real and imaginary parts, noise real and
-    imaginary parts.  Returns f_true, the innovations' real and imaginary
-    parts and the complex noise (None for a noiseless config)."""
+    """Random inputs of the given trials, each from its own stream: the
+    prior sample, then one standard_normal call that fills the trial's row
+    of 2*n*d (+ 2*l_r*n with noise) normals in the order innovation real and
+    imaginary parts (n, d each), noise real and imaginary parts (l_r, n
+    each).  The normals are the same as four calls in that order, which is
+    how sample_ar1_trajectory and synthesize_rx draw them.  Returns f_true,
+    the innovations' real and imaginary parts (T, n, d), views of the row
+    buffer, and the complex noise (T, l_r, n), None for a noiseless config."""
     sample_from_prior = config.f_true_mode == "prior" and not prior.is_ml
     count, n, l_r = len(trials), config.n, config.l_r
     f_true = np.full(count, prior.mu_f)
-    parts = [np.empty((count, n, d)), np.empty((count, n, d))]
-    if config.noise:
-        parts += [np.empty((count, l_r, n)), np.empty((count, l_r, n))]
+    normals = np.empty((count, 2 * n * d + (2 * l_r * n if config.noise else 0)))
     for i, trial in enumerate(trials):
         rng = _trial_rng(config.seed, point, trial)
         if sample_from_prior:
             f_true[i] = prior.sample(rng)
-        for out in parts:
-            rng.standard_normal(out=out[i])
-    noise = _unit_complex(*parts[2:]) if config.noise else None
-    return f_true, parts[0], parts[1], noise
+        rng.standard_normal(out=normals[i])
+    innovations = normals[:, :2 * n * d].reshape(count, 2, n, d)
+    noise = None
+    if config.noise:
+        parts = normals[:, 2 * n * d:].reshape(count, 2, l_r, n)
+        noise = _unit_complex(parts[:, 0], parts[:, 1])
+    return f_true, innovations[:, 0], innovations[:, 1], noise
+
+
+def _sample_block(config: ExperimentConfig, point: int, trials: range, prior: CfoPrior,
+                  model, rx_map: np.ndarray, ybar: np.ndarray):
+    """f_true (T,) and received signals (T, l_r, n) of the given trials,
+    sampled in the receive space from the draws of _draw_block; the draws
+    are dropped on return."""
+    f_true, w_re, w_im, noise = _draw_block(config, point, trials, prior, rx_map.shape[2])
+    return f_true, _received_trials(model.rho_h, rx_map, ybar, f_true, w_re, w_im, noise)
 
 
 def _run_point_trials(config: ExperimentConfig, point: int, pilot, model, ws,
                       prior: CfoPrior):
     """Monte-Carlo trials for one sweep point; returns (mse, fails, mean_iters).
 
-    Trials run in blocks of _trial_block(l_r, n): the draws of a block are
-    made trial by trial, everything after them for the whole block at once.
+    Trials run in blocks of _trial_block(n, l_r, d): the draws of a block
+    are made trial by trial, everything after them for the whole block at
+    once.  The received signals are sampled in the receive space: the
+    point's map G[k] = (I_r kron S[k, :]) L takes each trial's white
+    innovations, run through the AR(1) recursion, straight to y, and the
+    l_t*l_r*n channel is never formed.
     """
-    n = config.n
-    block = _trial_block(config.l_r, n)
+    n, l_r, d = config.n, config.l_r, model.l_t * model.l_r
+    rx_map = _receive_map(model, pilot.entries)
+    ybar = ws.ybar.reshape(l_r, n)
+    block = _trial_block(n, l_r, d)
     sq_errors, iterations = [], []
     for start in range(0, config.trials, block):
         trials = range(start, min(start + block, config.trials))
-        f_true, w_re, w_im, noise = _draw_block(config, point, trials, prior,
-                                                model.l_t * model.l_r)
-        h = _ar1_trajectories(model, w_re, w_im)
-        y = _synthesize(pilot.entries, _phases(f_true, n)[:, None, :], h, noise)
+        f_true, y = _sample_block(config, point, trials, prior, model, rx_map, ybar)
         est = estimate_cfo_universal_batch(y.reshape(len(trials), -1), ws)
         ok = ~est.failed
         sq_errors.append((est.f_hat[ok] - f_true[ok]) ** 2)
@@ -505,6 +539,8 @@ def _validate_checks():
     yield "lag series ignores prior and trial offset", _check_z_purity(rng)
     yield "bound ordering", _check_bound_ordering(rng)
     yield "map reduces to ml", _check_ml_reduction(rng)
+    yield ("receive-space sampler matches sample_ar1_trajectory + synthesize_rx",
+           _check_receive_sampler(rng))
     yield "sweep determinism across worker counts", _check_determinism()
 
 
@@ -589,6 +625,27 @@ def _check_ml_reduction(rng):
     gap = abs(estimate_cfo_universal(y, ws_ml).f_hat
               - estimate_cfo_universal(y, ws_wide).f_hat)
     return gap < 1e-9, f"|f_ml - f_wide| = {gap:.2e}"
+
+
+def _check_receive_sampler(rng):
+    pilot, model, stats, prior = _random_setup(rng)
+    l_r, n = model.l_r, pilot.n
+    config = ExperimentConfig(l_t=pilot.l_t, m=n // pilot.l_t, l_r=l_r,
+                              seed=int(rng.integers(1 << 31)), f_true_mode="prior")
+    ws = build_workspace(pilot, l_r, stats, prior)
+    trials = range(4)
+    f_true, y = _sample_block(config, 0, trials, prior, model,
+                              _receive_map(model, pilot.entries), ws.ybar.reshape(l_r, n))
+    worst = 0.0
+    for i, trial in enumerate(trials):
+        stream = _trial_rng(config.seed, 0, trial)
+        f = prior.sample(stream)
+        h = sample_ar1_trajectory(model, n, stream)
+        want = synthesize_rx(pilot, l_r, f, h, stream)
+        if f != f_true[i]:
+            return False, f"trial {trial} drew f_true {f_true[i]!r}, not {f!r}"
+        worst = max(worst, float(np.max(np.abs(y[i].ravel() - want)) / np.max(np.abs(want))))
+    return worst < 1e-12, f"worst relative gap {worst:.2e} over {len(trials)} trials"
 
 
 def _check_determinism():

@@ -1,8 +1,33 @@
 import numpy as np
 import pytest
 
-from cfomimo import (CfoPrior, build_stats, generate_periodic_pilot,
-                     generate_td_pilot, make_model)
+from cfomimo import (CfoPrior, CorrelationModel, build_stats,
+                     generate_periodic_pilot, generate_td_pilot, make_model)
+
+
+def random_psd(rng, dim):
+    raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return raw @ raw.conj().T / dim + 0.1 * np.eye(dim)
+
+
+def _hermitian(matrix):
+    return 0.5 * (matrix + matrix.conj().T)
+
+
+def spatial_model(spatial, l_t, l_r, rho_h):
+    """A Rician model whose spatial covariance is iid, exponential, a
+    Kronecker product of complex Hermitian factors, or a PSD matrix that
+    is not a Kronecker product."""
+    if spatial in ("iid", "exponential"):
+        return make_model(l_t, l_r, rho_h, spatial=spatial, spatial_a=0.6,
+                          spatial_b=0.4, mean="rician", rician_k=1.5)
+    rng = np.random.default_rng(5)
+    if spatial == "complex-kron":
+        cov = np.kron(_hermitian(random_psd(rng, l_r)), _hermitian(random_psd(rng, l_t)))
+    else:
+        cov = _hermitian(random_psd(rng, l_t * l_r))
+    mean = 0.5 * np.exp(2j * np.pi * rng.random(l_t * l_r))
+    return CorrelationModel(l_t, l_r, rho_h, cov, mean)
 
 
 def random_case(rng, l_t_max=2, l_r_max=2, n_max=12, allow_frozen=True):

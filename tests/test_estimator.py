@@ -15,15 +15,11 @@ from cfomimo import (CfoPrior, ChannelStats, CorrelationModel, EstimationError,
                      rotated_design, sample_ar1_trajectory, synthesize_rx,
                      wrap_frequency)
 from cfomimo.estimator import (CONDITION_LIMIT, _grid_sums, _lag_metric, _lag_terms,
-                               _per_antenna_grad_hess, _prior_vectors)
+                               _per_antenna_grad_hess, _prior_vectors,
+                               _universal_search)
 
-from conftest import random_case
+from conftest import random_case, random_psd, spatial_model
 from reference_impls import reference_gain_and_offset, reference_z
-
-
-def random_psd(rng, dim):
-    raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return raw @ raw.conj().T / dim + 0.1 * np.eye(dim)
 
 
 def draw_y(rng, pilot, model, stats, f_true, noisy=True):
@@ -94,26 +90,6 @@ def test_workspace_accepts_singular_sigma(rng):
     assert np.linalg.eigvalsh(ws.A)[0] > -1e-10
 
 
-def _hermitian(matrix):
-    return 0.5 * (matrix + matrix.conj().T)
-
-
-def _spatial_model(spatial, l_t, l_r, rho_h):
-    """A Rician model whose spatial covariance is iid, exponential, a
-    Kronecker product of complex Hermitian factors, or a PSD matrix that
-    is not a Kronecker product."""
-    if spatial in ("iid", "exponential"):
-        return make_model(l_t, l_r, rho_h, spatial=spatial, spatial_a=0.6,
-                          spatial_b=0.4, mean="rician", rician_k=1.5)
-    rng = np.random.default_rng(5)
-    if spatial == "complex-kron":
-        cov = np.kron(_hermitian(random_psd(rng, l_r)), _hermitian(random_psd(rng, l_t)))
-    else:
-        cov = _hermitian(random_psd(rng, l_t * l_r))
-    mean = 0.5 * np.exp(2j * np.pi * rng.random(l_t * l_r))
-    return CorrelationModel(l_t, l_r, rho_h, cov, mean)
-
-
 def _dense_copy_cases():
     # exponential is the default spatial model and carries no prefix
     for spatial in ("exponential", "iid", "complex-kron", "non-kron"):
@@ -131,7 +107,7 @@ def test_separable_stats_match_dense_copy(spatial, maker, rho_h):
     # from them must equal one built from the dense matrix (1 x 1 kron R)
     l_t, l_r = 2, 3
     pilot = maker(l_t, 4, rho=1.7)
-    model = _spatial_model(spatial, l_t, l_r, rho_h)
+    model = spatial_model(spatial, l_t, l_r, rho_h)
     stats = build_stats(model, pilot.n)
     dense = ChannelStats(l_t, l_r, pilot.n, stats.mu_h, stats.sigma_h)
     ws = build_workspace(pilot, l_r, stats, CfoPrior.ml())
@@ -602,6 +578,21 @@ def test_batch_results_do_not_depend_on_the_split(derotate, rng):
         single = estimate_cfo_universal(y, ws, derotate_by_prior_mean=derotate)
         assert (single.f_hat, single.metric, single.iterations, single.converged) == (
             whole.f_hat[i], whole.metric[i], whole.iterations[i], whole.converged[i])
+    # a batch whose refinement temporaries pass numpy's 256 KiB threshold for
+    # computing a product in place of a temporary (n = 20, 1000 rows): the
+    # complex product must not swap its operands there, or a few rows in a
+    # thousand move in the last bit against blocks of 40
+    pilot = generate_td_pilot(4, 5, rho=10.0)
+    model = make_model(4, 4, 0.99)
+    ws = build_workspace(pilot, 4, build_stats(model, pilot.n), CfoPrior(0.1, 1e-5))
+    rows = np.stack([synthesize_rx(pilot, 4, f, sample_ar1_trajectory(model, pilot.n, rng),
+                                   rng) for f in rng.normal(0.1, 10 ** -2.5, 1000)])
+    whole = estimate_cfo_universal_batch(rows, ws, derotate_by_prior_mean=derotate)
+    parts = [estimate_cfo_universal_batch(part, ws, derotate_by_prior_mean=derotate)
+             for part in np.split(rows, range(40, 1000, 40))]
+    for name in fields:
+        np.testing.assert_array_equal(
+            np.concatenate([getattr(p, name) for p in parts]), getattr(whole, name))
 
 
 def test_derotation_matches_manual_recentering(rng):
@@ -797,6 +788,35 @@ def test_per_antenna_degraded_fallback(rng, monkeypatch):
     est = est_mod.estimate_cfo_per_antenna(y, pilot, stats, prior)
     assert est.degraded and not est.converged
     assert est.f_hat.shape == (2,)
+
+
+@pytest.mark.parametrize("maker,rho_h", [(generate_td_pilot, 1.0),
+                                         (generate_periodic_pilot, 0.5)])
+def test_per_antenna_never_ends_below_stage_one(maker, rho_h):
+    # the complex-kron per-antenna cases of test_separable_stats_match_dense_copy,
+    # from the same draws: stage 1 ends at metric 64.8 and 80.1, and full
+    # Newton steps from there used to end at 43.5 without settling and to
+    # settle at 78.8; either must fall back to stage 1, flagged degraded
+    l_t, l_r = 2, 3
+    pilot = maker(l_t, 4, rho=1.7)
+    model = spatial_model("complex-kron", l_t, l_r, rho_h)
+    stats = build_stats(model, pilot.n)
+    ws = build_workspace(pilot, l_r, stats, CfoPrior.ml())
+    rng = np.random.default_rng(11)
+    rng.standard_normal(2 * pilot.n * l_r)
+    rng.uniform(-0.3, 0.3, l_r)
+    rng.standard_normal(2 * pilot.n * l_r)
+    x = synthesize_rx(pilot, l_r, 0.04, sample_ar1_trajectory(model, pilot.n, rng), rng)
+    prior = CfoPrior(0.0, 1e-3)
+    est = estimate_cfo_per_antenna(x, pilot, stats, prior, workspace=ws)
+    # stage 1: the universal search on each antenna's own rows
+    _, mu, inv_var = _prior_vectors(prior, l_r)
+    z_rows = _lag_terms(x.reshape(l_r, pilot.n) * np.eye(l_r)[:, :, None], ws)[0]
+    stage1 = wrap_frequency(_universal_search(z_rows, mu, inv_var, None, 1e-10, 10).f0)
+    assert est.degraded and not est.converged
+    np.testing.assert_array_equal(est.f_hat, stage1)
+    assert est.metric == per_antenna_metric(x, stage1, ws, prior)
+    assert est.metric > {1.0: 64.0, 0.5: 80.0}[rho_h]
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -6,10 +7,15 @@ import numpy as np
 import pytest
 import yaml
 
-from cfomimo import ParameterError
-from cfomimo.simcli import (CSV_HEADER, ExperimentConfig, load_config, main,
-                            run_bounds_vs_rho, run_bounds_vs_snr,
+from cfomimo import (ParameterError, build_stats, build_workspace,
+                     sample_ar1_trajectory, synthesize_rx)
+from cfomimo.channel import _receive_map, _unit_complex
+from cfomimo.simcli import (CSV_HEADER, PILOT_STRUCTURES, ExperimentConfig,
+                            _draw_block, _sample_block, _trial_rng, load_config,
+                            main, run_bounds_vs_rho, run_bounds_vs_snr,
                             run_mse_vs_snr, run_single)
+
+from conftest import spatial_model
 
 FAST = dict(l_t=2, m=3, l_r=2, snr_db=(15.0,), trials=6, seed=11,
             rho_h=0.95, mu_f=0.05, sigma_f_sq=1e-4)
@@ -188,12 +194,71 @@ def test_mse_vs_snr_deterministic_rerun_and_workers(monkeypatch):
     text1 = run_mse_vs_snr(config).to_csv_text()
     text2 = run_mse_vs_snr(config).to_csv_text()
     text4 = run_mse_vs_snr(replace(config, workers=4)).to_csv_text()
-    assert cli._trial_block(config.l_r, config.n) >= config.trials  # one block
+    shape = (config.n, config.l_r, config.l_t * config.l_r)
+    assert cli._trial_block(*shape) >= config.trials  # one block
     # blocks of 4 for 6 trials: a full block and a partial one
-    monkeypatch.setattr(cli, "BLOCK_BYTES", 16 * config.l_r * config.n ** 2 * 4)
-    assert cli._trial_block(config.l_r, config.n) == 4
+    monkeypatch.setattr(cli, "BLOCK_BYTES", 4 * cli._trial_bytes(*shape))
+    assert cli._trial_block(*shape) == 4
     blocked = run_mse_vs_snr(config).to_csv_text()
-    assert text1 == text2 == text4 == blocked
+    monkeypatch.setattr(cli, "BLOCK_BYTES", 1)
+    assert cli._trial_block(*shape) == 1
+    one_by_one = run_mse_vs_snr(config).to_csv_text()
+    assert text1 == text2 == text4 == blocked == one_by_one
+
+
+@pytest.mark.parametrize("noise", [True, False])
+def test_one_call_draws_match_four_calls(noise):
+    # one standard_normal call per trial fills the normals that the four
+    # calls of sample_ar1_trajectory and synthesize_rx draw, bit for bit
+    config = ExperimentConfig(**FAST, noise=noise)
+    n, l_r, d = config.n, config.l_r, config.l_t * config.l_r
+    prior = config.prior()
+    trials = range(3, 8)
+    f_true, re, im, rx_noise = _draw_block(config, 2, trials, prior, d)
+    for i, trial in enumerate(trials):
+        rng = _trial_rng(config.seed, 2, trial)
+        assert f_true[i] == prior.sample(rng)
+        np.testing.assert_array_equal(re[i], rng.standard_normal((n, d)))
+        np.testing.assert_array_equal(im[i], rng.standard_normal((n, d)))
+        if noise:
+            want = _unit_complex(rng.standard_normal((l_r, n)), rng.standard_normal((l_r, n)))
+            np.testing.assert_array_equal(rx_noise[i], want)
+    assert (rx_noise is None) == (not noise)
+
+
+def _sampler_cases():
+    for spatial in ("iid", "exponential", "complex-kron", "non-kron"):
+        for rho_h in (0.0, 0.5, 1.0):
+            yield pytest.param(spatial, rho_h, id=f"{spatial}-{rho_h}")
+
+
+@pytest.mark.parametrize("spatial,rho_h", _sampler_cases())
+def test_receive_space_sampler_matches_channel_path(spatial, rho_h):
+    # a sweep trial's y, sampled in the receive space, against the channel
+    # path sample_ar1_trajectory + synthesize_rx from the same stream; and
+    # byte-identical whether the trial runs in a block or alone
+    l_t, l_r, trials = 2, 3, range(5)
+    model = spatial_model(spatial, l_t, l_r, rho_h)
+    for structure, noise, mode in itertools.product(PILOT_STRUCTURES, (True, False),
+                                                    ("prior", "fixed")):
+        config = ExperimentConfig(pilot_structure=structure, l_t=l_t, m=4, l_r=l_r,
+                                  seed=7, noise=noise, f_true_mode=mode, mu_f=0.05,
+                                  sigma_f_sq=1e-3)
+        prior, pilot, n = config.prior(), config.pilot(2.0), config.n
+        ws = build_workspace(pilot, l_r, build_stats(model, n), prior)
+        rx_map, ybar = _receive_map(model, pilot.entries), ws.ybar.reshape(l_r, n)
+        f_true, y = _sample_block(config, 1, trials, prior, model, rx_map, ybar)
+        for i, trial in enumerate(trials):
+            rng = _trial_rng(config.seed, 1, trial)
+            f = prior.sample(rng) if mode == "prior" else prior.mu_f
+            h = sample_ar1_trajectory(model, n, rng)
+            want = synthesize_rx(pilot, l_r, f, h, rng if noise else None)
+            assert f_true[i] == f
+            np.testing.assert_allclose(y[i].ravel(), want, rtol=0,
+                                       atol=1e-12 * np.max(np.abs(want)))
+            alone = _sample_block(config, 1, range(trial, trial + 1), prior, model,
+                                  rx_map, ybar)[1]
+            np.testing.assert_array_equal(alone[0], y[i])
 
 
 def test_mse_vs_snr_seed_changes_result_not_schema():
