@@ -30,5 +30,5 @@ for mean_kind in ("zero", "rician"):
 
 print("\nfull curve (rician mean):")
 for rho_h, crlb in zip(grid, values):
-    bar = "#" * int(60 * crlb / max(finite))
+    bar = "#" * int(60 * (crlb / max(finite)))  # the largest value gets all 60
     print(f"  rho_h={rho_h:4.2f} {crlb:10.3e} {bar}")

@@ -295,7 +295,7 @@ def build_stats(model: CorrelationModel, n: int,
         raise ModelError(f"rho_h must lie in [0, 1], got {rho_h}")
     l_t, l_r = model.l_t, model.l_r
     lags = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
-    time_corr = rho_h ** lags  # 0**0 == 1 covers rho_h = 0
+    time_corr = (rho_h ** np.arange(n))[lags]  # 0**0 == 1 covers rho_h = 0
     time_corr.setflags(write=False)
     mu = np.broadcast_to(model.mean.reshape(l_r, 1, l_t), (l_r, n, l_t)).ravel()
     mu.setflags(write=False)

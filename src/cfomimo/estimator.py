@@ -28,7 +28,12 @@ R = W diag(lam) W^H for W = U kron V and lam_i = a_i m, so
 
 and the condition of I + R is max(1 + lam) / min(1 + lam).  Only the two
 factors are diagonalized, never Sigma_h, so singular channel covariances
-(a channel frozen over the pilot) are fine.  The workspace keeps K as its p
+(a channel frozen over the pilot) are fine.  A factor whose imaginary part
+is exactly zero (an unscrambled 0/1 pilot, a real spatial covariance) is
+diagonalized as a real symmetric matrix, so U, M and the K_i are real
+whenever R's factors are, at a fraction of the complex cost; the linear
+table, ybar and every received signal stay complex, and the same code runs
+on either dtype.  The workspace keeps K as its p
 kernels K_i, (p, q, q): l_r kernels of n^2 when R factors, one of (n*l_r)^2
 for dense stats, which run the same code with p = 1.  Once the de-rotated
 w is formed, for a common or a per-antenna offset, K applies row by row in
@@ -88,6 +93,7 @@ from .pilots import PilotMatrix, expand_block
 CONDITION_LIMIT = 1e13
 DENOMINATOR_FLOOR = 1e-300
 METRIC_TIE_TOL = 1e-12
+NEWTON_HALVINGS = 10  # per-antenna refinement: a step is cut at most to 2^-10
 
 
 @dataclass(frozen=True)
@@ -128,6 +134,9 @@ class EstimatorWorkspace:
     g = w^H K w + 2 Re<lin, w> at w = D(f)^H y.  condition is that of
     I + R, max(1 + lam) / min(1 + lam).  The channel estimate adds one
     product with Sigma_h: h_hat = mu_h + Sigma_h Sb^H (I - K)(w - ybar).
+    U is float64 when A_r is real, and M and kernels are float64 when M is
+    real (an unscrambled 0/1 pilot and a real B_t); otherwise complex.
+    ybar and lin_table are always complex.
 
     The dense (n*l_r)^2 quad_kernel (K itself) and R are cached properties
     built on first read, for the oracles and tests only; no estimation
@@ -222,13 +231,17 @@ def build_workspace(pilot: PilotMatrix, l_r: int, stats: ChannelStats,
                     prior: CfoPrior) -> EstimatorWorkspace:
     """Assemble the receive-space kernels K_i and linear table for one
     configuration, from one eigendecomposition per factor of R = A_r kron M;
-    no (n*l_r)^2 matrix is formed when R factors."""
+    no (n*l_r)^2 matrix is formed when R factors.  A factor with an exactly
+    zero imaginary part is diagonalized, and kept, in real arithmetic."""
     if stats.l_t != pilot.l_t or stats.n != pilot.n or stats.l_r != l_r:
         raise ParameterError(
             f"stats built for (l_t={stats.l_t}, l_r={stats.l_r}, n={stats.n}) do not "
             f"match pilot (l_t={pilot.l_t}, n={pilot.n}) with l_r={l_r}")
     n, l_t, s = pilot.n, pilot.l_t, pilot.entries
     a, m = (0.5 * (x + x.conj().T) for x in stats._receive_factors(s))
+    # a factor with an exactly zero imaginary part is kept real, so eigh takes
+    # the real symmetric path and U, M and the K_i below stay float64
+    a, m = (x if x.imag.any() else x.real.copy() for x in (a, m))
     ybar = np.einsum("kt,rkt->rk", s, stats.mu_h.reshape(l_r, n, l_t))
     eig_a, u = np.linalg.eigh(a)
     eig_m, v = np.linalg.eigh(m)
@@ -657,12 +670,15 @@ def estimate_cfo_per_antenna(y: np.ndarray, pilot: PilotMatrix, stats: ChannelSt
 
     Stage 1 runs the scalar universal search on each antenna's decoupled
     subproblem (cross-antenna coupling in K ignored), costing O(l_r n) grid
-    work.  Stage 2 jointly refines all offsets by linearizing the rotations
-    around the stage-1 values and solving the resulting l_r x l_r real
-    system, repeated until the step is below epsilon.  A singular refinement
-    system, or a refinement that ends with a lower metric than stage 1 (by
-    more than the grid's tie tolerance), returns the stage-1 estimates
-    flagged as degraded.
+    work.  Stage 2 jointly refines all offsets by Newton steps on the
+    l_r x l_r real system of the metric's gradient and Hessian, repeated
+    until the step is below epsilon.  Where the Hessian is not negative
+    definite the step uses its eigenvalues' magnitudes, so it still points
+    uphill, and a step that lowers the metric is halved, at most
+    NEWTON_HALVINGS times, before the refinement stops unconverged.  A
+    singular refinement system, or a refinement that ends with a lower
+    metric than stage 1 (by more than the grid's tie tolerance), returns the
+    stage-1 estimates flagged as degraded.
     """
     priors, mu, inv_var = _prior_vectors(prior, stats.l_r)
     ws = workspace or build_workspace(pilot, stats.l_r, stats, priors[0])
@@ -680,27 +696,46 @@ def estimate_cfo_per_antenna(y: np.ndarray, pilot: PilotMatrix, stats: ChannelSt
     if np.any(search.failed):
         raise EstimationError(DEGENERATE)
     f_vec = search.f0
+    current = per_antenna_metric(y2, f_vec, ws, priors)
     iterations = 0
     converged = singular = False
     for _ in range(max_iter):
         grad, hess = _per_antenna_grad_hess(y2, ws, f_vec, mu, inv_var)
         try:
-            step = np.linalg.solve(hess, -grad)
+            curv, basis = np.linalg.eigh(hess)
+            if np.all(curv < 0):
+                newton = np.linalg.solve(hess, -grad)
+            else:
+                # not a maximum's curvature: the Newton step of the system with
+                # its upward curvatures flipped still points up (saddle-free
+                # Newton); a zero curvature leaves it non-finite, as singular
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    newton = basis @ ((basis.T @ grad) / np.abs(curv))
         except np.linalg.LinAlgError:
-            step = np.full(l_r, np.nan)
-        if not np.all(np.isfinite(step)):
+            newton = np.full(l_r, np.nan)
+        if not np.all(np.isfinite(newton)):
             singular = True
             break
-        f_vec = f_vec + step
+        # halve a step that lowers g; one that lowers it at every length
+        # tried ends the refinement unconverged
+        step = newton
+        for _ in range(NEWTON_HALVINGS + 1):
+            trial = per_antenna_metric(y2, f_vec + step, ws, priors)
+            if trial >= current - METRIC_TIE_TOL * max(1.0, abs(current)):
+                break
+            step = 0.5 * step
+        else:
+            break
+        f_vec, current = f_vec + step, trial
         iterations += 1
-        if np.max(np.abs(step)) <= epsilon:
+        if np.max(np.abs(newton)) <= epsilon:
             converged = True
             break
     stage1 = wrap_frequency(search.f0)
     stage1_metric = per_antenna_metric(y2, stage1, ws, priors)
     f_hat = wrap_frequency(f_vec)
     metric = per_antenna_metric(y2, f_hat, ws, priors)
-    # full Newton steps can climb down to a lower stationary point or wander
+    # steps within the tie tolerance can still drift below stage 1
     if singular or metric < stage1_metric - METRIC_TIE_TOL * max(1.0, abs(stage1_metric)):
         return CfoEstimate(f_hat=stage1, metric=stage1_metric, iterations=iterations,
                            converged=False, degraded=True)

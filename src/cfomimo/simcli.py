@@ -44,7 +44,6 @@ import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
-import yaml
 
 from .bounds import evaluate_bounds
 from .channel import (CfoPrior, _receive_map, _received_trials, _unit_complex,
@@ -240,6 +239,7 @@ def load_config(path: str | None, overrides: dict | None = None) -> ExperimentCo
     """Load YAML (or defaults when path is None) and apply flag overrides."""
     data = {}
     if path:
+        import yaml  # only a config file needs it; importing it costs about 0.9 MB of RSS
         with open(path) as fh:
             data = yaml.safe_load(fh) or {}
     config = ExperimentConfig.from_mapping(data)
@@ -541,7 +541,7 @@ def _validate_checks():
     yield "map reduces to ml", _check_ml_reduction(rng)
     yield ("receive-space sampler matches sample_ar1_trajectory + synthesize_rx",
            _check_receive_sampler(rng))
-    yield "sweep determinism across worker counts", _check_determinism()
+    yield "sweep determinism across block sizes and worker counts", _check_determinism()
 
 
 def _random_setup(rng, n_max=10):
@@ -649,11 +649,20 @@ def _check_receive_sampler(rng):
 
 
 def _check_determinism():
+    global BLOCK_BYTES
     config = ExperimentConfig(snr_db=(15.0,), trials=8, seed=123, m=3, l_t=2,
                               l_r=2, rho_h=0.9)
+    block = _trial_block(config.n, config.l_r, config.l_t * config.l_r)
     serial = run_mse_vs_snr(replace(config, workers=1)).to_csv_text()
     threaded = run_mse_vs_snr(replace(config, workers=4)).to_csv_text()
-    return serial == threaded, "1 vs 4 workers byte-identical"
+    saved, BLOCK_BYTES = BLOCK_BYTES, 1  # one trial per block
+    try:
+        one_by_one = run_mse_vs_snr(config).to_csv_text()
+    finally:
+        BLOCK_BYTES = saved
+    return (serial == threaded == one_by_one,
+            f"blocks of {min(block, config.trials)} vs 1 trial, 1 vs 4 workers, "
+            "CSV compared byte for byte")
 
 
 def run_validate() -> int:
@@ -715,6 +724,13 @@ def _emit(result: SweepResult, args, figure: str):
             fh.write(result.plot_data_text(figure))
 
 
+def _input_errors() -> tuple:
+    """Exception types that main reports as bad input ("error:");
+    yaml.YAMLError joins them once load_config has imported yaml."""
+    yaml = sys.modules.get("yaml")
+    return (ParameterError, ModelError, OSError) + ((yaml.YAMLError,) if yaml else ())
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="cfomimo-sim",
@@ -766,7 +782,7 @@ def main(argv=None) -> int:
                     fh.write(text)
             else:
                 sys.stdout.write(text)
-    except (ParameterError, ModelError, yaml.YAMLError, OSError) as exc:
+    except _input_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:

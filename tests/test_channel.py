@@ -24,6 +24,17 @@ def test_build_stats_iid_over_time():
     np.testing.assert_allclose(stats.sigma_h, np.eye(3), atol=1e-15)
 
 
+@pytest.mark.parametrize("rho_h", [0.0, 0.3, 0.5, 0.95, 0.99, 1.0])
+def test_build_stats_power_table_matches_elementwise_powers(rho_h):
+    # time_corr reads n powers rho_h^k through the lag table; it must equal
+    # the n^2 powers rho_h^|k-k'| bit for bit
+    for n in (1, 2, 7, 24, 64):
+        lags = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
+        time_corr = build_stats(scalar_model(0.5), n, rho_h).time_corr
+        assert time_corr.dtype == np.float64
+        np.testing.assert_array_equal(time_corr, rho_h ** lags)
+
+
 def test_build_stats_geometric_decay():
     stats = build_stats(scalar_model(0.5), 3)
     expected = np.array([

@@ -1,6 +1,9 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -371,7 +374,8 @@ def test_cli_error_paths(tmp_path, capsys, monkeypatch):
     assert main(["mse-vs-snr", "--config", str(missing)]) == 1
     bad = tmp_path / "bad.yaml"
     for text in ("bogus_key: 1\n", "pilot: {structre: periodic}\n",
-                 "prior: {sigma_f: 1}\n", "trials: ten\n", "workers: -3\n"):
+                 "prior: {sigma_f: 1}\n", "trials: ten\n", "workers: -3\n",
+                 "pilot: [unclosed\n"):
         bad.write_text(text)
         capsys.readouterr()
         assert main(["mse-vs-snr", "--config", str(bad)]) == 1, text
@@ -412,6 +416,34 @@ def test_cli_error_paths(tmp_path, capsys, monkeypatch):
 
 def test_cli_validate_passes():
     assert main(["validate"]) == 0
+
+
+def test_validate_determinism_check_sees_block_dependence(monkeypatch):
+    # a result that depends on how many trials share a block must fail the
+    # check, which runs one block of 8 and then one trial per block
+    import cfomimo.simcli as cli
+
+    batch = cli.estimate_cfo_universal_batch
+
+    def block_dependent(y, ws):
+        est = batch(y, ws)
+        return replace(est, f_hat=est.f_hat + 1e-6 * len(y))
+
+    saved = cli.BLOCK_BYTES
+    assert cli._check_determinism()[0]
+    monkeypatch.setattr(cli, "estimate_cfo_universal_batch", block_dependent)
+    ok, detail = cli._check_determinism()
+    assert not ok and detail.startswith("blocks of 8 vs 1 trial"), detail
+    assert cli.BLOCK_BYTES == saved
+
+
+def test_package_import_leaves_yaml_unloaded():
+    # only load_config reads YAML; the CLI module must not import it
+    code = ("import sys, cfomimo, cfomimo.simcli; "
+            "sys.exit('yaml' in sys.modules)")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
 def test_worker_env_var(monkeypatch):
