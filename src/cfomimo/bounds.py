@@ -29,7 +29,7 @@ import numpy as np
 
 from .channel import CfoPrior, ChannelStats, _psd_factor
 from .errors import NumericalError, ParameterError
-from .estimator import (EstimatorWorkspace, _expected_lags, build_workspace,
+from .estimator import (EstimatorWorkspace, _expected_lags, _workspace_for,
                         rotated_design)
 from .pilots import PilotMatrix
 
@@ -53,9 +53,10 @@ def compute_beta(pilot: PilotMatrix, l_r: int, stats: ChannelStats, *,
     is the lag series at ybar plus the fold of the covariance,
     sum_i a_i K_i o M^T in the eigen-antenna basis, so the kernel K is
     contracted against the second moment R + ybar ybar^H + I of y instead
-    of an observed y (the noise term I only reaches lag 0).
+    of an observed y (the noise term I only reaches lag 0).  A workspace
+    passed in must be built for this pilot, l_r and stats.
     """
-    ws = workspace or build_workspace(pilot, l_r, stats, CfoPrior.ml())
+    ws = _workspace_for(pilot, l_r, stats, CfoPrior.ml(), workspace)
     n = ws.n
     if n == 1:
         return 0.0
@@ -107,8 +108,6 @@ def fisher_oracle(pilot: PilotMatrix, l_r: int, stats: ChannelStats,
     term is deliberately excluded, so the estimate targets beta itself;
     the prior argument is accepted only for interface symmetry.
     """
-    import scipy.linalg  # oracle only; loading it costs about 27 MB of RSS
-
     del prior
     if n_samples < 1:
         raise ParameterError("n_samples must be positive")
@@ -126,11 +125,9 @@ def fisher_oracle(pilot: PilotMatrix, l_r: int, stats: ChannelStats,
         design = rotated_design(pilot, l_r, f)
         mu_f = design @ stats.mu_h
         cov_f = design @ stats.sigma_h @ design.conj().T + np.eye(d)
-        cho = scipy.linalg.cho_factor(0.5 * (cov_f + cov_f.conj().T), check_finite=False)
-        logdet = 2.0 * float(np.sum(np.log(np.real(np.diag(cho[0])))))
-        resid = samples - mu_f[None, :]
-        solved = scipy.linalg.cho_solve(cho, resid.T, check_finite=False)
-        quad = np.einsum("ij,ji->i", resid.conj(), solved).real
-        loglik[idx] = -logdet - quad
+        eig, vec = np.linalg.eigh(cov_f)
+        # log det cov_f and resid^H cov_f^{-1} resid from its eigenpairs
+        proj = (samples - mu_f[None, :]) @ vec.conj()
+        loglik[idx] = -np.sum(np.log(eig)) - (np.abs(proj) ** 2) @ (1.0 / eig)
     curvature = (loglik[2] - 2.0 * loglik[1] + loglik[0]) / step ** 2
     return float(-np.mean(curvature))

@@ -322,12 +322,6 @@ def _unit_complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return out
 
 
-def complex_gaussian(rng: np.random.Generator, factor: np.ndarray, size: int) -> np.ndarray:
-    """size i.i.d. draws of CN(0, factor @ factor^H), one per row."""
-    d = factor.shape[1]
-    return _unit_complex(rng.standard_normal((size, d)), rng.standard_normal((size, d))) @ factor.T
-
-
 def sample_ar1_trajectory(model: CorrelationModel, n: int, rng: np.random.Generator) -> np.ndarray:
     """One channel trajectory h of length l_t*l_r*n in the package layout.
 

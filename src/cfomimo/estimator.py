@@ -192,38 +192,33 @@ class EstimatorWorkspace:
         return mu - self.A @ (sb.conj().T @ (sb @ mu))
 
 
-def _solve_hermitian(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """SPD solve with a single jitter retry before giving up."""
-    import scipy.linalg  # oracle path only; loading it costs about 27 MB of RSS
-    try:
-        factor = scipy.linalg.cho_factor(matrix, check_finite=False)
-    except scipy.linalg.LinAlgError:
-        jitter = 1e-12 * np.trace(matrix).real / matrix.shape[0]
-        try:
-            factor = scipy.linalg.cho_factor(
-                matrix + jitter * np.eye(matrix.shape[0]), check_finite=False)
-        except scipy.linalg.LinAlgError as exc:
-            raise NumericalError("Hermitian solve failed even with jitter",
-                                 condition=float(np.linalg.cond(matrix))) from exc
-    return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+def _condition(eigenvalues: np.ndarray) -> float:
+    """max / min of a Hermitian matrix's eigenvalues; inf unless it is
+    positive definite."""
+    low = eigenvalues.min()
+    return float(eigenvalues.max() / low) if low > 0 else np.inf
 
 
 def mmse_gain(design: np.ndarray, sigma_h: np.ndarray,
               condition_limit: float = CONDITION_LIMIT) -> tuple[np.ndarray, float]:
-    """Posterior covariance (design^H design + sigma_h^{-1})^{-1} and cond estimate.
+    """Posterior covariance (design^H design + sigma_h^{-1})^{-1} and the
+    condition number of I + design sigma_h design^H.
 
-    Evaluated in the inversion-lemma form, so sigma_h may be singular.  The
-    inner matrix I + design sigma_h design^H is checked against
-    condition_limit before factoring.
+    Evaluated in the inversion-lemma form, so sigma_h may be singular.  One
+    eigendecomposition of the inner matrix I + design sigma_h design^H gives
+    both its condition number, the ratio of its extreme eigenvalues (inf when
+    it is not positive definite), checked against condition_limit, and the
+    solve.
     """
     cross = design @ sigma_h
     inner = np.eye(design.shape[0], dtype=np.complex128) + cross @ design.conj().T
-    inner = 0.5 * (inner + inner.conj().T)
-    condition = float(np.linalg.cond(inner))
-    if not np.isfinite(condition) or condition > condition_limit:
+    eig, vec = np.linalg.eigh(inner)
+    condition = _condition(eig)
+    if not condition <= condition_limit:
         raise NumericalError("I + Sb Sigma_h Sb^H is too ill-conditioned",
                              condition=condition)
-    gain = sigma_h - cross.conj().T @ _solve_hermitian(inner, cross)
+    half = vec.conj().T @ cross / np.sqrt(eig)[:, None]  # gain = sigma_h - half^H half
+    gain = sigma_h - half.conj().T @ half
     return 0.5 * (gain + gain.conj().T), condition
 
 
@@ -248,8 +243,7 @@ def build_workspace(pilot: PilotMatrix, l_r: int, stats: ChannelStats,
     p, q = eig_a.size, eig_m.size  # (l_r, n), or (1, n*l_r) for dense stats
     lam = np.multiply.outer(eig_a, eig_m)  # eigenvalues of R on W = U kron V
     inner = 1.0 + lam
-    low = inner.min()
-    condition = float(inner.max() / low) if low > 0 else np.inf
+    condition = _condition(inner)
     if not condition <= CONDITION_LIMIT:
         raise NumericalError("I + Sb Sigma_h Sb^H is too ill-conditioned",
                              condition=condition)
@@ -263,6 +257,17 @@ def build_workspace(pilot: PilotMatrix, l_r: int, stats: ChannelStats,
                               ybar=ybar.ravel(), lin_table=lin.reshape(l_r, n),
                               condition=condition, a=eig_a, U=u, M=m,
                               kernels=kernels)
+
+
+def _workspace_for(pilot: PilotMatrix, l_r: int, stats: ChannelStats, prior: CfoPrior,
+                   workspace: EstimatorWorkspace | None) -> EstimatorWorkspace:
+    """The workspace passed in, which must be built for this (pilot, l_r,
+    stats), or a new one under prior."""
+    if workspace is None:
+        return build_workspace(pilot, l_r, stats, prior)
+    if workspace.pilot is not pilot or workspace.stats is not stats or workspace.l_r != l_r:
+        raise ParameterError("workspace was built for another pilot, stats or l_r")
+    return workspace
 
 
 def _received_rows(y, ws: EstimatorWorkspace) -> np.ndarray:
@@ -678,10 +683,11 @@ def estimate_cfo_per_antenna(y: np.ndarray, pilot: PilotMatrix, stats: ChannelSt
     NEWTON_HALVINGS times, before the refinement stops unconverged.  A
     singular refinement system, or a refinement that ends with a lower
     metric than stage 1 (by more than the grid's tie tolerance), returns the
-    stage-1 estimates flagged as degraded.
+    stage-1 estimates flagged as degraded.  A workspace passed in must be
+    built for this pilot and stats.
     """
     priors, mu, inv_var = _prior_vectors(prior, stats.l_r)
-    ws = workspace or build_workspace(pilot, stats.l_r, stats, priors[0])
+    ws = _workspace_for(pilot, stats.l_r, stats, priors[0], workspace)
     l_r = ws.l_r
     y2 = _received(y, ws)
     if l_r == 1:
@@ -703,14 +709,12 @@ def estimate_cfo_per_antenna(y: np.ndarray, pilot: PilotMatrix, stats: ChannelSt
         grad, hess = _per_antenna_grad_hess(y2, ws, f_vec, mu, inv_var)
         try:
             curv, basis = np.linalg.eigh(hess)
-            if np.all(curv < 0):
-                newton = np.linalg.solve(hess, -grad)
-            else:
-                # not a maximum's curvature: the Newton step of the system with
-                # its upward curvatures flipped still points up (saddle-free
-                # Newton); a zero curvature leaves it non-finite, as singular
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    newton = basis @ ((basis.T @ grad) / np.abs(curv))
+            # the Newton step -hess^{-1} grad where every curvature is negative;
+            # elsewhere the step of the system with its upward curvatures
+            # flipped, which still points up (saddle-free Newton); a zero
+            # curvature leaves it non-finite, as singular
+            with np.errstate(divide="ignore", invalid="ignore"):
+                newton = basis @ ((basis.T @ grad) / np.abs(curv))
         except np.linalg.LinAlgError:
             newton = np.full(l_r, np.nan)
         if not np.all(np.isfinite(newton)):

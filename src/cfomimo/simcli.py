@@ -280,10 +280,6 @@ class SweepResult:
             ]))
         return "\n".join(lines) + "\n"
 
-    def write_csv(self, path: str):
-        with open(path, "w", newline="") as fh:
-            fh.write(self.to_csv_text())
-
     def plot_data_text(self, figure: str) -> str:
         """Long-format per-figure series for external plotting tools."""
         lines = [PLOT_HEADER]
@@ -322,11 +318,11 @@ class TrialRecord:
                 if np.iscomplexobj(value):
                     return {"re": value.real.tolist(), "im": value.imag.tolist()}
                 return value.tolist()
-            if isinstance(value, float) and math.isinf(value):
-                return "inf"
+            if isinstance(value, float) and not math.isfinite(value):
+                return "inf" if math.isinf(value) else None  # JSON has no NaN
             return value
         payload = {k: enc(v) for k, v in self.__dict__.items()}
-        return json.dumps(payload, indent=2, allow_nan=True)
+        return json.dumps(payload, indent=2, allow_nan=False)
 
 
 def _fmt(value) -> str:
@@ -344,7 +340,7 @@ def _trial_rng(seed: int, point: int, trial: int) -> np.random.Generator:
                                                         spawn_key=(point, trial)))
 
 
-def _snr_to_rho(config: ExperimentConfig, snr_db: float, model) -> float:
+def _snr_to_rho(snr_db: float, model) -> float:
     # SNR = rho * per-coefficient channel power, unit noise variance
     return 10.0 ** (snr_db / 10.0) / model.per_coefficient_power()
 
@@ -359,7 +355,7 @@ def run_bounds_vs_rho(config: ExperimentConfig) -> SweepResult:
     grid = config.rho_h_grid or tuple(np.linspace(0.0, 1.0, 50))
     prior = config.prior()
     model = config.model()
-    rho = _snr_to_rho(config, config.snr_db[0], model)
+    rho = _snr_to_rho(config.snr_db[0], model)
     rows = []
     for structure in PILOT_STRUCTURES:
         pilot = config.pilot(rho, structure)
@@ -379,7 +375,7 @@ def run_bounds_vs_snr(config: ExperimentConfig) -> SweepResult:
     rows = []
     for structure in PILOT_STRUCTURES:
         for snr_db in config.snr_db:
-            pilot = config.pilot(_snr_to_rho(config, snr_db, model), structure)
+            pilot = config.pilot(_snr_to_rho(snr_db, model), structure)
             res = evaluate_bounds(pilot, config.l_r, stats, prior)
             rows.append(SweepRow(f"snr_db[{structure}]", snr_db, None,
                                  res.crlb, res.bcrlb, 0, 0, None))
@@ -475,7 +471,7 @@ def run_mse_vs_snr(config: ExperimentConfig) -> SweepResult:
     stats = build_stats(model, config.n)
     rows = []
     for point, snr_db in enumerate(config.snr_db):
-        pilot = config.pilot(_snr_to_rho(config, snr_db, model))
+        pilot = config.pilot(_snr_to_rho(snr_db, model))
         ws = build_workspace(pilot, config.l_r, stats, prior)
         res = evaluate_bounds(pilot, config.l_r, stats, prior, workspace=ws)
         mse, failures, mean_iters = _run_point_trials(config, point, pilot,
@@ -490,7 +486,7 @@ def run_single(config: ExperimentConfig, f_true_override: float | None = None,
     """One fully instrumented trial at the first SNR point."""
     prior = config.prior()
     model = config.model()
-    pilot = config.pilot(_snr_to_rho(config, config.snr_db[0], model))
+    pilot = config.pilot(_snr_to_rho(config.snr_db[0], model))
     stats = build_stats(model, config.n)
     ws = build_workspace(pilot, config.l_r, stats, prior)
     res = evaluate_bounds(pilot, config.l_r, stats, prior, workspace=ws)

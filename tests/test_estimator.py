@@ -293,6 +293,14 @@ def test_ill_conditioned_raises():
     with pytest.raises(NumericalError) as info:
         build_workspace(pilot, 1, stats, CfoPrior.ml())
     assert info.value.condition is not None
+    with pytest.raises(NumericalError) as info:
+        mmse_gain(rotated_design(pilot, 1, 0.0), sigma)
+    assert info.value.condition > CONDITION_LIMIT
+    # an indefinite Sigma leaves I + design Sigma design^H indefinite, which
+    # has no finite condition number to trust
+    with pytest.raises(NumericalError) as info:
+        mmse_gain(np.eye(2), np.diag([1.0, -2.0]))
+    assert info.value.condition == np.inf
 
 
 def test_ill_conditioned_model_raises():
@@ -306,6 +314,31 @@ def test_ill_conditioned_model_raises():
         build_workspace(pilot, 2, stats, CfoPrior.ml())
     assert np.isfinite(info.value.condition)
     assert info.value.condition > CONDITION_LIMIT
+
+
+def test_mismatched_workspace_rejected(rng):
+    # compute_beta, evaluate_bounds and estimate_cfo_per_antenna read only
+    # the workspace, so one built for another pilot, stats or l_r is refused
+    model = make_model(2, 2, 0.9)
+    stats = build_stats(model, 8)
+    td, periodic = generate_td_pilot(2, 4, rho=3.0), generate_periodic_pilot(2, 4, rho=30.0)
+    ws = build_workspace(td, 2, stats, CfoPrior.ml())
+    other_stats = build_stats(model, 8)
+    y = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    prior = CfoPrior(0.0, 1e-3)
+    for pilot, l_r, s in ((periodic, 2, stats), (td, 2, other_stats), (td, 3, stats)):
+        with pytest.raises(ParameterError):
+            compute_beta(pilot, l_r, s, workspace=ws)
+        with pytest.raises(ParameterError):
+            evaluate_bounds(pilot, l_r, s, CfoPrior.ml(), workspace=ws)
+        if l_r == 2:
+            with pytest.raises(ParameterError):
+                estimate_cfo_per_antenna(y, pilot, s, prior, workspace=ws)
+    # a copy that shares the pilot and stats, under another prior, is the same workspace
+    copy = replace(ws, prior=prior)
+    assert compute_beta(td, 2, stats, workspace=copy) == compute_beta(td, 2, stats)
+    assert np.array_equal(estimate_cfo_per_antenna(y, td, stats, prior, workspace=copy).f_hat,
+                          estimate_cfo_per_antenna(y, td, stats, prior).f_hat)
 
 
 def test_dimension_mismatch_rejected(rng):

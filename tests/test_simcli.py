@@ -320,7 +320,12 @@ def test_run_single_zero_rx_degenerate_is_reported():
     record = run_single(config, force_zero_rx=True)
     assert record.status == "low_confidence"
     assert math.isnan(record.f_hat)
-    json.loads(record.to_json())  # serializable despite NaN fields
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    payload = json.loads(record.to_json(), parse_constant=reject)
+    assert payload["f_hat"] is None and payload["metric"] is None
 
 
 def test_run_single_seed_repetition_identical():
@@ -444,6 +449,26 @@ def test_package_import_leaves_yaml_unloaded():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {**os.environ, "PYTHONPATH": src}
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+def test_oracles_and_validate_run_without_scipy():
+    # the package needs numpy and pyyaml only: with scipy unimportable the
+    # MMSE covariance, the Fisher oracle and validate still run
+    code = ("import sys; sys.modules['scipy'] = None\n"
+            "import numpy as np\n"
+            "from cfomimo import *\n"
+            "from cfomimo.simcli import main\n"
+            "pilot = generate_td_pilot(2, 3)\n"
+            "stats = build_stats(make_model(2, 2, 0.5), pilot.n)\n"
+            "mmse_gain(expand_block(pilot, 2), stats.sigma_h)\n"
+            "build_workspace(pilot, 2, stats, CfoPrior.ml()).A\n"
+            "fisher_oracle(pilot, 2, stats, n_samples=10, rng=np.random.default_rng(0))\n"
+            "sys.exit(main(['validate']))\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 def test_worker_env_var(monkeypatch):
