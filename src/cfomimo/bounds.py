@@ -6,12 +6,17 @@ of z_k by the moments of y at zero offset,
 
     E[y] = Sb mu_h,     E[y y^H] = Sb (Sigma_h + mu_h mu_h^H) Sb^H + I,
 
-and accumulate beta = 8 pi^2 Re sum_k k^2 zbar_k.  zbar is the estimator's
-lag series at ybar plus the fold of the covariance R = A_r kron M, read in
-the same eigen-antenna basis as the trial lag series (see estimator):
-with yt = U^H ybar, its folded lag matrix is F[k1, k2] = sum_i K_i[k1, k2]
-(a_i M[k2, k1] + conj(yt_i[k1]) yt_i[k2]), and the noise I only reaches
-lag 0.  The result does not depend on the true offset.  Bounds follow as
+and accumulate beta = 8 pi^2 Re sum_k k^2 zbar_k.  In the eigen-antenna
+basis of the trial lag series (see estimator), with yt = U^H ybar, the
+covariance R = A_r kron M and W[k1, k2] = (k1 - k2)^2 for k1 > k2 (zero
+elsewhere), that sum is a set of quadratic forms,
+
+    sum_k k^2 zbar_k = sum_i [yt_i^H (W o K_i) yt_i + a_i <W o K_i, M^T>]
+                       + sum_k k^2 first_k,
+
+with <A, B> = sum A o B and first_k = sum_r lin[r, k] conj(ybar[r, k]);
+the noise I only reaches lag 0.  The result does not depend on the true
+offset.  Bounds follow as
 
     CRLB  = 1 / beta                (error floor of any unbiased estimator),
     BCRLB = 1 / (beta + 1/sigma_f^2)   (Bayesian version, ML prior gives CRLB).
@@ -27,10 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import CfoPrior, ChannelStats, _psd_factor
+from .channel import CfoPrior, ChannelStats, _psd_factor, _rotation
 from .errors import NumericalError, ParameterError
-from .estimator import (EstimatorWorkspace, _expected_lags, _workspace_for,
-                        rotated_design)
+from .estimator import EstimatorWorkspace, _workspace_for, rotated_design
 from .pilots import PilotMatrix
 
 BETA_REL_TOL = 1e-9
@@ -49,9 +53,8 @@ def compute_beta(pilot: PilotMatrix, l_r: int, stats: ChannelStats, *,
                  workspace: EstimatorWorkspace | None = None) -> float:
     """Closed-form Fisher information of the common normalized offset.
 
-    Shares the contraction of the estimator: the expected lag series zbar
-    is the lag series at ybar plus the fold of the covariance,
-    sum_i a_i K_i o M^T in the eigen-antenna basis, so the kernel K is
+    The k^2-weighted expected lag series, read as quadratic forms in the
+    workspace's kernels K_i (see the module docstring): the kernel K is
     contracted against the second moment R + ybar ybar^H + I of y instead
     of an observed y (the noise term I only reaches lag 0).  A workspace
     passed in must be built for this pilot, l_r and stats.
@@ -60,10 +63,22 @@ def compute_beta(pilot: PilotMatrix, l_r: int, stats: ChannelStats, *,
     n = ws.n
     if n == 1:
         return 0.0
-    zbar = _expected_lags(ws)
-    lags = np.arange(1, n)
-    beta = 8.0 * np.pi ** 2 * float(np.real(np.sum(lags ** 2 * zbar)))
-    scale = 8.0 * np.pi ** 2 * float(np.sum(lags ** 2 * np.abs(zbar))) + 1.0
+    p, q = ws.kernels.shape[:2]
+    k = np.arange(q) % n  # the symbol time of each row of a kernel
+    lag = np.subtract.outer(k, k)
+    weighted = np.where(lag > 0, lag * lag, 0) * ws.kernels  # W o K_i
+    yt = ws.U.conj().T @ ws.ybar.reshape(p, q)
+    first = np.einsum("rk,rk->k", ws.lin_table, ws.ybar.reshape(l_r, n).conj())
+
+    def total(f):
+        kernels, rows = f(weighted), f(yt)
+        mean = np.vdot(rows, np.matmul(kernels, rows[..., None])[..., 0])
+        cov = f(ws.a) @ (kernels.reshape(p, -1) @ f(ws.M).T.ravel())
+        return mean + cov + np.arange(n) ** 2 @ f(first)
+
+    beta = 8.0 * np.pi ** 2 * float(np.real(total(lambda x: x)))
+    # every term in absolute value: a bound on the rounding of the sum
+    scale = 8.0 * np.pi ** 2 * float(total(np.abs)) + 1.0
     if beta < -BETA_REL_TOL * scale:
         raise NumericalError(f"Fisher information came out negative ({beta:.3e})")
     return max(beta, 0.0)
@@ -120,14 +135,16 @@ def fisher_oracle(pilot: PilotMatrix, l_r: int, stats: ChannelStats,
     d = mu_y.size
     z = (rng.standard_normal((n_samples, d)) + 1j * rng.standard_normal((n_samples, d)))
     samples = mu_y[None, :] + (z / np.sqrt(2.0)) @ factor.T
+    # the law at f is D(f) times that at 0, with D(f) the unitary rotation:
+    # one eigendecomposition of cov_0 = D^H cov_y D scores every offset on
+    # the de-rotated residuals D(f)^H y - mu_0, and log det cov_f = log det
+    # cov_0 drops out of the second difference
+    probe = _rotation(f_probe, l_r, pilot.n).ravel()
+    eig, vec = np.linalg.eigh(probe.conj()[:, None] * cov_y * probe[None, :])
+    mu_0 = probe.conj() * mu_y
     loglik = np.empty((3, n_samples))
     for idx, f in enumerate((f_probe - step, f_probe, f_probe + step)):
-        design = rotated_design(pilot, l_r, f)
-        mu_f = design @ stats.mu_h
-        cov_f = design @ stats.sigma_h @ design.conj().T + np.eye(d)
-        eig, vec = np.linalg.eigh(cov_f)
-        # log det cov_f and resid^H cov_f^{-1} resid from its eigenpairs
-        proj = (samples - mu_f[None, :]) @ vec.conj()
-        loglik[idx] = -np.sum(np.log(eig)) - (np.abs(proj) ** 2) @ (1.0 / eig)
+        proj = (samples * _rotation(f, l_r, pilot.n).conj().ravel() - mu_0) @ vec.conj()
+        loglik[idx] = -(np.abs(proj) ** 2) @ (1.0 / eig)
     curvature = (loglik[2] - 2.0 * loglik[1] + loglik[0]) / step ** 2
     return float(-np.mean(curvature))

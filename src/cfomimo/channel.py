@@ -392,8 +392,14 @@ def _received_trials(rho_h: float, rx_map: np.ndarray, ybar: np.ndarray,
 
 
 def _phases(f: np.ndarray, n: int) -> np.ndarray:
-    """exp(j 2 pi f k) for k = 0 .. n-1, one row per entry of f: shape f.shape + (n,)."""
-    return np.exp(2j * np.pi * np.multiply.outer(f, np.arange(n)))
+    """exp(j 2 pi f k) for k = 0 .. n-1, one row per entry of f: shape
+    f.shape + (n,).  One exp per row; the powers come from a cumulative
+    product along the row."""
+    f = np.asarray(f, dtype=float)
+    steps = np.empty(f.shape + (n,), dtype=np.complex128)
+    steps[..., :1] = 1.0
+    steps[..., 1:] = np.exp(2j * np.pi * f)[..., None]
+    return np.cumprod(steps, axis=-1)
 
 
 def _rotation(f, l_r: int, n: int) -> np.ndarray:

@@ -57,14 +57,15 @@ Collecting g by time lag turns it into a short complex series,
 
     g(y, f) = const + 2 Re sum_{k=1}^{n-1} e^{j 2 pi f k} z_k + prior terms,
 
-with z_k a pure function of (y, K, lin): the sum of the k-th subdiagonal
-of the folded lag matrix F[k1, k2] = sum_i conj(yt_i[k1]) K_i[k1, k2] yt_i[k2]
-of yt = U^H y, plus a linear term.  The Fisher information (bounds) reads
-the same fold at ybar plus that of the covariance, sum_i a_i K_i o M^T.
-The universal search evaluates a coarse grid of 4n offsets, solves the
-linearized stationary condition at each point, keeps the candidate with the
-best metric, and polishes it by repeating the linearized step.  No phase
-unwrapping is involved anywhere.
+with z_k a pure function of (y, K, lin): with yt = U^H y,
+z_k = sum_i sum_w conj(yt_i[k + w]) K_i[k + w, w] yt_i[w] plus a linear
+term, read along the k-th subdiagonal of each K_i (a table the workspace
+builds once), so no n x n matrix is formed per trial.  The Fisher
+information (bounds) takes the same sums at the moments of y, weighted by
+k^2, as quadratic forms in the K_i.  The universal search evaluates a
+coarse grid of 4n offsets, solves the linearized stationary condition at
+each point, keeps the candidate with the best metric, and polishes it by
+repeating the linearized step.  No phase unwrapping is involved anywhere.
 
 On the grid f_g = -1/2 + g/G the step needs sum_k e^{j 2 pi f_g k} {z_k,
 k z_k, k^2 z_k}; since e^{j 2 pi f_g k} = (-1)^k e^{j 2 pi g k / G}, all G
@@ -86,7 +87,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import CfoPrior, ChannelStats, _rotation
+from .channel import CfoPrior, ChannelStats, _phases, _rotation
 from .errors import EstimationError, NumericalError, ParameterError
 from .pilots import PilotMatrix, expand_block
 
@@ -138,9 +139,10 @@ class EstimatorWorkspace:
     real (an unscrambled 0/1 pilot and a real B_t); otherwise complex.
     ybar and lin_table are always complex.
 
-    The dense (n*l_r)^2 quad_kernel (K itself) and R are cached properties
-    built on first read, for the oracles and tests only; no estimation
-    routine reads them.  sbreve, A (the MMSE error covariance) and b are
+    subdiagonals, the kernels' subdiagonals in time that the lag series is
+    read along, is built on its first read.  The dense (n*l_r)^2 quad_kernel
+    (K itself) and R are cached properties built on first read, for the
+    oracles and tests only; no estimation routine reads them.  sbreve, A (the MMSE error covariance) and b are
     channel-space objects, built on first access for the oracles only.
     """
 
@@ -176,6 +178,17 @@ class EstimatorWorkspace:
         weights = (u[:, None, :] * u.conj()[None, :, :]).reshape(p * p, p)
         kernel = (weights @ self.kernels.reshape(p, q * q)).reshape(p, p, q, q)
         return kernel.transpose(0, 2, 1, 3).reshape(p * q, p * q)
+
+    @cached_property
+    def subdiagonals(self) -> tuple:
+        """The kernels' k-th subdiagonals for k = 0 .. n-1, in time: entries
+        K_i[(a, k + w), (b, w)] of receive blocks a, b ordered (w, i, a, b),
+        one complex (m_k, 1) column per k, as _lag_terms contracts them."""
+        n = self.n
+        p, q = self.kernels.shape[:2]
+        kernels = self.kernels.astype(np.complex128).reshape(p, q // n, n, q // n, n)
+        return tuple(np.einsum("iawbw->wiab", kernels[:, :, k:, :, :n - k]).reshape(-1, 1)
+                     for k in range(n))
 
     @cached_property
     def R(self) -> np.ndarray:
@@ -290,55 +303,30 @@ def _received(y, ws: EstimatorWorkspace) -> np.ndarray:
     return _received_rows(y.reshape(1, -1), ws)[0]
 
 
-def _lag_fold(first: np.ndarray, folded: np.ndarray) -> np.ndarray:
-    """z_k = first[..., k] + sum_{k1 - k2 = k} folded[..., k1, k2] for
-    k = 1 .. n-1, over any leading batch axes."""
-    n = first.shape[-1]
-    lead = folded.shape[:-2]
-    # rows of width 2n read with a stride of 2n + 1 line the subdiagonals
-    # up as columns: skewed[..., k2, k] = folded[..., k2 + k, k2], zero past the end
-    padded = np.zeros(lead + (n + 1, 2 * n), dtype=np.complex128)
-    padded[..., :n, :n] = np.swapaxes(folded, -1, -2)
-    skewed = padded.reshape(lead + (2 * n * (n + 1),))[..., :n * (2 * n + 1)].reshape(
-        lead + (n, 2 * n + 1))
-    return first[..., 1:] + skewed[..., 1:n].sum(axis=-2)
+def _lag_terms(y3: np.ndarray, ws: EstimatorWorkspace):
+    """Lag series (T, n-1) and the f-independent lag-0 part of g (T,) of a
+    (T, l_r, n) batch.
 
-
-def _folded_lags(y3: np.ndarray, ws: EstimatorWorkspace, cov_weights=None):
-    """Linear terms (T, n) and folded lag matrix (T, n, n) of a (T, l_r, n) batch.
-
-    first[t, k] = sum_r lin[r, k] conj(y[t, r, k]) and, with yt = U^H y[t]
-    (one product per trial, so no BLAS call spans two trials),
-    F[t, k1, k2] = sum_i conj(yt_i[k1]) K_i[k1, k2] yt_i[k2], summed over
-    its l_r^2 receive blocks for dense stats.  cov_weights c adds
-    sum_i c_i K_i o M^T, the fold of the covariance c_i M of the rows yt_i.
+    With yt = U^H y (one product per trial, so no BLAS call spans two
+    trials), z_k = first_k + sum_i sum_w conj(yt_i[k + w]) K_i[k + w, w] yt_i[w],
+    summed over the l_r^2 receive blocks for dense stats, where first_k =
+    sum_r lin[r, k] conj(y[r, k]).  The products along the k-th subdiagonal
+    are contracted with the workspace's table of that subdiagonal, so no
+    (n, n) matrix is formed per trial.  Lag 0 is the trace of the quadratic
+    form, which with the k = 0 linear term is g's f-independent part.
     """
     n = ws.n
     p, q = ws.kernels.shape[:2]
-    blocks = q // n
-    kernels = ws.kernels.reshape(p, blocks, n, blocks, n)
-    yt = np.matmul(ws.U.conj().T, y3.reshape(-1, p, q)).reshape(-1, p, blocks, n)
-    folded = np.einsum("tiak,iakbl,tibl->tkl", yt.conj(), kernels, yt)
-    if cov_weights is not None:
-        folded += np.einsum("akbl,blak->kl", np.tensordot(cov_weights, kernels, axes=1),
-                            ws.M.reshape(blocks, n, blocks, n))
-    return np.einsum("rk,trk->tk", ws.lin_table, y3.conj()), folded
-
-
-def _lag_terms(y3: np.ndarray, ws: EstimatorWorkspace):
-    """Lag series (T, n-1) and the f-independent lag-0 part of g (T,) of a
-    (T, l_r, n) batch: the trace of F plus the k = 0 linear term."""
-    first, folded = _folded_lags(y3, ws)
-    lag0 = np.real(np.trace(folded, axis1=1, axis2=2)) + 2.0 * np.real(first[:, 0])
-    return _lag_fold(first, folded), lag0
-
-
-def _expected_lags(ws: EstimatorWorkspace) -> np.ndarray:
-    """The lag series at the zero-offset moments of y: the fold at ybar
-    plus that of the covariance R = A_r kron M, a_i M on the rows of U^H y;
-    the noise I only reaches lag 0."""
-    first, folded = _folded_lags(ws.ybar.reshape(1, ws.l_r, ws.n), ws, ws.a)
-    return _lag_fold(first, folded)[0]
+    trials, blocks = y3.shape[0], q // n
+    yt = np.matmul(ws.U.conj().T, y3.reshape(-1, p, q)).reshape(trials, p, blocks, n)
+    yt = np.ascontiguousarray(yt.transpose(0, 3, 1, 2))  # (T, n, p, blocks)
+    ytc = yt.conj()
+    lags = np.empty((trials, n), dtype=np.complex128)
+    for k, table in enumerate(ws.subdiagonals):
+        pairs = ytc[:, k:, :, :, None] * yt[:, :n - k, :, None, :]
+        lags[:, k] = np.matmul(pairs.reshape(trials, 1, table.shape[0]), table)[:, 0, 0]
+    first = np.einsum("rk,trk->tk", ws.lin_table, y3.conj())
+    return first[:, 1:] + lags[:, 1:], lags[:, 0].real + 2.0 * first[:, 0].real
 
 
 def compute_z(y: np.ndarray, ws: EstimatorWorkspace) -> np.ndarray:
@@ -401,13 +389,18 @@ def _lag_metric(z: np.ndarray, f, mu_f, inv_var) -> np.ndarray:
 
     z has shape (..., n-1) and f (..., m), with matching leading axes; mu_f
     and inv_var broadcast against f.  sum_k z_k e^{j 2 pi f k} is evaluated
-    by Horner's rule in e^{j 2 pi f}.
+    by Horner's rule in e^{j 2 pi f}, in two preallocated buffers.
     """
     f = np.asarray(f, dtype=float)
     u = np.exp(2j * np.pi * f)
     acc = np.zeros(f.shape, dtype=np.complex128)
+    part = np.empty_like(acc)
     for k in range(z.shape[-1] - 1, -1, -1):
-        acc = (acc + z[..., k, None]) * u
+        np.add(acc, z[..., k, None], out=part)
+        # never in place: numpy's in-place complex product of a single
+        # element can round differently, so a row's metric would depend
+        # on its batch
+        np.multiply(part, u, out=acc)
     return 2.0 * acc.real - 0.5 * inv_var * f * f + inv_var * mu_f * f
 
 
@@ -500,7 +493,7 @@ def _universal_search(z: np.ndarray, mu_f: np.ndarray, inv_var: np.ndarray,
     k2z = k * kz
     while np.any(active):
         idx = np.flatnonzero(active)
-        phases = np.exp(2j * np.pi * (f0[idx, None] * k))
+        phases = _phases(f0[idx], lags + 1)[:, 1:]
         # np.multiply, not phases * kz[idx]: on a temporary past 256 KiB numpy
         # would compute kz[idx] *= phases, and a complex product with the
         # operands swapped can differ in the last bit, so a row's result

@@ -18,9 +18,13 @@ file values.  Example config::
 
 SNR is defined as pilot power times per-coefficient channel power with unit
 noise variance, so sweeps rescale the pilot power only.  Every trial draws
-from its own counter-based random stream keyed by (sweep point, trial), so
-results are reproducible; identical config and seed give byte-identical CSV
-output.  Trials run on one thread, in blocks.  A trial's normals are the
+from its own PCG64 stream, the one numpy's
+default_rng(SeedSequence(entropy=seed, spawn_key=(sweep point, trial)))
+gives, so results are reproducible; identical config and seed give
+byte-identical CSV output.  A block's streams are seeded in one vectorized
+pass of SeedSequence's hash and PCG64's seeding step, and loaded in turn
+into one reused generator (_trial_streams).  Trials run on one thread, in
+blocks.  A trial's normals are the
 ones sample_ar1_trajectory and synthesize_rx would draw from its stream,
 but mse-vs-snr takes them straight to the n*l_r received signal: the AR(1)
 recursion runs on the white innovations and one map per symbol,
@@ -66,10 +70,20 @@ INT_FIELDS = ("l_t", "m", "l_r", "trials", "seed", "workers")
 FLOAT_FIELDS = ("rho_h", "spatial_a", "spatial_b", "sigma_h_sq", "rician_k",
                 "mu_f", "sigma_f_sq")
 # trials run in blocks of T, with T * _trial_bytes (a trial's share of the
-# block's draws, innovations and lag-fold arrays, whichever phase holds
-# more) kept near this size: 40 trials at the benchmark's (8,3,8), where the
-# grid search stops being overhead-bound, at about 1 MB more peak RSS
+# block's draws and innovations, or of its lag-fold and search arrays,
+# whichever phase holds more) kept near this size: 40 trials at the
+# benchmark's (8,3,8), where the grid search stops being overhead-bound, at
+# about 1 MB more peak RSS
 BLOCK_BYTES = 1 << 21
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and the PCG64
+# multiplier (O'Neill, "PCG: a family of simple fast space-efficient
+# statistically good algorithms for random number generation", 2014)
+MASK32, MASK128 = (1 << 32) - 1, (1 << 128) - 1
+HASH_INIT_A, HASH_MULT_A = 0x43b0d7e5, 0x931e8875
+HASH_INIT_B, HASH_MULT_B = 0x8b51f9dd, 0x58f38ded
+MIX_MULT_L, MIX_MULT_R = 0xca01f9dd, 0x4973f715
+PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def _coerce(name: str, value, kind):
@@ -334,10 +348,98 @@ def _fmt(value) -> str:
     return repr(value)
 
 
+def _words(value: int) -> list:
+    """A nonnegative integer as SeedSequence reads it: 32-bit words, least
+    significant first, at least one."""
+    words = [value & MASK32]
+    while value > MASK32:
+        value >>= 32
+        words.append(value & MASK32)
+    return words
+
+
+def _hash_consts(const: int, mult: int, count: int) -> list:
+    """The hash constants const * mult^j mod 2^32 for j = 0 .. count."""
+    consts = [const]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & MASK32)
+    return consts
+
+
+def _hashmix(value, before, after):
+    """SeedSequence's hashmix of value under the hash constant before, which
+    steps to after; on ints, or elementwise on uint32 arrays."""
+    value = (value ^ before) * after & MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    """SeedSequence's mix of a pool entry x with a hashed word y."""
+    out = (x * MIX_MULT_L - y * MIX_MULT_R) & MASK32
+    return out ^ out >> 16
+
+
+def _pcg64_states(seed: int, point: int, trials) -> list:
+    """The PCG64 state dict of default_rng(SeedSequence(entropy=seed,
+    spawn_key=(point, trial))) for every trial index below 2^64, computed
+    for all trials in one vectorized pass.
+
+    SeedSequence hashes the words of seed, zero-padded to its pool of 4,
+    then those of point and trial.  The pool after seed and point is common
+    to every trial and hashed once, on ints; the trial's words are then
+    mixed in on uint32 arrays of shape (4 pool entries, trials), a second
+    word (an index of 2^32 or more) under a mask.  The pool's output seeds
+    PCG64 with two 128-bit integers: inc = 2 initseq + 1 and
+    state = (inc + initstate) MULT + inc mod 2^128.
+    """
+    run = _words(seed)
+    words = run + [0] * (4 - len(run)) + _words(point)
+    consts = _hash_consts(HASH_INIT_A, HASH_MULT_A, 4 * len(words))  # one per hashmix
+    steps = zip(consts, consts[1:])
+    pool = [_hashmix(word, *next(steps)) for word in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(steps)))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], _hashmix(word, *next(steps)))
+    pool, const = np.array(pool, dtype=np.uint32)[:, None], consts[-1]
+    trial = np.asarray(trials, dtype=np.uint64).reshape(1, -1)
+    high = trial >> np.uint64(32)
+    for word, present in ((trial & np.uint64(MASK32), None), (high, high > 0)):
+        if present is not None and not present.any():
+            break
+        consts = _hash_consts(const, HASH_MULT_A, 4)
+        const, consts = consts[-1], np.array(consts, dtype=np.uint32)[:, None]
+        mixed = _mix(pool, _hashmix(word.astype(np.uint32), consts[:-1], consts[1:]))
+        pool = mixed if present is None else np.where(present, mixed, pool)
+    # generate_state(4, np.uint64): 8 words from the pool read cyclically,
+    # paired little-endian into the (high, low) halves of initstate and initseq
+    consts = np.array(_hash_consts(HASH_INIT_B, HASH_MULT_B, 8), dtype=np.uint32)[:, None]
+    out = _hashmix(np.tile(pool, (2, 1)), consts[:-1], consts[1:]).astype(np.uint64)
+    s0, s1, q0, q1 = (out[0::2] | out[1::2] << np.uint64(32)).astype(object)
+    inc = (((q0 << 64 | q1) << 1) | 1) & MASK128
+    state = ((inc + (s0 << 64 | s1)) * PCG64_MULT + inc) & MASK128
+    return [{"bit_generator": "PCG64", "state": {"state": s, "inc": i},
+             "has_uint32": 0, "uinteger": 0} for s, i in zip(state, inc)]
+
+
+def _trial_streams(seed: int, point: int, trials):
+    """Each trial's stream in turn: the PCG64 stream of
+    SeedSequence(entropy=seed, spawn_key=(point, trial)), which depends only
+    on (seed, sweep point, trial).  One Generator is yielded for every trial,
+    set to that trial's state from _pcg64_states, so a stream must be used
+    up before the next one is taken."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    for state in _pcg64_states(seed, point, trials):
+        rng.bit_generator.state = state
+        yield rng
+
+
 def _trial_rng(seed: int, point: int, trial: int) -> np.random.Generator:
-    """One independent counter-based stream per (sweep point, trial)."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed,
-                                                        spawn_key=(point, trial)))
+    """The PCG64 stream of one (sweep point, trial), as _trial_streams seeds it."""
+    return next(_trial_streams(seed, point, [trial]))
 
 
 def _snr_to_rho(snr_db: float, model) -> float:
@@ -385,10 +487,12 @@ def run_bounds_vs_snr(config: ExperimentConfig) -> SweepResult:
 def _trial_bytes(n: int, l_r: int, d: int) -> int:
     """Bytes one trial holds in a block at the larger of its two peaks:
     sampling (its 2*n*d + 2*l_r*n normals and n*d complex innovations) and
-    estimation (its n^2 complex folded lag matrix and the 2 n^2 skewed copy
-    _lag_fold reads it through).  _sample_block drops the draws before the
-    estimator runs, so the two never coexist."""
-    return max(8 * (2 * n * d + 2 * l_r * n) + 16 * n * d, 48 * n * n)
+    estimation (three complex (n, l_r) arrays in the lag fold, U^H y in
+    time-major order, its conjugate and the lag-0 products, then six complex
+    rows of the 4n-point grid in the search, the two grid sums' padded lag
+    terms, their fold and their transform).  _sample_block drops the draws
+    before the estimator runs, so the two never coexist."""
+    return max(8 * (2 * n * d + 2 * l_r * n) + 16 * n * d, 48 * n * l_r + 16 * 6 * 4 * n)
 
 
 def _trial_block(n: int, l_r: int, d: int) -> int:
@@ -410,8 +514,7 @@ def _draw_block(config: ExperimentConfig, point: int, trials: range, prior: CfoP
     count, n, l_r = len(trials), config.n, config.l_r
     f_true = np.full(count, prior.mu_f)
     normals = np.empty((count, 2 * n * d + (2 * l_r * n if config.noise else 0)))
-    for i, trial in enumerate(trials):
-        rng = _trial_rng(config.seed, point, trial)
+    for i, rng in enumerate(_trial_streams(config.seed, point, trials)):
         if sample_from_prior:
             f_true[i] = prior.sample(rng)
         rng.standard_normal(out=normals[i])
@@ -537,6 +640,7 @@ def _validate_checks():
     yield "map reduces to ml", _check_ml_reduction(rng)
     yield ("receive-space sampler matches sample_ar1_trajectory + synthesize_rx",
            _check_receive_sampler(rng))
+    yield "block-seeded streams match numpy's SeedSequence seeding", _check_stream_seeding()
     yield "sweep determinism across block sizes and worker counts", _check_determinism()
 
 
@@ -642,6 +746,23 @@ def _check_receive_sampler(rng):
             return False, f"trial {trial} drew f_true {f_true[i]!r}, not {f!r}"
         worst = max(worst, float(np.max(np.abs(y[i].ravel() - want)) / np.max(np.abs(want))))
     return worst < 1e-12, f"worst relative gap {worst:.2e} over {len(trials)} trials"
+
+
+def _check_stream_seeding():
+    prior = CfoPrior(0.1, 1e-3)
+    trials = (0, 1, 5, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 3)
+    count = 0
+    for seed in (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 7):
+        for point in (0, 1, 2 ** 32 + 1):
+            for trial, rng in zip(trials, _trial_streams(seed, point, trials)):
+                want = np.random.default_rng(np.random.SeedSequence(entropy=seed,
+                                                                    spawn_key=(point, trial)))
+                if (prior.sample(rng) != prior.sample(want)
+                        or not np.array_equal(rng.standard_normal(3456),
+                                              want.standard_normal(3456))):
+                    return False, f"stream (seed {seed}, point {point}, trial {trial}) differs"
+                count += 1
+    return True, f"{count} streams: prior draw and 3456 normals bit-identical"
 
 
 def _check_determinism():

@@ -73,3 +73,8 @@ def reference_beta(pilot_entries, l_r, mu_h, sigma_h, A, b):
                             acc += coupling * moment
         total += lag * lag * acc
     return 8.0 * np.pi ** 2 * float(np.real(total))
+
+
+def reference_trial_rng(seed, point, trial):
+    """A sweep trial's random stream as numpy builds it."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(point, trial)))

@@ -10,15 +10,16 @@ import numpy as np
 import pytest
 import yaml
 
-from cfomimo import (ParameterError, build_stats, build_workspace,
+from cfomimo import (CfoPrior, ParameterError, build_stats, build_workspace,
                      sample_ar1_trajectory, synthesize_rx)
 from cfomimo.channel import _receive_map, _unit_complex
 from cfomimo.simcli import (CSV_HEADER, PILOT_STRUCTURES, ExperimentConfig,
-                            _draw_block, _sample_block, _trial_rng, load_config,
-                            main, run_bounds_vs_rho, run_bounds_vs_snr,
+                            _draw_block, _sample_block, _trial_rng, _trial_streams,
+                            load_config, main, run_bounds_vs_rho, run_bounds_vs_snr,
                             run_mse_vs_snr, run_single)
 
 from conftest import spatial_model
+from reference_impls import reference_trial_rng
 
 FAST = dict(l_t=2, m=3, l_r=2, snr_db=(15.0,), trials=6, seed=11,
             rho_h=0.95, mu_f=0.05, sigma_f_sq=1e-4)
@@ -219,7 +220,7 @@ def test_one_call_draws_match_four_calls(noise):
     trials = range(3, 8)
     f_true, re, im, rx_noise = _draw_block(config, 2, trials, prior, d)
     for i, trial in enumerate(trials):
-        rng = _trial_rng(config.seed, 2, trial)
+        rng = reference_trial_rng(config.seed, 2, trial)
         assert f_true[i] == prior.sample(rng)
         np.testing.assert_array_equal(re[i], rng.standard_normal((n, d)))
         np.testing.assert_array_equal(im[i], rng.standard_normal((n, d)))
@@ -227,6 +228,22 @@ def test_one_call_draws_match_four_calls(noise):
             want = _unit_complex(rng.standard_normal((l_r, n)), rng.standard_normal((l_r, n)))
             np.testing.assert_array_equal(rx_noise[i], want)
     assert (rx_noise is None) == (not noise)
+
+
+def test_block_seeded_streams_match_numpy():
+    # the streams _trial_streams seeds for a whole block in one pass, and
+    # _trial_rng, against numpy's own SeedSequence seeding, bit for bit;
+    # the trials span 2^32, so one block mixes one- and two-word indices
+    prior = CfoPrior(0.1, 1e-3)
+    trials = (0, 1, 5, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 3)
+    for seed in (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 7):
+        for point in (0, 1, 2 ** 32 + 1):
+            for trial, rng in zip(trials, _trial_streams(seed, point, trials)):
+                for got in (rng, _trial_rng(seed, point, trial)):
+                    want = reference_trial_rng(seed, point, trial)
+                    assert prior.sample(got) == prior.sample(want), (seed, point, trial)
+                    np.testing.assert_array_equal(got.standard_normal(3456),
+                                                  want.standard_normal(3456))
 
 
 def _sampler_cases():
