@@ -487,12 +487,14 @@ def run_bounds_vs_snr(config: ExperimentConfig) -> SweepResult:
 def _trial_bytes(n: int, l_r: int, d: int) -> int:
     """Bytes one trial holds in a block at the larger of its two peaks:
     sampling (its 2*n*d + 2*l_r*n normals and n*d complex innovations) and
-    estimation (three complex (n, l_r) arrays in the lag fold, U^H y in
-    time-major order, its conjugate and the lag-0 products, then six complex
-    rows of the 4n-point grid in the search, the two grid sums' padded lag
-    terms, their fold and their transform).  _sample_block drops the draws
-    before the estimator runs, so the two never coexist."""
-    return max(8 * (2 * n * d + 2 * l_r * n) + 16 * n * d, 48 * n * l_r + 16 * 6 * 4 * n)
+    estimation (the normals' row, which the point keeps for its next block,
+    three complex (n, l_r) arrays in the lag fold, U^H y in time-major
+    order, its conjugate and the lag-0 products, then six complex rows of
+    the 4n-point grid in the search, the two grid sums' padded lag terms,
+    their fold and their transform; the fold's arrays are dropped before
+    the search)."""
+    normals = 8 * (2 * n * d + 2 * l_r * n)
+    return max(normals + 16 * n * d, normals + 48 * n * l_r + 16 * 6 * 4 * n)
 
 
 def _trial_block(n: int, l_r: int, d: int) -> int:
@@ -500,20 +502,31 @@ def _trial_block(n: int, l_r: int, d: int) -> int:
     return max(1, BLOCK_BYTES // _trial_bytes(n, l_r, d))
 
 
+def _normals_per_trial(config: ExperimentConfig, d: int) -> int:
+    """2*n*d innovation normals, plus 2*l_r*n noise normals with noise."""
+    return 2 * config.n * d + (2 * config.l_r * config.n if config.noise else 0)
+
+
 def _draw_block(config: ExperimentConfig, point: int, trials: range, prior: CfoPrior,
-                d: int):
+                d: int, normals: np.ndarray | None = None):
     """Random inputs of the given trials, each from its own stream: the
     prior sample, then one standard_normal call that fills the trial's row
     of 2*n*d (+ 2*l_r*n with noise) normals in the order innovation real and
     imaginary parts (n, d each), noise real and imaginary parts (l_r, n
     each).  The normals are the same as four calls in that order, which is
-    how sample_ar1_trajectory and synthesize_rx draw them.  Returns f_true,
-    the innovations' real and imaginary parts (T, n, d), views of the row
-    buffer, and the complex noise (T, l_r, n), None for a noiseless config."""
+    how sample_ar1_trajectory and synthesize_rx draw them.  The rows go to
+    the first len(trials) rows of normals, a buffer that a sweep point
+    allocates once for all its blocks (a new one when None): a buffer of a
+    megabyte or so allocated per block is handed back to the system and
+    page-faulted in again every block.  Returns f_true, the innovations'
+    real and imaginary parts (T, n, d), views of the rows, and the complex
+    noise (T, l_r, n), None for a noiseless config."""
     sample_from_prior = config.f_true_mode == "prior" and not prior.is_ml
     count, n, l_r = len(trials), config.n, config.l_r
     f_true = np.full(count, prior.mu_f)
-    normals = np.empty((count, 2 * n * d + (2 * l_r * n if config.noise else 0)))
+    if normals is None:
+        normals = np.empty((count, _normals_per_trial(config, d)))
+    normals = normals[:count]
     for i, rng in enumerate(_trial_streams(config.seed, point, trials)):
         if sample_from_prior:
             f_true[i] = prior.sample(rng)
@@ -527,11 +540,13 @@ def _draw_block(config: ExperimentConfig, point: int, trials: range, prior: CfoP
 
 
 def _sample_block(config: ExperimentConfig, point: int, trials: range, prior: CfoPrior,
-                  model, rx_map: np.ndarray, ybar: np.ndarray):
+                  model, rx_map: np.ndarray, ybar: np.ndarray,
+                  normals: np.ndarray | None = None):
     """f_true (T,) and received signals (T, l_r, n) of the given trials,
-    sampled in the receive space from the draws of _draw_block; the draws
-    are dropped on return."""
-    f_true, w_re, w_im, noise = _draw_block(config, point, trials, prior, rx_map.shape[2])
+    sampled in the receive space from the draws of _draw_block, made into
+    normals."""
+    f_true, w_re, w_im, noise = _draw_block(config, point, trials, prior, rx_map.shape[2],
+                                            normals)
     return f_true, _received_trials(model.rho_h, rx_map, ybar, f_true, w_re, w_im, noise)
 
 
@@ -540,8 +555,8 @@ def _run_point_trials(config: ExperimentConfig, point: int, pilot, model, ws,
     """Monte-Carlo trials for one sweep point; returns (mse, fails, mean_iters).
 
     Trials run in blocks of _trial_block(n, l_r, d): the draws of a block
-    are made trial by trial, everything after them for the whole block at
-    once.  The received signals are sampled in the receive space: the
+    are made trial by trial, into one buffer of normals that every block of
+    the point refills, everything after them for the whole block at once.  The received signals are sampled in the receive space: the
     point's map G[k] = (I_r kron S[k, :]) L takes each trial's white
     innovations, run through the AR(1) recursion, straight to y, and the
     l_t*l_r*n channel is never formed.
@@ -550,10 +565,11 @@ def _run_point_trials(config: ExperimentConfig, point: int, pilot, model, ws,
     rx_map = _receive_map(model, pilot.entries)
     ybar = ws.ybar.reshape(l_r, n)
     block = _trial_block(n, l_r, d)
+    normals = np.empty((min(block, config.trials), _normals_per_trial(config, d)))
     sq_errors, iterations = [], []
     for start in range(0, config.trials, block):
         trials = range(start, min(start + block, config.trials))
-        f_true, y = _sample_block(config, point, trials, prior, model, rx_map, ybar)
+        f_true, y = _sample_block(config, point, trials, prior, model, rx_map, ybar, normals)
         est = estimate_cfo_universal_batch(y.reshape(len(trials), -1), ws)
         ok = ~est.failed
         sq_errors.append((est.f_hat[ok] - f_true[ok]) ** 2)
