@@ -70,10 +70,10 @@ INT_FIELDS = ("l_t", "m", "l_r", "trials", "seed", "workers")
 FLOAT_FIELDS = ("rho_h", "spatial_a", "spatial_b", "sigma_h_sq", "rician_k",
                 "mu_f", "sigma_f_sq")
 # trials run in blocks of T, with T * _trial_bytes (a trial's share of the
-# block's draws and innovations, or of its lag-fold and search arrays,
-# whichever phase holds more) kept near this size: 40 trials at the
-# benchmark's (8,3,8), where the grid search stops being overhead-bound, at
-# about 1 MB more peak RSS
+# block's draws and innovations, or of its draws and its lag-fold and
+# search arrays, whichever phase holds more) kept near this size: 40 trials
+# at the benchmark's (8,3,8), where the grid search stops being
+# overhead-bound, at about 1 MB more peak RSS
 BLOCK_BYTES = 1 << 21
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and the PCG64

@@ -228,6 +228,11 @@ def test_one_call_draws_match_four_calls(noise):
             want = _unit_complex(rng.standard_normal((l_r, n)), rng.standard_normal((l_r, n)))
             np.testing.assert_array_equal(rx_noise[i], want)
     assert (rx_noise is None) == (not noise)
+    # a sweep point's buffer, larger than the block and holding stale rows
+    stale = np.full((len(trials) + 2, re[0].size * 2 + (2 * l_r * n if noise else 0)), np.nan)
+    refilled = _draw_block(config, 2, trials, prior, d, stale)
+    for got, want in zip(refilled, (f_true, re, im, rx_noise)):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_block_seeded_streams_match_numpy():
