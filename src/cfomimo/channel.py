@@ -17,13 +17,15 @@ The received sample at antenna r, time k (0-based) is
 
 with i.i.d. unit-variance circularly-symmetric complex Gaussian noise.
 
+Both samplers write h_k = mu + L e_k (L L^H = spatial_cov), where one
+zero-mean AR(1) recursion, _ar1, makes e_k from white innovations xi_k.
 sample_ar1_trajectory and synthesize_rx build y through the channel h.  The
 Monte-Carlo sweeps need only y, so they sample it in the receive space from
-the same normals: with h_k = mu + L e_k (L L^H = spatial_cov), the mean
-passes through the pilot as ybar = Sb mu_h, the zero-mean AR(1) recursion
-runs on the white innovations e_k, and G[k] = (I_r kron S[k, :]) L maps
-e_k to the n*l_r receive space (_receive_map, _received_trials).  The two
-paths agree up to rounding.
+the same normals: the mean passes through the pilot as ybar = Sb mu_h and
+G[k] = (I_r kron S[k, :]) L maps e_k to the n*l_r receive space
+(_receive_map, _received_trials).  _received_trials alone splits a trial's
+row of normals into innovations and noise.  The two paths agree up to
+rounding.
 """
 
 from __future__ import annotations
@@ -322,26 +324,28 @@ def _unit_complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return out
 
 
+def _ar1(xi: np.ndarray, rho_h: float) -> np.ndarray:
+    """The zero-mean AR(1) recursion e_0 = xi_0, e_k = rho_h e_{k-1} +
+    sqrt(1 - rho_h^2) xi_k along the first (time) axis of xi, in place;
+    returns xi.  Each step reads one contiguous slab."""
+    xi[1:] *= math.sqrt(1.0 - rho_h * rho_h)
+    for k in range(1, len(xi)):
+        xi[k] += rho_h * xi[k - 1]
+    return xi
+
+
 def sample_ar1_trajectory(model: CorrelationModel, n: int, rng: np.random.Generator) -> np.ndarray:
     """One channel trajectory h of length l_t*l_r*n in the package layout.
 
-    h_1 = w_1 + mu, then h_k = rho_h h_{k-1} + sqrt(1 - rho_h^2) w_k
-    + (1 - rho_h) mu with w_k i.i.d. CN(0, spatial_cov), so every marginal
-    has mean mu and covariance spatial_cov, and lag-l correlation rho_h^l.
+    h_k = mu + L e_k with L L^H = spatial_cov and e_k the zero-mean AR(1)
+    recursion (_ar1) of white xi_k ~ CN(0, I), so every marginal has mean
+    mu and covariance spatial_cov, and lag-l correlation rho_h^l.
     """
     if n < 1:
         raise ParameterError("n must be a positive integer")
     d = model.l_t * model.l_r
-    re = rng.standard_normal((n, d))
-    im = rng.standard_normal((n, d))
-    w = _unit_complex(re, im) @ model._spatial_factor.T
-    rho = model.rho_h
-    h = np.sqrt(1.0 - rho * rho) * w
-    h[0] = w[0] + model.mean
-    drift = (1.0 - rho) * model.mean
-    for k in range(1, n):
-        h[k] += rho * h[k - 1]
-        h[k] += drift
+    xi = _unit_complex(rng.standard_normal((n, d)), rng.standard_normal((n, d)))
+    h = model.mean + _ar1(xi, model.rho_h) @ model._spatial_factor.T
     # (n, l_r*l_t) -> flat (r, k, t)
     return h.reshape(n, model.l_r, model.l_t).transpose(1, 0, 2).ravel()
 
@@ -359,35 +363,40 @@ def _receive_map(model: CorrelationModel, entries: np.ndarray) -> np.ndarray:
     return np.einsum("kt,rtd->krd", entries, factor)
 
 
+def _trial_normals(n: int, l_r: int, d: int, noise: bool) -> int:
+    """Standard normals one trial of _received_trials takes: 2*n*d for its
+    innovations, plus 2*l_r*n for its noise when it has noise."""
+    return 2 * n * (d + (l_r if noise else 0))
+
+
 def _received_trials(rho_h: float, rx_map: np.ndarray, ybar: np.ndarray,
-                     f: np.ndarray, re: np.ndarray, im: np.ndarray,
-                     noise: np.ndarray | None) -> np.ndarray:
+                     f: np.ndarray, normals: np.ndarray) -> np.ndarray:
     """Received signals (T, l_r, n) of T trials, sampled in the receive space.
 
-    re and im are the standard-normal real and imaginary parts (T, n, d) of
-    each trial's innovations, in the order sample_ar1_trajectory draws
-    them; rx_map is _receive_map's G (n, l_r, d), ybar the zero-offset mean
-    Sb mu_h (l_r, n), f the T offsets and noise (T, l_r, n) complex or None.
-    The zero-mean AR(1) recursion e_1 = xi_1, e_k = rho_h e_{k-1} +
-    sqrt(1 - rho_h^2) xi_k runs on the white xi in time-major (n, T, d)
-    layout, so each step reads one contiguous slab; the mean of every h_k
-    is mu, which ybar carries.  Then y = D(f)(ybar + G[k] e_k) + noise: one
-    (l_r x d)(d) product per symbol and trial, so no BLAS call spans two
-    trials and a trial's y does not depend on its block.  Same law as
-    synthesize_rx of sample_ar1_trajectory from the same draws, equal to
-    it up to rounding.
+    normals holds one row per trial of standard normals as a stream draws
+    them for sample_ar1_trajectory and synthesize_rx: the innovations' real
+    and imaginary parts (n, d each), then the noise's real and imaginary
+    parts (l_r, n each); a row of exactly 2*n*d normals is a noiseless
+    trial.  rx_map is _receive_map's G (n, l_r, d), ybar the zero-offset
+    mean Sb mu_h (l_r, n) and f the T offsets.  The AR(1) recursion (_ar1)
+    runs on the white innovations xi in time-major (n, T, d) layout; the
+    mean of every h_k is mu, which ybar carries.  Then y = D(f)(ybar +
+    G[k] e_k) + noise: one (l_r x d)(d) product per symbol and trial, so no
+    BLAS call spans two trials and a trial's y does not depend on its
+    block.  Same law as synthesize_rx of sample_ar1_trajectory from the
+    same draws, equal to it up to rounding.
     """
-    n = rx_map.shape[0]
-    xi = _unit_complex(re.transpose(1, 0, 2), im.transpose(1, 0, 2))
-    xi[1:] *= math.sqrt(1.0 - rho_h * rho_h)
-    for k in range(1, n):
-        xi[k] += rho_h * xi[k - 1]
+    n, l_r, d = rx_map.shape
+    count = len(normals)
+    parts = normals[:, :2 * n * d].reshape(count, 2, n, d).transpose(1, 2, 0, 3)
+    xi = _ar1(_unit_complex(parts[0], parts[1]), rho_h)
     y0 = np.matmul(rx_map[:, None], xi[..., None])[..., 0]  # (n, T, l_r)
     y = np.empty(y0.shape[1:] + (n,), dtype=np.complex128)
     np.add(ybar, y0.transpose(1, 2, 0), out=y)
     y *= _phases(f, n)[:, None, :]
-    if noise is not None:
-        y += noise
+    if normals.shape[1] > 2 * n * d:
+        noise = normals[:, 2 * n * d:].reshape(count, 2, l_r, n)
+        y += _unit_complex(noise[:, 0], noise[:, 1])
     return y
 
 

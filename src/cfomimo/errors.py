@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the rule that converts
+a config value to a number or rejects it."""
 
 
 class ParameterError(ValueError):
@@ -24,3 +25,17 @@ class NumericalError(RuntimeError):
 
 class EstimationError(RuntimeError):
     """The frequency-offset search could not produce any usable candidate."""
+
+
+def _coerce(name: str, value, kind):
+    """value converted by kind (int or float).  Strings that spell a number
+    are accepted; booleans and values the conversion would change (2.5 for
+    an integer) are not."""
+    try:
+        out = kind(value)
+    except (TypeError, ValueError):
+        out = None
+    if out is None or isinstance(value, bool) or (
+            not isinstance(value, str) and out != value and out == out):
+        raise ParameterError(f"{name} must be {kind.__name__}, got {value!r}")
+    return out

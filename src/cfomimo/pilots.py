@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, _coerce
 
 UNITARY_TOL = 1e-12
 UNIT_MODULUS_TOL = 1e-12
@@ -224,22 +224,37 @@ def _parse_complex(value):
     return complex(value)
 
 
+def _complex_array(cfg: dict, key: str) -> np.ndarray:
+    """cfg[key], a list (of rows) of numbers or strings that spell complex
+    numbers, as a complex array."""
+    try:
+        return np.vectorize(_parse_complex, otypes=[complex])(np.array(cfg.get(key),
+                                                                        dtype=object))
+    except (TypeError, ValueError):
+        raise ParameterError(f"pilot {key} must be complex numbers, "
+                             f"got {cfg.get(key)!r}") from None
+
+
 def pilot_from_config(cfg: dict) -> PilotMatrix:
-    """Inverse of :func:`pilot_to_config`; also accepts hand-written configs."""
-    structure = PilotStructure(cfg.get("structure", "periodic"))
+    """Inverse of :func:`pilot_to_config`; also accepts hand-written configs.
+    A missing, unknown or malformed value raises ParameterError naming its key."""
+    try:
+        structure = PilotStructure(cfg.get("structure", "periodic"))
+    except ValueError:
+        raise ParameterError(f"unknown pilot structure {cfg.get('structure')!r}; "
+                             f"one of {[s.value for s in PilotStructure]}") from None
     if structure is PilotStructure.CUSTOM:
-        entries = np.array([[_parse_complex(v) for v in row] for row in cfg["entries"]])
-        return custom_pilot(entries)
-    l_t = int(cfg["l_t"])
-    m = int(cfg["m"])
-    rho = float(cfg.get("rho", 1.0))
+        return custom_pilot(_complex_array(cfg, "entries"))
+    l_t = _coerce("l_t", cfg.get("l_t"), int)  # a missing key reads None
+    m = _coerce("m", cfg.get("m"), int)
+    rho = _coerce("rho", cfg.get("rho", 1.0), float)
     scrambling = cfg.get("scrambling", "ones")
     if isinstance(scrambling, str):
         if scrambling != "ones":
             raise ParameterError(f"unknown scrambling spec {scrambling!r}")
         scrambling = None
     else:
-        scrambling = np.array([_parse_complex(v) for v in scrambling])
+        scrambling = _complex_array(cfg, "scrambling")
     if structure is PilotStructure.TIME_DIVISION:
         return generate_td_pilot(l_t, m, rho, scrambling)
     core = cfg.get("core", "identity")
@@ -248,5 +263,5 @@ def pilot_from_config(cfg: dict) -> PilotMatrix:
             raise ParameterError(f"unknown core spec {core!r}")
         core = None
     else:
-        core = np.array([[_parse_complex(v) for v in row] for row in core])
+        core = _complex_array(cfg, "core")
     return generate_periodic_pilot(l_t, m, rho, scrambling, core)

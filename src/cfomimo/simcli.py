@@ -24,15 +24,17 @@ gives, so results are reproducible; identical config and seed give
 byte-identical CSV output.  A block's streams are seeded in one vectorized
 pass of SeedSequence's hash and PCG64's seeding step, and loaded in turn
 into one reused generator (_trial_streams).  Trials run on one thread, in
-blocks.  A trial's normals are the
-ones sample_ar1_trajectory and synthesize_rx would draw from its stream,
-but mse-vs-snr takes them straight to the n*l_r received signal: the AR(1)
-recursion runs on the white innovations and one map per symbol,
-G[k] = (I_r kron S[k, :]) L, replaces the l_t*l_r*n channel and its
-projection through the pilot (channel._received_trials).  The batched
-estimator core then searches the whole block.  A trial's result depends
-neither on the block it ran in nor on the worker count, which is accepted
-and validated but no longer used.
+blocks of as many trials as fit their rows of normals into BLOCK_BYTES
+(1 MiB), one buffer per sweep point.  Each trial fills its row in one
+standard_normal call, with the normals sample_ar1_trajectory and
+synthesize_rx would draw from its stream, but mse-vs-snr takes them
+straight to the n*l_r received signal: channel._received_trials splits the
+rows, runs the AR(1) recursion on the white innovations and applies one
+map per symbol, G[k] = (I_r kron S[k, :]) L, in place of the l_t*l_r*n
+channel and its projection through the pilot.  The batched estimator core
+then searches the whole block.  A trial's result does not depend on the
+block it ran in.  The workers setting (--workers, the workers key) is
+accepted and must be >= 0, but has no effect.
 
 CSV schema (fixed): sweep_var,value,mse,crlb,bcrlb,trials,failures,mean_iters
 with infinities serialized as "inf" and inapplicable cells left empty.
@@ -43,18 +45,17 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .bounds import evaluate_bounds
-from .channel import (CfoPrior, _receive_map, _received_trials, _unit_complex,
+from .channel import (CfoPrior, _receive_map, _received_trials, _trial_normals,
                       build_stats, make_model, sample_ar1_trajectory,
                       synthesize_rx)
 from .errors import (EstimationError, ModelError, NumericalError,
-                     ParameterError)
+                     ParameterError, _coerce)
 from .estimator import (build_workspace, compute_z, estimate_cfo_universal,
                         estimate_cfo_universal_batch, estimate_channel_mmse,
                         map_metric, metric_gradient)
@@ -62,19 +63,16 @@ from .pilots import generate_periodic_pilot, generate_td_pilot
 
 CSV_HEADER = "sweep_var,value,mse,crlb,bcrlb,trials,failures,mean_iters"
 PLOT_HEADER = "figure,series,x,y"
-WORKERS_ENV = "CFOMIMO_WORKERS"
 PILOT_STRUCTURES = ("periodic", "td")
 CONFIG_KEYS = ("pilot", "l_r", "channel", "prior", "f_true", "snr_db", "trials",
                "seed", "noise", "workers")
 INT_FIELDS = ("l_t", "m", "l_r", "trials", "seed", "workers")
 FLOAT_FIELDS = ("rho_h", "spatial_a", "spatial_b", "sigma_h_sq", "rician_k",
                 "mu_f", "sigma_f_sq")
-# trials run in blocks of T, with T * _trial_bytes (a trial's share of the
-# block's draws and innovations, or of its draws and its lag-fold and
-# search arrays, whichever phase holds more) kept near this size: 40 trials
-# at the benchmark's (8,3,8), where the grid search stops being
-# overhead-bound, at about 1 MB more peak RSS
-BLOCK_BYTES = 1 << 21
+# a block holds as many trials as fit their rows of normals into this many
+# bytes, the one buffer a sweep point allocates: 37 trials at the
+# benchmark's (8,3,8), 7 at (8,16,8)
+BLOCK_BYTES = 1 << 20
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and the PCG64
 # multiplier (O'Neill, "PCG: a family of simple fast space-efficient
@@ -84,24 +82,6 @@ HASH_INIT_A, HASH_MULT_A = 0x43b0d7e5, 0x931e8875
 HASH_INIT_B, HASH_MULT_B = 0x8b51f9dd, 0x58f38ded
 MIX_MULT_L, MIX_MULT_R = 0xca01f9dd, 0x4973f715
 PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _coerce(name: str, value, kind):
-    """value converted by kind (int or float).  Strings that spell a number
-    are accepted; booleans and values the conversion would change (2.5 for
-    an integer) are not."""
-    try:
-        out = kind(value)
-    except (TypeError, ValueError):
-        out = None
-    if out is None or isinstance(value, bool) or (
-            not isinstance(value, str) and out != value and out == out):
-        raise ParameterError(f"{name} must be {kind.__name__}, got {value!r}")
-    return out
-
-
-def _as_tuple(value) -> tuple:
-    return (value,) if np.isscalar(value) else tuple(value)
 
 
 def _section(section, label: str, allowed: tuple) -> dict:
@@ -139,7 +119,7 @@ class ExperimentConfig:
     seed: int = 0
     f_true_mode: str = "prior"
     noise: bool = True
-    workers: int = 0  # 0: take CFOMIMO_WORKERS, else 1
+    workers: int = 0  # accepted and checked, no effect: trials run on one thread
 
     def __post_init__(self):
         for name in INT_FIELDS:
@@ -149,6 +129,8 @@ class ExperimentConfig:
             if not (math.isfinite(value) or (name == "sigma_f_sq" and value == math.inf)):
                 raise ParameterError(f"{name} must be finite, got {value}")
             object.__setattr__(self, name, value)
+        if self.sigma_h_sq <= 0:
+            raise ParameterError(f"sigma_h_sq must be > 0, got {self.sigma_h_sq}")
         for name in ("prior_ml", "noise"):
             if not isinstance(getattr(self, name), (bool, np.bool_)):
                 raise ParameterError(f"{name} must be true or false, got {getattr(self, name)!r}")
@@ -161,17 +143,19 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ParameterError("seed must be >= 0")
         if self.workers < 0:
-            raise ParameterError(f"workers must be >= 0 (0: ${WORKERS_ENV}, else 1)")
-        if len(self.snr_db) == 0:
-            raise ParameterError("snr_db grid must be non-empty")
+            raise ParameterError(f"workers must be >= 0, got {self.workers}")
         if self.f_true_mode not in ("prior", "fixed"):
             raise ParameterError("f_true must be 'prior' or 'fixed'")
         for name in ("snr_db", "rho_h_grid"):
-            object.__setattr__(self, name, tuple(_coerce(name, v, float)
-                                                 for v in getattr(self, name)))
-        for name in ("snr_db", "rho_h_grid"):
-            if not all(math.isfinite(v) for v in getattr(self, name)):
-                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
+            grid = getattr(self, name)
+            if grid is None or np.isscalar(grid):  # a scalar is a one-point grid
+                grid = (grid,)
+            grid = tuple(_coerce(name, v, float) for v in grid)
+            if not all(math.isfinite(v) for v in grid):
+                raise ParameterError(f"{name} must be finite, got {grid}")
+            object.__setattr__(self, name, grid)
+        if len(self.snr_db) == 0:
+            raise ParameterError("snr_db grid must be non-empty")
         for rho_h in (self.rho_h,) + self.rho_h_grid:
             if not 0.0 <= rho_h <= 1.0:
                 raise ParameterError(f"rho_h must lie in [0, 1], got {rho_h}")
@@ -204,8 +188,8 @@ class ExperimentConfig:
             "mu_f": prior.get("mu_f", cls.mu_f),
             "sigma_f_sq": prior.get("sigma_f_sq", cls.sigma_f_sq),
             "rho_h": channel.get("rho_h", cls.rho_h),
-            "rho_h_grid": _as_tuple(channel.get("rho_h_grid", cls.rho_h_grid)),
-            "snr_db": _as_tuple(data.get("snr_db", cls.snr_db)),
+            "rho_h_grid": channel.get("rho_h_grid", cls.rho_h_grid),
+            "snr_db": data.get("snr_db", cls.snr_db),
             "f_true_mode": data.get("f_true", cls.f_true_mode),
         }
         for key in ("l_r", "trials", "seed", "noise", "workers"):
@@ -230,24 +214,6 @@ class ExperimentConfig:
             return generate_periodic_pilot(self.l_t, self.m, rho)
         return generate_td_pilot(self.l_t, self.m, rho)
 
-    def effective_workers(self) -> int:
-        """The worker count the config resolves to (workers, else
-        $CFOMIMO_WORKERS, else 1).  Results do not depend on it; an
-        environment value that is not an integer >= 0 raises ParameterError."""
-        if self.workers > 0:
-            return self.workers
-        env = os.environ.get(WORKERS_ENV, "").strip()
-        if not env:
-            return 1
-        try:
-            workers = int(env)
-            if workers < 0:
-                raise ValueError(env)
-        except ValueError:
-            raise ParameterError(
-                f"${WORKERS_ENV} must be an integer >= 0, got {env!r}") from None
-        return max(1, workers)
-
 
 def load_config(path: str | None, overrides: dict | None = None) -> ExperimentConfig:
     """Load YAML (or defaults when path is None) and apply flag overrides."""
@@ -256,11 +222,7 @@ def load_config(path: str | None, overrides: dict | None = None) -> ExperimentCo
         import yaml  # only a config file needs it; importing it costs about 0.9 MB of RSS
         with open(path) as fh:
             data = yaml.safe_load(fh) or {}
-    config = ExperimentConfig.from_mapping(data)
-    if overrides:
-        config = replace(config, **overrides)
-    config.effective_workers()  # reject a malformed $CFOMIMO_WORKERS here
-    return config
+    return replace(ExperimentConfig.from_mapping(data), **(overrides or {}))
 
 
 @dataclass(frozen=True)
@@ -484,88 +446,48 @@ def run_bounds_vs_snr(config: ExperimentConfig) -> SweepResult:
     return SweepResult(rows=tuple(rows))
 
 
-def _trial_bytes(n: int, l_r: int, d: int) -> int:
-    """Bytes one trial holds in a block at the larger of its two peaks:
-    sampling (its 2*n*d + 2*l_r*n normals and n*d complex innovations) and
-    estimation (the normals' row, which the point keeps for its next block,
-    three complex (n, l_r) arrays in the lag fold, U^H y in time-major
-    order, its conjugate and the lag-0 products, then six complex rows of
-    the 4n-point grid in the search, the two grid sums' padded lag terms,
-    their fold and their transform; the fold's arrays are dropped before
-    the search)."""
-    normals = 8 * (2 * n * d + 2 * l_r * n)
-    return max(normals + 16 * n * d, normals + 48 * n * l_r + 16 * 6 * 4 * n)
+def _sample_block(config: ExperimentConfig, point: int, trials: range, prior: CfoPrior,
+                  model, rx_map: np.ndarray, ybar: np.ndarray,
+                  normals: np.ndarray | None = None):
+    """f_true (T,) and received signals (T, l_r, n) of the given trials.
 
-
-def _trial_block(n: int, l_r: int, d: int) -> int:
-    """Trials per block: as many as keep the block's largest arrays near BLOCK_BYTES."""
-    return max(1, BLOCK_BYTES // _trial_bytes(n, l_r, d))
-
-
-def _normals_per_trial(config: ExperimentConfig, d: int) -> int:
-    """2*n*d innovation normals, plus 2*l_r*n noise normals with noise."""
-    return 2 * config.n * d + (2 * config.l_r * config.n if config.noise else 0)
-
-
-def _draw_block(config: ExperimentConfig, point: int, trials: range, prior: CfoPrior,
-                d: int, normals: np.ndarray | None = None):
-    """Random inputs of the given trials, each from its own stream: the
-    prior sample, then one standard_normal call that fills the trial's row
-    of 2*n*d (+ 2*l_r*n with noise) normals in the order innovation real and
-    imaginary parts (n, d each), noise real and imaginary parts (l_r, n
-    each).  The normals are the same as four calls in that order, which is
-    how sample_ar1_trajectory and synthesize_rx draw them.  The rows go to
-    the first len(trials) rows of normals, a buffer that a sweep point
-    allocates once for all its blocks (a new one when None): a buffer of a
-    megabyte or so allocated per block is handed back to the system and
-    page-faulted in again every block.  Returns f_true, the innovations'
-    real and imaginary parts (T, n, d), views of the rows, and the complex
-    noise (T, l_r, n), None for a noiseless config."""
-    sample_from_prior = config.f_true_mode == "prior" and not prior.is_ml
-    count, n, l_r = len(trials), config.n, config.l_r
+    Each trial's stream draws its prior sample, then fills the trial's row
+    of normals in one standard_normal call; _received_trials makes the rows
+    into y.  The rows go to the first len(trials) rows of normals, a buffer
+    that a sweep point allocates once for all its blocks (a new one when
+    None): a buffer of a megabyte or so allocated per block is handed back
+    to the system and page-faulted in again every block.
+    """
+    count = len(trials)
     f_true = np.full(count, prior.mu_f)
     if normals is None:
-        normals = np.empty((count, _normals_per_trial(config, d)))
+        normals = np.empty((count, _trial_normals(*rx_map.shape, config.noise)))
     normals = normals[:count]
+    sample_from_prior = config.f_true_mode == "prior" and not prior.is_ml
     for i, rng in enumerate(_trial_streams(config.seed, point, trials)):
         if sample_from_prior:
             f_true[i] = prior.sample(rng)
         rng.standard_normal(out=normals[i])
-    innovations = normals[:, :2 * n * d].reshape(count, 2, n, d)
-    noise = None
-    if config.noise:
-        parts = normals[:, 2 * n * d:].reshape(count, 2, l_r, n)
-        noise = _unit_complex(parts[:, 0], parts[:, 1])
-    return f_true, innovations[:, 0], innovations[:, 1], noise
-
-
-def _sample_block(config: ExperimentConfig, point: int, trials: range, prior: CfoPrior,
-                  model, rx_map: np.ndarray, ybar: np.ndarray,
-                  normals: np.ndarray | None = None):
-    """f_true (T,) and received signals (T, l_r, n) of the given trials,
-    sampled in the receive space from the draws of _draw_block, made into
-    normals."""
-    f_true, w_re, w_im, noise = _draw_block(config, point, trials, prior, rx_map.shape[2],
-                                            normals)
-    return f_true, _received_trials(model.rho_h, rx_map, ybar, f_true, w_re, w_im, noise)
+    return f_true, _received_trials(model.rho_h, rx_map, ybar, f_true, normals)
 
 
 def _run_point_trials(config: ExperimentConfig, point: int, pilot, model, ws,
                       prior: CfoPrior):
     """Monte-Carlo trials for one sweep point; returns (mse, fails, mean_iters).
 
-    Trials run in blocks of _trial_block(n, l_r, d): the draws of a block
-    are made trial by trial, into one buffer of normals that every block of
-    the point refills, everything after them for the whole block at once.  The received signals are sampled in the receive space: the
-    point's map G[k] = (I_r kron S[k, :]) L takes each trial's white
-    innovations, run through the AR(1) recursion, straight to y, and the
-    l_t*l_r*n channel is never formed.
+    Trials run in blocks of as many as fit their rows of normals into
+    BLOCK_BYTES: the draws of a block are made trial by trial, into one
+    buffer of normals that every block of the point refills, everything
+    after them for the whole block at once.  The received signals are
+    sampled in the receive space: the point's map G[k] = (I_r kron S[k, :]) L
+    takes each trial's white innovations, run through the AR(1) recursion,
+    straight to y, and the l_t*l_r*n channel is never formed.
     """
-    n, l_r, d = config.n, config.l_r, model.l_t * model.l_r
     rx_map = _receive_map(model, pilot.entries)
-    ybar = ws.ybar.reshape(l_r, n)
-    block = _trial_block(n, l_r, d)
-    normals = np.empty((min(block, config.trials), _normals_per_trial(config, d)))
+    ybar = ws.ybar.reshape(config.l_r, config.n)
+    row = _trial_normals(*rx_map.shape, config.noise)
+    block = max(1, BLOCK_BYTES // (8 * row))
+    normals = np.empty((min(block, config.trials), row))
     sq_errors, iterations = [], []
     for start in range(0, config.trials, block):
         trials = range(start, min(start + block, config.trials))
@@ -785,7 +707,8 @@ def _check_determinism():
     global BLOCK_BYTES
     config = ExperimentConfig(snr_db=(15.0,), trials=8, seed=123, m=3, l_t=2,
                               l_r=2, rho_h=0.9)
-    block = _trial_block(config.n, config.l_r, config.l_t * config.l_r)
+    row = _trial_normals(config.n, config.l_r, config.l_t * config.l_r, config.noise)
+    block = max(1, BLOCK_BYTES // (8 * row))
     serial = run_mse_vs_snr(replace(config, workers=1)).to_csv_text()
     threaded = run_mse_vs_snr(replace(config, workers=4)).to_csv_text()
     saved, BLOCK_BYTES = BLOCK_BYTES, 1  # one trial per block
@@ -817,8 +740,8 @@ def _add_common(parser):
     parser.add_argument("--seed", type=int)
     parser.add_argument("--trials", type=int)
     parser.add_argument("--workers", type=int,
-                        help=f"accepted for compatibility; trials run in blocks on "
-                             f"one thread (default ${WORKERS_ENV} or 1)")
+                        help="accepted for compatibility and checked (>= 0), "
+                             "but has no effect: trials run in blocks on one thread")
     parser.add_argument("--snr-db", help="comma-separated SNR grid override, dB")
     parser.add_argument("--emit-plot-data", metavar="PATH",
                         help="also write long-format plot series CSV")

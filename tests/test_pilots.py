@@ -199,3 +199,34 @@ def test_config_round_trip(rng):
         rebuilt = pilot_from_config(pilot_to_config(pilot))
         np.testing.assert_allclose(rebuilt.entries, pilot.entries, atol=1e-15)
         assert rebuilt.structure == pilot.structure
+
+
+def test_config_input_errors_name_the_key():
+    good = {"structure": "td", "l_t": 2, "m": 3, "rho": 1.5}
+    cases = [({"structure": "zadoff"}, "structure"),
+             ({"l_t": "two"}, "l_t"),
+             ({"l_t": 2.7}, "l_t"),
+             ({"l_t": True}, "l_t"),
+             ({"m": 1.5}, "m"),
+             ({"rho": "x"}, "rho")]
+    for change, key in cases:
+        with pytest.raises(ParameterError, match=key):
+            pilot_from_config({**good, **change})
+    for key in ("l_t", "m"):
+        cfg = {k: v for k, v in good.items() if k != key}
+        with pytest.raises(ParameterError, match=key):
+            pilot_from_config(cfg)
+    for entries in (None, [[1.0, "x"]], [[1.0, 2.0], [3.0]]):
+        cfg = {"structure": "custom"} if entries is None else {"structure": "custom",
+                                                                "entries": entries}
+        with pytest.raises(ParameterError, match="entries"):
+            pilot_from_config(cfg)
+    for change, key in (({"scrambling": ["1", "x", 1, 1, 1, 1]}, "scrambling"),
+                        ({"scrambling": "zeros"}, "scrambling"),
+                        ({"structure": "periodic", "core": [[1, 0], [0]]}, "core"),
+                        ({"structure": "periodic", "core": "dft"}, "core")):
+        with pytest.raises(ParameterError, match=key):
+            pilot_from_config({**good, **change})
+    # spelled-out and integral numbers are accepted, as in the CLI config
+    pilot = pilot_from_config({**good, "l_t": "2", "m": 3.0, "rho": "1.5"})
+    np.testing.assert_array_equal(pilot.entries, generate_td_pilot(2, 3, 1.5).entries)

@@ -12,9 +12,9 @@ import yaml
 
 from cfomimo import (CfoPrior, ParameterError, build_stats, build_workspace,
                      sample_ar1_trajectory, synthesize_rx)
-from cfomimo.channel import _receive_map, _unit_complex
+from cfomimo.channel import _receive_map
 from cfomimo.simcli import (CSV_HEADER, PILOT_STRUCTURES, ExperimentConfig,
-                            _draw_block, _sample_block, _trial_rng, _trial_streams,
+                            _sample_block, _trial_rng, _trial_streams,
                             load_config, main, run_bounds_vs_rho, run_bounds_vs_snr,
                             run_mse_vs_snr, run_single)
 
@@ -108,11 +108,36 @@ def test_config_validation():
         with pytest.raises(ParameterError, match=r"rho_h must lie in \[0, 1\]"):
             ExperimentConfig.from_mapping(data)
     assert ExperimentConfig.from_mapping({"channel": {"rho_h_grid": [0, 1]}}).rho_h_grid == (0.0, 1.0)
-    # workers: 0 defers to the environment, negative counts are errors
+    # workers: accepted without effect, but negative counts are errors
     assert ExperimentConfig(workers=0).workers == 0
     for bad in (-1, -3):
         with pytest.raises(ParameterError):
             ExperimentConfig.from_mapping({"workers": bad})
+    # the channel power divides the SNR: zero or negative power is named
+    for bad in (0, 0.0, -1.0):
+        with pytest.raises(ParameterError, match="sigma_h_sq must be > 0"):
+            ExperimentConfig.from_mapping({"channel": {"spatial": {"sigma_h_sq": bad}}})
+        with pytest.raises(ParameterError, match="sigma_h_sq must be > 0"):
+            ExperimentConfig(sigma_h_sq=bad)
+
+
+def test_scalar_grids_are_one_point_grids():
+    # a scalar SNR or rho_h grid, number or spelled-out string, is one point
+    for value in (20, 20.0, "20", np.float64(20.0)):
+        assert ExperimentConfig(snr_db=value).snr_db == (20.0,), value
+        assert ExperimentConfig.from_mapping({"snr_db": value}).snr_db == (20.0,), value
+    for value in (0.5, "0.5"):
+        assert ExperimentConfig(rho_h_grid=value).rho_h_grid == (0.5,), value
+        config = ExperimentConfig.from_mapping({"channel": {"rho_h_grid": value}})
+        assert config.rho_h_grid == (0.5,), value
+    assert ExperimentConfig(snr_db=[5, "10"]).snr_db == (5.0, 10.0)
+    for bad in ("loud", None, True):
+        with pytest.raises(ParameterError, match="snr_db must be float"):
+            ExperimentConfig(snr_db=bad)
+    with pytest.raises(ParameterError, match=r"rho_h must lie in \[0, 1\]"):
+        ExperimentConfig(rho_h_grid=2.0)
+    with pytest.raises(ParameterError, match="must be finite"):
+        ExperimentConfig(snr_db=math.inf)
 
 
 def test_load_config_yaml_with_overrides(tmp_path):
@@ -198,40 +223,58 @@ def test_mse_vs_snr_deterministic_rerun_and_workers(monkeypatch):
     text1 = run_mse_vs_snr(config).to_csv_text()
     text2 = run_mse_vs_snr(config).to_csv_text()
     text4 = run_mse_vs_snr(replace(config, workers=4)).to_csv_text()
-    shape = (config.n, config.l_r, config.l_t * config.l_r)
-    assert cli._trial_block(*shape) >= config.trials  # one block
+    # a block holds as many trials as fit their rows of 2*n*(d + l_r) normals
+    row_bytes = 8 * 2 * config.n * (config.l_t * config.l_r + config.l_r)
+    sizes, sample_block = [], cli._sample_block
+
+    def counting(config, point, trials, *args):
+        sizes.append(len(trials))
+        return sample_block(config, point, trials, *args)
+
+    monkeypatch.setattr(cli, "_sample_block", counting)
+    run_mse_vs_snr(config)
+    assert sizes == [config.trials]  # one block
     # blocks of 4 for 6 trials: a full block and a partial one
-    monkeypatch.setattr(cli, "BLOCK_BYTES", 4 * cli._trial_bytes(*shape))
-    assert cli._trial_block(*shape) == 4
+    sizes.clear()
+    monkeypatch.setattr(cli, "BLOCK_BYTES", 4 * row_bytes)
     blocked = run_mse_vs_snr(config).to_csv_text()
+    assert sizes == [4, 2]
+    sizes.clear()
     monkeypatch.setattr(cli, "BLOCK_BYTES", 1)
-    assert cli._trial_block(*shape) == 1
     one_by_one = run_mse_vs_snr(config).to_csv_text()
+    assert sizes == [1] * config.trials
     assert text1 == text2 == text4 == blocked == one_by_one
 
 
 @pytest.mark.parametrize("noise", [True, False])
 def test_one_call_draws_match_four_calls(noise):
-    # one standard_normal call per trial fills the normals that the four
-    # calls of sample_ar1_trajectory and synthesize_rx draw, bit for bit
+    # one standard_normal call per trial fills the row of normals that the
+    # four calls of sample_ar1_trajectory and synthesize_rx draw, bit for
+    # bit: innovation real and imaginary parts (n, d), then noise real and
+    # imaginary parts (l_r, n); a noiseless row stops after the innovations
     config = ExperimentConfig(**FAST, noise=noise)
     n, l_r, d = config.n, config.l_r, config.l_t * config.l_r
-    prior = config.prior()
+    prior, model = config.prior(), config.model()
+    pilot = config.pilot(2.0)
+    rx_map = _receive_map(model, pilot.entries)
+    ybar = np.zeros((l_r, n), dtype=np.complex128)
     trials = range(3, 8)
-    f_true, re, im, rx_noise = _draw_block(config, 2, trials, prior, d)
+    width = 2 * n * d + (2 * l_r * n if noise else 0)
+    # a sweep point's buffer, larger than the block and holding stale rows
+    stale = np.full((len(trials) + 2, width), np.nan)
+    f_true, y = _sample_block(config, 2, trials, prior, model, rx_map, ybar, stale)
+    rows = stale[:len(trials)]
     for i, trial in enumerate(trials):
         rng = reference_trial_rng(config.seed, 2, trial)
         assert f_true[i] == prior.sample(rng)
-        np.testing.assert_array_equal(re[i], rng.standard_normal((n, d)))
-        np.testing.assert_array_equal(im[i], rng.standard_normal((n, d)))
+        parts = [rng.standard_normal((n, d)), rng.standard_normal((n, d))]
         if noise:
-            want = _unit_complex(rng.standard_normal((l_r, n)), rng.standard_normal((l_r, n)))
-            np.testing.assert_array_equal(rx_noise[i], want)
-    assert (rx_noise is None) == (not noise)
-    # a sweep point's buffer, larger than the block and holding stale rows
-    stale = np.full((len(trials) + 2, re[0].size * 2 + (2 * l_r * n if noise else 0)), np.nan)
-    refilled = _draw_block(config, 2, trials, prior, d, stale)
-    for got, want in zip(refilled, (f_true, re, im, rx_noise)):
+            parts += [rng.standard_normal((l_r, n)), rng.standard_normal((l_r, n))]
+        np.testing.assert_array_equal(rows[i], np.concatenate([p.ravel() for p in parts]))
+    assert np.isnan(stale[len(trials):]).all()
+    # a fresh buffer gives the same draws and signals
+    fresh = _sample_block(config, 2, trials, prior, model, rx_map, ybar)
+    for got, want in zip(fresh, (f_true, y)):
         np.testing.assert_array_equal(got, want)
 
 
@@ -396,7 +439,7 @@ def test_cli_single_json(tmp_path, capsys):
     assert payload["status"] in ("ok", "low_confidence")
 
 
-def test_cli_error_paths(tmp_path, capsys, monkeypatch):
+def test_cli_error_paths(tmp_path, capsys):
     missing = tmp_path / "nope.yaml"
     assert main(["mse-vs-snr", "--config", str(missing)]) == 1
     bad = tmp_path / "bad.yaml"
@@ -435,10 +478,10 @@ def test_cli_error_paths(tmp_path, capsys, monkeypatch):
     bad.write_text("channel: {rho_h: 1.5}\n")
     assert main(["bounds-vs-snr", "--config", str(bad)]) == 1
     assert capsys.readouterr().err.startswith("error: rho_h must lie in [0, 1]")
-    for env in ("junk", "-1", "2.5"):
-        monkeypatch.setenv("CFOMIMO_WORKERS", env)
-        assert main(["mse-vs-snr", "--trials", "2"]) == 1, env
-        assert capsys.readouterr().err.startswith("error: "), env
+    bad.write_text("channel: {spatial: {sigma_h_sq: 0}}\n")
+    for command in ("mse-vs-snr", "single", "bounds-vs-snr"):
+        assert main([command, "--trials", "3", "--config", str(bad)]) == 1, command
+        assert capsys.readouterr().err.startswith("error: sigma_h_sq must be > 0"), command
 
 
 def test_cli_validate_passes():
@@ -493,18 +536,15 @@ def test_oracles_and_validate_run_without_scipy():
     assert done.returncode == 0, done.stdout + done.stderr
 
 
-def test_worker_env_var(monkeypatch):
-    monkeypatch.setenv("CFOMIMO_WORKERS", "3")
-    assert ExperimentConfig(**FAST).effective_workers() == 3
-    monkeypatch.setenv("CFOMIMO_WORKERS", "")
-    assert ExperimentConfig(**FAST).effective_workers() == 1
-    for env in ("junk", "-2", "1.5"):
+def test_malformed_worker_env_var_is_ignored(monkeypatch, tmp_path, capsys):
+    # CFOMIMO_WORKERS is no longer read: a malformed value changes nothing
+    out = tmp_path / "sweep.csv"
+    argv = ["mse-vs-snr", "--trials", "3", "--snr-db", "15", "--out", str(out)]
+    monkeypatch.delenv("CFOMIMO_WORKERS", raising=False)
+    assert main(argv) == 0
+    want = out.read_text()
+    for env in ("junk", "-1", "2.5"):
         monkeypatch.setenv("CFOMIMO_WORKERS", env)
-        with pytest.raises(ParameterError):
-            ExperimentConfig(**FAST).effective_workers()
-        with pytest.raises(ParameterError):
-            load_config(None)
-    # an explicit worker count never reads the environment
-    config = replace(ExperimentConfig(**FAST), workers=2)
-    assert config.effective_workers() == 2
-    assert load_config(None, {"workers": 2}).workers == 2
+        assert main(argv) == 0, env
+        assert out.read_text() == want, env
+    assert capsys.readouterr().err == ""
