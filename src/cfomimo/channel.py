@@ -43,14 +43,24 @@ HERMITIAN_TOL = 1e-12
 PSD_TOL = -1e-10
 
 
-def _check_hermitian_psd(matrix: np.ndarray, label: str):
+def _check_hermitian_psd(matrix: np.ndarray, label: str) -> np.ndarray | None:
+    """Reject a matrix that is not square, Hermitian and positive
+    semidefinite.  Returns its Cholesky factor when that succeeds, which
+    proves the matrix positive definite, and None when the matrix passed
+    only through the eigenvalue check that a failed Cholesky falls back to.
+    """
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ModelError(f"{label} must be square")
     if np.max(np.abs(matrix - matrix.conj().T)) > HERMITIAN_TOL * max(1.0, np.max(np.abs(matrix))):
         raise ModelError(f"{label} is not Hermitian")
+    try:
+        return np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError:
+        pass
     eigmin = float(np.linalg.eigvalsh(matrix)[0])
     if eigmin < PSD_TOL * max(1.0, float(np.max(np.abs(matrix)))):
         raise ModelError(f"{label} is not positive semidefinite (eigmin {eigmin:.3e})")
+    return None
 
 
 @dataclass(frozen=True)
@@ -83,18 +93,16 @@ class CorrelationModel:
         for label, value in (("spatial_cov", cov), ("mean", mean)):
             if not np.all(np.isfinite(value)):
                 raise ModelError(f"{label} has non-finite entries")
-        _check_hermitian_psd(cov, "spatial_cov")
-        cov.setflags(write=False)
-        mean.setflags(write=False)
+        # the samplers' L with L L^H = spatial_cov: the Cholesky factor the
+        # check computed, or the eigen factor of a singular spatial_cov
+        factor = _check_hermitian_psd(cov, "spatial_cov")
+        if factor is None:
+            factor = _psd_factor(cov)
+        for value in (cov, mean, factor):
+            value.setflags(write=False)
         object.__setattr__(self, "spatial_cov", cov)
         object.__setattr__(self, "mean", mean)
-
-    @cached_property
-    def _spatial_factor(self) -> np.ndarray:
-        """L with L L^H = spatial_cov, factored once per model for the sampler."""
-        factor = _psd_factor(self.spatial_cov)
-        factor.setflags(write=False)
-        return factor
+        object.__setattr__(self, "_spatial_factor", factor)
 
     @cached_property
     def _kronecker_factors(self) -> tuple[np.ndarray, np.ndarray] | None:
@@ -360,7 +368,7 @@ def _receive_map(model: CorrelationModel, entries: np.ndarray) -> np.ndarray:
     spatial covariance that is not a Kronecker product runs the same code.
     """
     factor = model._spatial_factor.reshape(model.l_r, model.l_t, -1)
-    return np.einsum("kt,rtd->krd", entries, factor)
+    return np.matmul(entries, factor).transpose(1, 0, 2)
 
 
 def _trial_normals(n: int, l_r: int, d: int, noise: bool) -> int:

@@ -24,8 +24,9 @@ gives, so results are reproducible; identical config and seed give
 byte-identical CSV output.  A block's streams are seeded in one vectorized
 pass of SeedSequence's hash and PCG64's seeding step, and loaded in turn
 into one reused generator (_trial_streams).  Trials run on one thread, in
-blocks of as many trials as fit their rows of normals into BLOCK_BYTES
-(1 MiB), one buffer per sweep point.  Each trial fills its row in one
+the fewest blocks that fit their rows of normals into BLOCK_BYTES (2 MiB)
+each, with sizes that differ by at most one (_block_sizes), so no block is
+a small tail; one buffer per sweep point.  Each trial fills its row in one
 standard_normal call, with the normals sample_ar1_trajectory and
 synthesize_rx would draw from its stream, but mse-vs-snr takes them
 straight to the n*l_r received signal: channel._received_trials splits the
@@ -69,10 +70,11 @@ CONFIG_KEYS = ("pilot", "l_r", "channel", "prior", "f_true", "snr_db", "trials",
 INT_FIELDS = ("l_t", "m", "l_r", "trials", "seed", "workers")
 FLOAT_FIELDS = ("rho_h", "spatial_a", "spatial_b", "sigma_h_sq", "rician_k",
                 "mu_f", "sigma_f_sq")
-# a block holds as many trials as fit their rows of normals into this many
-# bytes, the one buffer a sweep point allocates: 37 trials at the
-# benchmark's (8,3,8), 7 at (8,16,8)
-BLOCK_BYTES = 1 << 20
+# a block's rows of normals fit into this many bytes, the one buffer a sweep
+# point allocates; the trials are split evenly over the fewest such blocks:
+# 4 blocks of 75 for 300 trials at the benchmark's (8,3,8), 15 blocks of
+# 13-14 for 200 trials at (8,16,8)
+BLOCK_BYTES = 2 << 20
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and the PCG64
 # multiplier (O'Neill, "PCG: a family of simple fast space-efficient
@@ -471,28 +473,39 @@ def _sample_block(config: ExperimentConfig, point: int, trials: range, prior: Cf
     return f_true, _received_trials(model.rho_h, rx_map, ybar, f_true, normals)
 
 
+def _block_sizes(trials: int, cap: int) -> list:
+    """Sizes of the ceil(trials / cap) blocks that trials split into, none
+    above cap and differing by at most one, the larger ones first."""
+    count = -(-trials // cap)
+    base, extra = divmod(trials, count)
+    return [base + 1] * extra + [base] * (count - extra)
+
+
 def _run_point_trials(config: ExperimentConfig, point: int, pilot, model, ws,
                       prior: CfoPrior):
     """Monte-Carlo trials for one sweep point; returns (mse, fails, mean_iters).
 
-    Trials run in blocks of as many as fit their rows of normals into
-    BLOCK_BYTES: the draws of a block are made trial by trial, into one
-    buffer of normals that every block of the point refills, everything
-    after them for the whole block at once.  The received signals are
-    sampled in the receive space: the point's map G[k] = (I_r kron S[k, :]) L
-    takes each trial's white innovations, run through the AR(1) recursion,
-    straight to y, and the l_t*l_r*n channel is never formed.
+    Trials run in the fewest blocks whose rows of normals fit into
+    BLOCK_BYTES, split evenly (_block_sizes), so a block's fixed cost is
+    never paid for a small tail: the draws of a block are made trial by
+    trial, into one buffer of normals that every block of the point
+    refills, everything after them for the whole block at once.  The
+    received signals are sampled in the receive space: the point's map
+    G[k] = (I_r kron S[k, :]) L takes each trial's white innovations, run
+    through the AR(1) recursion, straight to y, and the l_t*l_r*n channel
+    is never formed.
     """
     rx_map = _receive_map(model, pilot.entries)
     ybar = ws.ybar.reshape(config.l_r, config.n)
     row = _trial_normals(*rx_map.shape, config.noise)
-    block = max(1, BLOCK_BYTES // (8 * row))
-    normals = np.empty((min(block, config.trials), row))
-    sq_errors, iterations = [], []
-    for start in range(0, config.trials, block):
-        trials = range(start, min(start + block, config.trials))
+    sizes = _block_sizes(config.trials, max(1, BLOCK_BYTES // (8 * row)))
+    normals = np.empty((sizes[0], row))
+    sq_errors, iterations, start = [], [], 0
+    for size in sizes:
+        trials = range(start, start + size)
+        start += size
         f_true, y = _sample_block(config, point, trials, prior, model, rx_map, ybar, normals)
-        est = estimate_cfo_universal_batch(y.reshape(len(trials), -1), ws)
+        est = estimate_cfo_universal_batch(y.reshape(size, -1), ws)
         ok = ~est.failed
         sq_errors.append((est.f_hat[ok] - f_true[ok]) ** 2)
         iterations.append(est.iterations[ok])
@@ -579,7 +592,7 @@ def _validate_checks():
     yield ("receive-space sampler matches sample_ar1_trajectory + synthesize_rx",
            _check_receive_sampler(rng))
     yield "block-seeded streams match numpy's SeedSequence seeding", _check_stream_seeding()
-    yield "sweep determinism across block sizes and worker counts", _check_determinism()
+    yield "sweep determinism across block splits", _check_determinism()
 
 
 def _random_setup(rng, n_max=10):
@@ -707,18 +720,20 @@ def _check_determinism():
     global BLOCK_BYTES
     config = ExperimentConfig(snr_db=(15.0,), trials=8, seed=123, m=3, l_t=2,
                               l_r=2, rho_h=0.9)
-    row = _trial_normals(config.n, config.l_r, config.l_t * config.l_r, config.noise)
-    block = max(1, BLOCK_BYTES // (8 * row))
-    serial = run_mse_vs_snr(replace(config, workers=1)).to_csv_text()
-    threaded = run_mse_vs_snr(replace(config, workers=4)).to_csv_text()
-    saved, BLOCK_BYTES = BLOCK_BYTES, 1  # one trial per block
+    row_bytes = 8 * _trial_normals(config.n, config.l_r, config.l_t * config.l_r,
+                                   config.noise)
+    saved, texts = BLOCK_BYTES, []
     try:
-        one_by_one = run_mse_vs_snr(config).to_csv_text()
+        # one block, an uneven balanced split and one trial per block
+        for cap in (config.trials, 3, 1):
+            BLOCK_BYTES = cap * row_bytes
+            texts.append(run_mse_vs_snr(config).to_csv_text())
     finally:
         BLOCK_BYTES = saved
-    return (serial == threaded == one_by_one,
-            f"blocks of {min(block, config.trials)} vs 1 trial, 1 vs 4 workers, "
-            "CSV compared byte for byte")
+    uneven = "+".join(map(str, _block_sizes(config.trials, 3)))
+    return (len(set(texts)) == 1,
+            f"{config.trials} trials in one block vs blocks of {uneven} vs one "
+            "trial per block, CSV compared byte for byte")
 
 
 def run_validate() -> int:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cfomimo import (CfoPrior, CorrelationModel, ModelError, build_stats,
+from cfomimo import (CfoPrior, ChannelStats, CorrelationModel, ModelError, build_stats,
                      custom_pilot, expand_block, generate_td_pilot, make_model,
                      sample_ar1_trajectory, synthesize_rx)
 from cfomimo.channel import _psd_factor, _unit_complex
@@ -103,6 +103,60 @@ def test_non_psd_spatial_rejected():
                       (np.eye(2), np.array([0.0, np.inf]))):
         with pytest.raises(ModelError, match="non-finite"):
             CorrelationModel(l_t=2, l_r=1, rho_h=0.5, spatial_cov=cov, mean=mean)
+
+
+def _count_decompositions(monkeypatch) -> list:
+    calls = []
+    for name in ("cholesky", "eigvalsh", "eigh"):
+        def counted(*args, _inner=getattr(np.linalg, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_psd_check_and_sampler_factor_share_one_cholesky(monkeypatch):
+    cov = make_model(2, 3, 0.5, spatial="exponential", spatial_a=0.7).spatial_cov
+    calls = _count_decompositions(monkeypatch)
+    model = CorrelationModel(l_t=2, l_r=3, rho_h=0.5, spatial_cov=cov,
+                             mean=np.zeros(6, dtype=complex))
+    assert calls == ["cholesky"]  # the check's factor is the sampler's
+    monkeypatch.undo()
+    np.testing.assert_array_equal(model._spatial_factor, np.linalg.cholesky(cov))
+
+
+def test_psd_check_falls_back_to_eigenvalues(monkeypatch):
+    # a singular covariance fails Cholesky and is accepted by its eigenvalues
+    calls = _count_decompositions(monkeypatch)
+    ones = np.ones((3, 3), dtype=complex)  # rank one
+    model = CorrelationModel(l_t=3, l_r=1, rho_h=0.5, spatial_cov=ones,
+                             mean=np.zeros(3, dtype=complex))
+    assert calls[:2] == ["cholesky", "eigvalsh"] and "eigh" in calls
+    factor = model._spatial_factor
+    np.testing.assert_allclose(factor @ factor.conj().T, ones, atol=1e-12)
+    # an eigenvalue of -1e-3 is rejected with the eigenvalue check's message
+    rng = np.random.default_rng(3)
+    q = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+    bad = (q * np.array([1.0, 0.5, -1e-3])) @ q.conj().T
+    with pytest.raises(ModelError, match=r"spatial_cov is not positive semidefinite "
+                                         r"\(eigmin -1\.000e-03\)"):
+        CorrelationModel(l_t=3, l_r=1, rho_h=0.5, spatial_cov=bad,
+                         mean=np.zeros(3, dtype=complex))
+
+
+def test_dense_stats_check_unchanged():
+    # a directly constructed ChannelStats accepts a positive definite and a
+    # singular sigma_h and rejects a non-Hermitian or indefinite one
+    mu = np.zeros(3, dtype=complex)
+    for rho_h in (0.5, 1.0):  # rho_h = 1 makes sigma_h rank one
+        sigma = build_stats(scalar_model(rho_h), 3).sigma_h
+        np.testing.assert_array_equal(ChannelStats(1, 1, 3, mu, sigma).sigma_h, sigma)
+    skew = np.eye(3, dtype=complex)
+    skew[0, 1] = 0.5
+    with pytest.raises(ModelError, match="sigma_h is not Hermitian"):
+        ChannelStats(1, 1, 3, mu, skew)
+    with pytest.raises(ModelError, match="sigma_h is not positive semidefinite"):
+        ChannelStats(1, 1, 3, mu, np.diag([1.0, 1.0, -1e-3]).astype(complex))
 
 
 def test_rho_h_range_checked():

@@ -14,7 +14,7 @@ from cfomimo import (CfoPrior, ParameterError, build_stats, build_workspace,
                      sample_ar1_trajectory, synthesize_rx)
 from cfomimo.channel import _receive_map
 from cfomimo.simcli import (CSV_HEADER, PILOT_STRUCTURES, ExperimentConfig,
-                            _sample_block, _trial_rng, _trial_streams,
+                            _block_sizes, _sample_block, _trial_rng, _trial_streams,
                             load_config, main, run_bounds_vs_rho, run_bounds_vs_snr,
                             run_mse_vs_snr, run_single)
 
@@ -234,16 +234,28 @@ def test_mse_vs_snr_deterministic_rerun_and_workers(monkeypatch):
     monkeypatch.setattr(cli, "_sample_block", counting)
     run_mse_vs_snr(config)
     assert sizes == [config.trials]  # one block
-    # blocks of 4 for 6 trials: a full block and a partial one
+    # at most 4 trials a block, 6 trials split evenly over two blocks
     sizes.clear()
     monkeypatch.setattr(cli, "BLOCK_BYTES", 4 * row_bytes)
     blocked = run_mse_vs_snr(config).to_csv_text()
-    assert sizes == [4, 2]
+    assert sizes == [3, 3]
     sizes.clear()
     monkeypatch.setattr(cli, "BLOCK_BYTES", 1)
     one_by_one = run_mse_vs_snr(config).to_csv_text()
     assert sizes == [1] * config.trials
     assert text1 == text2 == text4 == blocked == one_by_one
+
+
+@pytest.mark.parametrize("trials,cap", [(1, 1), (1, 5), (3, 7), (7, 1), (8, 3), (6, 4),
+                                        (12, 4), (13, 4), (97, 10), (300, 75), (300, 80),
+                                        (2000, 286), (200, 14)])
+def test_block_sizes_split_trials_evenly(trials, cap):
+    # the fewest blocks of at most cap trials, sizes differing by at most one
+    sizes = _block_sizes(trials, cap)
+    assert sum(sizes) == trials
+    assert max(sizes) <= cap
+    assert max(sizes) - min(sizes) <= 1
+    assert len(sizes) == -(-trials // cap)
 
 
 @pytest.mark.parametrize("noise", [True, False])
@@ -490,7 +502,8 @@ def test_cli_validate_passes():
 
 def test_validate_determinism_check_sees_block_dependence(monkeypatch):
     # a result that depends on how many trials share a block must fail the
-    # check, which runs one block of 8 and then one trial per block
+    # check, which runs 8 trials in one block, in blocks of 3, 3 and 2, and
+    # one trial per block
     import cfomimo.simcli as cli
 
     batch = cli.estimate_cfo_universal_batch
@@ -503,7 +516,8 @@ def test_validate_determinism_check_sees_block_dependence(monkeypatch):
     assert cli._check_determinism()[0]
     monkeypatch.setattr(cli, "estimate_cfo_universal_batch", block_dependent)
     ok, detail = cli._check_determinism()
-    assert not ok and detail.startswith("blocks of 8 vs 1 trial"), detail
+    assert not ok and detail.startswith(
+        "8 trials in one block vs blocks of 3+3+2 vs one trial per block"), detail
     assert cli.BLOCK_BYTES == saved
 
 
