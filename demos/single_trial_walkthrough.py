@@ -7,8 +7,8 @@ MMSE channel estimate.
 import numpy as np
 
 from cfomimo import (CfoPrior, build_stats, build_workspace, compute_z,
-                     estimate_cfo_universal, estimate_channel_mmse,
-                     generate_td_pilot, make_model, map_metric,
+                     estimate_cfo_universal, estimate_channel_mmse, expand_block,
+                     generate_td_pilot, make_model, map_metric, mmse_gain,
                      sample_ar1_trajectory, synthesize_rx)
 
 rng = np.random.default_rng(7)
@@ -26,7 +26,9 @@ print(f"channel statistics: dim {stats.dim}, rho_h={model.rho_h}")
 # residual offset believed to sit near 0.1 cycles/symbol
 prior = CfoPrior(mu_f=0.1, sigma_f_sq=1e-5)
 ws = build_workspace(pilot, model.l_r, stats, prior)
-print(f"workspace: A is {ws.A.shape}, inner solve condition {ws.condition:.1f}")
+# the MMSE error covariance A lives in the channel space, so it is built on request
+gain = mmse_gain(expand_block(pilot, model.l_r), stats.sigma_h)[0]
+print(f"workspace: A is {gain.shape}, inner solve condition {ws.condition:.1f}")
 
 # one packet
 f_true = prior.sample(rng)
@@ -49,6 +51,6 @@ for f in (est.f_hat - 0.01, est.f_hat, est.f_hat + 0.01):
 
 h_hat = estimate_channel_mmse(y, est.f_hat, ws)
 per_coeff = np.mean(np.abs(h_hat - h) ** 2)
-posterior = np.mean(np.diag(ws.A).real)
+posterior = np.mean(np.diag(gain).real)
 print(f"\nchannel estimate: empirical per-coefficient error {per_coeff:.2e}, "
       f"posterior variance predicts {posterior:.2e}")

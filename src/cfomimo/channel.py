@@ -43,11 +43,12 @@ HERMITIAN_TOL = 1e-12
 PSD_TOL = -1e-10
 
 
-def _check_hermitian_psd(matrix: np.ndarray, label: str) -> np.ndarray | None:
+def _check_hermitian_psd(matrix: np.ndarray, label: str) -> np.ndarray:
     """Reject a matrix that is not square, Hermitian and positive
-    semidefinite.  Returns its Cholesky factor when that succeeds, which
-    proves the matrix positive definite, and None when the matrix passed
-    only through the eigenvalue check that a failed Cholesky falls back to.
+    semidefinite; return L with L L^H = matrix.  L is the Cholesky factor
+    when that succeeds, which proves the matrix positive definite.  When it
+    fails, one eigendecomposition gives both the smallest eigenvalue that
+    is checked and the eigen factor vec sqrt(clip(eig, 0)).
     """
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ModelError(f"{label} must be square")
@@ -57,10 +58,11 @@ def _check_hermitian_psd(matrix: np.ndarray, label: str) -> np.ndarray | None:
         return np.linalg.cholesky(matrix)
     except np.linalg.LinAlgError:
         pass
-    eigmin = float(np.linalg.eigvalsh(matrix)[0])
+    eig, vec = np.linalg.eigh(matrix)
+    eigmin = float(eig[0])
     if eigmin < PSD_TOL * max(1.0, float(np.max(np.abs(matrix)))):
         raise ModelError(f"{label} is not positive semidefinite (eigmin {eigmin:.3e})")
-    return None
+    return vec * np.sqrt(np.clip(eig, 0.0, None))[None, :]
 
 
 @dataclass(frozen=True)
@@ -93,11 +95,9 @@ class CorrelationModel:
         for label, value in (("spatial_cov", cov), ("mean", mean)):
             if not np.all(np.isfinite(value)):
                 raise ModelError(f"{label} has non-finite entries")
-        # the samplers' L with L L^H = spatial_cov: the Cholesky factor the
-        # check computed, or the eigen factor of a singular spatial_cov
+        # the samplers' L with L L^H = spatial_cov, from the check's
+        # decomposition: Cholesky, or the eigen factor of a singular one
         factor = _check_hermitian_psd(cov, "spatial_cov")
-        if factor is None:
-            factor = _psd_factor(cov)
         for value in (cov, mean, factor):
             value.setflags(write=False)
         object.__setattr__(self, "spatial_cov", cov)
@@ -190,8 +190,8 @@ class ChannelStats:
     sigma_h, which must be Hermitian and positive semidefinite.  Stats made
     by build_stats keep the covariance in its separable form instead (see
     there); sigma_h is then built densely on first read.  Other modules
-    reach the covariance only through _receive_factors and _apply_cov,
-    which work on either form.
+    reach the covariance only through _receive_factors, _receive_cov and
+    _apply_cov, which work on either form.
     """
 
     l_t: int
@@ -215,6 +215,11 @@ class ChannelStats:
     @property
     def dim(self) -> int:
         return self.l_t * self.l_r * self.n
+
+    def _receive_mean(self, entries: np.ndarray) -> np.ndarray:
+        """ybar = Sb mu_h for the (n, l_t) pilot entries, shape (l_r, n)."""
+        return np.einsum("kt,rkt->rk", entries,
+                         self.mu_h.reshape(self.l_r, self.n, self.l_t))
 
     def _receive_cov(self, entries: np.ndarray) -> np.ndarray:
         """R = Sb Sigma_h Sb^H for the (n, l_t) pilot entries, (n*l_r)^2."""
@@ -311,16 +316,6 @@ def build_stats(model: CorrelationModel, n: int,
     mu.setflags(write=False)
     return _SeparableStats(l_t, l_r, n, mu, time_corr, model.spatial_cov,
                            model._kronecker_factors)
-
-
-def _psd_factor(cov: np.ndarray) -> np.ndarray:
-    """L with L L^H = cov; Cholesky when possible, eigen fallback for singular cov."""
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        eigval, eigvec = np.linalg.eigh(cov)
-        eigval = np.clip(eigval, 0.0, None)
-        return eigvec * np.sqrt(eigval)[None, :]
 
 
 def _unit_complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:

@@ -39,8 +39,8 @@ for dense stats, which run the same code with p = 1.  Once the de-rotated
 w is formed, for a common or a per-antenna offset, K applies row by row in
 the eigen-antenna basis: with wt = U^H w (one row of length q per i),
 w^H K w = sum_i wt_i^H K_i wt_i and K w = U (K_i wt_i).  The metric, the
-channel estimate, the lag series and the bounds are evaluated that way;
-the dense K is built on demand for the oracles only.
+channel estimate, the lag series and the bounds are evaluated that way,
+and the dense K is never formed.
 
 The MMSE channel estimate h_hat(f) = A X(f)^H y + b, with X(f) = D(f) Sb,
 A = (Sb^H Sb + Sigma_h^{-1})^{-1} its error covariance and
@@ -50,8 +50,10 @@ A Sb^H = Sigma_h Sb^H (I + R)^{-1} and (I + R)^{-1} = I - K,
     h_hat(f) = mu_h + Sigma_h Sb^H (I - K)(w - ybar),
 
 one product with Sigma_h, which ChannelStats applies in its separable form.
-A, b and Sb exist only for the oracles (K = Sb A Sb^H, lin = Sb b) and are
-built on demand.
+No routine here forms a channel-space matrix on its own: Sb is
+pilots.expand_block, X(f) is rotated_design and A is mmse_gain, each built
+only when a caller asks for it by name (K = Sb A Sb^H and lin = Sb b tie
+them to the receive-space tables).
 
 Collecting g by time lag turns it into a short complex series,
 
@@ -140,10 +142,10 @@ class EstimatorWorkspace:
     ybar and lin_table are always complex.
 
     subdiagonals, the kernels' subdiagonals in time that the lag series is
-    read along, is built on its first read.  The dense (n*l_r)^2 quad_kernel
-    (K itself) and R are cached properties built on first read, for the
-    oracles and tests only; no estimation routine reads them.  sbreve, A (the MMSE error covariance) and b are
-    channel-space objects, built on first access for the oracles only.
+    read along, is built on its first read.  The workspace holds no dense
+    (n*l_r)^2 or channel-space matrix: a caller that wants Sb, X(f) or the
+    MMSE error covariance A builds it with expand_block, rotated_design or
+    mmse_gain.
     """
 
     pilot: PilotMatrix
@@ -167,19 +169,6 @@ class EstimatorWorkspace:
         return self.pilot.l_t
 
     @cached_property
-    def sbreve(self) -> np.ndarray:
-        return expand_block(self.pilot, self.l_r)
-
-    @cached_property
-    def quad_kernel(self) -> np.ndarray:
-        """K = I - (I + R)^{-1} = sum_i (u_i u_i^H) kron K_i, dense."""
-        p, q = self.kernels.shape[:2]
-        u = self.U
-        weights = (u[:, None, :] * u.conj()[None, :, :]).reshape(p * p, p)
-        kernel = (weights @ self.kernels.reshape(p, q * q)).reshape(p, p, q, q)
-        return kernel.transpose(0, 2, 1, 3).reshape(p * q, p * q)
-
-    @cached_property
     def subdiagonals(self) -> tuple:
         """The kernels' k-th subdiagonals for k = 0 .. n-1, in time: entries
         K_i[(a, k + w), (b, w)] of receive blocks a, b ordered (w, i, a, b),
@@ -190,20 +179,6 @@ class EstimatorWorkspace:
         return tuple(np.einsum("iawbw->wiab", kernels[:, :, k:, :, :n - k]).reshape(-1, 1)
                      for k in range(n))
 
-    @cached_property
-    def R(self) -> np.ndarray:
-        """R = kron(A_r, M) with A_r = U diag(a) U^H, dense."""
-        return np.kron((self.U * self.a) @ self.U.conj().T, self.M)
-
-    @cached_property
-    def A(self) -> np.ndarray:
-        return mmse_gain(self.sbreve, self.stats.sigma_h)[0]
-
-    @cached_property
-    def b(self) -> np.ndarray:
-        mu, sb = self.stats.mu_h, self.sbreve
-        return mu - self.A @ (sb.conj().T @ (sb @ mu))
-
 
 def _condition(eigenvalues: np.ndarray) -> float:
     """max / min of a Hermitian matrix's eigenvalues; inf unless it is
@@ -212,22 +187,21 @@ def _condition(eigenvalues: np.ndarray) -> float:
     return float(eigenvalues.max() / low) if low > 0 else np.inf
 
 
-def mmse_gain(design: np.ndarray, sigma_h: np.ndarray,
-              condition_limit: float = CONDITION_LIMIT) -> tuple[np.ndarray, float]:
+def mmse_gain(design: np.ndarray, sigma_h: np.ndarray) -> tuple[np.ndarray, float]:
     """Posterior covariance (design^H design + sigma_h^{-1})^{-1} and the
     condition number of I + design sigma_h design^H.
 
     Evaluated in the inversion-lemma form, so sigma_h may be singular.  One
     eigendecomposition of the inner matrix I + design sigma_h design^H gives
     both its condition number, the ratio of its extreme eigenvalues (inf when
-    it is not positive definite), checked against condition_limit, and the
+    it is not positive definite), checked against CONDITION_LIMIT, and the
     solve.
     """
     cross = design @ sigma_h
     inner = np.eye(design.shape[0], dtype=np.complex128) + cross @ design.conj().T
     eig, vec = np.linalg.eigh(inner)
     condition = _condition(eig)
-    if not condition <= condition_limit:
+    if not condition <= CONDITION_LIMIT:
         raise NumericalError("I + Sb Sigma_h Sb^H is too ill-conditioned",
                              condition=condition)
     half = vec.conj().T @ cross / np.sqrt(eig)[:, None]  # gain = sigma_h - half^H half
@@ -245,12 +219,12 @@ def build_workspace(pilot: PilotMatrix, l_r: int, stats: ChannelStats,
         raise ParameterError(
             f"stats built for (l_t={stats.l_t}, l_r={stats.l_r}, n={stats.n}) do not "
             f"match pilot (l_t={pilot.l_t}, n={pilot.n}) with l_r={l_r}")
-    n, l_t, s = pilot.n, pilot.l_t, pilot.entries
+    n, s = pilot.n, pilot.entries
     a, m = (0.5 * (x + x.conj().T) for x in stats._receive_factors(s))
     # a factor with an exactly zero imaginary part is kept real, so eigh takes
     # the real symmetric path and U, M and the K_i below stay float64
     a, m = (x if x.imag.any() else x.real.copy() for x in (a, m))
-    ybar = np.einsum("kt,rkt->rk", s, stats.mu_h.reshape(l_r, n, l_t))
+    ybar = stats._receive_mean(s)
     eig_a, u = np.linalg.eigh(a)
     eig_m, v = np.linalg.eigh(m)
     p, q = eig_a.size, eig_m.size  # (l_r, n), or (1, n*l_r) for dense stats
@@ -603,7 +577,7 @@ def estimate_cfo_universal(y: np.ndarray, ws: EstimatorWorkspace, *,
 def estimate_channel_mmse(y: np.ndarray, f_hat, ws: EstimatorWorkspace) -> np.ndarray:
     """MMSE channel estimate mu_h + Sigma_h Sb^H (I - K)(w - ybar) at w = D(f_hat)^H y.
 
-    Equal to A X(f_hat)^H y + b (ws.A is its error covariance) by
+    Equal to A X(f_hat)^H y + b (A, from mmse_gain, is its error covariance) by
     A Sb^H = Sigma_h Sb^H (I + R)^{-1} and (I + R)^{-1} = I - K.
     """
     resid = _derotated(_received(y, ws), f_hat).ravel() - ws.ybar

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from cfomimo import (CfoPrior, CorrelationModel, build_stats,
-                     generate_periodic_pilot, generate_td_pilot, make_model)
+from cfomimo import (CfoPrior, CorrelationModel, build_stats, expand_block,
+                     generate_periodic_pilot, generate_td_pilot, make_model,
+                     mmse_gain)
 
 
 def random_psd(rng, dim):
@@ -28,6 +29,22 @@ def spatial_model(spatial, l_t, l_r, rho_h):
         cov = _hermitian(random_psd(rng, l_t * l_r))
     mean = 0.5 * np.exp(2j * np.pi * rng.random(l_t * l_r))
     return CorrelationModel(l_t, l_r, rho_h, cov, mean)
+
+
+def dense_gain_and_offset(pilot, l_r, stats):
+    """The channel-space MMSE error covariance A = (Sb^H Sb + Sigma_h^{-1})^{-1}
+    and offset b = (I - A Sb^H Sb) mu_h, formed densely for the oracles."""
+    sb = expand_block(pilot, l_r)
+    gain = mmse_gain(sb, stats.sigma_h)[0]
+    return gain, stats.mu_h - gain @ (sb.conj().T @ (sb @ stats.mu_h))
+
+
+def dense_kernel(ws):
+    """The workspace's quadratic kernel K = sum_i (u_i u_i^H) kron K_i, dense."""
+    p, q = ws.kernels.shape[:2]
+    weights = (ws.U[:, None, :] * ws.U.conj()[None, :, :]).reshape(p * p, p)
+    kernel = (weights @ ws.kernels.reshape(p, q * q)).reshape(p, p, q, q)
+    return kernel.transpose(0, 2, 1, 3).reshape(p * q, p * q)
 
 
 def random_case(rng, l_t_max=2, l_r_max=2, n_max=12, allow_frozen=True):

@@ -7,7 +7,6 @@ per criterion (each line carries the measured margin and elapsed time).
 import math
 import pathlib
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +18,8 @@ from cfomimo import (CfoPrior, build_stats, build_workspace, compute_beta,
                      map_metric, metric_gradient, mmse_gain,
                      resolvability_floor, rotated_design,
                      sample_ar1_trajectory, synthesize_rx)
+from cfomimo import simcli
+from cfomimo.channel import _trial_normals
 from cfomimo.simcli import ExperimentConfig, run_mse_vs_snr
 
 from conftest import random_case
@@ -236,15 +237,30 @@ def test_criterion_11_map_ml_limit():
     budget.done(11, f"ML limit of the MAP search on 50 trials, worst gap {worst:.1e}")
 
 
-def test_criterion_12_determinism():
+def test_criterion_12_determinism(monkeypatch):
     budget = Budget(60.0)
     config = ExperimentConfig(pilot_structure="td", l_t=2, m=4, l_r=2,
                               rho_h=0.95, snr_db=(10.0, 20.0), trials=40,
-                              seed=1212, workers=1)
-    serial = run_mse_vs_snr(config).to_csv_text()
+                              seed=1212)
+    row_bytes = 8 * _trial_normals(config.n, config.l_r, config.l_t * config.l_r,
+                                   config.noise)
+    sizes, sample_block = [], simcli._sample_block
+
+    def counting(config, point, trials, *args):
+        sizes.append(len(trials))
+        return sample_block(config, point, trials, *args)
+
+    monkeypatch.setattr(simcli, "_sample_block", counting)
+    texts = []
+    # one block, an uneven balanced split and one trial per block, set by
+    # the block budget as validate does; each SNR point splits alike
+    for cap, split in ((config.trials, [40]), (14, [14, 13, 13]), (1, [1] * 40)):
+        monkeypatch.setattr(simcli, "BLOCK_BYTES", cap * row_bytes)
+        sizes.clear()
+        texts.append(run_mse_vs_snr(config).to_csv_text())
+        assert sizes == split * len(config.snr_db)
     rerun = run_mse_vs_snr(config).to_csv_text()
-    threaded = run_mse_vs_snr(replace(config, workers=4)).to_csv_text()
-    assert serial == rerun
-    assert serial == threaded
-    budget.done(12, "identical config+seed gives byte-identical CSV for 1 and "
-                    "4 workers, rerun included")
+    assert texts[0] == rerun
+    assert texts[0] == texts[1] == texts[2]
+    budget.done(12, "identical config+seed gives byte-identical CSV in one block, "
+                    "in blocks of 14+13+13 and one trial per block, rerun included")

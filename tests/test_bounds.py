@@ -8,7 +8,7 @@ from cfomimo import (CfoPrior, ParameterError, build_stats, build_workspace,
                      evaluate_bounds, fisher_oracle, generate_periodic_pilot,
                      generate_td_pilot, make_model, resolvability_floor)
 
-from conftest import random_case
+from conftest import dense_gain_and_offset, random_case
 from reference_impls import reference_beta
 
 
@@ -38,8 +38,8 @@ def test_beta_matches_direct_loop_reference(rng):
         pilot, model, stats, _ = random_case(rng, n_max=8, allow_frozen=False)
         ws = build_workspace(pilot, model.l_r, stats, CfoPrior.ml())
         fast = compute_beta(pilot, model.l_r, stats, workspace=ws)
-        slow = reference_beta(pilot.entries, model.l_r, stats.mu_h,
-                              stats.sigma_h, ws.A, ws.b)
+        slow = reference_beta(pilot.entries, model.l_r, stats.mu_h, stats.sigma_h,
+                              *dense_gain_and_offset(pilot, model.l_r, stats))
         assert fast == pytest.approx(slow, rel=1e-9, abs=1e-9)
 
 

@@ -4,7 +4,7 @@ import pytest
 from cfomimo import (CfoPrior, ChannelStats, CorrelationModel, ModelError, build_stats,
                      custom_pilot, expand_block, generate_td_pilot, make_model,
                      sample_ar1_trajectory, synthesize_rx)
-from cfomimo.channel import _psd_factor, _unit_complex
+from cfomimo.channel import _unit_complex
 
 
 def scalar_model(rho_h, var=1.0, mean=0.0):
@@ -126,12 +126,13 @@ def test_psd_check_and_sampler_factor_share_one_cholesky(monkeypatch):
 
 
 def test_psd_check_falls_back_to_eigenvalues(monkeypatch):
-    # a singular covariance fails Cholesky and is accepted by its eigenvalues
+    # a singular covariance fails Cholesky and is accepted by its eigenvalues;
+    # the one eigh behind that check also gives the sampler's factor
     calls = _count_decompositions(monkeypatch)
     ones = np.ones((3, 3), dtype=complex)  # rank one
     model = CorrelationModel(l_t=3, l_r=1, rho_h=0.5, spatial_cov=ones,
                              mean=np.zeros(3, dtype=complex))
-    assert calls[:2] == ["cholesky", "eigvalsh"] and "eigh" in calls
+    assert calls == ["cholesky", "eigh"]
     factor = model._spatial_factor
     np.testing.assert_allclose(factor @ factor.conj().T, ones, atol=1e-12)
     # an eigenvalue of -1e-3 is rejected with the eigenvalue check's message
@@ -214,7 +215,8 @@ def test_ar1_mean_is_constant(rng):
 
 def test_psd_factor_handles_singular():
     cov = np.ones((3, 3), dtype=complex)  # rank one
-    factor = _psd_factor(cov)
+    factor = CorrelationModel(l_t=3, l_r=1, rho_h=0.5, spatial_cov=cov,
+                              mean=np.zeros(3, dtype=complex))._spatial_factor
     np.testing.assert_allclose(factor @ factor.conj().T, cov, atol=1e-12)
 
 

@@ -10,7 +10,7 @@ from cfomimo import (CfoPrior, ChannelStats, CorrelationModel, EstimationError,
                      compute_z, custom_pilot, estimate_cfo_per_antenna,
                      estimate_cfo_universal, estimate_cfo_universal_batch,
                      estimate_channel_mmse,
-                     evaluate_bounds, generate_periodic_pilot,
+                     evaluate_bounds, expand_block, generate_periodic_pilot,
                      generate_td_pilot, make_model, map_metric,
                      metric_gradient, mmse_gain, per_antenna_metric,
                      rotated_design, sample_ar1_trajectory, synthesize_rx,
@@ -19,7 +19,8 @@ from cfomimo.estimator import (CONDITION_LIMIT, _grid_sums, _lag_metric, _lag_te
                                _per_antenna_grad_hess, _prior_vectors,
                                _universal_search)
 
-from conftest import random_case, random_psd, spatial_model
+from conftest import (dense_gain_and_offset, dense_kernel, random_case, random_psd,
+                      spatial_model)
 from reference_impls import reference_beta, reference_gain_and_offset, reference_z
 
 
@@ -39,9 +40,9 @@ def test_gain_frozen_channel_iid_spatial_closed_form():
     sigma_sq, l_t, l_r, m, rho = 0.8, 3, 2, 4, 2.0
     pilot = generate_periodic_pilot(l_t, m, rho=rho)
     stats = build_stats(make_model(l_t, l_r, 1.0, sigma_h_sq=sigma_sq), pilot.n)
-    ws = build_workspace(pilot, l_r, stats, CfoPrior.ml())
+    gain = mmse_gain(expand_block(pilot, l_r), stats.sigma_h)[0]
     alpha = 1.0 / (1.0 / sigma_sq + pilot.n * rho / l_t)
-    a6 = ws.A.reshape(l_r, pilot.n, l_t, l_r, pilot.n, l_t)
+    a6 = gain.reshape(l_r, pilot.n, l_t, l_r, pilot.n, l_t)
     for r1 in range(l_r):
         for r2 in range(l_r):
             for t1 in range(l_t):
@@ -55,8 +56,10 @@ def test_offset_zero_for_zero_mean(rng):
     pilot, model, stats, prior = random_case(rng)
     zero_mean = ChannelStats(stats.l_t, stats.l_r, stats.n,
                              np.zeros_like(stats.mu_h), stats.sigma_h)
+    np.testing.assert_array_equal(dense_gain_and_offset(pilot, stats.l_r, zero_mean)[1], 0.0)
+    # and its receive-space image lin = Sb b
     ws = build_workspace(pilot, stats.l_r, zero_mean, prior)
-    np.testing.assert_array_equal(ws.b, np.zeros_like(ws.b))
+    np.testing.assert_array_equal(ws.lin_table, 0.0)
 
 
 def test_gain_matches_direct_inverse(rng):
@@ -67,28 +70,28 @@ def test_gain_matches_direct_inverse(rng):
     sigma = random_psd(rng, dim)
     mu = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     stats = ChannelStats(l_t, l_r, n, mu, sigma)
-    ws = build_workspace(pilot, l_r, stats, CfoPrior.ml())
-    gain_ref, offset_ref = reference_gain_and_offset(ws.sbreve, mu, sigma)
+    gain, offset = dense_gain_and_offset(pilot, l_r, stats)
+    gain_ref, offset_ref = reference_gain_and_offset(expand_block(pilot, l_r), mu, sigma)
     scale = np.max(np.abs(gain_ref))
-    assert np.max(np.abs(ws.A - gain_ref)) < 1e-9 * scale
-    assert np.max(np.abs(ws.b - offset_ref)) < 1e-9 * max(1.0, np.max(np.abs(offset_ref)))
+    assert np.max(np.abs(gain - gain_ref)) < 1e-9 * scale
+    assert np.max(np.abs(offset - offset_ref)) < 1e-9 * max(1.0, np.max(np.abs(offset_ref)))
 
 
 def test_offset_two_forms_agree(rng):
-    pilot, model, stats, prior = random_case(rng, allow_frozen=False)
-    ws = build_workspace(pilot, stats.l_r, stats, prior)
-    alt = np.linalg.solve(
-        np.eye(stats.dim) + stats.sigma_h @ (ws.sbreve.conj().T @ ws.sbreve),
-        stats.mu_h)
-    assert np.max(np.abs(ws.b - alt)) < 1e-9 * max(1.0, np.max(np.abs(alt)))
+    pilot, _, stats, _ = random_case(rng, allow_frozen=False)
+    sb = expand_block(pilot, stats.l_r)
+    offset = dense_gain_and_offset(pilot, stats.l_r, stats)[1]
+    alt = np.linalg.solve(np.eye(stats.dim) + stats.sigma_h @ (sb.conj().T @ sb), stats.mu_h)
+    assert np.max(np.abs(offset - alt)) < 1e-9 * max(1.0, np.max(np.abs(alt)))
 
 
 def test_workspace_accepts_singular_sigma(rng):
     pilot = generate_td_pilot(2, 3)
     stats = build_stats(make_model(2, 2, 1.0), pilot.n)  # rank-deficient
-    ws = build_workspace(pilot, 2, stats, CfoPrior.ml())
-    assert np.all(np.isfinite(ws.A))
-    assert np.linalg.eigvalsh(ws.A)[0] > -1e-10
+    build_workspace(pilot, 2, stats, CfoPrior.ml())
+    gain = mmse_gain(expand_block(pilot, 2), stats.sigma_h)[0]
+    assert np.all(np.isfinite(gain))
+    assert np.linalg.eigvalsh(gain)[0] > -1e-10
 
 
 def _dense_copy_cases():
@@ -117,8 +120,12 @@ def test_separable_stats_match_dense_copy(spatial, maker, rho_h):
     def close(a, b):
         return np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
-    for name in ("R", "quad_kernel", "lin_table"):
-        assert close(getattr(ws, name), getattr(ref, name)), name
+    # R = Sb Sigma_h Sb^H, in both of the stats' receive-space forms
+    sb = expand_block(pilot, l_r)
+    r_dense = sb @ stats.sigma_h @ sb.conj().T
+    assert close(stats._receive_cov(pilot.entries), r_dense)
+    assert close(np.kron(*stats._receive_factors(pilot.entries)), r_dense)
+    assert close(ws.lin_table, ref.lin_table)
     assert close(ws.condition, ref.condition)
     assert close(compute_beta(pilot, l_r, stats, workspace=ws),
                  compute_beta(pilot, l_r, dense, workspace=ref))
@@ -134,6 +141,14 @@ def test_separable_stats_match_dense_copy(spatial, maker, rho_h):
     rng = np.random.default_rng(11)
     y = rng.standard_normal(pilot.n * l_r) + 1j * rng.standard_normal(pilot.n * l_r)
     f_vec = rng.uniform(-0.3, 0.3, l_r)
+    # the factor-form K through the metric, against the dense oracle
+    # w^H K w + 2 Re<lin, w> with K = I - (I + R)^{-1} and lin = (I + R)^{-1} Sb mu_h
+    eye = np.eye(pilot.n * l_r)
+    inv = np.linalg.inv(eye + r_dense)
+    w = (np.exp(-2j * np.pi * 0.13 * np.arange(pilot.n)) * y.reshape(l_r, pilot.n)).ravel()
+    lin = inv @ (sb @ stats.mu_h)
+    assert close(map_metric(y, 0.13, ws),
+                 np.real(np.vdot(w, (eye - inv) @ w)) + 2.0 * np.real(np.vdot(lin, w)))
     assert close(map_metric(y, 0.13, ws), map_metric(y, 0.13, ref))
     assert close(per_antenna_metric(y, f_vec, ws), per_antenna_metric(y, f_vec, ref))
     assert close(estimate_channel_mmse(y, 0.13, ws), estimate_channel_mmse(y, 0.13, ref))
@@ -192,11 +207,13 @@ def test_workspace_factors_are_real_when_r_factors_are(maker, scrambled, spatial
     assert ws.lin_table.dtype == ws.ybar.dtype == np.complex128
     # K against the dense oracle I - (I + R)^{-1}, R = Sb Sigma_h Sb^H
     eye = np.eye(pilot.n * l_r)
-    want = eye - np.linalg.inv(eye + ws.sbreve @ stats.sigma_h @ ws.sbreve.conj().T)
-    assert np.max(np.abs(ws.quad_kernel - want)) <= 1e-12 * np.max(np.abs(want))
+    sb = expand_block(pilot, l_r)
+    want = eye - np.linalg.inv(eye + sb @ stats.sigma_h @ sb.conj().T)
+    assert np.max(np.abs(dense_kernel(ws) - want)) <= 1e-12 * np.max(np.abs(want))
     beta = compute_beta(pilot, l_r, stats, workspace=ws)
     assert beta == pytest.approx(
-        reference_beta(pilot.entries, l_r, stats.mu_h, stats.sigma_h, ws.A, ws.b),
+        reference_beta(pilot.entries, l_r, stats.mu_h, stats.sigma_h,
+                       *dense_gain_and_offset(pilot, l_r, stats)),
         rel=1e-9, abs=1e-9)
     # every reader of U, M and the K_i against the same factors held complex
     cws = replace(ws, U=ws.U.astype(complex), M=ws.M.astype(complex),
@@ -215,8 +232,10 @@ def test_workspace_factors_are_real_when_r_factors_are(maker, scrambled, spatial
     for got, want in zip(_per_antenna_grad_hess(rows[0], ws, f_vec, mu, inv_var),
                          _per_antenna_grad_hess(rows[0], cws, f_vec, mu, inv_var)):
         assert close(got, want)
-    for name in ("quad_kernel", "R"):
-        assert close(getattr(ws, name), getattr(cws, name)), name
+    assert close(dense_kernel(ws), dense_kernel(cws))
+    # R = kron(A_r, M) with A_r = U diag(a) U^H
+    receive_cov = [np.kron((w.U * w.a) @ w.U.conj().T, w.M) for w in (ws, cws)]
+    assert close(*receive_cov)
 
 
 def test_zero_covariance_workspace():
@@ -229,7 +248,7 @@ def test_zero_covariance_workspace():
     assert (a.shape, m.shape) == ((l_r, l_r), (pilot.n, pilot.n))
     ws = build_workspace(pilot, l_r, stats, CfoPrior.ml())
     assert ws.condition == 1.0
-    np.testing.assert_array_equal(ws.quad_kernel, 0.0)
+    np.testing.assert_array_equal(ws.kernels, 0.0)
     np.testing.assert_allclose(ws.lin_table.ravel(), ws.ybar, rtol=1e-14, atol=0)
     assert np.isfinite(compute_beta(pilot, l_r, stats, workspace=ws))
 
@@ -366,7 +385,8 @@ def test_z_matches_six_loop_reference(rng):
         ws = build_workspace(pilot, model.l_r, stats, prior)
         y, _ = draw_y(rng, pilot, model, stats, 0.12)
         z_fast = compute_z(y, ws)
-        z_ref = reference_z(y, pilot.entries, ws.A, ws.b, model.l_r)
+        z_ref = reference_z(y, pilot.entries, *dense_gain_and_offset(pilot, model.l_r, stats),
+                            model.l_r)
         np.testing.assert_allclose(z_fast, z_ref, atol=1e-10 * max(1.0, np.max(np.abs(z_ref))))
 
 
@@ -759,10 +779,10 @@ def test_channel_estimate_high_snr_recovers_truth(rng):
 
 
 def test_error_covariance_is_gain_matrix(rng):
-    pilot, model, stats, prior = random_case(rng)
-    ws = build_workspace(pilot, model.l_r, stats, prior)
-    assert ws.A.shape == (stats.dim, stats.dim)
-    assert np.max(np.abs(ws.A - ws.A.conj().T)) < 1e-10 * max(1.0, np.max(np.abs(ws.A)))
+    pilot, model, stats, _ = random_case(rng)
+    gain = mmse_gain(expand_block(pilot, model.l_r), stats.sigma_h)[0]
+    assert gain.shape == (stats.dim, stats.dim)
+    assert np.max(np.abs(gain - gain.conj().T)) < 1e-10 * max(1.0, np.max(np.abs(gain)))
 
 
 # ---------------------------------------------------------------------------

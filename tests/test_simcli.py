@@ -521,6 +521,35 @@ def test_validate_determinism_check_sees_block_dependence(monkeypatch):
     assert cli.BLOCK_BYTES == saved
 
 
+def test_sweeps_single_and_oracle_form_no_channel_space_matrix(monkeypatch):
+    # the dense sigma_h of model-built stats and the block design Sb are
+    # formed only for a caller that names them; none of these runs does
+    import cfomimo
+    from cfomimo import estimate_cfo_per_antenna, fisher_oracle
+    from cfomimo.channel import _SeparableStats
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a channel-space matrix was formed")
+
+    monkeypatch.setattr(_SeparableStats, "sigma_h", property(refuse))
+    for module in (cfomimo, cfomimo.pilots, cfomimo.estimator, cfomimo.simcli):
+        monkeypatch.setattr(module, "expand_block", refuse)
+    config = ExperimentConfig(**FAST, spatial_kind="exponential", mean_kind="rician",
+                              rho_h_grid=(0.0, 0.5, 1.0))
+    assert run_mse_vs_snr(config).rows[0].failures == 0
+    assert len(run_bounds_vs_rho(config).rows) == 3 * len(PILOT_STRUCTURES)
+    assert len(run_bounds_vs_snr(config).rows) == len(PILOT_STRUCTURES)
+    assert run_single(config).status == "ok"
+    model, pilot = config.model(), config.pilot(10.0)
+    stats = build_stats(model, config.n)
+    rng = np.random.default_rng(5)
+    y = synthesize_rx(pilot, config.l_r, [0.02, -0.03],
+                      sample_ar1_trajectory(model, config.n, rng), rng)
+    assert estimate_cfo_per_antenna(y, pilot, stats, CfoPrior(0.0, 1e-3)).f_hat.shape == (2,)
+    assert fisher_oracle(pilot, config.l_r, stats, n_samples=10,
+                         rng=np.random.default_rng(0)) > 0
+
+
 def test_package_import_leaves_yaml_unloaded():
     # only load_config reads YAML; the CLI module must not import it
     code = ("import sys, cfomimo, cfomimo.simcli; "
@@ -540,7 +569,7 @@ def test_oracles_and_validate_run_without_scipy():
             "pilot = generate_td_pilot(2, 3)\n"
             "stats = build_stats(make_model(2, 2, 0.5), pilot.n)\n"
             "mmse_gain(expand_block(pilot, 2), stats.sigma_h)\n"
-            "build_workspace(pilot, 2, stats, CfoPrior.ml()).A\n"
+            "build_workspace(pilot, 2, stats, CfoPrior.ml())\n"
             "fisher_oracle(pilot, 2, stats, n_samples=10, rng=np.random.default_rng(0))\n"
             "sys.exit(main(['validate']))\n")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
