@@ -114,16 +114,15 @@ def evaluate_bounds(pilot: PilotMatrix, l_r: int, stats: ChannelStats,
     return compute_bounds(beta, prior, beta_floor=resolvability_floor(pilot))
 
 
-def fisher_oracle(pilot: PilotMatrix, l_r: int, stats: ChannelStats,
-                  prior: CfoPrior | None = None, f_probe: float = 0.0,
-                  n_samples: int = 10000, rng: np.random.Generator | None = None,
-                  step: float = 1e-4) -> float:
+def fisher_oracle(pilot: PilotMatrix, l_r: int, stats: ChannelStats, *,
+                  f_probe: float = 0.0, n_samples: int = 10000,
+                  rng: np.random.Generator | None = None, step: float = 1e-4) -> float:
     """Monte-Carlo estimate of the Fisher information at a probe offset.
 
     Draws y from the exact conditional law at f_probe and averages the
     central second difference of the Gaussian log-likelihood.  The prior
-    term is deliberately excluded, so the estimate targets beta itself;
-    the prior argument is accepted only for interface symmetry.
+    term is deliberately excluded, so the estimate targets beta itself and
+    takes no prior.  The tuning arguments are keyword-only.
 
     Everything is formed in the n*l_r receive space: at offset f, y has the
     law D(f) CN(ybar, R + I) with R = Sb Sigma_h Sb^H and ybar = Sb mu_h,
@@ -135,7 +134,6 @@ def fisher_oracle(pilot: PilotMatrix, l_r: int, stats: ChannelStats,
     singular covariance is needed.  At (l_t, m, l_r) = (8, 16, 8) it takes
     about 3 s and 300 MB for 2000 samples (one BLAS thread, 2-core host).
     """
-    del prior
     if n_samples < 1:
         raise ParameterError("n_samples must be positive")
     rng = rng or np.random.default_rng()

@@ -378,12 +378,11 @@ def _lag_metric(z: np.ndarray, f, mu_f, inv_var) -> np.ndarray:
     return 2.0 * acc.real - 0.5 * inv_var * f * f + inv_var * mu_f * f
 
 
-def metric_gradient(y: np.ndarray, f: float, ws: EstimatorWorkspace,
-                    z: np.ndarray | None = None) -> float:
-    """dg/df at a common offset: -4 pi Im sum k e^{j2pi f k} z_k - (f - mu_f)/sigma_f^2."""
+def metric_gradient(y: np.ndarray, f: float, ws: EstimatorWorkspace) -> float:
+    """dg/df at a common offset: -4 pi Im sum k e^{j2pi f k} z_k - (f - mu_f)/sigma_f^2,
+    with z the lag series of y."""
     f = _common_offset(f)
-    if z is None:
-        z = compute_z(y, ws)
+    z = compute_z(y, ws)
     k = np.arange(1, ws.n)
     grad = -4.0 * np.pi * np.imag(np.exp(2j * np.pi * f * k) @ (k * z))
     iv = ws.prior.inv_var

@@ -16,6 +16,12 @@ file values.  Example config::
     seed: 1
     f_true: prior        # "prior" samples f from the prior, "fixed" pins mu_f
 
+CONFIG_PATHS, which maps each ExperimentConfig field to its key path, is the
+one list of config keys; any other key is an error that names its section.
+The example leaves out noise (false drops the receiver noise),
+workers, channel.rho_h_grid (the bounds-vs-rho grid, 50 points on [0, 1]
+when empty) and prior.ml (true for the flat ML prior at mu_f).
+
 SNR is defined as pilot power times per-coefficient channel power with unit
 noise variance, so sweeps rescale the pilot power only.  Every trial draws
 from its own PCG64 stream, the one numpy's
@@ -47,7 +53,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -65,11 +71,21 @@ from .pilots import expand_block, generate_periodic_pilot, generate_td_pilot
 CSV_HEADER = "sweep_var,value,mse,crlb,bcrlb,trials,failures,mean_iters"
 PLOT_HEADER = "figure,series,x,y"
 PILOT_STRUCTURES = ("periodic", "td")
-CONFIG_KEYS = ("pilot", "l_r", "channel", "prior", "f_true", "snr_db", "trials",
-               "seed", "noise", "workers")
-INT_FIELDS = ("l_t", "m", "l_r", "trials", "seed", "workers")
-FLOAT_FIELDS = ("rho_h", "spatial_a", "spatial_b", "sigma_h_sq", "rician_k",
-                "mu_f", "sigma_f_sq")
+# the key path of each ExperimentConfig field in a config file: the one list
+# of config keys, which from_mapping walks
+CONFIG_PATHS = {
+    "pilot_structure": ("pilot", "structure"), "l_t": ("pilot", "l_t"), "m": ("pilot", "m"),
+    "l_r": ("l_r",),
+    "rho_h": ("channel", "rho_h"), "rho_h_grid": ("channel", "rho_h_grid"),
+    "spatial_kind": ("channel", "spatial", "kind"), "spatial_a": ("channel", "spatial", "a"),
+    "spatial_b": ("channel", "spatial", "b"), "sigma_h_sq": ("channel", "spatial", "sigma_h_sq"),
+    "mean_kind": ("channel", "mean", "kind"), "rician_k": ("channel", "mean", "k_factor"),
+    "prior_ml": ("prior", "ml"), "mu_f": ("prior", "mu_f"), "sigma_f_sq": ("prior", "sigma_f_sq"),
+    "snr_db": ("snr_db",), "trials": ("trials",), "seed": ("seed",), "f_true_mode": ("f_true",),
+    "noise": ("noise",), "workers": ("workers",),
+}
+FIELD_AT = {path: name for name, path in CONFIG_PATHS.items()}
+MINIMUMS = {"l_t": 1, "m": 1, "l_r": 1, "trials": 1, "seed": 0, "workers": 0}
 # a block's rows of normals fit into this many bytes, the one buffer a sweep
 # point allocates; the trials are split evenly over the fewest such blocks:
 # 4 blocks of 75 for 300 trials at the benchmark's (8,3,8), 15 blocks of
@@ -86,15 +102,26 @@ MIX_MULT_L, MIX_MULT_R = 0xca01f9dd, 0x4973f715
 PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def _section(section, label: str, allowed: tuple) -> dict:
-    """A config mapping (empty when absent) whose keys must all be in allowed."""
+def _config_values(section, label: str = "config", prefix: tuple = ()) -> dict:
+    """{field: value} of every CONFIG_PATHS key set in section, the mapping
+    at prefix (empty when absent), whose keys must all lead to a path.
+    Sections are checked depth first in table order."""
     section = section or {}
     if not isinstance(section, dict):
         raise ParameterError(f"config section {label!r} must be a mapping")
-    unknown = sorted(set(section) - set(allowed))
+    depth = len(prefix)
+    keys = dict.fromkeys(path[depth] for path in CONFIG_PATHS.values() if path[:depth] == prefix)
+    unknown = sorted(set(section) - set(keys), key=repr)
     if unknown:
         raise ParameterError(f"unknown {label} keys: {unknown}")
-    return section
+    values = {}
+    for key in keys:
+        path = prefix + (key,)
+        if path not in FIELD_AT:
+            values.update(_config_values(section.get(key), key, path))
+        elif key in section:
+            values[FIELD_AT[path]] = section[key]
+    return values
 
 
 @dataclass(frozen=True)
@@ -124,28 +151,25 @@ class ExperimentConfig:
     workers: int = 0  # accepted and checked, no effect: trials run on one thread
 
     def __post_init__(self):
-        for name in INT_FIELDS:
-            object.__setattr__(self, name, _coerce(name, getattr(self, name), int))
-        for name in FLOAT_FIELDS:
-            value = _coerce(name, getattr(self, name), float)
-            if not (math.isfinite(value) or (name == "sigma_f_sq" and value == math.inf)):
-                raise ParameterError(f"{name} must be finite, got {value}")
-            object.__setattr__(self, name, value)
+        # every int field first, then every float field, by annotation
+        # (a string under postponed evaluation)
+        for kind in (int, float):
+            for name in (f.name for f in fields(self) if f.type == kind.__name__):
+                value = _coerce(name, getattr(self, name), kind)
+                if kind is float and not (math.isfinite(value)
+                                          or (name == "sigma_f_sq" and value == math.inf)):
+                    raise ParameterError(f"{name} must be finite, got {value}")
+                object.__setattr__(self, name, value)
         if self.sigma_h_sq <= 0:
             raise ParameterError(f"sigma_h_sq must be > 0, got {self.sigma_h_sq}")
-        for name in ("prior_ml", "noise"):
+        for name in (f.name for f in fields(self) if f.type == "bool"):
             if not isinstance(getattr(self, name), (bool, np.bool_)):
                 raise ParameterError(f"{name} must be true or false, got {getattr(self, name)!r}")
         if self.pilot_structure not in PILOT_STRUCTURES:
             raise ParameterError(f"pilot structure must be one of {PILOT_STRUCTURES}")
-        if self.l_t < 1 or self.m < 1 or self.l_r < 1:
-            raise ParameterError("l_t, m and l_r must be positive")
-        if self.trials < 1:
-            raise ParameterError("trials must be >= 1")
-        if self.seed < 0:
-            raise ParameterError("seed must be >= 0")
-        if self.workers < 0:
-            raise ParameterError(f"workers must be >= 0, got {self.workers}")
+        for name, minimum in MINIMUMS.items():
+            if getattr(self, name) < minimum:
+                raise ParameterError(f"{name} must be >= {minimum}, got {getattr(self, name)}")
         if self.f_true_mode not in ("prior", "fixed"):
             raise ParameterError("f_true must be 'prior' or 'fixed'")
         for name in ("snr_db", "rho_h_grid"):
@@ -168,36 +192,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, data: dict) -> "ExperimentConfig":
-        data = _section(data, "config", CONFIG_KEYS)
-        pilot = _section(data.get("pilot"), "pilot", ("structure", "l_t", "m"))
-        channel = _section(data.get("channel"), "channel",
-                           ("rho_h", "rho_h_grid", "spatial", "mean"))
-        spatial = _section(channel.get("spatial"), "spatial",
-                           ("kind", "a", "b", "sigma_h_sq"))
-        mean = _section(channel.get("mean"), "mean", ("kind", "k_factor"))
-        prior = _section(data.get("prior"), "prior", ("ml", "mu_f", "sigma_f_sq"))
-        kwargs = {
-            "pilot_structure": pilot.get("structure", cls.pilot_structure),
-            "l_t": pilot.get("l_t", cls.l_t),
-            "m": pilot.get("m", cls.m),
-            "spatial_kind": spatial.get("kind", cls.spatial_kind),
-            "spatial_a": spatial.get("a", cls.spatial_a),
-            "spatial_b": spatial.get("b", cls.spatial_b),
-            "sigma_h_sq": spatial.get("sigma_h_sq", cls.sigma_h_sq),
-            "mean_kind": mean.get("kind", cls.mean_kind),
-            "rician_k": mean.get("k_factor", cls.rician_k),
-            "prior_ml": prior.get("ml", cls.prior_ml),
-            "mu_f": prior.get("mu_f", cls.mu_f),
-            "sigma_f_sq": prior.get("sigma_f_sq", cls.sigma_f_sq),
-            "rho_h": channel.get("rho_h", cls.rho_h),
-            "rho_h_grid": channel.get("rho_h_grid", cls.rho_h_grid),
-            "snr_db": data.get("snr_db", cls.snr_db),
-            "f_true_mode": data.get("f_true", cls.f_true_mode),
-        }
-        for key in ("l_r", "trials", "seed", "noise", "workers"):
-            if key in data:
-                kwargs[key] = data[key]
-        return cls(**kwargs)
+        return cls(**_config_values(data))
 
     def prior(self) -> CfoPrior:
         if self.prior_ml:

@@ -156,6 +156,17 @@ def test_fisher_oracle_single_symbol_is_zero():
     assert abs(est) < 1e-6
 
 
+def test_fisher_oracle_takes_no_prior_and_tuning_by_keyword():
+    # no prior, and the tuning arguments by keyword only, so a call that
+    # passes a prior or tuning values by position fails instead of shifting
+    pilot = custom_pilot(np.ones((1, 1), dtype=complex))
+    stats = build_stats(make_model(1, 1, 0.5), 1)
+    with pytest.raises(TypeError):
+        fisher_oracle(pilot, 1, stats, None, 0.0)
+    with pytest.raises(TypeError):
+        fisher_oracle(pilot, 1, stats, prior=CfoPrior.ml())
+
+
 def test_bound_ordering_random_sweep(rng):
     for _ in range(30):
         pilot, model, stats, prior = random_case(rng)

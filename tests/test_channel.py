@@ -192,24 +192,16 @@ def test_ar1_lag_one_autocorrelation(rng):
     rho = 0.9
     model = scalar_model(rho)
     n, trials = 6, 100000
-    acc = 0.0
-    var = 0.0
-    for _ in range(trials):
-        h = sample_ar1_trajectory(model, n, rng)
-        acc += np.sum(h[1:] * np.conj(h[:-1])).real
-        var += np.sum(np.abs(h) ** 2).real
-    lag1 = acc / trials / (n - 1)
-    marginal = var / trials / n
+    h = np.array([sample_ar1_trajectory(model, n, rng) for _ in range(trials)])
+    lag1 = np.sum(h[:, 1:] * np.conj(h[:, :-1])).real / trials / (n - 1)
+    marginal = np.sum(np.abs(h) ** 2) / trials / n
     assert lag1 / marginal == pytest.approx(rho, abs=0.01)
 
 
 def test_ar1_mean_is_constant(rng):
     model = make_model(1, 1, 0.6, mean="rician", rician_k=2.0)
     trials, n = 20000, 4
-    total = np.zeros((n,), dtype=complex)
-    for _ in range(trials):
-        total += sample_ar1_trajectory(model, n, rng)
-    avg = total / trials
+    avg = np.mean([sample_ar1_trajectory(model, n, rng) for _ in range(trials)], axis=0)
     np.testing.assert_allclose(avg, model.mean[0] * np.ones(n), atol=0.02)
 
 

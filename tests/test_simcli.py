@@ -4,7 +4,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,7 +13,8 @@ import yaml
 from cfomimo import (CfoPrior, ParameterError, build_stats, build_workspace,
                      sample_ar1_trajectory, synthesize_rx)
 from cfomimo.channel import _receive_map
-from cfomimo.simcli import (CSV_HEADER, PILOT_STRUCTURES, ExperimentConfig,
+from cfomimo.simcli import (CONFIG_PATHS, CSV_HEADER, MINIMUMS, PILOT_STRUCTURES,
+                            ExperimentConfig,
                             _block_sizes, _sample_block, _trial_rng, _trial_streams,
                             load_config, main, run_bounds_vs_rho, run_bounds_vs_snr,
                             run_mse_vs_snr, run_single)
@@ -62,6 +63,57 @@ def test_config_rejects_unknown_keys():
                  {"prior": [0.1, 1e-5]}):
         with pytest.raises(ParameterError):
             ExperimentConfig.from_mapping(data)
+
+
+def test_config_paths_name_every_field_once(tmp_path):
+    # one table entry per field, no path shared, no path inside another
+    assert list(CONFIG_PATHS) == [f.name for f in fields(ExperimentConfig)]
+    paths = list(CONFIG_PATHS.values())
+    assert len(set(paths)) == len(paths)
+    for a, b in itertools.permutations(paths, 2):
+        assert a != b[:len(a)], (a, b)
+    # one file that sets every key path at once
+    path = tmp_path / "every.yaml"
+    path.write_text(
+        "pilot: {structure: periodic, l_t: 3, m: 2}\n"
+        "l_r: 5\n"
+        "channel:\n"
+        "  rho_h: 0.8\n"
+        "  rho_h_grid: [0.1, 0.9]\n"
+        "  spatial: {kind: exponential, a: 0.2, b: 0.7, sigma_h_sq: 3.0}\n"
+        "  mean: {kind: rician, k_factor: 4.0}\n"
+        "prior: {ml: true, mu_f: -0.01, sigma_f_sq: 2.0e-4}\n"
+        "snr_db: [0, 5]\n"
+        "trials: 17\n"
+        "seed: 9\n"
+        "f_true: fixed\n"
+        "noise: false\n"
+        "workers: 2\n")
+    assert load_config(str(path)) == ExperimentConfig(
+        pilot_structure="periodic", l_t=3, m=2, l_r=5, rho_h=0.8,
+        rho_h_grid=(0.1, 0.9), spatial_kind="exponential", spatial_a=0.2,
+        spatial_b=0.7, sigma_h_sq=3.0, mean_kind="rician", rician_k=4.0,
+        prior_ml=True, mu_f=-0.01, sigma_f_sq=2e-4, snr_db=(0.0, 5.0),
+        trials=17, seed=9, f_true_mode="fixed", noise=False, workers=2)
+    # an unknown key in each section is rejected under that section's label
+    for label, data in (("config", {"bogus": 1}),
+                        ("pilot", {"pilot": {"bogus": 1}}),
+                        ("channel", {"channel": {"bogus": 1}}),
+                        ("spatial", {"channel": {"spatial": {"bogus": 1}}}),
+                        ("mean", {"channel": {"mean": {"bogus": 1}}}),
+                        ("prior", {"prior": {"bogus": 1}})):
+        with pytest.raises(ParameterError, match=rf"^unknown {label} keys: \['bogus'\]$"):
+            ExperimentConfig.from_mapping(data)
+    # keys of mixed types are listed, not compared
+    with pytest.raises(ParameterError, match=r"^unknown config keys: \['foo', 1\]$"):
+        ExperimentConfig.from_mapping({1: "a", "foo": "b"})
+
+
+def test_lower_bounds_name_the_field_and_value():
+    for name, minimum in MINIMUMS.items():
+        with pytest.raises(ParameterError,
+                           match=rf"^{name} must be >= {minimum}, got {minimum - 1}$"):
+            ExperimentConfig(**{name: minimum - 1})
 
 
 def test_config_validation():
@@ -457,7 +509,7 @@ def test_cli_error_paths(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     for text in ("bogus_key: 1\n", "pilot: {structre: periodic}\n",
                  "prior: {sigma_f: 1}\n", "trials: ten\n", "workers: -3\n",
-                 "pilot: [unclosed\n"):
+                 "pilot: [unclosed\n", "1: a\nfoo: b\n", "pilot: {2: x, structre: td}\n"):
         bad.write_text(text)
         capsys.readouterr()
         assert main(["mse-vs-snr", "--config", str(bad)]) == 1, text
