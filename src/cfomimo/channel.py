@@ -43,12 +43,13 @@ HERMITIAN_TOL = 1e-12
 PSD_TOL = -1e-10
 
 
-def _check_hermitian_psd(matrix: np.ndarray, label: str) -> np.ndarray:
+def _check_hermitian_psd(matrix: np.ndarray, label: str, factor: bool = True):
     """Reject a matrix that is not square, Hermitian and positive
-    semidefinite; return L with L L^H = matrix.  L is the Cholesky factor
-    when that succeeds, which proves the matrix positive definite.  When it
-    fails, one eigendecomposition gives both the smallest eigenvalue that
-    is checked and the eigen factor vec sqrt(clip(eig, 0)).
+    semidefinite; return L with L L^H = matrix, or None when no factor is
+    asked for.  L is the Cholesky factor when that succeeds, which proves
+    the matrix positive definite.  When it fails, the smallest eigenvalue
+    is checked, from one eigendecomposition that also gives the eigen
+    factor vec sqrt(clip(eig, 0)), or from the eigenvalues alone.
     """
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ModelError(f"{label} must be square")
@@ -58,11 +59,11 @@ def _check_hermitian_psd(matrix: np.ndarray, label: str) -> np.ndarray:
         return np.linalg.cholesky(matrix)
     except np.linalg.LinAlgError:
         pass
-    eig, vec = np.linalg.eigh(matrix)
+    eig, vec = np.linalg.eigh(matrix) if factor else (np.linalg.eigvalsh(matrix), None)
     eigmin = float(eig[0])
     if eigmin < PSD_TOL * max(1.0, float(np.max(np.abs(matrix)))):
         raise ModelError(f"{label} is not positive semidefinite (eigmin {eigmin:.3e})")
-    return vec * np.sqrt(np.clip(eig, 0.0, None))[None, :]
+    return None if vec is None else vec * np.sqrt(np.clip(eig, 0.0, None))[None, :]
 
 
 @dataclass(frozen=True)
@@ -206,7 +207,7 @@ class ChannelStats:
         sigma = np.array(self.sigma_h, dtype=np.complex128)
         if mu.shape != (dim,) or sigma.shape != (dim, dim):
             raise ModelError(f"stats dimensions do not match l_t*l_r*n = {dim}")
-        _check_hermitian_psd(sigma, "sigma_h")
+        _check_hermitian_psd(sigma, "sigma_h", factor=False)
         mu.setflags(write=False)
         sigma.setflags(write=False)
         object.__setattr__(self, "mu_h", mu)

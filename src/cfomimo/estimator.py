@@ -164,10 +164,6 @@ class EstimatorWorkspace:
     def n(self) -> int:
         return self.pilot.n
 
-    @property
-    def l_t(self) -> int:
-        return self.pilot.l_t
-
     @cached_property
     def subdiagonals(self) -> tuple:
         """The kernels' k-th subdiagonals for k = 0 .. n-1, in time: entries

@@ -99,7 +99,7 @@ class PilotMatrix:
         return self.orthogonality_defect() <= tol * max(1.0, self.n * self.rho / self.l_t)
 
     def with_power(self, rho: float) -> "PilotMatrix":
-        """Same pilot rescaled to a new average power (used by SNR sweeps)."""
+        """Same pilot rescaled to a new average power."""
         if not (rho > 0):
             raise ParameterError("pilot power rho must be positive")
         scale = np.sqrt(rho / self.rho)

@@ -27,9 +27,10 @@ noise variance, so sweeps rescale the pilot power only.  Every trial draws
 from its own PCG64 stream, the one numpy's
 default_rng(SeedSequence(entropy=seed, spawn_key=(sweep point, trial)))
 gives, so results are reproducible; identical config and seed give
-byte-identical CSV output.  A block's streams are seeded in one vectorized
-pass of SeedSequence's hash and PCG64's seeding step, and loaded in turn
-into one reused generator (_trial_streams).  Trials run on one thread, in
+byte-identical CSV output.  numpy's SeedSequence hashes the seed and sweep
+point; a block's streams mix in each trial's word and take PCG64's seeding
+step in one vectorized pass, and are loaded in turn into one reused
+generator (_trial_streams).  Trials run on one thread, in
 the fewest blocks that fit their rows of normals into BLOCK_BYTES (2 MiB)
 each, with sizes that differ by at most one (_block_sizes), so no block is
 a small tail; one buffer per sweep point.  Each trial fills its row in one
@@ -307,16 +308,6 @@ def _fmt(value) -> str:
     return repr(value)
 
 
-def _words(value: int) -> list:
-    """A nonnegative integer as SeedSequence reads it: 32-bit words, least
-    significant first, at least one."""
-    words = [value & MASK32]
-    while value > MASK32:
-        value >>= 32
-        words.append(value & MASK32)
-    return words
-
-
 def _hash_consts(const: int, mult: int, count: int) -> list:
     """The hash constants const * mult^j mod 2^32 for j = 0 .. count."""
     consts = [const]
@@ -327,15 +318,9 @@ def _hash_consts(const: int, mult: int, count: int) -> list:
 
 def _hashmix(value, before, after):
     """SeedSequence's hashmix of value under the hash constant before, which
-    steps to after; on ints, or elementwise on uint32 arrays."""
+    steps to after; elementwise on uint32 arrays."""
     value = (value ^ before) * after & MASK32
     return value ^ value >> 16
-
-
-def _mix(x, y):
-    """SeedSequence's mix of a pool entry x with a hashed word y."""
-    out = (x * MIX_MULT_L - y * MIX_MULT_R) & MASK32
-    return out ^ out >> 16
 
 
 def _pcg64_states(seed: int, point: int, trials) -> list:
@@ -343,27 +328,19 @@ def _pcg64_states(seed: int, point: int, trials) -> list:
     spawn_key=(point, trial))) for every trial index below 2^64, computed
     for all trials in one vectorized pass.
 
-    SeedSequence hashes the words of seed, zero-padded to its pool of 4,
-    then those of point and trial.  The pool after seed and point is common
-    to every trial and hashed once, on ints; the trial's words are then
-    mixed in on uint32 arrays of shape (4 pool entries, trials), a second
-    word (an index of 2^32 or more) under a mask.  The pool's output seeds
-    PCG64 with two 128-bit integers: inc = 2 initseq + 1 and
+    numpy hashes seed and point: the pool of SeedSequence(entropy=seed,
+    spawn_key=(point,)) is common to every trial, and its hash constant has
+    stepped once per hashmix, four per word of seed (zero-padded to the
+    pool of 4) and point.  Each trial's word is then mixed in on uint32
+    arrays of shape (4 pool entries, trials), a second word (an index of
+    2^32 or more) under a mask.  The pool's output seeds PCG64 with two
+    128-bit integers: inc = 2 initseq + 1 and
     state = (inc + initstate) MULT + inc mod 2^128.
     """
-    run = _words(seed)
-    words = run + [0] * (4 - len(run)) + _words(point)
-    consts = _hash_consts(HASH_INIT_A, HASH_MULT_A, 4 * len(words))  # one per hashmix
-    steps = zip(consts, consts[1:])
-    pool = [_hashmix(word, *next(steps)) for word in words[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(steps)))
-    for word in words[4:]:
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], _hashmix(word, *next(steps)))
-    pool, const = np.array(pool, dtype=np.uint32)[:, None], consts[-1]
+    seed_words, point_words = ((int(v).bit_length() + 31) // 32 for v in (seed, point))
+    words = max(4, seed_words) + max(1, point_words)
+    const = HASH_INIT_A * pow(HASH_MULT_A, 4 * words, 1 << 32) & MASK32
+    pool = np.random.SeedSequence(entropy=seed, spawn_key=(point,)).pool[:, None]
     trial = np.asarray(trials, dtype=np.uint64).reshape(1, -1)
     high = trial >> np.uint64(32)
     for word, present in ((trial & np.uint64(MASK32), None), (high, high > 0)):
@@ -371,7 +348,9 @@ def _pcg64_states(seed: int, point: int, trials) -> list:
             break
         consts = _hash_consts(const, HASH_MULT_A, 4)
         const, consts = consts[-1], np.array(consts, dtype=np.uint32)[:, None]
-        mixed = _mix(pool, _hashmix(word.astype(np.uint32), consts[:-1], consts[1:]))
+        hashed = _hashmix(word.astype(np.uint32), consts[:-1], consts[1:])
+        mixed = pool * MIX_MULT_L - hashed * MIX_MULT_R  # SeedSequence's mix
+        mixed ^= mixed >> 16
         pool = mixed if present is None else np.where(present, mixed, pool)
     # generate_state(4, np.uint64): 8 words from the pool read cyclically,
     # paired little-endian into the (high, low) halves of initstate and initseq
@@ -698,7 +677,7 @@ def _check_stream_seeding():
     prior = CfoPrior(0.1, 1e-3)
     trials = (0, 1, 5, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 3)
     count = 0
-    for seed in (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 7):
+    for seed in (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 7, 2 ** 128 + 5):
         for point in (0, 1, 2 ** 32 + 1):
             for trial, rng in zip(trials, _trial_streams(seed, point, trials)):
                 want = np.random.default_rng(np.random.SeedSequence(entropy=seed,

@@ -160,6 +160,20 @@ def test_dense_stats_check_unchanged():
         ChannelStats(1, 1, 3, mu, np.diag([1.0, 1.0, -1e-3]).astype(complex))
 
 
+def test_dense_stats_check_takes_eigenvalues_only(monkeypatch):
+    # ChannelStats keeps no factor, so a singular sigma_h that fails Cholesky
+    # is checked by its eigenvalues alone, never by a full eigh
+    sigma = build_stats(scalar_model(1.0), 3).sigma_h  # rank one
+    calls = _count_decompositions(monkeypatch)
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("eigh computes eigenvectors the check drops")
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    stats = ChannelStats(1, 1, 3, np.zeros(3, dtype=complex), sigma)
+    assert calls == ["cholesky", "eigvalsh"]
+    np.testing.assert_array_equal(stats.sigma_h, sigma)
+
+
 def test_rho_h_range_checked():
     with pytest.raises(ModelError):
         scalar_model(1.5)

@@ -345,11 +345,12 @@ def test_one_call_draws_match_four_calls(noise):
 def test_block_seeded_streams_match_numpy():
     # the streams _trial_streams seeds for a whole block in one pass, and
     # _trial_rng, against numpy's own SeedSequence seeding, bit for bit;
-    # the trials span 2^32, so one block mixes one- and two-word indices
+    # the trials span 2^32, so one block mixes one- and two-word indices;
+    # a five-word seed and a three-word point hash past the pool of 4
     prior = CfoPrior(0.1, 1e-3)
     trials = (0, 1, 5, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 3)
-    for seed in (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 7):
-        for point in (0, 1, 2 ** 32 + 1):
+    for seed in (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 7, 2 ** 128 + 5):
+        for point in (0, 1, 2 ** 32 + 1, 2 ** 64 + 1):
             for trial, rng in zip(trials, _trial_streams(seed, point, trials)):
                 for got in (rng, _trial_rng(seed, point, trial)):
                     want = reference_trial_rng(seed, point, trial)
