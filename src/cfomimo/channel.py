@@ -41,6 +41,8 @@ from .pilots import PilotMatrix
 
 HERMITIAN_TOL = 1e-12
 PSD_TOL = -1e-10
+# the scale of each part of a CN(0, 1) sample from two standard normals
+PART_SCALE = 1.0 / math.sqrt(2.0)
 
 
 def _check_hermitian_psd(matrix: np.ndarray, label: str, factor: bool = True):
@@ -322,9 +324,8 @@ def build_stats(model: CorrelationModel, n: int,
 def _unit_complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """CN(0, 1) samples from independent standard-normal real and imaginary parts."""
     out = np.empty(np.shape(re), dtype=np.complex128)
-    scale = 1.0 / np.sqrt(2.0)
-    np.multiply(re, scale, out=out.real)
-    np.multiply(im, scale, out=out.imag)
+    np.multiply(re, PART_SCALE, out=out.real)
+    np.multiply(im, PART_SCALE, out=out.imag)
     return out
 
 
@@ -348,7 +349,7 @@ def sample_ar1_trajectory(model: CorrelationModel, n: int, rng: np.random.Genera
     if n < 1:
         raise ParameterError("n must be a positive integer")
     d = model.l_t * model.l_r
-    xi = _unit_complex(rng.standard_normal((n, d)), rng.standard_normal((n, d)))
+    xi = _unit_complex(*rng.standard_normal((2, n, d)))  # real parts, then imaginary
     h = model.mean + _ar1(xi, model.rho_h) @ model._spatial_factor.T
     # (n, l_r*l_t) -> flat (r, k, t)
     return h.reshape(n, model.l_r, model.l_t).transpose(1, 0, 2).ravel()

@@ -30,19 +30,24 @@ gives, so results are reproducible; identical config and seed give
 byte-identical CSV output.  numpy's SeedSequence hashes the seed and sweep
 point; a block's streams mix in each trial's word and take PCG64's seeding
 step in one vectorized pass, and are loaded in turn into one reused
-generator (_trial_streams).  Trials run on one thread, in
-the fewest blocks that fit their rows of normals into BLOCK_BYTES (2 MiB)
-each, with sizes that differ by at most one (_block_sizes), so no block is
-a small tail; one buffer per sweep point.  Each trial fills its row in one
-standard_normal call, with the normals sample_ar1_trajectory and
+generator (_trial_streams).  Trials run in the fewest blocks that fit
+their rows of normals into BLOCK_BYTES (2 MiB) each, with sizes that
+differ by at most one (_block_sizes), so no block is a small tail.  A
+sweep point of two or more blocks has two such buffers and one helper
+thread: while the calling thread samples and searches block b, the helper
+draws block b + 1 into the other buffer (_draw_block), and it is joined
+before the point returns; a one-block point has one buffer and starts no
+thread.  Each trial fills its row in one standard_normal call, which
+releases the GIL, with the normals sample_ar1_trajectory and
 synthesize_rx would draw from its stream, but mse-vs-snr takes them
 straight to the n*l_r received signal: channel._received_trials splits the
 rows, runs the AR(1) recursion on the white innovations and applies one
 map per symbol, G[k] = (I_r kron S[k, :]) L, in place of the l_t*l_r*n
 channel and its projection through the pilot.  The batched estimator core
 then searches the whole block.  A trial's result does not depend on the
-block it ran in.  The workers setting (--workers, the workers key) is
-accepted and must be >= 0, but has no effect.
+block it ran in, nor on the thread that drew it.  The workers setting
+(--workers, the workers key) is accepted and must be >= 0, but has no
+effect: the one draw helper is not a setting.
 
 CSV schema (fixed): sweep_var,value,mse,crlb,bcrlb,trials,failures,mean_iters
 with infinities serialized as "inf" and inapplicable cells left empty.
@@ -55,6 +60,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -87,8 +93,9 @@ CONFIG_PATHS = {
 }
 FIELD_AT = {path: name for name, path in CONFIG_PATHS.items()}
 MINIMUMS = {"l_t": 1, "m": 1, "l_r": 1, "trials": 1, "seed": 0, "workers": 0}
-# a block's rows of normals fit into this many bytes, the one buffer a sweep
-# point allocates; the trials are split evenly over the fewest such blocks:
+# a block's rows of normals fit into this many bytes, each of the two buffers
+# a sweep point of two or more blocks allocates (one for a single block);
+# the trials are split evenly over the fewest such blocks:
 # 4 blocks of 75 for 300 trials at the benchmark's (8,3,8), 15 blocks of
 # 13-14 for 200 trials at (8,16,8)
 BLOCK_BYTES = 2 << 20
@@ -149,7 +156,7 @@ class ExperimentConfig:
     seed: int = 0
     f_true_mode: str = "prior"
     noise: bool = True
-    workers: int = 0  # accepted and checked, no effect: trials run on one thread
+    workers: int = 0  # accepted and checked, no effect: the one draw helper is fixed
 
     def __post_init__(self):
         # every int field first, then every float field, by annotation
@@ -422,29 +429,30 @@ def run_bounds_vs_snr(config: ExperimentConfig) -> SweepResult:
     return SweepResult(rows=tuple(rows))
 
 
-def _sample_block(config: ExperimentConfig, point: int, trials: range, prior: CfoPrior,
-                  model, rx_map: np.ndarray, ybar: np.ndarray,
-                  normals: np.ndarray | None = None):
-    """f_true (T,) and received signals (T, l_r, n) of the given trials.
+def _draw_block(config: ExperimentConfig, point: int, trials: range, prior: CfoPrior,
+                normals: np.ndarray | None = None):
+    """f_true (T,) and the rows of normals (T, row) of the given trials.
 
     Each trial's stream draws its prior sample, then fills the trial's row
-    of normals in one standard_normal call; _received_trials makes the rows
-    into y.  The rows go to the first len(trials) rows of normals, a buffer
-    that a sweep point allocates once for all its blocks (a new one when
-    None): a buffer of a megabyte or so allocated per block is handed back
-    to the system and page-faulted in again every block.
+    of normals in one standard_normal call, which releases the GIL; the
+    rows go to the first len(trials) rows of normals (a new buffer when
+    None).  _received_trials makes the rows into y.  Every block after a
+    point's first is drawn on the helper thread of _run_point_trials, so
+    this calls no BLAS routine and no public function of the package (the
+    benchmark's tracer keeps one span stack for one thread).
     """
     count = len(trials)
     f_true = np.full(count, prior.mu_f)
     if normals is None:
-        normals = np.empty((count, _trial_normals(*rx_map.shape, config.noise)))
-    normals = normals[:count]
+        normals = np.empty((count, _trial_normals(config.n, config.l_r,
+                                                  config.l_t * config.l_r, config.noise)))
+    rows = normals[:count]
     sample_from_prior = config.f_true_mode == "prior" and not prior.is_ml
     for i, rng in enumerate(_trial_streams(config.seed, point, trials)):
         if sample_from_prior:
             f_true[i] = prior.sample(rng)
-        rng.standard_normal(out=normals[i])
-    return f_true, _received_trials(model.rho_h, rx_map, ybar, f_true, normals)
+        rng.standard_normal(out=rows[i])
+    return f_true, rows
 
 
 def _block_sizes(trials: int, cap: int) -> list:
@@ -462,8 +470,10 @@ def _run_point_trials(config: ExperimentConfig, point: int, pilot, model, ws,
     Trials run in the fewest blocks whose rows of normals fit into
     BLOCK_BYTES, split evenly (_block_sizes), so a block's fixed cost is
     never paid for a small tail: the draws of a block are made trial by
-    trial, into one buffer of normals that every block of the point
-    refills, everything after them for the whole block at once.  The
+    trial (_draw_block), everything after them for the whole block at once.
+    A point of two or more blocks draws block b + 1 on one helper thread,
+    into the other of two buffers, while this thread samples and searches
+    block b; the helper is joined before this returns or raises.  The
     received signals are sampled in the receive space: the point's map
     G[k] = (I_r kron S[k, :]) L takes each trial's white innovations, run
     through the AR(1) recursion, straight to y, and the l_t*l_r*n channel
@@ -473,16 +483,29 @@ def _run_point_trials(config: ExperimentConfig, point: int, pilot, model, ws,
     ybar = ws.ybar.reshape(config.l_r, config.n)
     row = _trial_normals(*rx_map.shape, config.noise)
     sizes = _block_sizes(config.trials, max(1, BLOCK_BYTES // (8 * row)))
-    normals = np.empty((sizes[0], row))
-    sq_errors, iterations, start = [], [], 0
-    for size in sizes:
-        trials = range(start, start + size)
-        start += size
-        f_true, y = _sample_block(config, point, trials, prior, model, rx_map, ybar, normals)
-        est = estimate_cfo_universal_batch(y.reshape(size, -1), ws)
-        ok = ~est.failed
-        sq_errors.append((est.f_hat[ok] - f_true[ok]) ** 2)
-        iterations.append(est.iterations[ok])
+    blocks = [range(end - size, end) for size, end in zip(sizes, accumulate(sizes))]
+    # block b's rows go to buffers[b % 2], free again once block b - 2 has
+    # passed through _received_trials; one allocation holds both (two
+    # separate ones were handed back and faulted in again every sweep)
+    buffers = np.empty((min(2, len(blocks)), sizes[0], row))
+    sq_errors, iterations = [], []
+    # imported here: it costs up to 0.5 MB of RSS, which the bounds sweeps
+    # need not pay; the executor starts its thread on the first submit, so
+    # a one-block point starts none
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        ahead = None
+        for b, trials in enumerate(blocks):
+            f_true, rows = (_draw_block(config, point, trials, prior, buffers[0])
+                            if ahead is None else ahead.result())
+            if b + 1 < len(blocks):
+                ahead = helper.submit(_draw_block, config, point, blocks[b + 1], prior,
+                                      buffers[(b + 1) % 2])
+            y = _received_trials(model.rho_h, rx_map, ybar, f_true, rows)
+            est = estimate_cfo_universal_batch(y.reshape(len(trials), -1), ws)
+            ok = ~est.failed
+            sq_errors.append((est.f_hat[ok] - f_true[ok]) ** 2)
+            iterations.append(est.iterations[ok])
     sq_errors, iterations = np.concatenate(sq_errors), np.concatenate(iterations)
     failures = config.trials - sq_errors.size
     if sq_errors.size:
@@ -659,8 +682,9 @@ def _check_receive_sampler(rng):
                               seed=int(rng.integers(1 << 31)), f_true_mode="prior")
     ws = build_workspace(pilot, l_r, stats, prior)
     trials = range(4)
-    f_true, y = _sample_block(config, 0, trials, prior, model,
-                              _receive_map(model, pilot.entries), ws.ybar.reshape(l_r, n))
+    f_true, rows = _draw_block(config, 0, trials, prior)
+    y = _received_trials(model.rho_h, _receive_map(model, pilot.entries),
+                         ws.ybar.reshape(l_r, n), f_true, rows)
     worst = 0.0
     for i, trial in enumerate(trials):
         stream = _trial_rng(config.seed, 0, trial)
@@ -730,7 +754,8 @@ def _add_common(parser):
     parser.add_argument("--trials", type=int)
     parser.add_argument("--workers", type=int,
                         help="accepted for compatibility and checked (>= 0), "
-                             "but has no effect: trials run in blocks on one thread")
+                             "but has no effect: trials run in blocks, one helper "
+                             "thread drawing the next block while one is searched")
     parser.add_argument("--snr-db", help="comma-separated SNR grid override, dB")
     parser.add_argument("--emit-plot-data", metavar="PATH",
                         help="also write long-format plot series CSV")

@@ -6,6 +6,7 @@ per criterion (each line carries the measured margin and elapsed time).
 
 import math
 import pathlib
+import threading
 import time
 
 import numpy as np
@@ -244,13 +245,16 @@ def test_criterion_12_determinism(monkeypatch):
                               seed=1212)
     row_bytes = 8 * _trial_normals(config.n, config.l_r, config.l_t * config.l_r,
                                    config.noise)
-    sizes, sample_block = [], simcli._sample_block
+    # each block's size in the order its draws are made, and whether the
+    # sweep's own thread drew it: the first block of a point is drawn there,
+    # every later one on the point's draw helper
+    sizes, draw_block = [], simcli._draw_block
 
     def counting(config, point, trials, *args):
-        sizes.append(len(trials))
-        return sample_block(config, point, trials, *args)
+        sizes.append((len(trials), threading.current_thread() is threading.main_thread()))
+        return draw_block(config, point, trials, *args)
 
-    monkeypatch.setattr(simcli, "_sample_block", counting)
+    monkeypatch.setattr(simcli, "_draw_block", counting)
     texts = []
     # one block, an uneven balanced split and one trial per block, set by
     # the block budget as validate does; each SNR point splits alike
@@ -258,7 +262,8 @@ def test_criterion_12_determinism(monkeypatch):
         monkeypatch.setattr(simcli, "BLOCK_BYTES", cap * row_bytes)
         sizes.clear()
         texts.append(run_mse_vs_snr(config).to_csv_text())
-        assert sizes == split * len(config.snr_db)
+        drawn_here = [True] + [False] * (len(split) - 1)
+        assert sizes == list(zip(split, drawn_here)) * len(config.snr_db)
     rerun = run_mse_vs_snr(config).to_csv_text()
     assert texts[0] == rerun
     assert texts[0] == texts[1] == texts[2]

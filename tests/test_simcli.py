@@ -2,8 +2,10 @@ import itertools
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
+import threading
 from dataclasses import fields, replace
 
 import numpy as np
@@ -12,16 +14,17 @@ import yaml
 
 from cfomimo import (CfoPrior, ParameterError, build_stats, build_workspace,
                      sample_ar1_trajectory, synthesize_rx)
-from cfomimo.channel import _receive_map
+from cfomimo.channel import _receive_map, _received_trials
 from cfomimo.simcli import (CONFIG_PATHS, CSV_HEADER, MINIMUMS, PILOT_STRUCTURES,
                             ExperimentConfig,
-                            _block_sizes, _sample_block, _trial_rng, _trial_streams,
+                            _block_sizes, _draw_block, _trial_rng, _trial_streams,
                             load_config, main, run_bounds_vs_rho, run_bounds_vs_snr,
                             run_mse_vs_snr, run_single)
 
 from conftest import spatial_model
 from reference_impls import reference_trial_rng
 
+GOLDEN_CONFIG = pathlib.Path(__file__).parent / "golden" / "config.yaml"
 FAST = dict(l_t=2, m=3, l_r=2, snr_db=(15.0,), trials=6, seed=11,
             rho_h=0.95, mu_f=0.05, sigma_f_sq=1e-4)
 
@@ -277,25 +280,108 @@ def test_mse_vs_snr_deterministic_rerun_and_workers(monkeypatch):
     text4 = run_mse_vs_snr(replace(config, workers=4)).to_csv_text()
     # a block holds as many trials as fit their rows of 2*n*(d + l_r) normals
     row_bytes = 8 * 2 * config.n * (config.l_t * config.l_r + config.l_r)
-    sizes, sample_block = [], cli._sample_block
+    # each block's size, in the order its draws are made, and whether this
+    # thread drew it (the draw helper draws every block after the first)
+    sizes, draw_block = [], cli._draw_block
 
     def counting(config, point, trials, *args):
-        sizes.append(len(trials))
-        return sample_block(config, point, trials, *args)
+        sizes.append((len(trials), threading.current_thread() is threading.main_thread()))
+        return draw_block(config, point, trials, *args)
 
-    monkeypatch.setattr(cli, "_sample_block", counting)
+    monkeypatch.setattr(cli, "_draw_block", counting)
     run_mse_vs_snr(config)
-    assert sizes == [config.trials]  # one block
+    assert sizes == [(config.trials, True)]  # one block, no helper
     # at most 4 trials a block, 6 trials split evenly over two blocks
     sizes.clear()
     monkeypatch.setattr(cli, "BLOCK_BYTES", 4 * row_bytes)
     blocked = run_mse_vs_snr(config).to_csv_text()
-    assert sizes == [3, 3]
+    assert sizes == [(3, True), (3, False)]
     sizes.clear()
     monkeypatch.setattr(cli, "BLOCK_BYTES", 1)
     one_by_one = run_mse_vs_snr(config).to_csv_text()
-    assert sizes == [1] * config.trials
+    assert sizes == [(1, True)] + [(1, False)] * (config.trials - 1)
     assert text1 == text2 == text4 == blocked == one_by_one
+
+
+@pytest.fixture
+def started_threads(monkeypatch):
+    """Every thread started while the test runs, recorded at its start."""
+    started, start = [], threading.Thread.start
+
+    def recording(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", recording)
+    return started
+
+
+def test_no_thread_outlives_a_sweep(monkeypatch, started_threads):
+    # a point of several blocks draws all but the first on one helper
+    # thread, joined before the sweep returns, and also when the draws of
+    # its second block raise, whose exception reaches the caller; a point
+    # of one block starts no thread
+    import cfomimo.simcli as cli
+
+    before = threading.active_count()
+    golden = load_config(str(GOLDEN_CONFIG))
+    assert golden.trials == 40
+    run_mse_vs_snr(golden)  # two points of one block each
+    run_bounds_vs_rho(replace(golden, rho_h_grid=(0.5,)))  # no trials at all
+    assert started_threads == []
+    assert threading.active_count() == before
+
+    config = ExperimentConfig(**{**FAST, "snr_db": (10.0, 20.0)})
+    row_bytes = 8 * 2 * config.n * (config.l_t * config.l_r + config.l_r)
+    monkeypatch.setattr(cli, "BLOCK_BYTES", 4 * row_bytes)  # blocks of 3 and 3
+    run_mse_vs_snr(config)
+    assert len(started_threads) == len(config.snr_db)  # one helper per point
+    assert threading.active_count() == before
+    assert not any(thread.is_alive() for thread in started_threads)
+
+    class DrawFailure(Exception):
+        pass
+
+    raised, streams = [], cli._trial_streams
+
+    def failing(seed, point, trials):
+        if trials[0] > 0:  # the second block, drawn on the helper
+            raised.append(DrawFailure(f"draws of trials {trials[0]}.."))
+            raise raised[-1]
+        return streams(seed, point, trials)
+
+    monkeypatch.setattr(cli, "_trial_streams", failing)
+    started_threads.clear()
+    with pytest.raises(DrawFailure) as failure:
+        run_mse_vs_snr(config)
+    assert failure.value is raised[0]
+    assert len(started_threads) == 1
+    assert started_threads[0] is not threading.main_thread()
+    assert threading.active_count() == before
+    assert not started_threads[0].is_alive()
+
+
+def test_consecutive_blocks_draw_into_separate_buffers(monkeypatch):
+    # the helper fills block b + 1 while block b is sampled, so the two must
+    # not share memory; block b + 2 reuses block b's buffer, so a point
+    # holds two buffers of rows, whatever its number of blocks
+    import cfomimo.simcli as cli
+
+    buffers, draw_block = [], cli._draw_block
+
+    def recording(config, point, trials, prior, normals):
+        buffers.append(normals)
+        return draw_block(config, point, trials, prior, normals)
+
+    monkeypatch.setattr(cli, "_draw_block", recording)
+    monkeypatch.setattr(cli, "BLOCK_BYTES", 1)  # one trial per block
+    config = ExperimentConfig(**FAST)
+    run_mse_vs_snr(config)
+    assert len(buffers) == config.trials
+    for b in range(config.trials - 1):
+        assert not np.shares_memory(buffers[b], buffers[b + 1])
+    for b in range(config.trials - 2):
+        assert buffers[b].ctypes.data == buffers[b + 2].ctypes.data
 
 
 @pytest.mark.parametrize("trials,cap", [(1, 1), (1, 5), (3, 7), (7, 1), (8, 3), (6, 4),
@@ -326,8 +412,8 @@ def test_one_call_draws_match_four_calls(noise):
     width = 2 * n * d + (2 * l_r * n if noise else 0)
     # a sweep point's buffer, larger than the block and holding stale rows
     stale = np.full((len(trials) + 2, width), np.nan)
-    f_true, y = _sample_block(config, 2, trials, prior, model, rx_map, ybar, stale)
-    rows = stale[:len(trials)]
+    f_true, rows = _draw_block(config, 2, trials, prior, stale)
+    assert np.shares_memory(rows, stale) and rows.shape == (len(trials), width)
     for i, trial in enumerate(trials):
         rng = reference_trial_rng(config.seed, 2, trial)
         assert f_true[i] == prior.sample(rng)
@@ -336,9 +422,11 @@ def test_one_call_draws_match_four_calls(noise):
             parts += [rng.standard_normal((l_r, n)), rng.standard_normal((l_r, n))]
         np.testing.assert_array_equal(rows[i], np.concatenate([p.ravel() for p in parts]))
     assert np.isnan(stale[len(trials):]).all()
+    y = _received_trials(model.rho_h, rx_map, ybar, f_true, rows)
     # a fresh buffer gives the same draws and signals
-    fresh = _sample_block(config, 2, trials, prior, model, rx_map, ybar)
-    for got, want in zip(fresh, (f_true, y)):
+    fresh_f, fresh_rows = _draw_block(config, 2, trials, prior)
+    fresh_y = _received_trials(model.rho_h, rx_map, ybar, fresh_f, fresh_rows)
+    for got, want in zip((fresh_f, fresh_rows, fresh_y), (f_true, rows, y)):
         np.testing.assert_array_equal(got, want)
 
 
@@ -380,7 +468,12 @@ def test_receive_space_sampler_matches_channel_path(spatial, rho_h):
         prior, pilot, n = config.prior(), config.pilot(2.0), config.n
         ws = build_workspace(pilot, l_r, build_stats(model, n), prior)
         rx_map, ybar = _receive_map(model, pilot.entries), ws.ybar.reshape(l_r, n)
-        f_true, y = _sample_block(config, 1, trials, prior, model, rx_map, ybar)
+
+        def sample(trials):
+            f_true, rows = _draw_block(config, 1, trials, prior)
+            return f_true, _received_trials(model.rho_h, rx_map, ybar, f_true, rows)
+
+        f_true, y = sample(trials)
         for i, trial in enumerate(trials):
             rng = _trial_rng(config.seed, 1, trial)
             f = prior.sample(rng) if mode == "prior" else prior.mu_f
@@ -389,8 +482,7 @@ def test_receive_space_sampler_matches_channel_path(spatial, rho_h):
             assert f_true[i] == f
             np.testing.assert_allclose(y[i].ravel(), want, rtol=0,
                                        atol=1e-12 * np.max(np.abs(want)))
-            alone = _sample_block(config, 1, range(trial, trial + 1), prior, model,
-                                  rx_map, ybar)[1]
+            alone = sample(range(trial, trial + 1))[1]
             np.testing.assert_array_equal(alone[0], y[i])
 
 
