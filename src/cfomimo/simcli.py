@@ -1,6 +1,9 @@
 """Monte-Carlo experiment harness and command-line runner.
 
 Subcommands: bounds-vs-rho, bounds-vs-snr, mse-vs-snr, single, validate.
+COMMANDS is the one table of them: each one's help, --out help and flags of
+its own (--emit-plot-data on the three sweeps only), and the step main runs
+on its loaded config; main builds the parser and dispatches from it.
 Experiments are driven by a YAML config file; command-line flags override
 file values.  Example config::
 
@@ -59,6 +62,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 from itertools import accumulate
 
@@ -392,6 +396,20 @@ def _snr_to_rho(snr_db: float, model) -> float:
     return 10.0 ** (snr_db / 10.0) / model.per_coefficient_power()
 
 
+def _samples_f_true(config: ExperimentConfig, prior: CfoPrior) -> bool:
+    """Whether a trial draws its true offset from the prior: unless f_true is
+    fixed or the prior is the flat ML one, it does; otherwise it is mu_f."""
+    return config.f_true_mode == "prior" and not prior.is_ml
+
+
+def _point_setup(config: ExperimentConfig, snr_db: float, model, stats, prior: CfoPrior):
+    """(pilot, workspace, bounds) of the sweep point at snr_db: the pilot at
+    that SNR, its workspace, and the bounds read from that workspace."""
+    pilot = config.pilot(_snr_to_rho(snr_db, model))
+    ws = build_workspace(pilot, config.l_r, stats, prior)
+    return pilot, ws, evaluate_bounds(pilot, config.l_r, stats, prior, workspace=ws)
+
+
 def run_bounds_vs_rho(config: ExperimentConfig) -> SweepResult:
     """Closed-form CRLB/BCRLB over a rho_h grid for both pilot structures.
 
@@ -447,7 +465,7 @@ def _draw_block(config: ExperimentConfig, point: int, trials: range, prior: CfoP
         normals = np.empty((count, _trial_normals(config.n, config.l_r,
                                                   config.l_t * config.l_r, config.noise)))
     rows = normals[:count]
-    sample_from_prior = config.f_true_mode == "prior" and not prior.is_ml
+    sample_from_prior = _samples_f_true(config, prior)
     for i, rng in enumerate(_trial_streams(config.seed, point, trials)):
         if sample_from_prior:
             f_true[i] = prior.sample(rng)
@@ -507,12 +525,9 @@ def _run_point_trials(config: ExperimentConfig, point: int, pilot, model, ws,
             sq_errors.append((est.f_hat[ok] - f_true[ok]) ** 2)
             iterations.append(est.iterations[ok])
     sq_errors, iterations = np.concatenate(sq_errors), np.concatenate(iterations)
-    failures = config.trials - sq_errors.size
-    if sq_errors.size:
-        mse, mean_iters = float(np.mean(sq_errors)), float(np.mean(iterations))
-    else:
-        mse, mean_iters = None, None
-    return mse, failures, mean_iters
+    if not sq_errors.size:
+        return None, config.trials, None
+    return float(np.mean(sq_errors)), config.trials - sq_errors.size, float(np.mean(iterations))
 
 
 def run_mse_vs_snr(config: ExperimentConfig) -> SweepResult:
@@ -522,9 +537,7 @@ def run_mse_vs_snr(config: ExperimentConfig) -> SweepResult:
     stats = build_stats(model, config.n)
     rows = []
     for point, snr_db in enumerate(config.snr_db):
-        pilot = config.pilot(_snr_to_rho(snr_db, model))
-        ws = build_workspace(pilot, config.l_r, stats, prior)
-        res = evaluate_bounds(pilot, config.l_r, stats, prior, workspace=ws)
+        pilot, ws, res = _point_setup(config, snr_db, model, stats, prior)
         mse, failures, mean_iters = _run_point_trials(config, point, pilot,
                                                       model, ws, prior)
         rows.append(SweepRow("snr_db", snr_db, mse, res.crlb, res.bcrlb,
@@ -537,41 +550,35 @@ def run_single(config: ExperimentConfig, f_true_override: float | None = None,
     """One fully instrumented trial at the first SNR point."""
     prior = config.prior()
     model = config.model()
-    pilot = config.pilot(_snr_to_rho(config.snr_db[0], model))
     stats = build_stats(model, config.n)
-    ws = build_workspace(pilot, config.l_r, stats, prior)
-    res = evaluate_bounds(pilot, config.l_r, stats, prior, workspace=ws)
+    pilot, ws, res = _point_setup(config, config.snr_db[0], model, stats, prior)
     rng = _trial_rng(config.seed, 0, 0)
     if f_true_override is not None:
         f_true = float(f_true_override)
-    elif config.f_true_mode == "prior" and not prior.is_ml:
-        f_true = prior.sample(rng)
     else:
-        f_true = prior.mu_f
+        f_true = prior.sample(rng) if _samples_f_true(config, prior) else prior.mu_f
     h = sample_ar1_trajectory(model, config.n, rng)
     if force_zero_rx:
         y = np.zeros(config.n * config.l_r, dtype=np.complex128)
     else:
         y = synthesize_rx(pilot, config.l_r, f_true, h,
                           rng if config.noise else None)
-    z = compute_z(y, ws)
     try:
         est = estimate_cfo_universal(y, ws, return_diagnostics=True)
     except EstimationError:
-        nan = float("nan")
-        return TrialRecord(status="low_confidence", f_true=f_true, f_hat=nan,
-                           sq_error=nan, channel_sq_error=nan, metric=nan,
-                           iterations=0, converged=False, crlb=res.crlb,
-                           bcrlb=res.bcrlb, z=z,
-                           grid_candidates=np.array([]), grid_metrics=np.array([]))
-    h_hat = estimate_channel_mmse(y, est.f_hat, ws)
-    return TrialRecord(status="ok", f_true=f_true, f_hat=est.f_hat,
-                       sq_error=(est.f_hat - f_true) ** 2,
-                       channel_sq_error=float(np.sum(np.abs(h_hat - h) ** 2)),
-                       metric=est.metric, iterations=est.iterations,
-                       converged=est.converged, crlb=res.crlb, bcrlb=res.bcrlb,
-                       z=z, grid_candidates=est.diagnostics["grid_candidates"],
-                       grid_metrics=est.diagnostics["grid_metrics"])
+        nan, empty = float("nan"), np.array([])
+        found = dict(status="low_confidence", f_hat=nan, sq_error=nan, channel_sq_error=nan,
+                     metric=nan, iterations=0, converged=False, grid_candidates=empty,
+                     grid_metrics=empty)
+    else:
+        h_hat = estimate_channel_mmse(y, est.f_hat, ws)
+        found = dict(status="ok", f_hat=est.f_hat, sq_error=(est.f_hat - f_true) ** 2,
+                     channel_sq_error=float(np.sum(np.abs(h_hat - h) ** 2)),
+                     metric=est.metric, iterations=est.iterations, converged=est.converged,
+                     grid_candidates=est.diagnostics["grid_candidates"],
+                     grid_metrics=est.diagnostics["grid_metrics"])
+    return TrialRecord(f_true=f_true, crlb=res.crlb, bcrlb=res.bcrlb, z=compute_z(y, ws),
+                       **found)
 
 
 # ---------------------------------------------------------------------------
@@ -747,9 +754,9 @@ def run_validate() -> int:
 # command line
 
 
-def _add_common(parser):
+def _add_common(parser, out_help: str):
     parser.add_argument("--config", help="YAML experiment config")
-    parser.add_argument("--out", help="output CSV path (default: stdout)")
+    parser.add_argument("--out", help=out_help)
     parser.add_argument("--seed", type=int)
     parser.add_argument("--trials", type=int)
     parser.add_argument("--workers", type=int,
@@ -757,17 +764,14 @@ def _add_common(parser):
                              "but has no effect: trials run in blocks, one helper "
                              "thread drawing the next block while one is searched")
     parser.add_argument("--snr-db", help="comma-separated SNR grid override, dB")
-    parser.add_argument("--emit-plot-data", metavar="PATH",
-                        help="also write long-format plot series CSV")
 
 
 def _overrides_from(args) -> dict:
-    overrides = {}
-    for key in ("seed", "trials", "workers"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    if getattr(args, "snr_db", None) is not None:
+    overrides = {key: getattr(args, key) for key in ("seed", "trials", "workers")
+                 if getattr(args, key) is not None}
+    if getattr(args, "no_noise", False):
+        overrides["noise"] = False
+    if args.snr_db is not None:
         overrides["snr_db"] = tuple(_coerce("--snr-db", v, float)
                                     for v in args.snr_db.split(","))
     if getattr(args, "rho_grid", None) is not None:
@@ -782,16 +786,50 @@ def _overrides_from(args) -> dict:
     return overrides
 
 
-def _emit(result: SweepResult, args, figure: str):
-    text = result.to_csv_text()
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    if args.emit_plot_data:
-        with open(args.emit_plot_data, "w", newline="") as fh:
-            fh.write(result.plot_data_text(figure))
+def _write(text: str, path: str | None):
+    """text to the file at path, or to stdout when no path is given."""
+    with open(path, "w", newline="") if path else nullcontext(sys.stdout) as fh:
+        fh.write(text)
+
+
+def _sweep(runner, figure: str):
+    """A sweep command's step: its CSV to --out, and its plot series under
+    figure to --emit-plot-data when that is given."""
+    def step(config: ExperimentConfig, args):
+        result = runner(config)
+        _write(result.to_csv_text(), args.out)
+        if args.emit_plot_data:
+            _write(result.plot_data_text(figure), args.emit_plot_data)
+    return step
+
+
+def _single(config: ExperimentConfig, args):
+    record = run_single(config, f_true_override=args.f_true, force_zero_rx=args.zero_rx)
+    _write(record.to_json() + "\n", args.out)
+
+
+CSV_OUT = "output CSV path (default: stdout)"
+PLOT_DATA = ("--emit-plot-data", dict(metavar="PATH",
+                                      help="also write long-format plot series CSV"))
+# every subcommand once: its help, then, for a command that runs on a config,
+# its --out help, the flags of its own beside _add_common's and the step that
+# runs it on the loaded config and writes its output (validate has neither)
+COMMANDS = {
+    "bounds-vs-rho": ("CRLB/BCRLB vs time-correlation for both pilots", CSV_OUT,
+                      [PLOT_DATA, ("--rho-grid", dict(metavar="START:STOP:COUNT"))],
+                      _sweep(run_bounds_vs_rho, "bounds_vs_rho")),
+    "bounds-vs-snr": ("CRLB/BCRLB vs SNR for both pilots", CSV_OUT, [PLOT_DATA],
+                      _sweep(run_bounds_vs_snr, "bounds_vs_snr")),
+    "mse-vs-snr": ("Monte-Carlo estimator MSE vs SNR next to the bounds", CSV_OUT,
+                   [PLOT_DATA], _sweep(run_mse_vs_snr, "mse_vs_snr")),
+    "single": ("one instrumented trial, JSON output", "output JSON path (default: stdout)",
+               [("--f-true", dict(type=float, help="override the true offset")),
+                ("--zero-rx", dict(action="store_true",
+                                   help="force y = 0 (degenerate-input check)")),
+                ("--no-noise", dict(action="store_true", help="drop the receiver noise"))],
+               _single),
+    "validate": ("run the fast oracle/invariant suite", None, [], None),
+}
 
 
 def _input_errors() -> tuple:
@@ -807,51 +845,18 @@ def main(argv=None) -> int:
         description="Frequency-offset estimation experiments: closed-form "
                     "bounds and Monte-Carlo sweeps.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("bounds-vs-rho",
-                       help="CRLB/BCRLB vs time-correlation for both pilots")
-    _add_common(p)
-    p.add_argument("--rho-grid", metavar="START:STOP:COUNT")
-
-    p = sub.add_parser("bounds-vs-snr", help="CRLB/BCRLB vs SNR for both pilots")
-    _add_common(p)
-
-    p = sub.add_parser("mse-vs-snr",
-                       help="Monte-Carlo estimator MSE vs SNR next to the bounds")
-    _add_common(p)
-
-    p = sub.add_parser("single", help="one instrumented trial, JSON output")
-    _add_common(p)
-    p.add_argument("--f-true", type=float, help="override the true offset")
-    p.add_argument("--zero-rx", action="store_true",
-                   help="force y = 0 (degenerate-input check)")
-    p.add_argument("--no-noise", action="store_true")
-
-    sub.add_parser("validate", help="run the fast oracle/invariant suite")
-
+    for name, (help_text, out_help, flags, _) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if out_help:
+            _add_common(p, out_help)
+        for flag, options in flags:
+            p.add_argument(flag, **options)
     args = parser.parse_args(argv)
-    if args.command == "validate":
+    step = COMMANDS[args.command][3]
+    if step is None:
         return run_validate()
     try:
-        overrides = _overrides_from(args)
-        if getattr(args, "no_noise", False):
-            overrides["noise"] = False
-        config = load_config(args.config, overrides)
-        if args.command == "bounds-vs-rho":
-            _emit(run_bounds_vs_rho(config), args, "bounds_vs_rho")
-        elif args.command == "bounds-vs-snr":
-            _emit(run_bounds_vs_snr(config), args, "bounds_vs_snr")
-        elif args.command == "mse-vs-snr":
-            _emit(run_mse_vs_snr(config), args, "mse_vs_snr")
-        elif args.command == "single":
-            record = run_single(config, f_true_override=args.f_true,
-                                force_zero_rx=args.zero_rx)
-            text = record.to_json() + "\n"
-            if args.out:
-                with open(args.out, "w", newline="") as fh:
-                    fh.write(text)
-            else:
-                sys.stdout.write(text)
+        step(load_config(args.config, _overrides_from(args)), args)
     except _input_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,12 +1,12 @@
-"""Sweep CSVs and the single-trial JSON must keep matching the files in
-tests/golden/, which were recorded from tests/golden/config.yaml; so must
-the per-antenna estimates of per_antenna.json and the stdout of every demo
-(demos/*.txt).
+"""Sweep CSVs, their --emit-plot-data series (<command>.plot.csv) and the
+single-trial JSON must keep matching the files in tests/golden/, which were
+recorded from tests/golden/config.yaml; so must the per-antenna estimates of
+per_antenna.json and the stdout of every demo (demos/*.txt).
 
-Tolerances: the sweep coordinates and the trial and failure counts are
-exact, crlb and bcrlb agree to a relative 1e-8, and every quantity that
-passes through the offset search (mse, mean_iters, the single-trial and
-per-antenna floats) to a relative 1e-6.  Iteration counts and flags are
+Tolerances: the sweep coordinates, the plot figure, series and x, and the
+trial and failure counts are exact, crlb and bcrlb agree to a relative 1e-8,
+and every quantity that passes through the offset search (mse, mean_iters,
+the single-trial and per-antenna floats) to a relative 1e-6.  Iteration counts and flags are
 exact.  Run this file as a script to re-record per_antenna.json and the
 demo outputs.
 """
@@ -64,6 +64,22 @@ def test_sweep_matches_golden(command, tmp_path):
                           ("mse", SEARCH_RTOL), ("mean_iters", SEARCH_RTOL)):
             np.testing.assert_allclose(_number(g[key]), _number(w[key]), rtol=rtol,
                                        atol=0.0, err_msg=f"{command} {key}")
+
+
+@pytest.mark.parametrize("command", sorted(SWEEPS))
+def test_plot_data_matches_golden(command, tmp_path):
+    plot = tmp_path / "plot.csv"
+    assert main([command, "--config", CONFIG, *SWEEPS[command], "--out",
+                 str(tmp_path / "out.csv"), "--emit-plot-data", str(plot)]) == 0
+    got = _read_csv(plot)
+    want = _read_csv(GOLDEN / f"{command}.plot.csv")
+    assert [list(row) for row in got] == [list(row) for row in want]
+    for g, w in zip(got, want):
+        assert [g[key] for key in ("figure", "series", "x")] == [
+            w[key] for key in ("figure", "series", "x")]
+        rtol = SEARCH_RTOL if w["series"].startswith("mse") else BOUND_RTOL
+        np.testing.assert_allclose(float(g["y"]), float(w["y"]), rtol=rtol, atol=0.0,
+                                   err_msg=f"{command} {w['series']} at x = {w['x']}")
 
 
 def _flat(value):

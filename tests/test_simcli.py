@@ -596,6 +596,42 @@ def test_cli_single_json(tmp_path, capsys):
     assert payload["status"] in ("ok", "low_confidence")
 
 
+def test_plot_data_flag_is_declared_on_sweeps_only(tmp_path, capsys):
+    # single writes no plot series, so argparse rejects the flag there
+    # instead of ignoring it; each command's --out help names what it writes
+    plot = tmp_path / "plot.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["single", "--emit-plot-data", str(plot)])
+    assert exc.value.code == 2 and not plot.exists()
+    assert "unrecognized arguments: --emit-plot-data" in capsys.readouterr().err
+    for command, out_help in (("bounds-vs-rho", "output CSV path"),
+                              ("bounds-vs-snr", "output CSV path"),
+                              ("mse-vs-snr", "output CSV path"),
+                              ("single", "output JSON path")):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = capsys.readouterr().out
+        assert out_help in text, command
+        assert ("--emit-plot-data" in text) == (command != "single"), command
+
+
+def test_cli_single_flags_reach_the_trial(tmp_path, capsys):
+    out = tmp_path / "single.json"
+    assert main(["single", "--config", str(GOLDEN_CONFIG), "--no-noise", "--out", str(out)]) == 0
+    config = load_config(str(GOLDEN_CONFIG))
+    assert out.read_text() == run_single(replace(config, noise=False)).to_json() + "\n"
+    assert out.read_text() != run_single(config).to_json() + "\n"
+    # with y = 0 and a flat prior the metric is degenerate: reported, not an error
+    cfg = tmp_path / "ml.yaml"
+    cfg.write_text(yaml.safe_dump({"pilot": {"l_t": 2, "m": 3}, "l_r": 2,
+                                   "prior": {"ml": True, "mu_f": 0.0}}))
+    capsys.readouterr()
+    assert main(["single", "--config", str(cfg), "--zero-rx"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "low_confidence"
+    assert main(["single", "--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "ok"
+
+
 def test_cli_error_paths(tmp_path, capsys):
     missing = tmp_path / "nope.yaml"
     assert main(["mse-vs-snr", "--config", str(missing)]) == 1
@@ -664,6 +700,38 @@ def test_validate_determinism_check_sees_block_dependence(monkeypatch):
     assert not ok and detail.startswith(
         "8 trials in one block vs blocks of 3+3+2 vs one trial per block"), detail
     assert cli.BLOCK_BYTES == saved
+
+
+def test_each_sweep_point_sets_up_once_before_its_trials(monkeypatch):
+    # the benchmark marks a point's set-up as done when simcli.evaluate_bounds
+    # returns, so every point calls it once, after its other set-up and
+    # before its first draw; a sweep builds its model once
+    import cfomimo.simcli as cli
+
+    calls = []
+
+    def counting(name):
+        inner = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append((name, args[1]) if name == "_draw_block" else name)
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for name in ("make_model", "build_stats", "build_workspace", "evaluate_bounds",
+                 "_draw_block"):
+        monkeypatch.setattr(cli, name, counting(name))
+    config = ExperimentConfig(**FAST, rho_h_grid=(0.0, 0.5, 1.0))
+    run_bounds_vs_rho(config)
+    points = len(PILOT_STRUCTURES) * len(config.rho_h_grid)
+    assert calls == ["make_model"] + ["build_stats", "evaluate_bounds"] * points
+    calls.clear()
+    row_bytes = 8 * cli._trial_normals(config.n, config.l_r, config.l_t * config.l_r, True)
+    monkeypatch.setattr(cli, "BLOCK_BYTES", 3 * row_bytes)  # two blocks of 3
+    run_mse_vs_snr(replace(config, snr_db=(10.0, 20.0)))
+    assert calls == ["make_model", "build_stats"] + [
+        step for point in (0, 1) for step in
+        ("build_workspace", "evaluate_bounds", ("_draw_block", point), ("_draw_block", point))]
 
 
 def test_sweeps_single_and_oracle_form_no_channel_space_matrix(monkeypatch):
