@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import CfoPrior, ChannelStats, _rotation
-from .errors import NumericalError, ParameterError
+from .channel import CfoPrior, ChannelStats, _rotation, _unit_complex
+from .errors import NumericalError, ParameterError, _check_int
 from .estimator import EstimatorWorkspace, _workspace_for
 from .pilots import PilotMatrix
 
@@ -58,13 +58,12 @@ def compute_beta(pilot: PilotMatrix, l_r: int, stats: ChannelStats, *,
     The k^2-weighted expected lag series, read as quadratic forms in the
     workspace's kernels K_i (see the module docstring): the kernel K is
     contracted against the second moment R + ybar ybar^H + I of y instead
-    of an observed y (the noise term I only reaches lag 0).  A workspace
-    passed in must be built for this pilot, l_r and stats.
+    of an observed y (the noise term I only reaches lag 0).  A single
+    symbol, n = 1, has only lag 0, so every k^2 weight and hence beta is
+    zero.  A workspace passed in must be built for this pilot, l_r and stats.
     """
     ws = _workspace_for(pilot, l_r, stats, CfoPrior.ml(), workspace)
     n = ws.n
-    if n == 1:
-        return 0.0
     p, q = ws.kernels.shape[:2]
     k = np.arange(q) % n  # the symbol time of each row of a kernel
     lag = np.subtract.outer(k, k)
@@ -92,8 +91,8 @@ def compute_bounds(beta: float, prior: CfoPrior, *, beta_floor: float = 0.0) -> 
     beta below beta_floor is treated as exactly zero: the bound is then
     beyond numerical resolvability and the CRLB is reported infinite.
     """
-    if beta < 0:
-        raise ParameterError("beta must be nonnegative")
+    if not beta >= 0:
+        raise ParameterError(f"beta must be nonnegative, got {beta!r}")
     effective = 0.0 if beta < beta_floor else beta
     crlb = math.inf if effective == 0.0 else 1.0 / effective
     denom = effective + prior.inv_var
@@ -134,8 +133,9 @@ def fisher_oracle(pilot: PilotMatrix, l_r: int, stats: ChannelStats, *,
     singular covariance is needed.  At (l_t, m, l_r) = (8, 16, 8) it takes
     about 3 s and 300 MB for 2000 samples (one BLAS thread, 2-core host).
     """
-    if n_samples < 1:
-        raise ParameterError("n_samples must be positive")
+    _check_int("n_samples", n_samples)
+    if not 0.0 < step < math.inf:
+        raise ParameterError(f"step must be finite and > 0, got {step!r}")
     rng = rng or np.random.default_rng()
     n = pilot.n
     cov = stats._receive_cov(pilot.entries) + np.eye(l_r * n)
@@ -143,9 +143,8 @@ def fisher_oracle(pilot: PilotMatrix, l_r: int, stats: ChannelStats, *,
     mu_0 = stats._receive_mean(pilot.entries).ravel()
     probe = _rotation(f_probe, l_r, n).ravel()
     factor = probe[:, None] * np.linalg.cholesky(cov) * probe.conj()[None, :]
-    z = (rng.standard_normal((n_samples, mu_0.size))
-         + 1j * rng.standard_normal((n_samples, mu_0.size)))
-    samples = probe * mu_0 + (z / np.sqrt(2.0)) @ factor.T
+    z = _unit_complex(*rng.standard_normal((2, n_samples, mu_0.size)))
+    samples = probe * mu_0 + z @ factor.T
     eig, vec = np.linalg.eigh(cov)
     loglik = np.empty((3, n_samples))
     for idx, f in enumerate((f_probe - step, f_probe, f_probe + step)):

@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ModelError, ParameterError
+from .errors import ModelError, ParameterError, _check_int
 from .pilots import PilotMatrix
 
 HERMITIAN_TOL = 1e-12
@@ -84,8 +84,8 @@ class CorrelationModel:
     mean: np.ndarray
 
     def __post_init__(self):
-        if self.l_t < 1 or self.l_r < 1:
-            raise ModelError("antenna counts must be positive")
+        for name in ("l_t", "l_r"):
+            _check_int(name, getattr(self, name), error=ModelError)
         if not (0.0 <= self.rho_h <= 1.0):
             raise ModelError(f"rho_h must lie in [0, 1], got {self.rho_h}")
         d = self.l_t * self.l_r
@@ -165,6 +165,8 @@ def make_model(l_t: int, l_r: int, rho_h: float, *, spatial: str = "iid",
     the power K/(K+1) of each coefficient into a constant mean and scales
     the fluctuating part by 1/(K+1), keeping E|h|^2 = sigma_h_sq.
     """
+    for name, value in (("l_t", l_t), ("l_r", l_r)):
+        _check_int(name, value, error=ModelError)
     d = l_t * l_r
     if spatial == "iid":
         cov = sigma_h_sq * np.eye(d, dtype=np.complex128)
@@ -306,8 +308,7 @@ def build_stats(model: CorrelationModel, n: int,
     given, replaces the model's time correlation, so that a sweep over
     rho_h reuses one model's checks and factors.
     """
-    if n < 1:
-        raise ParameterError("n must be a positive integer")
+    _check_int("n", n)
     rho_h = model.rho_h if rho_h is None else rho_h
     if not (0.0 <= rho_h <= 1.0):
         raise ModelError(f"rho_h must lie in [0, 1], got {rho_h}")
@@ -346,8 +347,7 @@ def sample_ar1_trajectory(model: CorrelationModel, n: int, rng: np.random.Genera
     recursion (_ar1) of white xi_k ~ CN(0, I), so every marginal has mean
     mu and covariance spatial_cov, and lag-l correlation rho_h^l.
     """
-    if n < 1:
-        raise ParameterError("n must be a positive integer")
+    _check_int("n", n)
     d = model.l_t * model.l_r
     xi = _unit_complex(*rng.standard_normal((2, n, d)))  # real parts, then imaginary
     h = model.mean + _ar1(xi, model.rho_h) @ model._spatial_factor.T

@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and the rule that converts
-a config value to a number or rejects it."""
+"""Exception types shared across the package, the rule that converts a
+config value to a number or rejects it, and the rule for size arguments."""
+
+from numbers import Integral
 
 
 class ParameterError(ValueError):
@@ -39,3 +41,9 @@ def _coerce(name: str, value, kind):
             not isinstance(value, str) and out != value and out == out):
         raise ParameterError(f"{name} must be {kind.__name__}, got {value!r}")
     return out
+
+
+def _check_int(name: str, value, low: int = 1, error=ParameterError):
+    """Raise error unless value is an integer (a bool is not) >= low."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+        raise error(f"{name} must be an integer >= {low}, got {value!r}")

@@ -90,7 +90,7 @@ from functools import cached_property
 import numpy as np
 
 from .channel import CfoPrior, ChannelStats, _phases, _rotation
-from .errors import EstimationError, NumericalError, ParameterError
+from .errors import EstimationError, NumericalError, ParameterError, _check_int
 from .pilots import PilotMatrix, expand_block
 
 CONDITION_LIMIT = 1e13
@@ -107,7 +107,11 @@ class CfoEstimate:
     for the per-antenna variant, always wrapped into [-0.5, 0.5).  metric is
     the MAP objective at f_hat.  degraded marks a per-antenna refinement that
     fell back to its independent first stage, because its system was
-    singular or it ended below the first stage's metric.
+    singular or it ended below the first stage's metric.  diagnostics is
+    always set by the universal search (its usable grid points grid_f0, the
+    candidates after one linearized step, grid_candidates, and their
+    metrics, grid_metrics, of equal length) and None for per-antenna
+    estimates.
     """
 
     f_hat: float | np.ndarray
@@ -177,10 +181,14 @@ class EstimatorWorkspace:
 
 
 def _condition(eigenvalues: np.ndarray) -> float:
-    """max / min of a Hermitian matrix's eigenvalues; inf unless it is
-    positive definite."""
+    """max / min of the eigenvalues of I + Sb Sigma_h Sb^H, inf unless it is
+    positive definite; NumericalError above CONDITION_LIMIT."""
     low = eigenvalues.min()
-    return float(eigenvalues.max() / low) if low > 0 else np.inf
+    condition = float(eigenvalues.max() / low) if low > 0 else np.inf
+    if not condition <= CONDITION_LIMIT:
+        raise NumericalError("I + Sb Sigma_h Sb^H is too ill-conditioned",
+                             condition=condition)
+    return condition
 
 
 def mmse_gain(design: np.ndarray, sigma_h: np.ndarray) -> tuple[np.ndarray, float]:
@@ -197,9 +205,6 @@ def mmse_gain(design: np.ndarray, sigma_h: np.ndarray) -> tuple[np.ndarray, floa
     inner = np.eye(design.shape[0], dtype=np.complex128) + cross @ design.conj().T
     eig, vec = np.linalg.eigh(inner)
     condition = _condition(eig)
-    if not condition <= CONDITION_LIMIT:
-        raise NumericalError("I + Sb Sigma_h Sb^H is too ill-conditioned",
-                             condition=condition)
     half = vec.conj().T @ cross / np.sqrt(eig)[:, None]  # gain = sigma_h - half^H half
     gain = sigma_h - half.conj().T @ half
     return 0.5 * (gain + gain.conj().T), condition
@@ -227,9 +232,6 @@ def build_workspace(pilot: PilotMatrix, l_r: int, stats: ChannelStats,
     lam = np.multiply.outer(eig_a, eig_m)  # eigenvalues of R on W = U kron V
     inner = 1.0 + lam
     condition = _condition(inner)
-    if not condition <= CONDITION_LIMIT:
-        raise NumericalError("I + Sb Sigma_h Sb^H is too ill-conditioned",
-                             condition=condition)
     # K_i = V diag(lam_i / (1 + lam_i)) V^H, made exactly Hermitian, so the
     # (r, r') and (r', r) blocks of K are conjugate sums of the same terms
     kernels = (v * (lam / inner)[:, None, :]) @ v.conj().T
@@ -258,19 +260,17 @@ def _received_rows(y, ws: EstimatorWorkspace) -> np.ndarray:
     a wrong shape or a non-finite sample is rejected."""
     y = np.asarray(y, dtype=np.complex128)
     if y.ndim != 2 or y.shape[1] != ws.l_r * ws.n:
-        raise ParameterError(f"y must have l_r*n = {ws.l_r * ws.n} samples per row, "
-                             f"got shape {y.shape}")
+        raise ParameterError(f"each received signal must have l_r*n = {ws.l_r * ws.n} "
+                             f"samples, one signal per row, got shape {y.shape}")
     if not np.all(np.isfinite(y)):
         raise ParameterError("y has non-finite samples")
     return y.reshape(-1, ws.l_r, ws.n)
 
 
 def _received(y, ws: EstimatorWorkspace) -> np.ndarray:
-    """y as an (l_r, n) complex array; a wrong length or a non-finite sample is rejected."""
-    y = np.asarray(y, dtype=np.complex128)
-    if y.size != ws.l_r * ws.n:
-        raise ParameterError(f"y must have l_r*n = {ws.l_r * ws.n} samples, got {y.size}")
-    return _received_rows(y.reshape(1, -1), ws)[0]
+    """One received signal of any shape as an (l_r, n) complex array: the
+    one-row batch of _received_rows."""
+    return _received_rows(np.reshape(y, (1, -1)), ws)[0]
 
 
 def _lag_terms(y3: np.ndarray, ws: EstimatorWorkspace):
@@ -375,16 +375,14 @@ def _lag_metric(z: np.ndarray, f, mu_f, inv_var) -> np.ndarray:
 
 
 def metric_gradient(y: np.ndarray, f: float, ws: EstimatorWorkspace) -> float:
-    """dg/df at a common offset: -4 pi Im sum k e^{j2pi f k} z_k - (f - mu_f)/sigma_f^2,
-    with z the lag series of y."""
+    """dg/df at a common offset, -4 pi Im sum k e^{j2pi f k} z_k - (f - mu_f)/sigma_f^2
+    with z the lag series of y: 8 pi^2 times the numerator of the search's
+    linearized step at f (_step_terms)."""
     f = _common_offset(f)
-    z = compute_z(y, ws)
-    k = np.arange(1, ws.n)
-    grad = -4.0 * np.pi * np.imag(np.exp(2j * np.pi * f * k) @ (k * z))
-    iv = ws.prior.inv_var
-    if iv:
-        grad -= iv * (f - ws.prior.mu_f)
-    return float(grad)
+    kz = np.arange(1, ws.n) * compute_z(y, ws)
+    num = _step_terms(np.sum(_phases(f, ws.n)[1:] * kz), 0.0, f, ws.prior.mu_f,
+                      ws.prior.inv_var)[0]
+    return float(8.0 * np.pi ** 2 * num)
 
 
 def wrap_frequency(f):
@@ -435,9 +433,8 @@ def _universal_search(z: np.ndarray, mu_f: np.ndarray, inv_var: np.ndarray,
     trials, lags = z.shape
     if grid_size is None:
         grid_size = 4 * (lags + 1)
-    for name, value, low in (("grid_size", grid_size, 1), ("max_iter", max_iter, 0)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-            raise ParameterError(f"{name} must be an integer >= {low}, got {value!r}")
+    _check_int("grid_size", grid_size)
+    _check_int("max_iter", max_iter, 0)
     if not 0.0 <= epsilon < np.inf:
         raise ParameterError(f"epsilon must be finite and >= 0, got {epsilon!r}")
     mu_col, iv_col = mu_f[:, None], inv_var[:, None]
@@ -542,8 +539,8 @@ def estimate_cfo_universal_batch(y: np.ndarray, ws: EstimatorWorkspace, *,
 
 def estimate_cfo_universal(y: np.ndarray, ws: EstimatorWorkspace, *,
                            grid_size: int | None = None, epsilon: float = 1e-10,
-                           max_iter: int = 10, derotate_by_prior_mean: bool = False,
-                           return_diagnostics: bool = False) -> CfoEstimate:
+                           max_iter: int = 10,
+                           derotate_by_prior_mean: bool = False) -> CfoEstimate:
     """Common-offset MAP estimate via the universal grid-plus-refinement search.
 
     The default grid has 4n points over [-0.5, 0.5); each point gets one
@@ -552,18 +549,19 @@ def estimate_cfo_universal(y: np.ndarray, ws: EstimatorWorkspace, *,
     max_iter times).  With derotate_by_prior_mean the received signal is
     first rotated by exp(-j 2 pi mu_f k), which re-centers the acquisition
     range on the prior mean.  This is estimate_cfo_universal_batch on one
-    row; a degenerate metric raises EstimationError.
+    row; a degenerate metric raises EstimationError.  diagnostics always
+    holds the search's usable grid points (grid_f0), their candidates after
+    one linearized step (grid_candidates) and those candidates' metrics
+    (grid_metrics), at most 4n of each by default.
     """
     estimate, search = _estimate_rows(_received(y, ws)[None], ws, grid_size, epsilon,
                                       max_iter, derotate_by_prior_mean)
     if estimate.failed[0]:
         raise EstimationError(DEGENERATE)
-    diagnostics = None
-    if return_diagnostics:
-        usable = search.usable[0]
-        diagnostics = {"grid_f0": search.grid[usable],
-                       "grid_candidates": search.candidates[0, usable],
-                       "grid_metrics": search.metrics[0, usable]}
+    usable = search.usable[0]
+    diagnostics = {"grid_f0": search.grid[usable],
+                   "grid_candidates": search.candidates[0, usable],
+                   "grid_metrics": search.metrics[0, usable]}
     return CfoEstimate(f_hat=float(estimate.f_hat[0]), metric=float(estimate.metric[0]),
                        iterations=int(estimate.iterations[0]),
                        converged=bool(estimate.converged[0]), diagnostics=diagnostics)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, _coerce
+from .errors import ParameterError, _check_int, _coerce
 
 UNITARY_TOL = 1e-12
 UNIT_MODULUS_TOL = 1e-12
@@ -121,8 +121,8 @@ def _check_unitary(core: np.ndarray):
 
 
 def _prepare(l_t: int, m: int, rho: float, scrambling) -> np.ndarray:
-    if l_t < 1 or m < 1:
-        raise ParameterError("l_t and m must be positive integers")
+    _check_int("l_t", l_t)
+    _check_int("m", m)
     if not (rho > 0):
         raise ParameterError("pilot power rho must be positive")
     n = m * l_t
@@ -183,8 +183,7 @@ def expand_block(pilot, l_r: int) -> np.ndarray:
     layout matches the channel vectorization, so the zero-offset received
     signal is exactly this matrix times the channel vector.
     """
-    if l_r < 1:
-        raise ParameterError("l_r must be a positive integer")
+    _check_int("l_r", l_r)
     entries = pilot.entries if isinstance(pilot, PilotMatrix) else np.asarray(pilot)
     n, l_t = entries.shape
     out = np.zeros((n * l_r, l_r * n * l_t), dtype=np.complex128)

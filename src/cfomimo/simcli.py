@@ -403,11 +403,12 @@ def _samples_f_true(config: ExperimentConfig, prior: CfoPrior) -> bool:
 
 
 def _point_setup(config: ExperimentConfig, snr_db: float, model, stats, prior: CfoPrior):
-    """(pilot, workspace, bounds) of the sweep point at snr_db: the pilot at
-    that SNR, its workspace, and the bounds read from that workspace."""
+    """(workspace, bounds) of the sweep point at snr_db: the workspace of the
+    pilot at that SNR, which holds the pilot and prior, and the bounds read
+    from it."""
     pilot = config.pilot(_snr_to_rho(snr_db, model))
     ws = build_workspace(pilot, config.l_r, stats, prior)
-    return pilot, ws, evaluate_bounds(pilot, config.l_r, stats, prior, workspace=ws)
+    return ws, evaluate_bounds(pilot, config.l_r, stats, prior, workspace=ws)
 
 
 def run_bounds_vs_rho(config: ExperimentConfig) -> SweepResult:
@@ -481,9 +482,9 @@ def _block_sizes(trials: int, cap: int) -> list:
     return [base + 1] * extra + [base] * (count - extra)
 
 
-def _run_point_trials(config: ExperimentConfig, point: int, pilot, model, ws,
-                      prior: CfoPrior):
-    """Monte-Carlo trials for one sweep point; returns (mse, fails, mean_iters).
+def _run_point_trials(config: ExperimentConfig, point: int, model, ws):
+    """Monte-Carlo trials for one sweep point, under the pilot and prior of
+    its workspace ws; returns (mse, fails, mean_iters).
 
     Trials run in the fewest blocks whose rows of normals fit into
     BLOCK_BYTES, split evenly (_block_sizes), so a block's fixed cost is
@@ -497,7 +498,7 @@ def _run_point_trials(config: ExperimentConfig, point: int, pilot, model, ws,
     through the AR(1) recursion, straight to y, and the l_t*l_r*n channel
     is never formed.
     """
-    rx_map = _receive_map(model, pilot.entries)
+    rx_map = _receive_map(model, ws.pilot.entries)
     ybar = ws.ybar.reshape(config.l_r, config.n)
     row = _trial_normals(*rx_map.shape, config.noise)
     sizes = _block_sizes(config.trials, max(1, BLOCK_BYTES // (8 * row)))
@@ -514,10 +515,10 @@ def _run_point_trials(config: ExperimentConfig, point: int, pilot, model, ws,
     with ThreadPoolExecutor(max_workers=1) as helper:
         ahead = None
         for b, trials in enumerate(blocks):
-            f_true, rows = (_draw_block(config, point, trials, prior, buffers[0])
+            f_true, rows = (_draw_block(config, point, trials, ws.prior, buffers[0])
                             if ahead is None else ahead.result())
             if b + 1 < len(blocks):
-                ahead = helper.submit(_draw_block, config, point, blocks[b + 1], prior,
+                ahead = helper.submit(_draw_block, config, point, blocks[b + 1], ws.prior,
                                       buffers[(b + 1) % 2])
             y = _received_trials(model.rho_h, rx_map, ybar, f_true, rows)
             est = estimate_cfo_universal_batch(y.reshape(len(trials), -1), ws)
@@ -537,9 +538,8 @@ def run_mse_vs_snr(config: ExperimentConfig) -> SweepResult:
     stats = build_stats(model, config.n)
     rows = []
     for point, snr_db in enumerate(config.snr_db):
-        pilot, ws, res = _point_setup(config, snr_db, model, stats, prior)
-        mse, failures, mean_iters = _run_point_trials(config, point, pilot,
-                                                      model, ws, prior)
+        ws, res = _point_setup(config, snr_db, model, stats, prior)
+        mse, failures, mean_iters = _run_point_trials(config, point, model, ws)
         rows.append(SweepRow("snr_db", snr_db, mse, res.crlb, res.bcrlb,
                              config.trials, failures, mean_iters))
     return SweepResult(rows=tuple(rows))
@@ -551,7 +551,7 @@ def run_single(config: ExperimentConfig, f_true_override: float | None = None,
     prior = config.prior()
     model = config.model()
     stats = build_stats(model, config.n)
-    pilot, ws, res = _point_setup(config, config.snr_db[0], model, stats, prior)
+    ws, res = _point_setup(config, config.snr_db[0], model, stats, prior)
     rng = _trial_rng(config.seed, 0, 0)
     if f_true_override is not None:
         f_true = float(f_true_override)
@@ -561,10 +561,10 @@ def run_single(config: ExperimentConfig, f_true_override: float | None = None,
     if force_zero_rx:
         y = np.zeros(config.n * config.l_r, dtype=np.complex128)
     else:
-        y = synthesize_rx(pilot, config.l_r, f_true, h,
+        y = synthesize_rx(ws.pilot, config.l_r, f_true, h,
                           rng if config.noise else None)
     try:
-        est = estimate_cfo_universal(y, ws, return_diagnostics=True)
+        est = estimate_cfo_universal(y, ws)
     except EstimationError:
         nan, empty = float("nan"), np.array([])
         found = dict(status="low_confidence", f_hat=nan, sq_error=nan, channel_sq_error=nan,

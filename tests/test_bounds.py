@@ -21,6 +21,23 @@ def test_single_symbol_has_no_information():
     assert res.bcrlb == pytest.approx(1e-5)
 
 
+def test_compute_bounds_rejects_nan_and_negative_beta():
+    for beta in (float("nan"), -1.0):
+        with pytest.raises(ParameterError, match="beta"):
+            compute_bounds(beta, CfoPrior(0.1, 1e-5))
+
+
+def test_fisher_oracle_rejects_bad_sample_count_and_step():
+    pilot = generate_td_pilot(2, 3)
+    stats = build_stats(make_model(2, 2, 0.9), pilot.n)
+    for kwargs, name in (({"n_samples": 2.5}, "n_samples"), ({"n_samples": True}, "n_samples"),
+                         ({"n_samples": 0}, "n_samples"), ({"step": 0.0}, "step"),
+                         ({"step": -1e-4}, "step"), ({"step": np.nan}, "step"),
+                         ({"step": np.inf}, "step")):
+        with pytest.raises(ParameterError, match=name):
+            fisher_oracle(pilot, 2, stats, rng=np.random.default_rng(0), **kwargs)
+
+
 def test_zero_mean_iid_fading_not_identifiable():
     # without time correlation or a mean, the offset phase is absorbed by the
     # fading phase: the Fisher information vanishes

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cfomimo import (CfoPrior, ChannelStats, CorrelationModel, ModelError, build_stats,
+from cfomimo import (CfoPrior, ChannelStats, CorrelationModel, ModelError, ParameterError,
+                     build_stats,
                      custom_pilot, expand_block, generate_td_pilot, make_model,
                      sample_ar1_trajectory, synthesize_rx)
 from cfomimo.channel import _unit_complex
@@ -304,3 +305,19 @@ def test_prior_modes():
             CfoPrior(mu_f, 1e-5)
     with pytest.raises(ModelError):
         ml.sample(np.random.default_rng(0))
+
+
+def test_size_arguments_must_be_integers(rng):
+    # a float or a bool size is rejected with the site's own error class
+    for l_t, l_r, name in ((2.5, 2, "l_t"), (2, 2.5, "l_r"), (True, 2, "l_t"), (2, 0, "l_r")):
+        with pytest.raises(ModelError, match=name):
+            make_model(l_t, l_r, 0.5)
+    with pytest.raises(ModelError, match="l_r"):
+        CorrelationModel(l_t=1, l_r=True, rho_h=0.5, spatial_cov=np.eye(1), mean=np.zeros(1))
+    model = make_model(2, 2, 0.5)
+    for n in (2.5, True, 0):
+        with pytest.raises(ParameterError, match="n must be an integer"):
+            build_stats(model, n)
+        with pytest.raises(ParameterError, match="n must be an integer"):
+            sample_ar1_trajectory(model, n, rng)
+    assert build_stats(model, np.int64(3)).n == 3

@@ -992,10 +992,25 @@ def test_received_signal_is_validated(caller, rng):
     y, _ = draw_y(rng, pilot, model, stats, 0.05)
     call = Y_CALLERS[caller]
     call(pilot, stats, ws, y)  # a well-formed y passes
-    with pytest.raises(ParameterError, match="samples"):
+    with pytest.raises(ParameterError, match=r"l_r\*n = 12 samples"):
         call(pilot, stats, ws, y[:5])
     for bad in (np.nan, np.inf):
         y_bad = y.copy()
         y_bad[3] = bad
         with pytest.raises(ParameterError, match="non-finite"):
             call(pilot, stats, ws, y_bad)
+
+
+def test_universal_search_always_reports_its_grid(rng):
+    # diagnostics are always attached: the usable grid points, their
+    # candidates after one step and those candidates' metrics
+    pilot, model, stats, _, ws = _small_case()
+    y, _ = draw_y(rng, pilot, model, stats, 0.05)
+    for grid_size in (None, 5):
+        est = estimate_cfo_universal(y, ws, grid_size=grid_size)
+        sizes = {len(est.diagnostics[key])
+                 for key in ("grid_f0", "grid_candidates", "grid_metrics")}
+        assert len(sizes) == 1 and 0 < sizes.pop() <= (grid_size or 4 * pilot.n)
+    assert estimate_cfo_per_antenna(y, pilot, stats, ws.prior, workspace=ws).diagnostics is None
+    with pytest.raises(TypeError, match="return_diagnostics"):
+        estimate_cfo_universal(y, ws, return_diagnostics=True)

@@ -168,6 +168,20 @@ def test_parameter_errors():
         generate_td_pilot(0, 3)
 
 
+def test_size_arguments_must_be_integers():
+    # a float or a bool size is rejected by name, never passed on to numpy
+    # (a TypeError) or read as 1
+    for make in (generate_td_pilot, generate_periodic_pilot):
+        for l_t, m, name in ((2.5, 3, "l_t"), (2, 2.5, "m"), (2, True, "m"), (False, 2, "l_t")):
+            with pytest.raises(ParameterError, match=name):
+                make(l_t, m)
+        assert make(np.int64(2), np.int64(3)).n == 6
+    pilot = generate_td_pilot(2, 3)
+    for l_r in (2.5, True, 0):
+        with pytest.raises(ParameterError, match="l_r"):
+            expand_block(pilot, l_r)
+
+
 def test_entries_are_read_only():
     pilot = generate_td_pilot(2, 2)
     with pytest.raises(ValueError):
