@@ -32,25 +32,29 @@ default_rng(SeedSequence(entropy=seed, spawn_key=(sweep point, trial)))
 gives, so results are reproducible; identical config and seed give
 byte-identical CSV output.  numpy's SeedSequence hashes the seed and sweep
 point; a block's streams mix in each trial's word and take PCG64's seeding
-step in one vectorized pass, and are loaded in turn into one reused
-generator (_trial_streams).  Trials run in the fewest blocks that fit
-their rows of normals into BLOCK_BYTES (2 MiB) each, with sizes that
-differ by at most one (_block_sizes), so no block is a small tail.  A
-sweep point of two or more blocks has two such buffers and one helper
-thread: while the calling thread samples and searches block b, the helper
-draws block b + 1 into the other buffer (_draw_block), and it is joined
-before the point returns; a one-block point has one buffer and starts no
-thread.  Each trial fills its row in one standard_normal call, which
-releases the GIL, with the normals sample_ar1_trajectory and
-synthesize_rx would draw from its stream, but mse-vs-snr takes them
-straight to the n*l_r received signal: channel._received_trials splits the
-rows, runs the AR(1) recursion on the white innovations and applies one
-map per symbol, G[k] = (I_r kron S[k, :]) L, in place of the l_t*l_r*n
-channel and its projection through the pilot.  The batched estimator core
-then searches the whole block.  A trial's result does not depend on the
-block it ran in, nor on the thread that drew it.  The workers setting
-(--workers, the workers key) is accepted and must be >= 0, but has no
-effect: the one draw helper is not a setting.
+step in one vectorized pass (_pcg64_states), and a thread drawing trials
+loads their states in turn into one reused generator of its own.  Trials
+run in the fewest blocks that fit their rows of normals into BLOCK_BYTES
+(2 MiB) each, with sizes that differ by at most one (_block_sizes), so no
+block is a small tail.  A sweep point of two or more blocks has two such
+buffers and one helper thread, and each block's draws are a queue of its
+trials that both threads drain, one trial at a time (_BlockDraws): both
+draw block 0; the helper starts on block b + 1, into the other buffer, as
+soon as block b is drawn, while the calling thread samples and searches
+block b, then draws what is left of block b + 1 itself, so it waits for
+at most the helper's one trial in flight.  The helper is joined before
+the point returns; a one-block point has one buffer and starts no thread.
+Each trial fills its row in one standard_normal call, which releases the
+GIL, with the normals sample_ar1_trajectory and synthesize_rx would draw
+from its stream, but mse-vs-snr takes them straight to the n*l_r received
+signal: channel._received_trials splits the rows, runs the AR(1)
+recursion on the white innovations and applies one map per symbol,
+G[k] = (I_r kron S[k, :]) L, in place of the l_t*l_r*n channel and its
+projection through the pilot.  The batched estimator core then searches
+the whole block.  A trial's result does not depend on the block it ran
+in, nor on the thread that drew it.  The workers setting (--workers, the
+workers key) is accepted and must be >= 0, but has no effect: the one
+helper sharing the draws is not a setting.
 
 CSV schema (fixed): sweep_var,value,mse,crlb,bcrlb,trials,failures,mean_iters
 with infinities serialized as "inf" and inapplicable cells left empty.
@@ -62,6 +66,7 @@ import argparse
 import json
 import math
 import sys
+import threading
 from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 from itertools import accumulate
@@ -160,7 +165,7 @@ class ExperimentConfig:
     seed: int = 0
     f_true_mode: str = "prior"
     noise: bool = True
-    workers: int = 0  # accepted and checked, no effect: the one draw helper is fixed
+    workers: int = 0  # accepted and checked, no effect: one helper always shares the draws
 
     def __post_init__(self):
         # every int field first, then every float field, by annotation
@@ -448,30 +453,68 @@ def run_bounds_vs_snr(config: ExperimentConfig) -> SweepResult:
     return SweepResult(rows=tuple(rows))
 
 
+class _BlockDraws:
+    """One block's draws as a queue that any number of threads drain.
+
+    The queue holds the block's trials in order, each with the PCG64 state
+    of its stream from one _pcg64_states call, made by the first pull; take
+    hands each trial out once, under one lock.  A thread draining the queue
+    (draw) sets its own Generator to each trial's state, draws the trial's
+    prior sample, if it has one, into f_true and fills the trial's row of
+    normals in one standard_normal call, which releases the GIL; the rows
+    are the first len(trials) rows of normals (a new buffer when None).
+    Every trial has its own stream, so the draws do not depend on the
+    thread that made them.  The helper thread of _run_point_trials drains
+    the queue too, so nothing here calls a BLAS routine or a public
+    function of the package (the benchmark's tracer keeps one span stack
+    for one thread).
+    """
+
+    def __init__(self, config: ExperimentConfig, point: int, trials: range,
+                 prior: CfoPrior, normals: np.ndarray | None = None):
+        count = len(trials)
+        if normals is None:
+            normals = np.empty((count, _trial_normals(config.n, config.l_r,
+                                                      config.l_t * config.l_r, config.noise)))
+        self.f_true = np.full(count, prior.mu_f)
+        self.rows = normals[:count]
+        self._streams = (config.seed, point, trials)
+        self._prior = prior if _samples_f_true(config, prior) else None
+        self._states = None
+        self._taken = 0
+        self._lock = threading.Lock()
+
+    def take(self):
+        """(index in the block, PCG64 state) of the next trial not yet
+        handed out, or None once every trial has been."""
+        with self._lock:
+            if self._states is None:
+                self._states = _pcg64_states(*self._streams)
+            i = self._taken
+            if i == len(self._states):
+                return None
+            self._taken = i + 1
+        return i, self._states[i]
+
+    def draw(self):
+        """Draw trials from the queue on this thread until it is empty; a
+        trial another thread took may still be in flight on return."""
+        rng = np.random.Generator(np.random.PCG64(0))
+        for i, state in iter(self.take, None):
+            rng.bit_generator.state = state
+            if self._prior is not None:
+                self.f_true[i] = self._prior.sample(rng)
+            rng.standard_normal(out=self.rows[i])
+
+
 def _draw_block(config: ExperimentConfig, point: int, trials: range, prior: CfoPrior,
                 normals: np.ndarray | None = None):
-    """f_true (T,) and the rows of normals (T, row) of the given trials.
-
-    Each trial's stream draws its prior sample, then fills the trial's row
-    of normals in one standard_normal call, which releases the GIL; the
-    rows go to the first len(trials) rows of normals (a new buffer when
-    None).  _received_trials makes the rows into y.  Every block after a
-    point's first is drawn on the helper thread of _run_point_trials, so
-    this calls no BLAS routine and no public function of the package (the
-    benchmark's tracer keeps one span stack for one thread).
-    """
-    count = len(trials)
-    f_true = np.full(count, prior.mu_f)
-    if normals is None:
-        normals = np.empty((count, _trial_normals(config.n, config.l_r,
-                                                  config.l_t * config.l_r, config.noise)))
-    rows = normals[:count]
-    sample_from_prior = _samples_f_true(config, prior)
-    for i, rng in enumerate(_trial_streams(config.seed, point, trials)):
-        if sample_from_prior:
-            f_true[i] = prior.sample(rng)
-        rng.standard_normal(out=rows[i])
-    return f_true, rows
+    """f_true (T,) and the rows of normals (T, row) of the given trials,
+    every draw made on this thread (_BlockDraws).  _received_trials makes
+    the rows into y."""
+    draws = _BlockDraws(config, point, trials, prior, normals)
+    draws.draw()
+    return draws.f_true, draws.rows
 
 
 def _block_sizes(trials: int, cap: int) -> list:
@@ -489,14 +532,19 @@ def _run_point_trials(config: ExperimentConfig, point: int, model, ws):
     Trials run in the fewest blocks whose rows of normals fit into
     BLOCK_BYTES, split evenly (_block_sizes), so a block's fixed cost is
     never paid for a small tail: the draws of a block are made trial by
-    trial (_draw_block), everything after them for the whole block at once.
-    A point of two or more blocks draws block b + 1 on one helper thread,
-    into the other of two buffers, while this thread samples and searches
-    block b; the helper is joined before this returns or raises.  The
-    received signals are sampled in the receive space: the point's map
-    G[k] = (I_r kron S[k, :]) L takes each trial's white innovations, run
-    through the AR(1) recursion, straight to y, and the l_t*l_r*n channel
-    is never formed.
+    trial, everything after them for the whole block at once.  A point of
+    two or more blocks shares each block's draws (_BlockDraws) between this
+    thread and one helper thread, block b into buffer half b % 2: the
+    helper is handed block 0, which this thread drains too, and block b + 1
+    as soon as block b is drawn, while this thread samples and searches
+    block b; then this thread drains what is left of block b + 1 and waits
+    only for the helper's trial in flight, so it never waits for a whole
+    block.  A one-block point draws on this thread alone and starts no
+    thread.  The helper is joined before this returns or raises, and its
+    exception reaches the caller.  The received signals are sampled in the
+    receive space: the point's map G[k] = (I_r kron S[k, :]) L takes each
+    trial's white innovations, run through the AR(1) recursion, straight to
+    y, and the l_t*l_r*n channel is never formed.
     """
     rx_map = _receive_map(model, ws.pilot.entries)
     ybar = ws.ybar.reshape(config.l_r, config.n)
@@ -513,13 +561,19 @@ def _run_point_trials(config: ExperimentConfig, point: int, model, ws):
     # a one-block point starts none
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=1) as helper:
-        ahead = None
+        draws = _BlockDraws(config, point, blocks[0], ws.prior, buffers[0])
+        shared = helper.submit(draws.draw) if len(blocks) > 1 else None
         for b, trials in enumerate(blocks):
-            f_true, rows = (_draw_block(config, point, trials, ws.prior, buffers[0])
-                            if ahead is None else ahead.result())
+            draws.draw()
+            # a helper that has not yet started on the block has nothing in
+            # flight: cancelling spares the wait for it to be scheduled
+            if shared is not None and not shared.cancel():
+                shared.result()
+            f_true, rows = draws.f_true, draws.rows
             if b + 1 < len(blocks):
-                ahead = helper.submit(_draw_block, config, point, blocks[b + 1], ws.prior,
-                                      buffers[(b + 1) % 2])
+                draws = _BlockDraws(config, point, blocks[b + 1], ws.prior,
+                                    buffers[(b + 1) % 2])
+                shared = helper.submit(draws.draw)
             y = _received_trials(model.rho_h, rx_map, ybar, f_true, rows)
             est = estimate_cfo_universal_batch(y.reshape(len(trials), -1), ws)
             ok = ~est.failed
@@ -761,8 +815,9 @@ def _add_common(parser, out_help: str):
     parser.add_argument("--trials", type=int)
     parser.add_argument("--workers", type=int,
                         help="accepted for compatibility and checked (>= 0), "
-                             "but has no effect: trials run in blocks, one helper "
-                             "thread drawing the next block while one is searched")
+                             "but has no effect: trials run in blocks whose draws "
+                             "one helper thread shares, drawing ahead while a "
+                             "block is searched")
     parser.add_argument("--snr-db", help="comma-separated SNR grid override, dB")
 
 

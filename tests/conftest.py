@@ -1,9 +1,14 @@
+import itertools
+import threading
+
 import numpy as np
 import pytest
 
 from cfomimo import (CfoPrior, CorrelationModel, build_stats, expand_block,
                      generate_periodic_pilot, generate_td_pilot, make_model,
                      mmse_gain)
+
+from reference_impls import reference_trial_rng
 
 
 def random_psd(rng, dim):
@@ -76,3 +81,76 @@ def random_case(rng, l_t_max=2, l_r_max=2, n_max=12, allow_frozen=True):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+class DrawLog:
+    """A sweep's trial draws, seen through monkeypatch: every trial a thread
+    takes from its block's shared queue (simcli._BlockDraws.take), with
+    that thread, and every block as _received_trials samples it, its
+    f_true and rows copied then and the rows kept as the view they are."""
+
+    def __init__(self, monkeypatch):
+        from cfomimo import simcli
+
+        self.taken = {}  # each block's draws, in the order of their first take
+        self.sampled = []
+        take, received = simcli._BlockDraws.take, simcli._received_trials
+
+        def recording_take(draws):
+            trial = take(draws)
+            if trial is not None:
+                self.taken.setdefault(draws, []).append((trial[0], threading.current_thread()))
+            return trial
+
+        def recording_received(rho_h, rx_map, ybar, f_true, rows):
+            self.sampled.append((f_true.copy(), rows.copy(), rows))
+            return received(rho_h, rx_map, ybar, f_true, rows)
+
+        monkeypatch.setattr(simcli._BlockDraws, "take", recording_take)
+        monkeypatch.setattr(simcli, "_received_trials", recording_received)
+
+    def clear(self):
+        self.taken.clear()
+        self.sampled.clear()
+
+    def threads(self) -> list:
+        """Per block, in draw order, the set of threads that drew its trials."""
+        return [{thread for _, thread in taken} for taken in self.taken.values()]
+
+    def check(self, config, split):
+        """Assert that the sweep of config drew, at every SNR point, blocks
+        of the sizes in split, each trial exactly once by the sweep's own
+        thread or the point's one helper (one-block points on the sweep's
+        thread alone), and sampled each block only once it was fully drawn:
+        its f_true and rows then are the trials' streams' draws, row by
+        row, in buffer halves that alternate from block to block."""
+        prior, main = config.prior(), threading.main_thread()
+        sampling = config.f_true_mode == "prior" and not prior.is_ml
+        blocks = [(point, range(end - size, end)) for point in range(len(config.snr_db))
+                  for size, end in zip(split, itertools.accumulate(split))]
+        assert [len(taken) for taken in self.taken.values()] == [len(t) for _, t in blocks]
+        for taken in self.taken.values():
+            assert sorted(i for i, _ in taken) == list(range(len(taken)))
+        assert len(self.sampled) == len(blocks)
+        threads = self.threads()
+        for start in range(0, len(blocks), len(split)):
+            drew = set().union(*threads[start:start + len(split)])
+            if len(split) == 1:
+                assert drew == {main}
+            else:
+                assert len(drew - {main}) <= 1  # the point's one helper
+            views = [rows for _, _, rows in self.sampled[start:start + len(split)]]
+            for a, b in zip(views, views[1:]):
+                assert not np.shares_memory(a, b)
+            for a, b in zip(views, views[2:]):
+                assert a.ctypes.data == b.ctypes.data
+        for (point, trials), (f_true, rows, _) in zip(blocks, self.sampled):
+            for i, trial in enumerate(trials):
+                rng = reference_trial_rng(config.seed, point, trial)
+                assert f_true[i] == (prior.sample(rng) if sampling else prior.mu_f)
+                np.testing.assert_array_equal(rows[i], rng.standard_normal(rows.shape[1]))
+
+
+@pytest.fixture
+def draw_log(monkeypatch):
+    return DrawLog(monkeypatch)

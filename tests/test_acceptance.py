@@ -6,7 +6,6 @@ per criterion (each line carries the measured margin and elapsed time).
 
 import math
 import pathlib
-import threading
 import time
 
 import numpy as np
@@ -238,32 +237,23 @@ def test_criterion_11_map_ml_limit():
     budget.done(11, f"ML limit of the MAP search on 50 trials, worst gap {worst:.1e}")
 
 
-def test_criterion_12_determinism(monkeypatch):
+def test_criterion_12_determinism(monkeypatch, draw_log):
     budget = Budget(60.0)
     config = ExperimentConfig(pilot_structure="td", l_t=2, m=4, l_r=2,
                               rho_h=0.95, snr_db=(10.0, 20.0), trials=40,
                               seed=1212)
     row_bytes = 8 * _trial_normals(config.n, config.l_r, config.l_t * config.l_r,
                                    config.noise)
-    # each block's size in the order its draws are made, and whether the
-    # sweep's own thread drew it: the first block of a point is drawn there,
-    # every later one on the point's draw helper
-    sizes, draw_block = [], simcli._draw_block
-
-    def counting(config, point, trials, *args):
-        sizes.append((len(trials), threading.current_thread() is threading.main_thread()))
-        return draw_block(config, point, trials, *args)
-
-    monkeypatch.setattr(simcli, "_draw_block", counting)
     texts = []
     # one block, an uneven balanced split and one trial per block, set by
-    # the block budget as validate does; each SNR point splits alike
+    # the block budget as validate does; each SNR point splits alike, and
+    # draw_log checks each split trial by trial: drawn once, by the sweep's
+    # thread or its point's one helper, and fully drawn before it is sampled
     for cap, split in ((config.trials, [40]), (14, [14, 13, 13]), (1, [1] * 40)):
         monkeypatch.setattr(simcli, "BLOCK_BYTES", cap * row_bytes)
-        sizes.clear()
+        draw_log.clear()
         texts.append(run_mse_vs_snr(config).to_csv_text())
-        drawn_here = [True] + [False] * (len(split) - 1)
-        assert sizes == list(zip(split, drawn_here)) * len(config.snr_db)
+        draw_log.check(config, split)
     rerun = run_mse_vs_snr(config).to_csv_text()
     assert texts[0] == rerun
     assert texts[0] == texts[1] == texts[2]

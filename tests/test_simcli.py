@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import json
 import math
@@ -271,7 +272,7 @@ def test_mse_vs_snr_basic_row_contract():
     assert row.mean_iters is not None
 
 
-def test_mse_vs_snr_deterministic_rerun_and_workers(monkeypatch):
+def test_mse_vs_snr_deterministic_rerun_and_workers(monkeypatch, draw_log):
     import cfomimo.simcli as cli
 
     config = ExperimentConfig(**FAST, workers=1)
@@ -280,26 +281,27 @@ def test_mse_vs_snr_deterministic_rerun_and_workers(monkeypatch):
     text4 = run_mse_vs_snr(replace(config, workers=4)).to_csv_text()
     # a block holds as many trials as fit their rows of 2*n*(d + l_r) normals
     row_bytes = 8 * 2 * config.n * (config.l_t * config.l_r + config.l_r)
-    # each block's size, in the order its draws are made, and whether this
-    # thread drew it (the draw helper draws every block after the first)
-    sizes, draw_block = [], cli._draw_block
-
-    def counting(config, point, trials, *args):
-        sizes.append((len(trials), threading.current_thread() is threading.main_thread()))
-        return draw_block(config, point, trials, *args)
-
-    monkeypatch.setattr(cli, "_draw_block", counting)
+    # every trial as a thread takes it from its block's shared queue, and
+    # every block as it is sampled (draw_log)
+    draw_log.clear()
     run_mse_vs_snr(config)
-    assert sizes == [(config.trials, True)]  # one block, no helper
+    draw_log.check(config, [config.trials])  # one block, no helper
     # at most 4 trials a block, 6 trials split evenly over two blocks
-    sizes.clear()
+    draw_log.clear()
     monkeypatch.setattr(cli, "BLOCK_BYTES", 4 * row_bytes)
     blocked = run_mse_vs_snr(config).to_csv_text()
-    assert sizes == [(3, True), (3, False)]
-    sizes.clear()
+    draw_log.check(config, [3, 3])
+    # one trial per block, the two threads switching as often as the
+    # interpreter allows, so a trial handed out twice or never would show
+    draw_log.clear()
     monkeypatch.setattr(cli, "BLOCK_BYTES", 1)
-    one_by_one = run_mse_vs_snr(config).to_csv_text()
-    assert sizes == [(1, True)] + [(1, False)] * (config.trials - 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        one_by_one = run_mse_vs_snr(config).to_csv_text()
+    finally:
+        sys.setswitchinterval(interval)
+    draw_log.check(config, [1] * config.trials)
     assert text1 == text2 == text4 == blocked == one_by_one
 
 
@@ -316,11 +318,40 @@ def started_threads(monkeypatch):
     return started
 
 
+def hold_back(monkeypatch, held: str):
+    """Hold one of the two threads that share each block's draws, the
+    "sweep" thread or the "helper", on a threading.Event until the other
+    has drained the block's queue; the other waits, on a second Event, until
+    the held one has reached the block, so the order is fixed.  Only for
+    points of two or more blocks: a one-block point has no helper."""
+    import cfomimo.simcli as cli
+
+    draw, events = cli._BlockDraws.draw, {}
+
+    def ordered(draws):
+        arrived, drained = events.setdefault(draws, (threading.Event(), threading.Event()))
+        on_sweep = threading.current_thread() is threading.main_thread()
+        if on_sweep == (held == "sweep"):
+            arrived.set()
+            assert drained.wait(timeout=30)
+            draw(draws)
+        else:
+            assert arrived.wait(timeout=30)
+            draw(draws)
+            drained.set()
+
+    monkeypatch.setattr(cli._BlockDraws, "draw", ordered)
+
+
+class DrawFailure(Exception):
+    pass
+
+
 def test_no_thread_outlives_a_sweep(monkeypatch, started_threads):
-    # a point of several blocks draws all but the first on one helper
-    # thread, joined before the sweep returns, and also when the draws of
-    # its second block raise, whose exception reaches the caller; a point
-    # of one block starts no thread
+    # a point of several blocks shares their draws with one helper thread,
+    # joined before the sweep returns, and also when a draw on the helper
+    # raises, whose exception reaches the caller; a point of one block
+    # starts no thread
     import cfomimo.simcli as cli
 
     before = threading.active_count()
@@ -339,18 +370,20 @@ def test_no_thread_outlives_a_sweep(monkeypatch, started_threads):
     assert threading.active_count() == before
     assert not any(thread.is_alive() for thread in started_threads)
 
-    class DrawFailure(Exception):
-        pass
+    # the helper's first trial raises; the sweep thread, which draws the
+    # other trials, waits for that before it goes on, so the failure is
+    # always the helper's
+    raised, helper_failed, sample = [], threading.Event(), CfoPrior.sample
 
-    raised, streams = [], cli._trial_streams
+    def failing(prior, rng):
+        if threading.current_thread() is threading.main_thread():
+            assert helper_failed.wait(timeout=30)
+            return sample(prior, rng)
+        raised.append(DrawFailure("a draw on the helper"))
+        helper_failed.set()
+        raise raised[-1]
 
-    def failing(seed, point, trials):
-        if trials[0] > 0:  # the second block, drawn on the helper
-            raised.append(DrawFailure(f"draws of trials {trials[0]}.."))
-            raise raised[-1]
-        return streams(seed, point, trials)
-
-    monkeypatch.setattr(cli, "_trial_streams", failing)
+    monkeypatch.setattr(CfoPrior, "sample", failing)
     started_threads.clear()
     with pytest.raises(DrawFailure) as failure:
         run_mse_vs_snr(config)
@@ -361,27 +394,100 @@ def test_no_thread_outlives_a_sweep(monkeypatch, started_threads):
     assert not started_threads[0].is_alive()
 
 
-def test_consecutive_blocks_draw_into_separate_buffers(monkeypatch):
-    # the helper fills block b + 1 while block b is sampled, so the two must
-    # not share memory; block b + 2 reuses block b's buffer, so a point
-    # holds two buffers of rows, whatever its number of blocks
+def test_a_draw_failing_on_the_sweep_thread_reaches_the_caller(monkeypatch, started_threads):
+    # the sweep thread's own draws of a shared block raise: the exception
+    # reaches the caller once the helper, which may still be drawing the
+    # block, has been joined; the helper's trial waits for that failure, so
+    # the sweep thread always has a trial of its own to fail on
     import cfomimo.simcli as cli
 
-    buffers, draw_block = [], cli._draw_block
+    config = ExperimentConfig(**FAST)
+    row_bytes = 8 * 2 * config.n * (config.l_t * config.l_r + config.l_r)
+    monkeypatch.setattr(cli, "BLOCK_BYTES", 4 * row_bytes)  # blocks of 3 and 3
+    before = threading.active_count()
+    raised, sweep_failed, sample = [], threading.Event(), CfoPrior.sample
 
-    def recording(config, point, trials, prior, normals):
-        buffers.append(normals)
-        return draw_block(config, point, trials, prior, normals)
+    def failing(prior, rng):
+        if threading.current_thread() is threading.main_thread():
+            raised.append(DrawFailure("a draw on the sweep thread"))
+            sweep_failed.set()
+            raise raised[-1]
+        assert sweep_failed.wait(timeout=30)
+        return sample(prior, rng)
 
-    monkeypatch.setattr(cli, "_draw_block", recording)
+    monkeypatch.setattr(CfoPrior, "sample", failing)
+    with pytest.raises(DrawFailure) as failure:
+        run_mse_vs_snr(config)
+    assert failure.value is raised[0] and len(raised) == 1
+    assert len(started_threads) == 1
+    assert not started_threads[0].is_alive()
+    assert threading.active_count() == before
+
+
+def test_a_held_back_helper_leaves_every_draw_to_the_sweep_thread(monkeypatch, draw_log):
+    # a stall on the helper costs the sweep at most the helper's trial in
+    # flight: with the helper held until the sweep thread has drained each
+    # block's queue, the sweep completes on its own draws, byte for byte
+    import cfomimo.simcli as cli
+
+    config = ExperimentConfig(**{**FAST, "snr_db": (10.0, 20.0)})
+    row_bytes = 8 * 2 * config.n * (config.l_t * config.l_r + config.l_r)
+    monkeypatch.setattr(cli, "BLOCK_BYTES", 2 * row_bytes)  # blocks of 2, 2 and 2
+    want = run_mse_vs_snr(config).to_csv_text()
+    draw_log.clear()
+    hold_back(monkeypatch, "helper")
+    assert run_mse_vs_snr(config).to_csv_text() == want
+    draw_log.check(config, [2, 2, 2])
+    assert draw_log.threads() == [{threading.main_thread()}] * 6
+
+
+def test_the_draw_helper_calls_no_public_function(monkeypatch, draw_log):
+    # the benchmark's tracer keeps one span stack for one thread: with the
+    # helper making every draw of a multi-block sweep, every public function
+    # of the package, wherever a cfomimo module binds it, still runs on the
+    # sweep's own thread only
+    import cfomimo
+    import cfomimo.simcli as cli
+
+    public = {id(value) for name in cfomimo.__all__
+              if inspect.isfunction(value := getattr(cfomimo, name))}
+    calls = []
+
+    def wrap(fn):
+        def recording(*args, **kwargs):
+            calls.append((fn.__name__, threading.current_thread()))
+            return fn(*args, **kwargs)
+        return recording
+
+    for module in [m for name, m in sys.modules.items()
+                   if name == "cfomimo" or name.startswith("cfomimo.")]:
+        for attr, value in list(vars(module).items()):
+            if id(value) in public:
+                monkeypatch.setattr(module, attr, wrap(value))
+    config = ExperimentConfig(**{**FAST, "snr_db": (10.0, 20.0)})
+    row_bytes = 8 * 2 * config.n * (config.l_t * config.l_r + config.l_r)
+    monkeypatch.setattr(cli, "BLOCK_BYTES", 4 * row_bytes)  # blocks of 3 and 3
+    hold_back(monkeypatch, "sweep")
+    run_mse_vs_snr(config)
+    draw_log.check(config, [3, 3])
+    helpers = draw_log.threads()
+    assert all(len(drew) == 1 and threading.main_thread() not in drew for drew in helpers)
+    assert {"estimate_cfo_universal_batch", "evaluate_bounds"} <= {name for name, _ in calls}
+    assert {thread for _, thread in calls} == {threading.main_thread()}
+
+
+def test_consecutive_blocks_draw_into_separate_buffers(monkeypatch, draw_log):
+    # the helper draws block b + 1 while block b is sampled, so the two
+    # must not share memory; block b + 2 reuses block b's buffer, so a point
+    # holds two buffers of rows, whatever its number of blocks (draw_log
+    # checks both halves against each block's view at sampling time)
+    import cfomimo.simcli as cli
+
     monkeypatch.setattr(cli, "BLOCK_BYTES", 1)  # one trial per block
     config = ExperimentConfig(**FAST)
     run_mse_vs_snr(config)
-    assert len(buffers) == config.trials
-    for b in range(config.trials - 1):
-        assert not np.shares_memory(buffers[b], buffers[b + 1])
-    for b in range(config.trials - 2):
-        assert buffers[b].ctypes.data == buffers[b + 2].ctypes.data
+    assert len(draw_log.sampled) == config.trials
+    draw_log.check(config, [1] * config.trials)
 
 
 @pytest.mark.parametrize("trials,cap", [(1, 1), (1, 5), (3, 7), (7, 1), (8, 3), (6, 4),
@@ -714,12 +820,14 @@ def test_each_sweep_point_sets_up_once_before_its_trials(monkeypatch):
         inner = getattr(cli, name)
 
         def wrapper(*args, **kwargs):
-            calls.append((name, args[1]) if name == "_draw_block" else name)
+            calls.append((name, args[1]) if name == "_pcg64_states" else name)
             return inner(*args, **kwargs)
         return wrapper
 
+    # a block's draws start with its streams' states (_pcg64_states), on
+    # whichever thread takes the block's first trial
     for name in ("make_model", "build_stats", "build_workspace", "evaluate_bounds",
-                 "_draw_block"):
+                 "_pcg64_states"):
         monkeypatch.setattr(cli, name, counting(name))
     config = ExperimentConfig(**FAST, rho_h_grid=(0.0, 0.5, 1.0))
     run_bounds_vs_rho(config)
@@ -731,7 +839,8 @@ def test_each_sweep_point_sets_up_once_before_its_trials(monkeypatch):
     run_mse_vs_snr(replace(config, snr_db=(10.0, 20.0)))
     assert calls == ["make_model", "build_stats"] + [
         step for point in (0, 1) for step in
-        ("build_workspace", "evaluate_bounds", ("_draw_block", point), ("_draw_block", point))]
+        ("build_workspace", "evaluate_bounds", ("_pcg64_states", point),
+         ("_pcg64_states", point))]
 
 
 def test_sweeps_single_and_oracle_form_no_channel_space_matrix(monkeypatch):
