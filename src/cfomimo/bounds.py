@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,6 +52,17 @@ class BoundResult:
     bcrlb: float
 
 
+@lru_cache(maxsize=16)
+def _lag_weights(q: int, n: int) -> np.ndarray:
+    """W[k1, k2] = (k1 - k2)^2 for k1 > k2 and 0 elsewhere, over the q rows
+    of a kernel, row k1 at symbol time k1 mod n; float64 and read-only."""
+    k = np.arange(q) % n
+    lag = np.subtract.outer(k, k)
+    weights = np.where(lag > 0, lag * lag, 0).astype(np.float64)
+    weights.setflags(write=False)
+    return weights
+
+
 def compute_beta(pilot: PilotMatrix, l_r: int, stats: ChannelStats, *,
                  workspace: EstimatorWorkspace | None = None) -> float:
     """Closed-form Fisher information of the common normalized offset.
@@ -58,16 +70,19 @@ def compute_beta(pilot: PilotMatrix, l_r: int, stats: ChannelStats, *,
     The k^2-weighted expected lag series, read as quadratic forms in the
     workspace's kernels K_i (see the module docstring): the kernel K is
     contracted against the second moment R + ybar ybar^H + I of y instead
-    of an observed y (the noise term I only reaches lag 0).  A single
+    of an observed y (the noise term I only reaches lag 0).  The weights W
+    come from a read-only table built once per kernel shape.  A single
     symbol, n = 1, has only lag 0, so every k^2 weight and hence beta is
-    zero.  A workspace passed in must be built for this pilot, l_r and stats.
+    zero.  A negative beta is rounding, returned as zero, unless its size
+    exceeds BETA_REL_TOL times the same sum over every term's magnitude,
+    which raises NumericalError; that magnitude pass runs only for a
+    negative beta.  A workspace passed in must be built for this pilot, l_r
+    and stats.
     """
     ws = _workspace_for(pilot, l_r, stats, CfoPrior.ml(), workspace)
     n = ws.n
     p, q = ws.kernels.shape[:2]
-    k = np.arange(q) % n  # the symbol time of each row of a kernel
-    lag = np.subtract.outer(k, k)
-    weighted = np.where(lag > 0, lag * lag, 0) * ws.kernels  # W o K_i
+    weighted = _lag_weights(q, n) * ws.kernels  # W o K_i
     yt = ws.U.conj().T @ ws.ybar.reshape(p, q)
     first = np.einsum("rk,rk->k", ws.lin_table, ws.ybar.reshape(l_r, n).conj())
 
@@ -78,10 +93,11 @@ def compute_beta(pilot: PilotMatrix, l_r: int, stats: ChannelStats, *,
         return mean + cov + np.arange(n) ** 2 @ f(first)
 
     beta = 8.0 * np.pi ** 2 * float(np.real(total(lambda x: x)))
-    # every term in absolute value: a bound on the rounding of the sum
-    scale = 8.0 * np.pi ** 2 * float(total(np.abs)) + 1.0
-    if beta < -BETA_REL_TOL * scale:
-        raise NumericalError(f"Fisher information came out negative ({beta:.3e})")
+    if beta < 0.0:
+        # every term in absolute value: a bound on the rounding of the sum
+        scale = 8.0 * np.pi ** 2 * float(total(np.abs)) + 1.0
+        if beta < -BETA_REL_TOL * scale:
+            raise NumericalError(f"Fisher information came out negative ({beta:.3e})")
     return max(beta, 0.0)
 
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -296,6 +296,14 @@ class _SeparableStats(ChannelStats):
                          optimize=True).ravel()
 
 
+@lru_cache(maxsize=16)
+def _lags(n: int) -> np.ndarray:
+    """The read-only (n, n) table |k - k'| of symbol-time lags."""
+    lags = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    lags.setflags(write=False)
+    return lags
+
+
 def build_stats(model: CorrelationModel, n: int,
                 rho_h: float | None = None) -> ChannelStats:
     """Channel statistics of a correlation model over n symbol times, in the
@@ -313,8 +321,7 @@ def build_stats(model: CorrelationModel, n: int,
     if not (0.0 <= rho_h <= 1.0):
         raise ModelError(f"rho_h must lie in [0, 1], got {rho_h}")
     l_t, l_r = model.l_t, model.l_r
-    lags = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
-    time_corr = (rho_h ** np.arange(n))[lags]  # 0**0 == 1 covers rho_h = 0
+    time_corr = (rho_h ** np.arange(n))[_lags(n)]  # 0**0 == 1 covers rho_h = 0
     time_corr.setflags(write=False)
     mu = np.broadcast_to(model.mean.reshape(l_r, 1, l_t), (l_r, n, l_t)).ravel()
     mu.setflags(write=False)

@@ -22,6 +22,7 @@ Index conventions used throughout the package (all 0-based):
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,10 +63,11 @@ class PilotMatrix:
             raise ParameterError(
                 f"scrambling length {scrambling.shape} does not match n={n}"
             )
+        _check_rho(self.rho)
+        _check_finite("scrambling", scrambling)
+        _check_finite("entries", entries)
         if np.max(np.abs(np.abs(scrambling) - 1.0)) > UNIT_MODULUS_TOL:
             raise ParameterError("scrambling entries must have unit modulus")
-        if not (self.rho > 0):
-            raise ParameterError("pilot power rho must be positive")
         power = np.trace(entries.conj().T @ entries).real / n
         if abs(power - self.rho) > 1e-9 * max(1.0, self.rho):
             raise ParameterError(
@@ -100,8 +102,7 @@ class PilotMatrix:
 
     def with_power(self, rho: float) -> "PilotMatrix":
         """Same pilot rescaled to a new average power."""
-        if not (rho > 0):
-            raise ParameterError("pilot power rho must be positive")
+        _check_rho(rho)
         scale = np.sqrt(rho / self.rho)
         return PilotMatrix(
             entries=self.entries * scale,
@@ -110,6 +111,16 @@ class PilotMatrix:
             scrambling=self.scrambling,
             unitary_core=self.unitary_core,
         )
+
+
+def _check_rho(rho):
+    if not 0 < rho < math.inf:
+        raise ParameterError(f"pilot power rho must be positive and finite, got {rho!r}")
+
+
+def _check_finite(name: str, values: np.ndarray):
+    if not np.all(np.isfinite(values)):
+        raise ParameterError(f"pilot {name} must be finite")
 
 
 def _check_unitary(core: np.ndarray):
@@ -123,14 +134,14 @@ def _check_unitary(core: np.ndarray):
 def _prepare(l_t: int, m: int, rho: float, scrambling) -> np.ndarray:
     _check_int("l_t", l_t)
     _check_int("m", m)
-    if not (rho > 0):
-        raise ParameterError("pilot power rho must be positive")
+    _check_rho(rho)
     n = m * l_t
     if scrambling is None:
         return np.ones(n, dtype=np.complex128)
     scrambling = np.asarray(scrambling, dtype=np.complex128)
     if scrambling.shape != (n,):
         raise ParameterError(f"scrambling must have length n = m*l_t = {n}")
+    _check_finite("scrambling", scrambling)
     return scrambling
 
 
@@ -167,6 +178,7 @@ def custom_pilot(entries) -> PilotMatrix:
     entries = np.asarray(entries, dtype=np.complex128)
     if entries.ndim != 2:
         raise ParameterError("pilot entries must be a 2-D (n, l_t) array")
+    _check_finite("entries", entries)
     n = entries.shape[0]
     rho = float(np.trace(entries.conj().T @ entries).real / n)
     if not (rho > 0):
@@ -205,12 +217,13 @@ def pilot_to_config(pilot: PilotMatrix) -> dict:
         cfg["entries"] = [[repr(v) for v in row] for row in pilot.entries.tolist()]
         return cfg
     cfg["m"] = pilot.n // pilot.l_t
-    if np.allclose(pilot.scrambling, 1.0):
+    # only an exact default is written by name, so the round trip is lossless
+    if np.all(pilot.scrambling == 1.0):
         cfg["scrambling"] = "ones"
     else:
         cfg["scrambling"] = [repr(v) for v in pilot.scrambling.tolist()]
     if pilot.structure is PilotStructure.PERIODIC:
-        if pilot.unitary_core is None or np.allclose(pilot.unitary_core, np.eye(pilot.l_t)):
+        if pilot.unitary_core is None or np.array_equal(pilot.unitary_core, np.eye(pilot.l_t)):
             cfg["core"] = "identity"
         else:
             cfg["core"] = [[repr(v) for v in row] for row in pilot.unitary_core.tolist()]

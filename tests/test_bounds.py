@@ -1,12 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from cfomimo import (CfoPrior, ParameterError, build_stats, build_workspace,
-                     compute_beta, compute_bounds, custom_pilot,
+from cfomimo import (CfoPrior, ChannelStats, NumericalError, ParameterError, build_stats,
+                     build_workspace, compute_beta, compute_bounds, custom_pilot,
                      evaluate_bounds, fisher_oracle, generate_periodic_pilot,
                      generate_td_pilot, make_model, resolvability_floor)
+from cfomimo.bounds import _lag_weights
 
 from conftest import dense_gain_and_offset, random_case
 from reference_impls import reference_beta
@@ -50,14 +52,52 @@ def test_zero_mean_iid_fading_not_identifiable():
     assert res.bcrlb == pytest.approx(1e-5)
 
 
+def _dense_case():
+    """A scrambled pilot with dense stats, which the workspace holds as one
+    (n*l_r)^2 kernel (p = 1, q = n*l_r)."""
+    pilot = generate_td_pilot(2, 3, 1.5, np.exp(0.7j * np.arange(6)))
+    stats = build_stats(make_model(2, 2, 0.8, spatial="exponential", mean="rician"), pilot.n)
+    return pilot, 2, ChannelStats(2, 2, pilot.n, stats.mu_h, stats.sigma_h)
+
+
 def test_beta_matches_direct_loop_reference(rng):
+    cases = []
     for _ in range(4):
         pilot, model, stats, _ = random_case(rng, n_max=8, allow_frozen=False)
-        ws = build_workspace(pilot, model.l_r, stats, CfoPrior.ml())
-        fast = compute_beta(pilot, model.l_r, stats, workspace=ws)
-        slow = reference_beta(pilot.entries, model.l_r, stats.mu_h, stats.sigma_h,
-                              *dense_gain_and_offset(pilot, model.l_r, stats))
+        cases.append((pilot, model.l_r, stats))
+    for pilot, l_r, stats in cases + [_dense_case()]:
+        ws = build_workspace(pilot, l_r, stats, CfoPrior.ml())
+        fast = compute_beta(pilot, l_r, stats, workspace=ws)
+        slow = reference_beta(pilot.entries, l_r, stats.mu_h, stats.sigma_h,
+                              *dense_gain_and_offset(pilot, l_r, stats))
         assert fast == pytest.approx(slow, rel=1e-9, abs=1e-9)
+
+
+def test_lag_weights_are_one_read_only_table_per_shape():
+    pilot = generate_periodic_pilot(2, 3)
+    separable = (pilot, 2, build_stats(make_model(2, 2, 0.9), pilot.n))
+    for (pilot, l_r, stats), shape in ((separable, (2, 6)), (_dense_case(), (1, 12))):
+        ws = build_workspace(pilot, l_r, stats, CfoPrior.ml())
+        p, q = ws.kernels.shape[:2]
+        assert (p, q) == shape
+        weights = _lag_weights(q, ws.n)
+        assert weights.dtype == np.float64 and not weights.flags.writeable
+        k = np.arange(q) % ws.n  # the symbol time of each kernel row
+        k1, k2 = k[:, None], k[None, :]
+        np.testing.assert_array_equal(weights, np.where(k1 > k2, (k1 - k2) ** 2, 0))
+        assert _lag_weights(q, ws.n) is weights
+
+
+def test_negative_fisher_information_raises():
+    # with a zero mean, beta is the sum of a_i <W o K_i, M^T> alone, so
+    # negating the kernels negates it
+    pilot = generate_td_pilot(2, 3)
+    stats = build_stats(make_model(2, 2, 0.9), pilot.n)
+    ws = build_workspace(pilot, 2, stats, CfoPrior.ml())
+    assert compute_beta(pilot, 2, stats, workspace=ws) >= 0.0
+    flipped = dataclasses.replace(ws, kernels=-ws.kernels)
+    with pytest.raises(NumericalError, match="came out negative"):
+        compute_beta(pilot, 2, stats, workspace=flipped)
 
 
 def test_beta_nonnegative_on_random_configs(rng):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from cfomimo import (ParameterError, PilotStructure, custom_pilot, expand_block,
-                     generate_periodic_pilot, generate_td_pilot,
+from cfomimo import (ParameterError, PilotMatrix, PilotStructure, custom_pilot,
+                     expand_block, generate_periodic_pilot, generate_td_pilot,
                      pilot_from_config, pilot_to_config)
 
 
@@ -206,13 +206,45 @@ def test_config_round_trip(rng):
     scrambling = np.exp(2j * np.pi * rng.random(6))
     raw = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     core, _ = np.linalg.qr(raw)
+    # within np.allclose's default tolerances of the defaults, but not equal
+    near_ones = np.exp(1e-7j * np.arange(8))
+    angle = 1e-9
+    near_identity = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
     for pilot in (generate_periodic_pilot(3, 2, 1.5, scrambling, core),
                   generate_td_pilot(3, 2, 0.7, scrambling),
                   generate_periodic_pilot(2, 4),
-                  custom_pilot(rng.standard_normal((4, 2)) + 0j)):
+                  custom_pilot(rng.standard_normal((4, 2)) + 0j),
+                  generate_td_pilot(2, 4, 1.2, near_ones),
+                  generate_periodic_pilot(2, 4, 1.2, near_ones, near_identity),
+                  generate_periodic_pilot(2, 4, 1.2, None, near_identity)):
         rebuilt = pilot_from_config(pilot_to_config(pilot))
-        np.testing.assert_allclose(rebuilt.entries, pilot.entries, atol=1e-15)
+        np.testing.assert_array_equal(rebuilt.entries, pilot.entries)
+        np.testing.assert_array_equal(rebuilt.scrambling, pilot.scrambling)
         assert rebuilt.structure == pilot.structure
+
+
+def test_non_finite_pilots_are_rejected_by_name():
+    nan, inf = float("nan"), float("inf")
+    td = generate_td_pilot(2, 2)
+    cases = [(lambda: generate_td_pilot(2, 2, scrambling=[nan, 1, 1, 1]), "scrambling"),
+             (lambda: generate_periodic_pilot(2, 2, scrambling=[1, inf, 1, 1]), "scrambling"),
+             (lambda: generate_periodic_pilot(2, 2, inf), "rho"),
+             (lambda: generate_td_pilot(2, 2, nan), "rho"),
+             (lambda: td.with_power(inf), "rho"),
+             (lambda: custom_pilot([[1.0, nan], [0.0, 1.0]]), "entries"),
+             (lambda: custom_pilot([[1.0, 0.0], [inf, 1.0]]), "entries"),
+             (lambda: PilotMatrix(td.entries, nan, td.structure, td.scrambling), "rho"),
+             (lambda: PilotMatrix(np.where(td.entries == 0, nan, td.entries), td.rho,
+                                  td.structure, td.scrambling), "entries"),
+             (lambda: pilot_from_config({"structure": "td", "l_t": 2, "m": 2,
+                                         "scrambling": ["nan", 1, 1, 1]}), "scrambling"),
+             (lambda: pilot_from_config({"structure": "periodic", "l_t": 2, "m": 2,
+                                         "rho": "inf"}), "rho"),
+             (lambda: pilot_from_config({"structure": "custom",
+                                         "entries": [["1", "nan"]]}), "entries")]
+    for make, name in cases:
+        with pytest.raises(ParameterError, match=name):
+            make()
 
 
 def test_config_input_errors_name_the_key():
