@@ -1,22 +1,27 @@
 """Closed-form Fisher information and Cramer-Rao bounds for the common offset.
 
-The Fisher information of the normalized offset under the Gaussian signal
-model is obtained by taking the expected lag series: replace the data terms
-of z_k by the moments of y at zero offset,
+Under the Gaussian signal model y has the law CN(D(f) ybar, D(f) C D(f)^H)
+at offset f, with
 
-    E[y] = Sb mu_h,     E[y y^H] = Sb (Sigma_h + mu_h mu_h^H) Sb^H + I,
+    ybar = Sb mu_h,     C = R + I,     R = Sb Sigma_h Sb^H,
 
-and accumulate beta = 8 pi^2 Re sum_k k^2 zbar_k.  In the eigen-antenna
-basis of the trial lag series (see estimator), with yt = U^H ybar, the
-covariance R = A_r kron M and W[k1, k2] = (k1 - k2)^2 for k1 > k2 (zero
-elsewhere), that sum is a set of quadratic forms,
+and D(f) = diag(exp(j 2 pi f k)) the rotation, k the symbol time of each
+receive sample.  With K = diag(k), d/df D = j 2 pi K D, so the Gaussian
+Fisher formula 2 Re(mu'^H C^{-1} mu') + tr(C^{-1} C' C^{-1} C') gives
 
-    sum_k k^2 zbar_k = sum_i [yt_i^H (W o K_i) yt_i + a_i <W o K_i, M^T>]
-                       + sum_k k^2 first_k,
+    beta = 8 pi^2 (K ybar)^H C^{-1} (K ybar) - 4 pi^2 tr(C^{-1} [K, C] C^{-1} [K, C]),
 
-with <A, B> = sum A o B and first_k = sum_r lin[r, k] conj(ybar[r, k]);
-the noise I only reaches lag 0.  The result does not depend on the true
-offset.  Bounds follow as
+which does not depend on the true offset.  In R's eigenbasis W = U kron V
+(see estimator: R = A_r kron M, A_r = U diag(a) U^H, M = V diag(m) V^H,
+lam_ij = a_i m_j) C is diagonal, K becomes I kron Kt with Kt = V^H diag(k) V
+and [K, C] has entries Kt_jl a_i (m_l - m_j) on each eigen-antenna i, so
+
+    beta = 8 pi^2 [ sum_ij |t_ij|^2 / (1 + lam_ij)
+                    + 1/2 sum_i a_i^2 sum_jl |Kt_jl|^2 (m_j - m_l)^2
+                                              / ((1 + lam_ij)(1 + lam_il)) ],
+
+t = U^H (ybar o k) conj(V) of shape (p, q): a sum of nonnegative terms once
+I + R is positive definite.  Bounds follow as
 
     CRLB  = 1 / beta                (error floor of any unbiased estimator),
     BCRLB = 1 / (beta + 1/sigma_f^2)   (Bayesian version, ML prior gives CRLB).
@@ -31,16 +36,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .channel import CfoPrior, ChannelStats, _rotation, _unit_complex
-from .errors import NumericalError, ParameterError, _check_int
+from .errors import ParameterError, _check_int
 from .estimator import EstimatorWorkspace, _workspace_for
 from .pilots import PilotMatrix
-
-BETA_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -52,53 +54,27 @@ class BoundResult:
     bcrlb: float
 
 
-@lru_cache(maxsize=16)
-def _lag_weights(q: int, n: int) -> np.ndarray:
-    """W[k1, k2] = (k1 - k2)^2 for k1 > k2 and 0 elsewhere, over the q rows
-    of a kernel, row k1 at symbol time k1 mod n; float64 and read-only."""
-    k = np.arange(q) % n
-    lag = np.subtract.outer(k, k)
-    weights = np.where(lag > 0, lag * lag, 0).astype(np.float64)
-    weights.setflags(write=False)
-    return weights
-
-
 def compute_beta(pilot: PilotMatrix, l_r: int, stats: ChannelStats, *,
                  workspace: EstimatorWorkspace | None = None) -> float:
     """Closed-form Fisher information of the common normalized offset.
 
-    The k^2-weighted expected lag series, read as quadratic forms in the
-    workspace's kernels K_i (see the module docstring): the kernel K is
-    contracted against the second moment R + ybar ybar^H + I of y instead
-    of an observed y (the noise term I only reaches lag 0).  The weights W
-    come from a read-only table built once per kernel shape.  A single
-    symbol, n = 1, has only lag 0, so every k^2 weight and hence beta is
-    zero.  A negative beta is rounding, returned as zero, unless its size
-    exceeds BETA_REL_TOL times the same sum over every term's magnitude,
-    which raises NumericalError; that magnitude pass runs only for a
-    negative beta.  A workspace passed in must be built for this pilot, l_r
-    and stats.
+    The eigenbasis form of the Gaussian Fisher formula (see the module
+    docstring), read from the workspace's eigenpairs of R alone: a, U, m,
+    V and ybar, never the kernels or the linear table.  k is the symbol
+    time of each of the q rows of a factor, arange(q) mod n, so dense stats
+    (p = 1, q = n*l_r) run the same code.  Every term is nonnegative, and a
+    single symbol, n = 1, has k = 0 and hence beta = 0.  A workspace passed
+    in must be built for this pilot, l_r and stats.
     """
     ws = _workspace_for(pilot, l_r, stats, CfoPrior.ml(), workspace)
-    n = ws.n
-    p, q = ws.kernels.shape[:2]
-    weighted = _lag_weights(q, n) * ws.kernels  # W o K_i
-    yt = ws.U.conj().T @ ws.ybar.reshape(p, q)
-    first = np.einsum("rk,rk->k", ws.lin_table, ws.ybar.reshape(l_r, n).conj())
-
-    def total(f):
-        kernels, rows = f(weighted), f(yt)
-        mean = np.vdot(rows, np.matmul(kernels, rows[..., None])[..., 0])
-        cov = f(ws.a) @ (kernels.reshape(p, -1) @ f(ws.M).T.ravel())
-        return mean + cov + np.arange(n) ** 2 @ f(first)
-
-    beta = 8.0 * np.pi ** 2 * float(np.real(total(lambda x: x)))
-    if beta < 0.0:
-        # every term in absolute value: a bound on the rounding of the sum
-        scale = 8.0 * np.pi ** 2 * float(total(np.abs)) + 1.0
-        if beta < -BETA_REL_TOL * scale:
-            raise NumericalError(f"Fisher information came out negative ({beta:.3e})")
-    return max(beta, 0.0)
+    p, q = ws.a.size, ws.m.size
+    k = np.arange(q) % ws.n
+    scale = 1.0 / (1.0 + np.multiply.outer(ws.a, ws.m))  # 1 / (1 + lam), (p, q)
+    t = ws.U.conj().T @ (ws.ybar.reshape(p, q) * k) @ ws.V.conj()
+    commutator = np.abs(ws.V.conj().T @ (k[:, None] * ws.V)) * np.subtract.outer(ws.m, ws.m)
+    mean = np.sum(np.abs(t) ** 2 * scale)
+    cov = 0.5 * ws.a ** 2 @ np.sum((scale @ commutator ** 2) * scale, axis=1)
+    return 8.0 * np.pi ** 2 * float(mean + cov)
 
 
 def compute_bounds(beta: float, prior: CfoPrior, *, beta_floor: float = 0.0) -> BoundResult:

@@ -30,7 +30,7 @@ and the condition of I + R is max(1 + lam) / min(1 + lam).  Only the two
 factors are diagonalized, never Sigma_h, so singular channel covariances
 (a channel frozen over the pilot) are fine.  A factor whose imaginary part
 is exactly zero (an unscrambled 0/1 pilot, a real spatial covariance) is
-diagonalized as a real symmetric matrix, so U, M and the K_i are real
+diagonalized as a real symmetric matrix, so U, V and the K_i are real
 whenever R's factors are, at a fraction of the complex cost; the linear
 table, ybar and every received signal stay complex, and the same code runs
 on either dtype.  The workspace keeps K as its p
@@ -39,8 +39,8 @@ for dense stats, which run the same code with p = 1.  Once the de-rotated
 w is formed, for a common or a per-antenna offset, K applies row by row in
 the eigen-antenna basis: with wt = U^H w (one row of length q per i),
 w^H K w = sum_i wt_i^H K_i wt_i and K w = U (K_i wt_i).  The metric, the
-channel estimate, the lag series and the bounds are evaluated that way,
-and the dense K is never formed.
+channel estimate and the lag series are evaluated that way, and the dense
+K is never formed; the bounds read the eigenpairs a, U, m, V alone.
 
 The MMSE channel estimate h_hat(f) = A X(f)^H y + b, with X(f) = D(f) Sb,
 A = (Sb^H Sb + Sigma_h^{-1})^{-1} its error covariance and
@@ -62,12 +62,11 @@ Collecting g by time lag turns it into a short complex series,
 with z_k a pure function of (y, K, lin): with yt = U^H y,
 z_k = sum_i sum_w conj(yt_i[k + w]) K_i[k + w, w] yt_i[w] plus a linear
 term, read along the k-th subdiagonal of each K_i (a table the workspace
-builds once), so no n x n matrix is formed per trial.  The Fisher
-information (bounds) takes the same sums at the moments of y, weighted by
-k^2, as quadratic forms in the K_i.  The universal search evaluates a
-coarse grid of 4n offsets, solves the linearized stationary condition at
-each point, keeps the candidate with the best metric, and polishes it by
-repeating the linearized step.  No phase unwrapping is involved anywhere.
+builds once), so no n x n matrix is formed per trial.  The universal
+search evaluates a coarse grid of 4n offsets, solves the linearized
+stationary condition at each point, keeps the candidate with the best
+metric, and polishes it by repeating the linearized step.  No phase
+unwrapping is involved anywhere.
 
 On the grid f_g = -1/2 + g/G the step needs sum_k e^{j 2 pi f_g k} {z_k,
 k z_k, k^2 z_k}; since e^{j 2 pi f_g k} = (-1)^k e^{j 2 pi g k / G}, all G
@@ -132,18 +131,19 @@ class EstimatorWorkspace:
     R = Sb Sigma_h Sb^H = A_r kron M (a 1 x 1 A_r = 1 and M = R for dense
     stats): ybar = Sb mu_h, the zero-offset received mean; lin_table
     (I + R)^{-1} ybar shaped (l_r, n); a and U, the eigenvalues and
-    eigenvectors of A_r (p of them: l_r, or 1 for dense stats); the time
-    factor M (q x q: n, or n*l_r for dense stats); and kernels, the stack
+    eigenvectors of A_r (p of them: l_r, or 1 for dense stats); m and V, the
+    eigenvalues and eigenvectors of the time factor M = V diag(m) V^H (q of
+    them: n, or n*l_r for dense stats); and kernels, the stack
     K_i = V diag(lam_i / (1 + lam_i)) V^H of shape (p, q, q), with
-    M = V diag(m) V^H and lam_i = a_i m.  The quadratic kernel is
-    K = I - (I + R)^{-1} = sum_i (u_i u_i^H) kron K_i, so w^H K w =
-    sum_i wt_i^H K_i wt_i over the rows of wt = U^H w, and
+    lam_i = a_i m.  The bounds read only a, U, m, V and ybar.  The
+    quadratic kernel is K = I - (I + R)^{-1} = sum_i (u_i u_i^H) kron K_i,
+    so w^H K w = sum_i wt_i^H K_i wt_i over the rows of wt = U^H w, and
     g = w^H K w + 2 Re<lin, w> at w = D(f)^H y.  condition is that of
     I + R, max(1 + lam) / min(1 + lam).  The channel estimate adds one
     product with Sigma_h: h_hat = mu_h + Sigma_h Sb^H (I - K)(w - ybar).
-    U is float64 when A_r is real, and M and kernels are float64 when M is
+    U is float64 when A_r is real, and V and kernels are float64 when M is
     real (an unscrambled 0/1 pilot and a real B_t); otherwise complex.
-    ybar and lin_table are always complex.
+    a and m are always float64, ybar and lin_table always complex.
 
     subdiagonals, the kernels' subdiagonals in time that the lag series is
     read along, is built on its first read.  The workspace holds no dense
@@ -161,7 +161,8 @@ class EstimatorWorkspace:
     condition: float
     a: np.ndarray
     U: np.ndarray
-    M: np.ndarray
+    m: np.ndarray
+    V: np.ndarray
     kernels: np.ndarray
 
     @property
@@ -223,7 +224,7 @@ def build_workspace(pilot: PilotMatrix, l_r: int, stats: ChannelStats,
     n, s = pilot.n, pilot.entries
     a, m = (0.5 * (x + x.conj().T) for x in stats._receive_factors(s))
     # a factor with an exactly zero imaginary part is kept real, so eigh takes
-    # the real symmetric path and U, M and the K_i below stay float64
+    # the real symmetric path and U, V and the K_i below stay float64
     a, m = (x if x.imag.any() else x.real.copy() for x in (a, m))
     ybar = stats._receive_mean(s)
     eig_a, u = np.linalg.eigh(a)
@@ -240,8 +241,8 @@ def build_workspace(pilot: PilotMatrix, l_r: int, stats: ChannelStats,
     lin = u @ ((u.conj().T @ ybar.reshape(p, q) @ v.conj()) / inner) @ v.T
     return EstimatorWorkspace(pilot=pilot, l_r=l_r, stats=stats, prior=prior,
                               ybar=ybar.ravel(), lin_table=lin.reshape(l_r, n),
-                              condition=condition, a=eig_a, U=u, M=m,
-                              kernels=kernels)
+                              condition=condition, a=eig_a, U=u, m=eig_m,
+                              V=v, kernels=kernels)
 
 
 def _workspace_for(pilot: PilotMatrix, l_r: int, stats: ChannelStats, prior: CfoPrior,

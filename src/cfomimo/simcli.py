@@ -23,7 +23,9 @@ CONFIG_PATHS, which maps each ExperimentConfig field to its key path, is the
 one list of config keys; any other key is an error that names its section.
 The example leaves out noise (false drops the receiver noise),
 workers, channel.rho_h_grid (the bounds-vs-rho grid, 50 points on [0, 1]
-when empty) and prior.ml (true for the flat ML prior at mu_f).
+when empty) and prior.ml (true for the flat ML prior at mu_f).  mu_f, and
+single's --f-true, must lie in the acquisition range [-0.5, 0.5), where
+the estimator reports its offsets.
 
 SNR is defined as pilot power times per-coefficient channel power with unit
 noise variance, so sweeps rescale the pilot power only.  Every trial draws
@@ -73,7 +75,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .bounds import evaluate_bounds
+from .bounds import compute_beta, evaluate_bounds
 from .channel import (CfoPrior, _receive_map, _received_trials, _trial_normals,
                       build_stats, make_model, sample_ar1_trajectory,
                       synthesize_rx)
@@ -199,6 +201,13 @@ class ExperimentConfig:
             object.__setattr__(self, name, grid)
         if len(self.snr_db) == 0:
             raise ParameterError("snr_db grid must be non-empty")
+        for snr_db in self.snr_db:
+            try:
+                10.0 ** (snr_db / 10.0)
+            except OverflowError:
+                raise ParameterError(f"snr_db must have a finite linear power "
+                                     f"(at most about 3082 dB), got {snr_db}") from None
+        _check_offset("mu_f", self.mu_f)
         for rho_h in (self.rho_h,) + self.rho_h_grid:
             if not 0.0 <= rho_h <= 1.0:
                 raise ParameterError(f"rho_h must lie in [0, 1], got {rho_h}")
@@ -394,6 +403,12 @@ def _trial_streams(seed: int, point: int, trials):
 def _trial_rng(seed: int, point: int, trial: int) -> np.random.Generator:
     """The PCG64 stream of one (sweep point, trial), as _trial_streams seeds it."""
     return next(_trial_streams(seed, point, [trial]))
+
+
+def _check_offset(name: str, f: float):
+    """ParameterError unless the offset f lies in the acquisition range."""
+    if not -0.5 <= f < 0.5:
+        raise ParameterError(f"{name} must lie in the acquisition range [-0.5, 0.5), got {f}")
 
 
 def _snr_to_rho(snr_db: float, model) -> float:
@@ -601,7 +616,10 @@ def run_mse_vs_snr(config: ExperimentConfig) -> SweepResult:
 
 def run_single(config: ExperimentConfig, f_true_override: float | None = None,
                force_zero_rx: bool = False) -> TrialRecord:
-    """One fully instrumented trial at the first SNR point."""
+    """One fully instrumented trial at the first SNR point; an f_true_override
+    outside the acquisition range [-0.5, 0.5) is rejected."""
+    if f_true_override is not None:
+        _check_offset("f_true", f_true_override)
     prior = config.prior()
     model = config.model()
     stats = build_stats(model, config.n)
@@ -649,6 +667,7 @@ def _validate_checks():
     yield "map reduces to ml", _check_ml_reduction(rng)
     yield ("receive-space sampler matches sample_ar1_trajectory + synthesize_rx",
            _check_receive_sampler(rng))
+    yield "Fisher closed form vs Gaussian formula", _check_fisher_formula(rng)
     yield "block-seeded streams match numpy's SeedSequence seeding", _check_stream_seeding()
     yield "sweep determinism across block splits", _check_determinism()
 
@@ -756,6 +775,26 @@ def _check_receive_sampler(rng):
             return False, f"trial {trial} drew f_true {f_true[i]!r}, not {f!r}"
         worst = max(worst, float(np.max(np.abs(y[i].ravel() - want)) / np.max(np.abs(want))))
     return worst < 1e-12, f"worst relative gap {worst:.2e} over {len(trials)} trials"
+
+
+def _check_fisher_formula(rng, configs=4):
+    """compute_beta against the dense Gaussian Fisher formula at f = 0,
+    8 pi^2 Re (K ybar)^H C^{-1} K ybar - 4 pi^2 Re tr(C^{-1} [K, C] C^{-1} [K, C]),
+    with C = R + I and K = diag(k), k the symbol time of each receive sample."""
+    worst = 0.0
+    for _ in range(configs):
+        pilot, model, stats, _ = _random_setup(rng)
+        l_r, n = model.l_r, pilot.n
+        cov = stats._receive_cov(pilot.entries) + np.eye(l_r * n)
+        k = np.arange(l_r * n) % n
+        ky = k * stats._receive_mean(pilot.entries).ravel()
+        inv = np.linalg.inv(cov)
+        term = inv @ (k[:, None] * cov - cov * k)  # C^{-1} [K, C]
+        want = 8.0 * np.pi ** 2 * (np.real(np.vdot(ky, inv @ ky))
+                                   - 0.5 * np.real(np.trace(term @ term)))
+        got = compute_beta(pilot, l_r, stats)
+        worst = max(worst, abs(got - want) / abs(want))
+    return worst < 1e-9, f"worst relative gap {worst:.2e} over {configs} configs"
 
 
 def _check_stream_seeding():

@@ -4,11 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from cfomimo import (CfoPrior, ChannelStats, NumericalError, ParameterError, build_stats,
+from cfomimo import (CfoPrior, ChannelStats, ParameterError, build_stats,
                      build_workspace, compute_beta, compute_bounds, custom_pilot,
                      evaluate_bounds, fisher_oracle, generate_periodic_pilot,
                      generate_td_pilot, make_model, resolvability_floor)
-from cfomimo.bounds import _lag_weights
 
 from conftest import dense_gain_and_offset, random_case
 from reference_impls import reference_beta
@@ -60,11 +59,25 @@ def _dense_case():
     return pilot, 2, ChannelStats(2, 2, pilot.n, stats.mu_h, stats.sigma_h)
 
 
+def _near_iid_case(rng, rho_h):
+    """A scrambled pilot under fading that is close to iid in time, where
+    most of M's eigenvalues nearly coincide."""
+    l_t, l_r = int(rng.integers(1, 3)), int(rng.integers(1, 3))
+    scrambling = np.exp(2j * np.pi * rng.random(l_t * 3))
+    pilot = generate_td_pilot(l_t, 3, float(rng.uniform(0.5, 5.0)), scrambling)
+    model = make_model(l_t, l_r, rho_h, spatial="exponential", mean="rician")
+    return pilot, l_r, build_stats(model, pilot.n)
+
+
 def test_beta_matches_direct_loop_reference(rng):
     cases = []
     for _ in range(4):
         pilot, model, stats, _ = random_case(rng, n_max=8, allow_frozen=False)
         cases.append((pilot, model.l_r, stats))
+    cases += [_near_iid_case(rng, rho_h) for rho_h in (0.0, 1e-3, 1e-2)]
+    # a long pilot: n = 40 symbols, lags up to 39
+    long_pilot = generate_periodic_pilot(2, 20, 2.0, np.exp(0.3j * np.arange(40)))
+    cases.append((long_pilot, 1, build_stats(make_model(2, 1, 0.95, mean="rician"), 40)))
     for pilot, l_r, stats in cases + [_dense_case()]:
         ws = build_workspace(pilot, l_r, stats, CfoPrior.ml())
         fast = compute_beta(pilot, l_r, stats, workspace=ws)
@@ -73,31 +86,18 @@ def test_beta_matches_direct_loop_reference(rng):
         assert fast == pytest.approx(slow, rel=1e-9, abs=1e-9)
 
 
-def test_lag_weights_are_one_read_only_table_per_shape():
-    pilot = generate_periodic_pilot(2, 3)
-    separable = (pilot, 2, build_stats(make_model(2, 2, 0.9), pilot.n))
-    for (pilot, l_r, stats), shape in ((separable, (2, 6)), (_dense_case(), (1, 12))):
-        ws = build_workspace(pilot, l_r, stats, CfoPrior.ml())
-        p, q = ws.kernels.shape[:2]
-        assert (p, q) == shape
-        weights = _lag_weights(q, ws.n)
-        assert weights.dtype == np.float64 and not weights.flags.writeable
-        k = np.arange(q) % ws.n  # the symbol time of each kernel row
-        k1, k2 = k[:, None], k[None, :]
-        np.testing.assert_array_equal(weights, np.where(k1 > k2, (k1 - k2) ** 2, 0))
-        assert _lag_weights(q, ws.n) is weights
-
-
-def test_negative_fisher_information_raises():
-    # with a zero mean, beta is the sum of a_i <W o K_i, M^T> alone, so
-    # negating the kernels negates it
+def test_beta_reads_only_the_eigenpairs():
+    # the kernels and the linear table never enter beta; with a zero mean
+    # only the covariance sum is left, still >= 0
     pilot = generate_td_pilot(2, 3)
-    stats = build_stats(make_model(2, 2, 0.9), pilot.n)
-    ws = build_workspace(pilot, 2, stats, CfoPrior.ml())
-    assert compute_beta(pilot, 2, stats, workspace=ws) >= 0.0
-    flipped = dataclasses.replace(ws, kernels=-ws.kernels)
-    with pytest.raises(NumericalError, match="came out negative"):
-        compute_beta(pilot, 2, stats, workspace=flipped)
+    for mean in ("rician", "zero"):
+        stats = build_stats(make_model(2, 2, 0.9, mean=mean), pilot.n)
+        ws = build_workspace(pilot, 2, stats, CfoPrior.ml())
+        beta = compute_beta(pilot, 2, stats, workspace=ws)
+        blind = dataclasses.replace(ws, kernels=np.full_like(ws.kernels, np.nan),
+                                    lin_table=np.full_like(ws.lin_table, np.nan))
+        assert compute_beta(pilot, 2, stats, workspace=blind) == beta
+        assert beta >= 0.0 and np.any(ws.ybar) == (mean == "rician")
 
 
 def test_beta_nonnegative_on_random_configs(rng):

@@ -203,7 +203,8 @@ def test_workspace_factors_are_real_when_r_factors_are(maker, scrambled, spatial
     stats = build_stats(model, pilot.n)
     ws = build_workspace(pilot, l_r, stats, CfoPrior(0.02, 1e-3))
     assert ws.U.dtype == u_dtype
-    assert ws.M.dtype == ws.kernels.dtype == m_dtype
+    assert ws.V.dtype == ws.kernels.dtype == m_dtype
+    assert ws.a.dtype == ws.m.dtype == np.float64
     assert ws.lin_table.dtype == ws.ybar.dtype == np.complex128
     # K against the dense oracle I - (I + R)^{-1}, R = Sb Sigma_h Sb^H
     eye = np.eye(pilot.n * l_r)
@@ -215,8 +216,8 @@ def test_workspace_factors_are_real_when_r_factors_are(maker, scrambled, spatial
         reference_beta(pilot.entries, l_r, stats.mu_h, stats.sigma_h,
                        *dense_gain_and_offset(pilot, l_r, stats)),
         rel=1e-9, abs=1e-9)
-    # every reader of U, M and the K_i against the same factors held complex
-    cws = replace(ws, U=ws.U.astype(complex), M=ws.M.astype(complex),
+    # every reader of U, V and the K_i against the same factors held complex
+    cws = replace(ws, U=ws.U.astype(complex), V=ws.V.astype(complex),
                   kernels=ws.kernels.astype(complex))
 
     def close(a, b):
@@ -233,9 +234,11 @@ def test_workspace_factors_are_real_when_r_factors_are(maker, scrambled, spatial
                          _per_antenna_grad_hess(rows[0], cws, f_vec, mu, inv_var)):
         assert close(got, want)
     assert close(dense_kernel(ws), dense_kernel(cws))
-    # R = kron(A_r, M) with A_r = U diag(a) U^H
-    receive_cov = [np.kron((w.U * w.a) @ w.U.conj().T, w.M) for w in (ws, cws)]
+    # R = kron(A_r, M) with A_r = U diag(a) U^H and M = V diag(m) V^H
+    receive_cov = [np.kron((w.U * w.a) @ w.U.conj().T, (w.V * w.m) @ w.V.conj().T)
+                   for w in (ws, cws)]
     assert close(*receive_cov)
+    assert close(receive_cov[0], stats._receive_cov(pilot.entries))
 
 
 def test_zero_covariance_workspace():

@@ -175,6 +175,20 @@ def test_config_validation():
             ExperimentConfig.from_mapping({"channel": {"spatial": {"sigma_h_sq": bad}}})
         with pytest.raises(ParameterError, match="sigma_h_sq must be > 0"):
             ExperimentConfig(sigma_h_sq=bad)
+    # an SNR whose linear power overflows a float is named, not raised as
+    # OverflowError when a pilot is scaled
+    for grid in (1e5, [10, 3100], "1e5"):
+        with pytest.raises(ParameterError, match="snr_db must have a finite linear power"):
+            ExperimentConfig.from_mapping({"snr_db": grid})
+    assert ExperimentConfig(snr_db=(3000.0,)).snr_db == (3000.0,)
+    # the estimator reports offsets in [-0.5, 0.5), so a prior mean outside it
+    # could never be met
+    for mu_f in (0.9, 0.5, -0.6, -2.0):
+        for prior in ({"mu_f": mu_f, "sigma_f_sq": 1e-5}, {"ml": True, "mu_f": mu_f}):
+            with pytest.raises(ParameterError,
+                               match=r"mu_f must lie in the acquisition range \[-0.5, 0.5\)"):
+                ExperimentConfig.from_mapping({"prior": prior})
+    assert ExperimentConfig(mu_f=-0.5).mu_f == -0.5
 
 
 def test_scalar_grids_are_one_point_grids():
@@ -643,6 +657,16 @@ def test_run_single_noiseless_recovers_truth():
     assert record.grid_candidates.size > 0
 
 
+def test_run_single_rejects_a_true_offset_outside_the_acquisition_range():
+    # the search wraps into [-0.5, 0.5), so a truth outside it reads as a
+    # wrapped offset's whole-cycle error; the range's edges are kept as is
+    config = replace(ExperimentConfig(**FAST), noise=False, rho_h=1.0, prior_ml=True)
+    for f_true in (0.5, 0.9, -0.51, math.nan):
+        with pytest.raises(ParameterError, match=r"f_true must lie in the acquisition range"):
+            run_single(config, f_true_override=f_true)
+    assert run_single(config, f_true_override=-0.5).f_true == -0.5
+
+
 def test_run_single_zero_rx_degenerate_is_reported():
     config = replace(ExperimentConfig(**FAST), prior_ml=True, mean_kind="zero")
     record = run_single(config, force_zero_rx=True)
@@ -781,6 +805,21 @@ def test_cli_error_paths(tmp_path, capsys):
     for command in ("mse-vs-snr", "single", "bounds-vs-snr"):
         assert main([command, "--trials", "3", "--config", str(bad)]) == 1, command
         assert capsys.readouterr().err.startswith("error: sigma_h_sq must be > 0"), command
+    # an SNR that overflows, from a flag or a config, and an offset outside
+    # the acquisition range, from the prior or --f-true, fail before any output
+    bad.write_text("snr_db: 1.0e+5\n")
+    for argv, message in ((["single", "--snr-db", "1e5"], "snr_db must have a finite"),
+                          (["bounds-vs-snr", "--snr-db", "3100"], "snr_db must have a finite"),
+                          (["mse-vs-snr", "--config", str(bad)], "snr_db must have a finite"),
+                          (["single", "--f-true", "0.5"], "f_true must lie in the acquisition"),
+                          (["single", "--f-true", "-0.7"], "f_true must lie in the acquisition")):
+        assert main(argv) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {message}"), (argv, err)
+    bad.write_text("prior: {mu_f: 0.9, sigma_f_sq: 1.0e-5}\ntrials: 50\nsnr_db: [20]\n")
+    assert main(["mse-vs-snr", "--config", str(bad)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: mu_f must lie in the acquisition range"), err
 
 
 def test_cli_validate_passes():
@@ -806,6 +845,18 @@ def test_validate_determinism_check_sees_block_dependence(monkeypatch):
     assert not ok and detail.startswith(
         "8 trials in one block vs blocks of 3+3+2 vs one trial per block"), detail
     assert cli.BLOCK_BYTES == saved
+
+
+def test_validate_fisher_check_sees_a_wrong_beta(monkeypatch):
+    # the closed form off by one part in 1e8 must fail the 1e-9 bound
+    import cfomimo.simcli as cli
+
+    closed_form = cli.compute_beta
+    ok, detail = cli._check_fisher_formula(np.random.default_rng(3))
+    assert ok, detail
+    monkeypatch.setattr(cli, "compute_beta", lambda *args: closed_form(*args) * (1 + 1e-8))
+    ok, detail = cli._check_fisher_formula(np.random.default_rng(3))
+    assert not ok and detail.startswith("worst relative gap 1.0"), detail
 
 
 def test_each_sweep_point_sets_up_once_before_its_trials(monkeypatch):
