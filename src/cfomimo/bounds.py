@@ -71,10 +71,10 @@ def compute_beta(pilot: PilotMatrix, l_r: int, stats: ChannelStats, *,
     k = np.arange(q) % ws.n
     scale = 1.0 / (1.0 + np.multiply.outer(ws.a, ws.m))  # 1 / (1 + lam), (p, q)
     t = ws.U.conj().T @ (ws.ybar.reshape(p, q) * k) @ ws.V.conj()
-    commutator = np.abs(ws.V.conj().T @ (k[:, None] * ws.V)) * np.subtract.outer(ws.m, ws.m)
-    mean = np.sum(np.abs(t) ** 2 * scale)
-    cov = 0.5 * ws.a ** 2 @ np.sum((scale @ commutator ** 2) * scale, axis=1)
-    return 8.0 * np.pi ** 2 * float(mean + cov)
+    # |Kt_jl (m_j - m_l)|^2, Kt = V^H diag(k) V: the commutator [diag(k), M] in M's eigenbasis
+    spread = (np.abs(ws.V.conj().T @ (k[:, None] * ws.V)) * np.subtract.outer(ws.m, ws.m)) ** 2
+    terms = np.abs(t) ** 2 + 0.5 * ws.a[:, None] ** 2 * (scale @ spread)
+    return 8.0 * np.pi ** 2 * float(np.sum(scale * terms))
 
 
 def compute_bounds(beta: float, prior: CfoPrior, *, beta_floor: float = 0.0) -> BoundResult:
