@@ -352,14 +352,27 @@ def sample_ar1_trajectory(model: CorrelationModel, n: int, rng: np.random.Genera
 
     h_k = mu + L e_k with L L^H = spatial_cov and e_k the zero-mean AR(1)
     recursion (_ar1) of white xi_k ~ CN(0, I), so every marginal has mean
-    mu and covariance spatial_cov, and lag-l correlation rho_h^l.
+    mu and covariance spatial_cov, and lag-l correlation rho_h^l.  The
+    batch of one of _ar1_trajectories.
     """
     _check_int("n", n)
+    return _ar1_trajectories(model, n, rng, 1)[0]
+
+
+def _ar1_trajectories(model: CorrelationModel, n: int, rng: np.random.Generator,
+                      trials: int) -> np.ndarray:
+    """Channel trajectories (trials, l_t*l_r*n), drawn from rng as that many
+    sample_ar1_trajectory calls in turn draw them: each trial's real parts
+    (n, d), then its imaginary parts.  The recursion (_ar1) runs time-major
+    over all trials at once, and the spatial factor applies in one
+    (trials*n, d) product, which for one trial is a single call's (n, d)
+    product."""
     d = model.l_t * model.l_r
-    xi = _unit_complex(*rng.standard_normal((2, n, d)))  # real parts, then imaginary
-    h = model.mean + _ar1(xi, model.rho_h) @ model._spatial_factor.T
-    # (n, l_r*l_t) -> flat (r, k, t)
-    return h.reshape(n, model.l_r, model.l_t).transpose(1, 0, 2).ravel()
+    parts = rng.standard_normal((trials, 2, n, d)).transpose(1, 2, 0, 3)
+    e = _ar1(_unit_complex(parts[0], parts[1]), model.rho_h)  # (n, trials, d)
+    h = model.mean + e.transpose(1, 0, 2).reshape(trials * n, d) @ model._spatial_factor.T
+    # (trials, n, l_r*l_t) -> (trials, flat (r, k, t))
+    return h.reshape(trials, n, model.l_r, model.l_t).transpose(0, 2, 1, 3).reshape(trials, -1)
 
 
 def _receive_map(model: CorrelationModel, entries: np.ndarray) -> np.ndarray:

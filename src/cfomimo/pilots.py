@@ -63,7 +63,7 @@ class PilotMatrix:
             raise ParameterError(
                 f"scrambling length {scrambling.shape} does not match n={n}"
             )
-        _check_rho(self.rho)
+        _check_rho(self.rho, n)
         _check_finite("scrambling", scrambling)
         _check_finite("entries", entries)
         if np.max(np.abs(np.abs(scrambling) - 1.0)) > UNIT_MODULUS_TOL:
@@ -102,7 +102,7 @@ class PilotMatrix:
 
     def with_power(self, rho: float) -> "PilotMatrix":
         """Same pilot rescaled to a new average power."""
-        _check_rho(rho)
+        _check_rho(rho, self.n)
         scale = np.sqrt(rho / self.rho)
         return PilotMatrix(
             entries=self.entries * scale,
@@ -113,9 +113,12 @@ class PilotMatrix:
         )
 
 
-def _check_rho(rho):
-    if not 0 < rho < math.inf:
-        raise ParameterError(f"pilot power rho must be positive and finite, got {rho!r}")
+def _check_rho(rho, n: int):
+    """ParameterError unless rho is positive and the total power n*rho of
+    an n-symbol pilot, which its power trace sums to, is finite."""
+    if not (0 < rho and math.isfinite(n * rho)):
+        raise ParameterError(f"pilot power rho must be positive with a finite "
+                             f"total power n*rho, got rho={rho!r} at n={n}")
 
 
 def _check_finite(name: str, values: np.ndarray):
@@ -134,8 +137,8 @@ def _check_unitary(core: np.ndarray):
 def _prepare(l_t: int, m: int, rho: float, scrambling) -> np.ndarray:
     _check_int("l_t", l_t)
     _check_int("m", m)
-    _check_rho(rho)
     n = m * l_t
+    _check_rho(rho, n)
     if scrambling is None:
         return np.ones(n, dtype=np.complex128)
     scrambling = np.asarray(scrambling, dtype=np.complex128)

@@ -2,8 +2,13 @@
 
 Subcommands: bounds-vs-rho, bounds-vs-snr, mse-vs-snr, single, validate.
 COMMANDS is the one table of them: each one's help, --out help and flags of
-its own (--emit-plot-data on the three sweeps only), and the step main runs
-on its loaded config; main builds the parser and dispatches from it.
+its own, and the step main runs on its loaded config; main builds the parser
+and dispatches from it.  A command declares only the flags its run reads,
+so any other flag exits 2 as unrecognized: --config, --out and --snr-db on
+all four that run on a config, --emit-plot-data on the three sweeps,
+--rho-grid on bounds-vs-rho, --seed and --trials on mse-vs-snr, and --seed,
+--f-true, --zero-rx and --no-noise on single (its one trial is trial 0 of
+the first SNR point).  The bounds sweeps are closed form and draw nothing.
 Experiments are driven by a YAML config file; command-line flags override
 file values.  Example config::
 
@@ -54,9 +59,9 @@ recursion on the white innovations and applies one map per symbol,
 G[k] = (I_r kron S[k, :]) L, in place of the l_t*l_r*n channel and its
 projection through the pilot.  The batched estimator core then searches
 the whole block.  A trial's result does not depend on the block it ran
-in, nor on the thread that drew it.  The workers setting (--workers, the
-workers key) is accepted and must be >= 0, but has no effect: the one
-helper sharing the draws is not a setting.
+in, nor on the thread that drew it.  The workers config key, which has no
+flag, is accepted and must be >= 0, but has no effect: the one helper
+sharing the draws is not a setting.
 
 CSV schema (fixed): sweep_var,value,mse,crlb,bcrlb,trials,failures,mean_iters
 with infinities serialized as "inf" and inapplicable cells left empty.
@@ -167,7 +172,9 @@ class ExperimentConfig:
     seed: int = 0
     f_true_mode: str = "prior"
     noise: bool = True
-    workers: int = 0  # accepted and checked, no effect: one helper always shares the draws
+    # config key only (no flag), checked and without effect, since one helper
+    # always shares the draws; kept while bench/harness.py passes workers=1
+    workers: int = 0
 
     def __post_init__(self):
         # every int field first, then every float field, by annotation
@@ -411,9 +418,15 @@ def _check_offset(name: str, f: float):
         raise ParameterError(f"{name} must lie in the acquisition range [-0.5, 0.5), got {f}")
 
 
-def _snr_to_rho(snr_db: float, model) -> float:
+def _snr_to_rho(config: ExperimentConfig, snr_db: float, model) -> float:
+    """The pilot power rho at snr_db; ParameterError naming snr_db unless
+    the pilot's total power n*rho is finite."""
     # SNR = rho * per-coefficient channel power, unit noise variance
-    return 10.0 ** (snr_db / 10.0) / model.per_coefficient_power()
+    rho = 10.0 ** (snr_db / 10.0) / model.per_coefficient_power()
+    if not math.isfinite(config.n * rho):
+        raise ParameterError(f"snr_db must give a pilot of finite total power n*rho "
+                             f"(n = {config.n}), got {snr_db}")
+    return rho
 
 
 def _samples_f_true(config: ExperimentConfig, prior: CfoPrior) -> bool:
@@ -426,7 +439,7 @@ def _point_setup(config: ExperimentConfig, snr_db: float, model, stats, prior: C
     """(workspace, bounds) of the sweep point at snr_db: the workspace of the
     pilot at that SNR, which holds the pilot and prior, and the bounds read
     from it."""
-    pilot = config.pilot(_snr_to_rho(snr_db, model))
+    pilot = config.pilot(_snr_to_rho(config, snr_db, model))
     ws = build_workspace(pilot, config.l_r, stats, prior)
     return ws, evaluate_bounds(pilot, config.l_r, stats, prior, workspace=ws)
 
@@ -441,7 +454,7 @@ def run_bounds_vs_rho(config: ExperimentConfig) -> SweepResult:
     grid = config.rho_h_grid or tuple(np.linspace(0.0, 1.0, 50))
     prior = config.prior()
     model = config.model()
-    rho = _snr_to_rho(config.snr_db[0], model)
+    rho = _snr_to_rho(config, config.snr_db[0], model)
     rows = []
     for structure in PILOT_STRUCTURES:
         pilot = config.pilot(rho, structure)
@@ -461,7 +474,7 @@ def run_bounds_vs_snr(config: ExperimentConfig) -> SweepResult:
     rows = []
     for structure in PILOT_STRUCTURES:
         for snr_db in config.snr_db:
-            pilot = config.pilot(_snr_to_rho(snr_db, model), structure)
+            pilot = config.pilot(_snr_to_rho(config, snr_db, model), structure)
             res = evaluate_bounds(pilot, config.l_r, stats, prior)
             rows.append(SweepRow(f"snr_db[{structure}]", snr_db, None,
                                  res.crlb, res.bcrlb, 0, 0, None))
@@ -850,19 +863,14 @@ def run_validate() -> int:
 def _add_common(parser, out_help: str):
     parser.add_argument("--config", help="YAML experiment config")
     parser.add_argument("--out", help=out_help)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--trials", type=int)
-    parser.add_argument("--workers", type=int,
-                        help="accepted for compatibility and checked (>= 0), "
-                             "but has no effect: trials run in blocks whose draws "
-                             "one helper thread shares, drawing ahead while a "
-                             "block is searched")
     parser.add_argument("--snr-db", help="comma-separated SNR grid override, dB")
 
 
 def _overrides_from(args) -> dict:
-    overrides = {key: getattr(args, key) for key in ("seed", "trials", "workers")
-                 if getattr(args, key) is not None}
+    """Config overrides from the flags given; args holds only the flags its
+    command declared."""
+    overrides = {key: getattr(args, key) for key in ("seed", "trials")
+                 if getattr(args, key, None) is not None}
     if getattr(args, "no_noise", False):
         overrides["noise"] = False
     if args.snr_db is not None:
@@ -905,9 +913,12 @@ def _single(config: ExperimentConfig, args):
 CSV_OUT = "output CSV path (default: stdout)"
 PLOT_DATA = ("--emit-plot-data", dict(metavar="PATH",
                                       help="also write long-format plot series CSV"))
+SEED = ("--seed", dict(type=int, help="seed of the trials' random streams (config key seed)"))
+TRIALS = ("--trials", dict(type=int, help="Monte-Carlo trials per SNR point (config key trials)"))
 # every subcommand once: its help, then, for a command that runs on a config,
 # its --out help, the flags of its own beside _add_common's and the step that
-# runs it on the loaded config and writes its output (validate has neither)
+# runs it on the loaded config and writes its output (validate has neither);
+# a command declares only the flags its run reads
 COMMANDS = {
     "bounds-vs-rho": ("CRLB/BCRLB vs time-correlation for both pilots", CSV_OUT,
                       [PLOT_DATA, ("--rho-grid", dict(metavar="START:STOP:COUNT"))],
@@ -915,9 +926,9 @@ COMMANDS = {
     "bounds-vs-snr": ("CRLB/BCRLB vs SNR for both pilots", CSV_OUT, [PLOT_DATA],
                       _sweep(run_bounds_vs_snr, "bounds_vs_snr")),
     "mse-vs-snr": ("Monte-Carlo estimator MSE vs SNR next to the bounds", CSV_OUT,
-                   [PLOT_DATA], _sweep(run_mse_vs_snr, "mse_vs_snr")),
+                   [PLOT_DATA, SEED, TRIALS], _sweep(run_mse_vs_snr, "mse_vs_snr")),
     "single": ("one instrumented trial, JSON output", "output JSON path (default: stdout)",
-               [("--f-true", dict(type=float, help="override the true offset")),
+               [SEED, ("--f-true", dict(type=float, help="override the true offset")),
                 ("--zero-rx", dict(action="store_true",
                                    help="force y = 0 (degenerate-input check)")),
                 ("--no-noise", dict(action="store_true", help="drop the receiver noise"))],

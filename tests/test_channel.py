@@ -5,7 +5,7 @@ from cfomimo import (CfoPrior, ChannelStats, CorrelationModel, ModelError, Param
                      build_stats,
                      custom_pilot, expand_block, generate_td_pilot, make_model,
                      sample_ar1_trajectory, synthesize_rx)
-from cfomimo.channel import _unit_complex
+from cfomimo.channel import _ar1_trajectories, _unit_complex
 
 
 def scalar_model(rho_h, var=1.0, mean=0.0):
@@ -193,10 +193,7 @@ def test_ar1_iid_matches_spatial_covariance(rng):
     # rho_h = 0: every symbol is a fresh draw, so pooling times gives many samples
     model = make_model(2, 1, 0.0, spatial="exponential", spatial_a=0.4, spatial_b=0.4)
     n, trials = 5, 20000
-    pool = np.empty((trials * n, 2), dtype=complex)
-    for i in range(trials):
-        h = sample_ar1_trajectory(model, n, rng).reshape(1, n, 2)
-        pool[i * n:(i + 1) * n] = h[0]
+    pool = _ar1_trajectories(model, n, rng, trials).reshape(trials * n, 2)  # l_r = 1
     count = pool.shape[0]
     emp = (pool.conj().T @ pool / count).T  # E[h h^H]
     band = 3.0 / np.sqrt(count)
@@ -207,7 +204,7 @@ def test_ar1_lag_one_autocorrelation(rng):
     rho = 0.9
     model = scalar_model(rho)
     n, trials = 6, 100000
-    h = np.array([sample_ar1_trajectory(model, n, rng) for _ in range(trials)])
+    h = _ar1_trajectories(model, n, rng, trials)
     lag1 = np.sum(h[:, 1:] * np.conj(h[:, :-1])).real / trials / (n - 1)
     marginal = np.sum(np.abs(h) ** 2) / trials / n
     assert lag1 / marginal == pytest.approx(rho, abs=0.01)
@@ -216,8 +213,26 @@ def test_ar1_lag_one_autocorrelation(rng):
 def test_ar1_mean_is_constant(rng):
     model = make_model(1, 1, 0.6, mean="rician", rician_k=2.0)
     trials, n = 20000, 4
-    avg = np.mean([sample_ar1_trajectory(model, n, rng) for _ in range(trials)], axis=0)
+    avg = np.mean(_ar1_trajectories(model, n, rng, trials), axis=0)
     np.testing.assert_allclose(avg, model.mean[0] * np.ones(n), atol=0.02)
+
+
+@pytest.mark.parametrize("l_t, l_r, n, trials, options", [
+    (1, 1, 6, 500, dict(rho_h=0.9)),
+    (2, 1, 5, 200, dict(rho_h=0.0, spatial="exponential", spatial_a=0.4, spatial_b=0.4)),
+    (1, 1, 4, 200, dict(rho_h=0.6, mean="rician", rician_k=2.0)),
+    (3, 2, 7, 100, dict(rho_h=0.7, spatial="exponential", mean="rician")),
+])
+def test_ar1_batch_matches_sequential_trajectories(l_t, l_r, n, trials, options):
+    # the batch core draws the same normals as one sample_ar1_trajectory
+    # call per trajectory, in order; only the spatial product's rounding
+    # may differ, one (trials*n, d) matmul against trials (n, d) ones
+    model = make_model(l_t, l_r, **options)
+    batch = _ar1_trajectories(model, n, np.random.default_rng(5), trials)
+    rng = np.random.default_rng(5)
+    sequential = np.array([sample_ar1_trajectory(model, n, rng) for _ in range(trials)])
+    assert batch.shape == sequential.shape == (trials, l_t * l_r * n)
+    np.testing.assert_allclose(batch, sequential, rtol=1e-14, atol=0.0)
 
 
 def test_psd_factor_handles_singular():

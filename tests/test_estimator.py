@@ -611,6 +611,25 @@ def reference_search(z, mu_f, inv_var, grid_size, epsilon=1e-10, max_iter=10):
     return f0, iterations, abs(step) <= epsilon
 
 
+def _check_batch_against_reference_search(rng, case, pilot, model, stats, prior):
+    ws = build_workspace(pilot, model.l_r, stats, prior)
+    rows = [draw_y(rng, pilot, model, stats, float(rng.uniform(-0.5, 0.5)))[0]
+            for _ in range(5)]
+    rows.append(np.zeros(model.l_r * pilot.n, dtype=complex))
+    batch = estimate_cfo_universal_batch(np.stack(rows), ws)
+    for i, y in enumerate(rows):
+        ref = reference_search(compute_z(y, ws), prior.mu_f, prior.inv_var, 4 * pilot.n)
+        assert batch.failed[i] == (ref is None), (case, i)
+        if ref is None:
+            continue
+        f0, iterations, converged = ref
+        assert abs(wrap_frequency(batch.f_hat[i] - f0)) < 1e-9, (case, i)
+        assert batch.iterations[i] == iterations, (case, i)
+        assert batch.converged[i] == converged, (case, i)
+        assert batch.metric[i] == pytest.approx(map_metric(y, batch.f_hat[i], ws),
+                                                rel=1e-9, abs=1e-9)
+
+
 def test_batch_search_matches_reference_search(rng):
     # every row of a batch against the search with direct lag sums: the
     # same offsets up to the refinement tolerance, the same iteration
@@ -621,22 +640,10 @@ def test_batch_search_matches_reference_search(rng):
             prior = CfoPrior.ml(prior.mu_f)
             stats = ChannelStats(stats.l_t, stats.l_r, stats.n,
                                  np.zeros_like(stats.mu_h), stats.sigma_h)
-        ws = build_workspace(pilot, model.l_r, stats, prior)
-        rows = [draw_y(rng, pilot, model, stats, float(rng.uniform(-0.5, 0.5)))[0]
-                for _ in range(5)]
-        rows.append(np.zeros(model.l_r * pilot.n, dtype=complex))
-        batch = estimate_cfo_universal_batch(np.stack(rows), ws)
-        for i, y in enumerate(rows):
-            ref = reference_search(compute_z(y, ws), prior.mu_f, prior.inv_var, 4 * pilot.n)
-            assert batch.failed[i] == (ref is None), (case, i)
-            if ref is None:
-                continue
-            f0, iterations, converged = ref
-            assert abs(wrap_frequency(batch.f_hat[i] - f0)) < 1e-9, (case, i)
-            assert batch.iterations[i] == iterations, (case, i)
-            assert batch.converged[i] == converged, (case, i)
-            assert batch.metric[i] == pytest.approx(map_metric(y, batch.f_hat[i], ws),
-                                                    rel=1e-9, abs=1e-9)
+        _check_batch_against_reference_search(rng, case, pilot, model, stats, prior)
+    # and one case of up to n = 64, for the search at sizes the cases above
+    # (n <= 12) do not reach
+    _check_batch_against_reference_search(rng, "large", *random_case(rng, n_max=64))
 
 
 @pytest.mark.parametrize("grid_size", [1, 3, 10, 11, 12, 40])

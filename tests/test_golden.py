@@ -1,7 +1,9 @@
 """Sweep CSVs, their --emit-plot-data series (<command>.plot.csv) and the
 single-trial JSON must keep matching the files in tests/golden/, which were
-recorded from tests/golden/config.yaml; so must the per-antenna estimates of
-per_antenna.json and the stdout of every demo (demos/*.txt).
+recorded from tests/golden/config.yaml; so must mse-vs-snr and single on the
+large array of tests/configs/large.yaml (n = 128, tests/golden/large/), the
+per-antenna estimates of per_antenna.json and the stdout of every demo
+(demos/*.txt).
 
 Tolerances: the sweep coordinates, the plot figure, series and x, and the
 trial and failure counts are exact, crlb and bcrlb agree to a relative 1e-8,
@@ -32,6 +34,7 @@ from conftest import spatial_model
 GOLDEN = Path(__file__).parent / "golden"
 DEMOS = Path(__file__).parent.parent / "demos"
 CONFIG = str(GOLDEN / "config.yaml")
+LARGE = str(Path(__file__).parent / "configs" / "large.yaml")
 EXACT = ("sweep_var", "value", "trials", "failures")
 BOUND_RTOL = 1e-8
 SEARCH_RTOL = 1e-6
@@ -51,12 +54,9 @@ def _number(cell):
     return np.nan if cell == "" else float(cell)
 
 
-@pytest.mark.parametrize("command", sorted(SWEEPS))
-def test_sweep_matches_golden(command, tmp_path):
-    out = tmp_path / "out.csv"
-    assert main([command, "--config", CONFIG, *SWEEPS[command], "--out", str(out)]) == 0
-    got = _read_csv(out)
-    want = _read_csv(GOLDEN / f"{command}.csv")
+def _check_sweep(command, got_path, want_path):
+    got = _read_csv(got_path)
+    want = _read_csv(want_path)
     assert [list(row) for row in got] == [list(row) for row in want]
     for g, w in zip(got, want):
         assert [g[key] for key in EXACT] == [w[key] for key in EXACT]
@@ -64,6 +64,13 @@ def test_sweep_matches_golden(command, tmp_path):
                           ("mse", SEARCH_RTOL), ("mean_iters", SEARCH_RTOL)):
             np.testing.assert_allclose(_number(g[key]), _number(w[key]), rtol=rtol,
                                        atol=0.0, err_msg=f"{command} {key}")
+
+
+@pytest.mark.parametrize("command", sorted(SWEEPS))
+def test_sweep_matches_golden(command, tmp_path):
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", CONFIG, *SWEEPS[command], "--out", str(out)]) == 0
+    _check_sweep(command, out, GOLDEN / f"{command}.csv")
 
 
 @pytest.mark.parametrize("command", sorted(SWEEPS))
@@ -88,11 +95,9 @@ def _flat(value):
     return np.asarray(value, dtype=float)
 
 
-def test_single_matches_golden(tmp_path):
-    out = tmp_path / "single.json"
-    assert main(["single", "--config", CONFIG, "--out", str(out)]) == 0
-    got = json.loads(out.read_text())
-    want = json.loads((GOLDEN / "single.json").read_text())
+def _check_single(got_path, want_path):
+    got = json.loads(got_path.read_text())
+    want = json.loads(want_path.read_text())
     assert sorted(got) == sorted(want)
     for key in ("status", "iterations", "converged"):
         assert got[key] == want[key], key
@@ -100,6 +105,23 @@ def test_single_matches_golden(tmp_path):
         rtol = BOUND_RTOL if key in ("crlb", "bcrlb") else SEARCH_RTOL
         np.testing.assert_allclose(_flat(got[key]), _flat(want[key]), rtol=rtol,
                                    atol=0.0, err_msg=key)
+
+
+def test_single_matches_golden(tmp_path):
+    out = tmp_path / "single.json"
+    assert main(["single", "--config", CONFIG, "--out", str(out)]) == 0
+    _check_single(out, GOLDEN / "single.json")
+
+
+def test_large_array_matches_golden(tmp_path):
+    # the offset search at n = 128 (a 512-point grid, 127 lags), which no
+    # other golden reaches: 20 trials of mse-vs-snr and one single trial
+    out = tmp_path / "mse.csv"
+    assert main(["mse-vs-snr", "--config", LARGE, "--out", str(out)]) == 0
+    _check_sweep("mse-vs-snr", out, GOLDEN / "large" / "mse-vs-snr.csv")
+    out = tmp_path / "single.json"
+    assert main(["single", "--config", LARGE, "--out", str(out)]) == 0
+    _check_single(out, GOLDEN / "large" / "single.json")
 
 
 # ---------------------------------------------------------------------------

@@ -241,10 +241,18 @@ def test_non_finite_pilots_are_rejected_by_name():
              (lambda: pilot_from_config({"structure": "periodic", "l_t": 2, "m": 2,
                                          "rho": "inf"}), "rho"),
              (lambda: pilot_from_config({"structure": "custom",
-                                         "entries": [["1", "nan"]]}), "entries")]
+                                         "entries": [["1", "nan"]]}), "entries"),
+             # a finite rho whose total power n*rho, the power trace, overflows
+             (lambda: generate_td_pilot(4, 5, 1e307), "total power n\\*rho"),
+             (lambda: generate_periodic_pilot(4, 5, 1.58e308), "total power n\\*rho"),
+             (lambda: td.with_power(1e308), "total power n\\*rho"),
+             (lambda: PilotMatrix(td.entries, 1e308, td.structure, td.scrambling),
+              "total power n\\*rho")]
     for make, name in cases:
         with pytest.raises(ParameterError, match=name):
             make()
+    # just below the overflow the trace is finite and the pilot is built
+    assert generate_td_pilot(2, 5, 1.7e307).rho == 1.7e307
 
 
 def test_config_input_errors_name_the_key():

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import threading
@@ -717,6 +718,11 @@ def test_cli_mse_with_config_file(tmp_path):
     code = main(["mse-vs-snr", "--config", str(cfg), "--out", str(out)])
     assert code == 0
     assert out.read_text().startswith(CSV_HEADER)
+    # --seed and --trials override the file's values
+    assert main(["mse-vs-snr", "--config", str(cfg), "--seed", "5", "--trials", "3",
+                 "--out", str(out)]) == 0
+    config = replace(load_config(str(cfg)), seed=5, trials=3)
+    assert out.read_text() == run_mse_vs_snr(config).to_csv_text()
 
 
 def test_cli_single_json(tmp_path, capsys):
@@ -727,22 +733,35 @@ def test_cli_single_json(tmp_path, capsys):
 
 
 def test_plot_data_flag_is_declared_on_sweeps_only(tmp_path, capsys):
-    # single writes no plot series, so argparse rejects the flag there
-    # instead of ignoring it; each command's --out help names what it writes
+    # a command declares only the flags its run reads, so argparse rejects
+    # any other instead of ignoring it: single writes no plot series, the
+    # bounds sweeps draw nothing and single runs one trial; workers is a
+    # config key only.  Each command's --out help names what it writes
     plot = tmp_path / "plot.csv"
     with pytest.raises(SystemExit) as exc:
         main(["single", "--emit-plot-data", str(plot)])
     assert exc.value.code == 2 and not plot.exists()
     assert "unrecognized arguments: --emit-plot-data" in capsys.readouterr().err
-    for command, out_help in (("bounds-vs-rho", "output CSV path"),
-                              ("bounds-vs-snr", "output CSV path"),
-                              ("mse-vs-snr", "output CSV path"),
-                              ("single", "output JSON path")):
+    removed = [(command, flag) for command in ("bounds-vs-rho", "bounds-vs-snr")
+               for flag in ("--seed", "--trials", "--workers")]
+    removed += [("mse-vs-snr", "--workers"), ("single", "--trials"), ("single", "--workers")]
+    for command, flag in removed:
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag, "3"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == "", (command, flag)
+        assert f"unrecognized arguments: {flag} 3" in err, (command, flag, err)
+    common = {"--help", "--config", "--out", "--snr-db"}
+    for command, out_help, own in (
+            ("bounds-vs-rho", "output CSV path", {"--emit-plot-data", "--rho-grid"}),
+            ("bounds-vs-snr", "output CSV path", {"--emit-plot-data"}),
+            ("mse-vs-snr", "output CSV path", {"--emit-plot-data", "--seed", "--trials"}),
+            ("single", "output JSON path", {"--seed", "--f-true", "--zero-rx", "--no-noise"})):
         with pytest.raises(SystemExit):
             main([command, "--help"])
         text = capsys.readouterr().out
         assert out_help in text, command
-        assert ("--emit-plot-data" in text) == (command != "single"), command
+        assert set(re.findall(r"--[a-z][a-z-]*", text)) == common | own, command
 
 
 def test_cli_single_flags_reach_the_trial(tmp_path, capsys):
@@ -750,6 +769,9 @@ def test_cli_single_flags_reach_the_trial(tmp_path, capsys):
     assert main(["single", "--config", str(GOLDEN_CONFIG), "--no-noise", "--out", str(out)]) == 0
     config = load_config(str(GOLDEN_CONFIG))
     assert out.read_text() == run_single(replace(config, noise=False)).to_json() + "\n"
+    assert out.read_text() != run_single(config).to_json() + "\n"
+    assert main(["single", "--config", str(GOLDEN_CONFIG), "--seed", "3", "--out", str(out)]) == 0
+    assert out.read_text() == run_single(replace(config, seed=3)).to_json() + "\n"
     assert out.read_text() != run_single(config).to_json() + "\n"
     # with y = 0 and a flat prior the metric is degenerate: reported, not an error
     cfg = tmp_path / "ml.yaml"
@@ -783,8 +805,11 @@ def test_cli_error_paths(tmp_path, capsys):
         assert main(["mse-vs-snr", "--config", str(bad)]) == 1, text
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "must be finite" in err, (text, err)
-    assert main(["mse-vs-snr", "--workers", "-3"]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    # workers is a config key only: the flag is not declared
+    with pytest.raises(SystemExit) as exc:
+        main(["mse-vs-snr", "--workers", "-3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers -3" in capsys.readouterr().err
     for argv in (["bounds-vs-rho", "--rho-grid", "0:1"],
                  ["bounds-vs-rho", "--rho-grid", "0:1:-2"],
                  ["bounds-vs-rho", "--rho-grid", "0:1:0"],
@@ -802,9 +827,9 @@ def test_cli_error_paths(tmp_path, capsys):
     assert main(["bounds-vs-snr", "--config", str(bad)]) == 1
     assert capsys.readouterr().err.startswith("error: rho_h must lie in [0, 1]")
     bad.write_text("channel: {spatial: {sigma_h_sq: 0}}\n")
-    for command in ("mse-vs-snr", "single", "bounds-vs-snr"):
-        assert main([command, "--trials", "3", "--config", str(bad)]) == 1, command
-        assert capsys.readouterr().err.startswith("error: sigma_h_sq must be > 0"), command
+    for argv in (["mse-vs-snr", "--trials", "3"], ["single"], ["bounds-vs-snr"]):
+        assert main([*argv, "--config", str(bad)]) == 1, argv
+        assert capsys.readouterr().err.startswith("error: sigma_h_sq must be > 0"), argv
     # an SNR that overflows, from a flag or a config, and an offset outside
     # the acquisition range, from the prior or --f-true, fail before any output
     bad.write_text("snr_db: 1.0e+5\n")
@@ -816,6 +841,16 @@ def test_cli_error_paths(tmp_path, capsys):
         assert main(argv) == 1, argv
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(f"error: {message}"), (argv, err)
+    # an SNR whose linear power is finite but whose pilot's total power n*rho
+    # (n = 20 by default) overflows is rejected by name, before the pilot's
+    # power trace could overflow
+    for command in ("bounds-vs-rho", "bounds-vs-snr", "mse-vs-snr", "single"):
+        for snr_db in ("3070", "3075", "3082"):
+            assert main([command, "--snr-db", snr_db]) == 1, (command, snr_db)
+            out, err = capsys.readouterr()
+            assert out == "" and err == (
+                "error: snr_db must give a pilot of finite total power n*rho "
+                f"(n = 20), got {float(snr_db)}\n"), (command, snr_db, err)
     bad.write_text("prior: {mu_f: 0.9, sigma_f_sq: 1.0e-5}\ntrials: 50\nsnr_db: [20]\n")
     assert main(["mse-vs-snr", "--config", str(bad)]) == 1
     out, err = capsys.readouterr()
