@@ -20,12 +20,13 @@ with i.i.d. unit-variance circularly-symmetric complex Gaussian noise.
 Both samplers write h_k = mu + L e_k (L L^H = spatial_cov), where one
 zero-mean AR(1) recursion, _ar1, makes e_k from white innovations xi_k.
 sample_ar1_trajectory and synthesize_rx build y through the channel h.  The
-Monte-Carlo sweeps need only y, so they sample it in the receive space from
+Monte-Carlo trials need only y, so they sample it in the receive space from
 the same normals: the mean passes through the pilot as ybar = Sb mu_h and
 G[k] = (I_r kron S[k, :]) L maps e_k to the n*l_r receive space
-(_receive_map, _received_trials).  _received_trials alone splits a trial's
-row of normals into innovations and noise.  The two paths agree up to
-rounding.
+(_receive_map, _received_trials).  One core, _innovations, reads the
+innovations from a trial's row of normals and makes e_k; after it a
+trajectory applies L and mu (_ar1_trajectories), a received signal G and
+ybar (_received_trials).  The two paths agree up to rounding.
 """
 
 from __future__ import annotations
@@ -353,26 +354,32 @@ def sample_ar1_trajectory(model: CorrelationModel, n: int, rng: np.random.Genera
     h_k = mu + L e_k with L L^H = spatial_cov and e_k the zero-mean AR(1)
     recursion (_ar1) of white xi_k ~ CN(0, I), so every marginal has mean
     mu and covariance spatial_cov, and lag-l correlation rho_h^l.  The
-    batch of one of _ar1_trajectories.
+    batch of one of _ar1_trajectories, from one row of 2*n*d normals.
     """
     _check_int("n", n)
-    return _ar1_trajectories(model, n, rng, 1)[0]
+    return _ar1_trajectories(model, n, rng.standard_normal((1, 2 * n * model.l_t * model.l_r)))[0]
 
 
-def _ar1_trajectories(model: CorrelationModel, n: int, rng: np.random.Generator,
-                      trials: int) -> np.ndarray:
-    """Channel trajectories (trials, l_t*l_r*n), drawn from rng as that many
-    sample_ar1_trajectory calls in turn draw them: each trial's real parts
-    (n, d), then its imaginary parts.  The recursion (_ar1) runs time-major
-    over all trials at once, and the spatial factor applies in one
-    (trials*n, d) product, which for one trial is a single call's (n, d)
-    product."""
+def _innovations(normals: np.ndarray, n: int, d: int, rho_h: float) -> np.ndarray:
+    """The zero-mean AR(1) e (n, T, d) of T trials, time-major, from their
+    rows of normals: each row starts with the white innovations' real
+    parts (n, d), then their imaginary parts (n, d), and any normals after
+    those (a trial's noise) are left alone.  _unit_complex makes xi from
+    the parts and _ar1 runs the recursion on it."""
+    parts = normals[:, :2 * n * d].reshape(len(normals), 2, n, d).transpose(1, 2, 0, 3)
+    return _ar1(_unit_complex(parts[0], parts[1]), rho_h)
+
+
+def _ar1_trajectories(model: CorrelationModel, n: int, normals: np.ndarray) -> np.ndarray:
+    """Channel trajectories (T, l_t*l_r*n) from T rows of normals as
+    _innovations reads them, so a trial's row of _received_trials gives its
+    channel.  The spatial factor applies in one (T*n, d) product, which for
+    one trial is a single call's (n, d) product."""
     d = model.l_t * model.l_r
-    parts = rng.standard_normal((trials, 2, n, d)).transpose(1, 2, 0, 3)
-    e = _ar1(_unit_complex(parts[0], parts[1]), model.rho_h)  # (n, trials, d)
-    h = model.mean + e.transpose(1, 0, 2).reshape(trials * n, d) @ model._spatial_factor.T
-    # (trials, n, l_r*l_t) -> (trials, flat (r, k, t))
-    return h.reshape(trials, n, model.l_r, model.l_t).transpose(0, 2, 1, 3).reshape(trials, -1)
+    e = _innovations(normals, n, d, model.rho_h)  # (n, T, d)
+    h = model.mean + e.transpose(1, 0, 2).reshape(-1, d) @ model._spatial_factor.T
+    # (T*n, l_r*l_t) -> (T, flat (r, k, t))
+    return h.reshape(-1, n, model.l_r, model.l_t).transpose(0, 2, 1, 3).reshape(len(normals), -1)
 
 
 def _receive_map(model: CorrelationModel, entries: np.ndarray) -> np.ndarray:
@@ -403,24 +410,22 @@ def _received_trials(rho_h: float, rx_map: np.ndarray, ybar: np.ndarray,
     and imaginary parts (n, d each), then the noise's real and imaginary
     parts (l_r, n each); a row of exactly 2*n*d normals is a noiseless
     trial.  rx_map is _receive_map's G (n, l_r, d), ybar the zero-offset
-    mean Sb mu_h (l_r, n) and f the T offsets.  The AR(1) recursion (_ar1)
-    runs on the white innovations xi in time-major (n, T, d) layout; the
-    mean of every h_k is mu, which ybar carries.  Then y = D(f)(ybar +
+    mean Sb mu_h (l_r, n) and f the T offsets.  _innovations makes the
+    zero-mean AR(1) e in time-major (n, T, d) layout; the mean of every
+    h_k is mu, which ybar carries.  Then y = D(f)(ybar +
     G[k] e_k) + noise: one (l_r x d)(d) product per symbol and trial, so no
     BLAS call spans two trials and a trial's y does not depend on its
     block.  Same law as synthesize_rx of sample_ar1_trajectory from the
     same draws, equal to it up to rounding.
     """
     n, l_r, d = rx_map.shape
-    count = len(normals)
-    parts = normals[:, :2 * n * d].reshape(count, 2, n, d).transpose(1, 2, 0, 3)
-    xi = _ar1(_unit_complex(parts[0], parts[1]), rho_h)
-    y0 = np.matmul(rx_map[:, None], xi[..., None])[..., 0]  # (n, T, l_r)
+    e = _innovations(normals, n, d, rho_h)
+    y0 = np.matmul(rx_map[:, None], e[..., None])[..., 0]  # (n, T, l_r)
     y = np.empty(y0.shape[1:] + (n,), dtype=np.complex128)
     np.add(ybar, y0.transpose(1, 2, 0), out=y)
     y *= _phases(f, n)[:, None, :]
     if normals.shape[1] > 2 * n * d:
-        noise = normals[:, 2 * n * d:].reshape(count, 2, l_r, n)
+        noise = normals[:, 2 * n * d:].reshape(-1, 2, l_r, n)
         y += _unit_complex(noise[:, 0], noise[:, 1])
     return y
 

@@ -183,9 +183,12 @@ def custom_pilot(entries) -> PilotMatrix:
         raise ParameterError("pilot entries must be a 2-D (n, l_t) array")
     _check_finite("entries", entries)
     n = entries.shape[0]
+    # the power trace n*rho = sum |S[k, t]|^2 overflows once an entry passes
+    # about 1e154, so it is checked first through math.hypot, which scales
+    # its sum: only its square reaches inf, and without a warning
+    norm = math.hypot(*entries.real.ravel(), *entries.imag.ravel())
+    _check_rho(norm * norm / n, n)
     rho = float(np.trace(entries.conj().T @ entries).real / n)
-    if not (rho > 0):
-        raise ParameterError("custom pilot has zero power")
     return PilotMatrix(entries=entries, rho=rho, structure=PilotStructure.CUSTOM,
                        scrambling=np.ones(n, dtype=np.complex128))
 

@@ -7,8 +7,14 @@ and dispatches from it.  A command declares only the flags its run reads,
 so any other flag exits 2 as unrecognized: --config, --out and --snr-db on
 all four that run on a config, --emit-plot-data on the three sweeps,
 --rho-grid on bounds-vs-rho, --seed and --trials on mse-vs-snr, and --seed,
---f-true, --zero-rx and --no-noise on single (its one trial is trial 0 of
-the first SNR point).  The bounds sweeps are closed form and draw nothing.
+--f-true, --zero-rx and --no-noise on single.  single's one trial is trial
+0 of the first SNR point, drawn (_draw_block) and sampled
+(channel._received_trials) through the sweep's own code, so its f_true and
+y are bit for bit those of mse-vs-snr's trial 0 there; its channel h comes
+from the same row of normals (channel._ar1_trajectories).  bounds-vs-rho
+and single run at the first SNR point only and name it on stderr when the
+grid has more; the SNR sweeps check every point's pilot power before the
+first point runs.  The bounds sweeps are closed form and draw nothing.
 Experiments are driven by a YAML config file; command-line flags override
 file values.  Example config::
 
@@ -40,7 +46,8 @@ gives, so results are reproducible; identical config and seed give
 byte-identical CSV output.  numpy's SeedSequence hashes the seed and sweep
 point; a block's streams mix in each trial's word and take PCG64's seeding
 step in one vectorized pass (_pcg64_states), and a thread drawing trials
-loads their states in turn into one reused generator of its own.  Trials
+loads their states in turn into one reused generator of its own
+(_BlockDraws).  Every trial stream, single's included, is seeded so.  Trials
 run in the fewest blocks that fit their rows of normals into BLOCK_BYTES
 (2 MiB) each, with sizes that differ by at most one (_block_sizes), so no
 block is a small tail.  A sweep point of two or more blocks has two such
@@ -55,7 +62,8 @@ Each trial fills its row in one standard_normal call, which releases the
 GIL, with the normals sample_ar1_trajectory and synthesize_rx would draw
 from its stream, but mse-vs-snr takes them straight to the n*l_r received
 signal: channel._received_trials splits the rows, runs the AR(1)
-recursion on the white innovations and applies one map per symbol,
+recursion on the white innovations (channel._innovations, the core the
+channel trajectories share) and applies one map per symbol,
 G[k] = (I_r kron S[k, :]) L, in place of the l_t*l_r*n channel and its
 projection through the pilot.  The batched estimator core then searches
 the whole block.  A trial's result does not depend on the block it ran
@@ -81,8 +89,8 @@ from itertools import accumulate
 import numpy as np
 
 from .bounds import compute_beta, evaluate_bounds
-from .channel import (CfoPrior, _receive_map, _received_trials, _trial_normals,
-                      build_stats, make_model, sample_ar1_trajectory,
+from .channel import (CfoPrior, _ar1_trajectories, _receive_map, _received_trials,
+                      _trial_normals, build_stats, make_model, sample_ar1_trajectory,
                       synthesize_rx)
 from .errors import (EstimationError, ModelError, NumericalError,
                      ParameterError, _coerce)
@@ -395,23 +403,6 @@ def _pcg64_states(seed: int, point: int, trials) -> list:
              "has_uint32": 0, "uinteger": 0} for s, i in zip(state, inc)]
 
 
-def _trial_streams(seed: int, point: int, trials):
-    """Each trial's stream in turn: the PCG64 stream of
-    SeedSequence(entropy=seed, spawn_key=(point, trial)), which depends only
-    on (seed, sweep point, trial).  One Generator is yielded for every trial,
-    set to that trial's state from _pcg64_states, so a stream must be used
-    up before the next one is taken."""
-    rng = np.random.Generator(np.random.PCG64(0))
-    for state in _pcg64_states(seed, point, trials):
-        rng.bit_generator.state = state
-        yield rng
-
-
-def _trial_rng(seed: int, point: int, trial: int) -> np.random.Generator:
-    """The PCG64 stream of one (sweep point, trial), as _trial_streams seeds it."""
-    return next(_trial_streams(seed, point, [trial]))
-
-
 def _check_offset(name: str, f: float):
     """ParameterError unless the offset f lies in the acquisition range."""
     if not -0.5 <= f < 0.5:
@@ -420,7 +411,8 @@ def _check_offset(name: str, f: float):
 
 def _snr_to_rho(config: ExperimentConfig, snr_db: float, model) -> float:
     """The pilot power rho at snr_db; ParameterError naming snr_db unless
-    the pilot's total power n*rho is finite."""
+    the pilot's total power n*rho is finite.  A sweep over the SNR grid
+    takes every point's rho before its first point runs."""
     # SNR = rho * per-coefficient channel power, unit noise variance
     rho = 10.0 ** (snr_db / 10.0) / model.per_coefficient_power()
     if not math.isfinite(config.n * rho):
@@ -429,17 +421,11 @@ def _snr_to_rho(config: ExperimentConfig, snr_db: float, model) -> float:
     return rho
 
 
-def _samples_f_true(config: ExperimentConfig, prior: CfoPrior) -> bool:
-    """Whether a trial draws its true offset from the prior: unless f_true is
-    fixed or the prior is the flat ML one, it does; otherwise it is mu_f."""
-    return config.f_true_mode == "prior" and not prior.is_ml
-
-
-def _point_setup(config: ExperimentConfig, snr_db: float, model, stats, prior: CfoPrior):
-    """(workspace, bounds) of the sweep point at snr_db: the workspace of the
-    pilot at that SNR, which holds the pilot and prior, and the bounds read
-    from it."""
-    pilot = config.pilot(_snr_to_rho(config, snr_db, model))
+def _point_setup(config: ExperimentConfig, rho: float, stats, prior: CfoPrior):
+    """(workspace, bounds) of the sweep point of pilot power rho: the
+    workspace of the pilot, which holds the pilot and prior, and the bounds
+    read from it."""
+    pilot = config.pilot(rho)
     ws = build_workspace(pilot, config.l_r, stats, prior)
     return ws, evaluate_bounds(pilot, config.l_r, stats, prior, workspace=ws)
 
@@ -471,10 +457,11 @@ def run_bounds_vs_snr(config: ExperimentConfig) -> SweepResult:
     prior = config.prior()
     model = config.model()
     stats = build_stats(model, config.n)
+    rhos = [_snr_to_rho(config, snr_db, model) for snr_db in config.snr_db]
     rows = []
     for structure in PILOT_STRUCTURES:
-        for snr_db in config.snr_db:
-            pilot = config.pilot(_snr_to_rho(config, snr_db, model), structure)
+        for snr_db, rho in zip(config.snr_db, rhos):
+            pilot = config.pilot(rho, structure)
             res = evaluate_bounds(pilot, config.l_r, stats, prior)
             rows.append(SweepRow(f"snr_db[{structure}]", snr_db, None,
                                  res.crlb, res.bcrlb, 0, 0, None))
@@ -507,7 +494,9 @@ class _BlockDraws:
         self.f_true = np.full(count, prior.mu_f)
         self.rows = normals[:count]
         self._streams = (config.seed, point, trials)
-        self._prior = prior if _samples_f_true(config, prior) else None
+        # a trial draws its true offset from the prior unless f_true is
+        # fixed or the prior is the flat ML one; otherwise it is mu_f
+        self._prior = prior if config.f_true_mode == "prior" and not prior.is_ml else None
         self._states = None
         self._taken = 0
         self._lock = threading.Lock()
@@ -618,9 +607,10 @@ def run_mse_vs_snr(config: ExperimentConfig) -> SweepResult:
     prior = config.prior()
     model = config.model()
     stats = build_stats(model, config.n)
+    rhos = [_snr_to_rho(config, snr_db, model) for snr_db in config.snr_db]
     rows = []
-    for point, snr_db in enumerate(config.snr_db):
-        ws, res = _point_setup(config, snr_db, model, stats, prior)
+    for point, (snr_db, rho) in enumerate(zip(config.snr_db, rhos)):
+        ws, res = _point_setup(config, rho, stats, prior)
         mse, failures, mean_iters = _run_point_trials(config, point, model, ws)
         rows.append(SweepRow("snr_db", snr_db, mse, res.crlb, res.bcrlb,
                              config.trials, failures, mean_iters))
@@ -629,25 +619,26 @@ def run_mse_vs_snr(config: ExperimentConfig) -> SweepResult:
 
 def run_single(config: ExperimentConfig, f_true_override: float | None = None,
                force_zero_rx: bool = False) -> TrialRecord:
-    """One fully instrumented trial at the first SNR point; an f_true_override
-    outside the acquisition range [-0.5, 0.5) is rejected."""
+    """One fully instrumented trial: trial 0 of the first SNR point, drawn
+    and sampled as mse-vs-snr draws and samples it, its channel h taken
+    from the same row of normals as y.  An f_true_override, which must lie
+    in the acquisition range [-0.5, 0.5), is the true offset, and no prior
+    sample is drawn for it; force_zero_rx estimates from y = 0."""
     if f_true_override is not None:
         _check_offset("f_true", f_true_override)
     prior = config.prior()
     model = config.model()
     stats = build_stats(model, config.n)
-    ws, res = _point_setup(config, config.snr_db[0], model, stats, prior)
-    rng = _trial_rng(config.seed, 0, 0)
-    if f_true_override is not None:
-        f_true = float(f_true_override)
-    else:
-        f_true = prior.sample(rng) if _samples_f_true(config, prior) else prior.mu_f
-    h = sample_ar1_trajectory(model, config.n, rng)
+    ws, res = _point_setup(config, _snr_to_rho(config, config.snr_db[0], model), stats, prior)
+    # a pinned offset is the mean of the flat ML prior, which no trial samples
+    f_true, rows = _draw_block(config, 0, range(1), prior if f_true_override is None
+                               else CfoPrior.ml(f_true_override))
+    h = _ar1_trajectories(model, config.n, rows)[0]
+    y = _received_trials(model.rho_h, _receive_map(model, ws.pilot.entries),
+                         ws.ybar.reshape(config.l_r, config.n), f_true, rows)[0].ravel()
     if force_zero_rx:
-        y = np.zeros(config.n * config.l_r, dtype=np.complex128)
-    else:
-        y = synthesize_rx(ws.pilot, config.l_r, f_true, h,
-                          rng if config.noise else None)
+        y[:] = 0.0
+    f_true = float(f_true[0])
     try:
         est = estimate_cfo_universal(y, ws)
     except EstimationError:
@@ -780,7 +771,7 @@ def _check_receive_sampler(rng):
                          ws.ybar.reshape(l_r, n), f_true, rows)
     worst = 0.0
     for i, trial in enumerate(trials):
-        stream = _trial_rng(config.seed, 0, trial)
+        stream = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0, trial)))
         f = prior.sample(stream)
         h = sample_ar1_trajectory(model, n, stream)
         want = synthesize_rx(pilot, l_r, f, h, stream)
@@ -813,10 +804,11 @@ def _check_fisher_formula(rng):
 def _check_stream_seeding():
     prior = CfoPrior(0.1, 1e-3)
     trials = (0, 1, 5, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 3)
-    count = 0
+    rng, count = np.random.Generator(np.random.PCG64(0)), 0
     for seed in (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 7, 2 ** 128 + 5):
         for point in (0, 1, 2 ** 32 + 1):
-            for trial, rng in zip(trials, _trial_streams(seed, point, trials)):
+            for trial, state in zip(trials, _pcg64_states(seed, point, trials)):
+                rng.bit_generator.state = state
                 want = np.random.default_rng(np.random.SeedSequence(entropy=seed,
                                                                     spawn_key=(point, trial)))
                 if (prior.sample(rng) != prior.sample(want)
@@ -905,6 +897,18 @@ def _sweep(runner, figure: str):
     return step
 
 
+def _at_first_snr(step):
+    """The step of a command that runs at the first SNR point only; a grid
+    of more points gets one stderr line naming the SNR used and how many
+    points are ignored."""
+    def run(config: ExperimentConfig, args):
+        if len(config.snr_db) > 1:
+            print(f"note: {args.command} uses the first snr_db point, {config.snr_db[0]!r} dB, "
+                  f"and ignores the other {len(config.snr_db) - 1}", file=sys.stderr)
+        step(config, args)
+    return run
+
+
 def _single(config: ExperimentConfig, args):
     record = run_single(config, f_true_override=args.f_true, force_zero_rx=args.zero_rx)
     _write(record.to_json() + "\n", args.out)
@@ -922,7 +926,7 @@ TRIALS = ("--trials", dict(type=int, help="Monte-Carlo trials per SNR point (con
 COMMANDS = {
     "bounds-vs-rho": ("CRLB/BCRLB vs time-correlation for both pilots", CSV_OUT,
                       [PLOT_DATA, ("--rho-grid", dict(metavar="START:STOP:COUNT"))],
-                      _sweep(run_bounds_vs_rho, "bounds_vs_rho")),
+                      _at_first_snr(_sweep(run_bounds_vs_rho, "bounds_vs_rho"))),
     "bounds-vs-snr": ("CRLB/BCRLB vs SNR for both pilots", CSV_OUT, [PLOT_DATA],
                       _sweep(run_bounds_vs_snr, "bounds_vs_snr")),
     "mse-vs-snr": ("Monte-Carlo estimator MSE vs SNR next to the bounds", CSV_OUT,
@@ -932,7 +936,7 @@ COMMANDS = {
                 ("--zero-rx", dict(action="store_true",
                                    help="force y = 0 (degenerate-input check)")),
                 ("--no-noise", dict(action="store_true", help="drop the receiver noise"))],
-               _single),
+               _at_first_snr(_single)),
     "validate": ("run the fast oracle/invariant suite", None, [], None),
 }
 

@@ -193,7 +193,8 @@ def test_ar1_iid_matches_spatial_covariance(rng):
     # rho_h = 0: every symbol is a fresh draw, so pooling times gives many samples
     model = make_model(2, 1, 0.0, spatial="exponential", spatial_a=0.4, spatial_b=0.4)
     n, trials = 5, 20000
-    pool = _ar1_trajectories(model, n, rng, trials).reshape(trials * n, 2)  # l_r = 1
+    pool = _ar1_trajectories(model, n, rng.standard_normal((trials, 4 * n)))
+    pool = pool.reshape(trials * n, 2)  # l_r = 1, d = 2
     count = pool.shape[0]
     emp = (pool.conj().T @ pool / count).T  # E[h h^H]
     band = 3.0 / np.sqrt(count)
@@ -204,7 +205,7 @@ def test_ar1_lag_one_autocorrelation(rng):
     rho = 0.9
     model = scalar_model(rho)
     n, trials = 6, 100000
-    h = _ar1_trajectories(model, n, rng, trials)
+    h = _ar1_trajectories(model, n, rng.standard_normal((trials, 2 * n)))
     lag1 = np.sum(h[:, 1:] * np.conj(h[:, :-1])).real / trials / (n - 1)
     marginal = np.sum(np.abs(h) ** 2) / trials / n
     assert lag1 / marginal == pytest.approx(rho, abs=0.01)
@@ -213,7 +214,7 @@ def test_ar1_lag_one_autocorrelation(rng):
 def test_ar1_mean_is_constant(rng):
     model = make_model(1, 1, 0.6, mean="rician", rician_k=2.0)
     trials, n = 20000, 4
-    avg = np.mean(_ar1_trajectories(model, n, rng, trials), axis=0)
+    avg = np.mean(_ar1_trajectories(model, n, rng.standard_normal((trials, 2 * n))), axis=0)
     np.testing.assert_allclose(avg, model.mean[0] * np.ones(n), atol=0.02)
 
 
@@ -224,11 +225,13 @@ def test_ar1_mean_is_constant(rng):
     (3, 2, 7, 100, dict(rho_h=0.7, spatial="exponential", mean="rician")),
 ])
 def test_ar1_batch_matches_sequential_trajectories(l_t, l_r, n, trials, options):
-    # the batch core draws the same normals as one sample_ar1_trajectory
-    # call per trajectory, in order; only the spatial product's rounding
-    # may differ, one (trials*n, d) matmul against trials (n, d) ones
+    # the batch core, from one (trials, 2*n*d) draw, reads the same normals
+    # as one sample_ar1_trajectory call per trajectory, in order; only the
+    # spatial product's rounding may differ, one (trials*n, d) matmul
+    # against trials (n, d) ones
     model = make_model(l_t, l_r, **options)
-    batch = _ar1_trajectories(model, n, np.random.default_rng(5), trials)
+    normals = np.random.default_rng(5).standard_normal((trials, 2 * n * l_t * l_r))
+    batch = _ar1_trajectories(model, n, normals)
     rng = np.random.default_rng(5)
     sequential = np.array([sample_ar1_trajectory(model, n, rng) for _ in range(trials)])
     assert batch.shape == sequential.shape == (trials, l_t * l_r * n)

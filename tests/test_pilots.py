@@ -247,12 +247,18 @@ def test_non_finite_pilots_are_rejected_by_name():
              (lambda: generate_periodic_pilot(4, 5, 1.58e308), "total power n\\*rho"),
              (lambda: td.with_power(1e308), "total power n\\*rho"),
              (lambda: PilotMatrix(td.entries, 1e308, td.structure, td.scrambling),
-              "total power n\\*rho")]
+              "total power n\\*rho"),
+             # finite custom entries whose power trace would overflow, rejected
+             # before it is taken (a RuntimeWarning fails the test)
+             (lambda: custom_pilot([[1e200, 0], [0, 1e200]]), "total power n\\*rho"),
+             (lambda: custom_pilot([[1e154, 1e154j]]), "total power n\\*rho"),
+             (lambda: custom_pilot([[1.7e308 + 1.7e308j]]), "total power n\\*rho")]
     for make, name in cases:
         with pytest.raises(ParameterError, match=name):
             make()
     # just below the overflow the trace is finite and the pilot is built
     assert generate_td_pilot(2, 5, 1.7e307).rho == 1.7e307
+    assert custom_pilot([[1e153, 0], [0, 1e153]]).rho == 1e306
 
 
 def test_config_input_errors_name_the_key():

@@ -19,7 +19,7 @@ from cfomimo import (CfoPrior, ParameterError, build_stats, build_workspace,
 from cfomimo.channel import _receive_map, _received_trials
 from cfomimo.simcli import (CONFIG_PATHS, CSV_HEADER, MINIMUMS, PILOT_STRUCTURES,
                             ExperimentConfig,
-                            _block_sizes, _draw_block, _trial_rng, _trial_streams,
+                            _block_sizes, _draw_block, _pcg64_states,
                             load_config, main, run_bounds_vs_rho, run_bounds_vs_snr,
                             run_mse_vs_snr, run_single)
 
@@ -552,16 +552,19 @@ def test_one_call_draws_match_four_calls(noise):
 
 
 def test_block_seeded_streams_match_numpy():
-    # the streams _trial_streams seeds for a whole block in one pass, and
-    # _trial_rng, against numpy's own SeedSequence seeding, bit for bit;
-    # the trials span 2^32, so one block mixes one- and two-word indices;
-    # a five-word seed and a three-word point hash past the pool of 4
+    # the stream states _pcg64_states computes for a whole block in one
+    # pass, and for each trial alone, loaded into a Generator, against
+    # numpy's own SeedSequence seeding, bit for bit; the trials span 2^32,
+    # so one block mixes one- and two-word indices; a five-word seed and a
+    # three-word point hash past the pool of 4
     prior = CfoPrior(0.1, 1e-3)
     trials = (0, 1, 5, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 3)
+    got = np.random.Generator(np.random.PCG64(0))
     for seed in (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 7, 2 ** 128 + 5):
         for point in (0, 1, 2 ** 32 + 1, 2 ** 64 + 1):
-            for trial, rng in zip(trials, _trial_streams(seed, point, trials)):
-                for got in (rng, _trial_rng(seed, point, trial)):
+            for trial, state in zip(trials, _pcg64_states(seed, point, trials)):
+                for loaded in (state, _pcg64_states(seed, point, [trial])[0]):
+                    got.bit_generator.state = loaded
                     want = reference_trial_rng(seed, point, trial)
                     assert prior.sample(got) == prior.sample(want), (seed, point, trial)
                     np.testing.assert_array_equal(got.standard_normal(3456),
@@ -596,7 +599,7 @@ def test_receive_space_sampler_matches_channel_path(spatial, rho_h):
 
         f_true, y = sample(trials)
         for i, trial in enumerate(trials):
-            rng = _trial_rng(config.seed, 1, trial)
+            rng = reference_trial_rng(config.seed, 1, trial)
             f = prior.sample(rng) if mode == "prior" else prior.mu_f
             h = sample_ar1_trajectory(model, n, rng)
             want = synthesize_rx(pilot, l_r, f, h, rng if noise else None)
@@ -688,6 +691,44 @@ def test_run_single_seed_repetition_identical():
     assert r1.f_true == r2.f_true and r1.f_hat == r2.f_hat
     assert np.array_equal(r1.z, r2.z)
     assert r1.to_json() == r2.to_json()
+
+
+@pytest.mark.parametrize("noise", [True, False])
+@pytest.mark.parametrize("mode", ["prior", "fixed"])
+@pytest.mark.parametrize("base", ["golden", "fast"])
+def test_single_is_trial_zero_of_the_sweep(monkeypatch, base, mode, noise):
+    # single draws and samples its trial through the sweep's own code: its
+    # true offset and the y it estimates from are those of mse-vs-snr's
+    # trial 0 at the first SNR point, bit for bit
+    import cfomimo.simcli as cli
+
+    config = load_config(str(GOLDEN_CONFIG)) if base == "golden" else ExperimentConfig(**FAST)
+    config = replace(config, f_true_mode=mode, noise=noise)
+    seen = {"f_true": [], "batch": [], "single": []}
+    received, batch, single = (cli._received_trials, cli.estimate_cfo_universal_batch,
+                               cli.estimate_cfo_universal)
+
+    def recording_received(rho_h, rx_map, ybar, f_true, rows):
+        seen["f_true"].append(f_true.copy())
+        return received(rho_h, rx_map, ybar, f_true, rows)
+
+    def recording_batch(y, ws):
+        seen["batch"].append(y.copy())
+        return batch(y, ws)
+
+    def recording_single(y, ws):
+        seen["single"].append(y.copy())
+        return single(y, ws)
+
+    monkeypatch.setattr(cli, "_received_trials", recording_received)
+    monkeypatch.setattr(cli, "estimate_cfo_universal_batch", recording_batch)
+    monkeypatch.setattr(cli, "estimate_cfo_universal", recording_single)
+    run_mse_vs_snr(config)
+    sweep_f, sweep_y = seen["f_true"][0][0], seen["batch"][0][0]
+    record = run_single(config)
+    assert record.f_true == sweep_f
+    assert len(seen["single"]) == 1
+    np.testing.assert_array_equal(seen["single"][0], sweep_y)
 
 
 def test_cli_bounds_vs_rho_writes_csv(tmp_path):
@@ -855,6 +896,56 @@ def test_cli_error_paths(tmp_path, capsys):
     assert main(["mse-vs-snr", "--config", str(bad)]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: mu_f must lie in the acquisition range"), err
+
+
+def test_a_bad_snr_point_fails_before_any_point_runs(monkeypatch, capsys):
+    # every SNR point's total pilot power n*rho is checked before the first
+    # point sets up, so a bad later point costs no earlier point's work
+    import cfomimo.simcli as cli
+
+    calls = []
+
+    def counting(name):
+        inner = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for name in ("build_workspace", "evaluate_bounds", "_pcg64_states"):
+        monkeypatch.setattr(cli, name, counting(name))
+    for argv in (["bounds-vs-snr"], ["mse-vs-snr", "--trials", "20000"]):
+        assert main([*argv, "--snr-db", "10,20,3070"]) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err == ("error: snr_db must give a pilot of finite total power "
+                                     "n*rho (n = 20), got 3070.0\n"), (argv, err)
+        assert calls == [], (argv, calls)
+
+
+def test_first_point_commands_name_the_snr_they_use(tmp_path, capsys):
+    # bounds-vs-rho and single run at the first SNR point only: a longer
+    # grid gets one stderr line naming that point and how many it ignores,
+    # and stdout and --out hold what the one-point grid gives
+    out = tmp_path / "out"
+    for command, extra in (("bounds-vs-rho", ["--rho-grid", "0:1:2"]),
+                           ("single", []), ("single", ["--config", str(GOLDEN_CONFIG)])):
+        texts = []
+        for grid, ignored in (("10", 0), ("10,20,30", 2), ("10,40", 1)):
+            note = (f"note: {command} uses the first snr_db point, 10.0 dB, and ignores "
+                    f"the other {ignored}\n" if ignored else "")
+            assert main([command, *extra, "--snr-db", grid]) == 0
+            stdout, err = capsys.readouterr()
+            assert err == note, (command, grid, err)
+            assert main([command, *extra, "--snr-db", grid, "--out", str(out)]) == 0
+            assert capsys.readouterr() == ("", note), (command, grid)
+            texts.append((stdout, out.read_text()))
+        assert len(set(texts)) == 1, command
+    # the golden config's own two-point grid is legal, and noted
+    assert main(["single", "--config", str(GOLDEN_CONFIG), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ("note: single uses the first snr_db point, 10.0 dB, "
+                                       "and ignores the other 1\n")
+    assert out.read_text() == texts[0][1]
 
 
 def test_cli_validate_passes():
