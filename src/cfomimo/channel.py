@@ -47,15 +47,14 @@ PART_SCALE = 1.0 / math.sqrt(2.0)
 
 
 def _check_hermitian_psd(matrix: np.ndarray, label: str, factor: bool = True):
-    """Reject a matrix that is not square, Hermitian and positive
-    semidefinite; return L with L L^H = matrix, or None when no factor is
-    asked for.  L is the Cholesky factor when that succeeds, which proves
-    the matrix positive definite.  When it fails, the smallest eigenvalue
-    is checked, from one eigendecomposition that also gives the eigen
-    factor vec sqrt(clip(eig, 0)), or from the eigenvalues alone.
+    """Reject a square matrix that is not Hermitian and positive
+    semidefinite (each caller checks the shape first); return L with
+    L L^H = matrix, or None when no factor is asked for.  L is the Cholesky
+    factor when that succeeds, which proves the matrix positive definite.
+    When it fails, the smallest eigenvalue is checked, from one
+    eigendecomposition that also gives the eigen factor
+    vec sqrt(clip(eig, 0)), or from the eigenvalues alone.
     """
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ModelError(f"{label} must be square")
     if np.max(np.abs(matrix - matrix.conj().T)) > HERMITIAN_TOL * max(1.0, np.max(np.abs(matrix))):
         raise ModelError(f"{label} is not Hermitian")
     try:
@@ -211,7 +210,8 @@ class ChannelStats:
         mu = np.array(self.mu_h, dtype=np.complex128)
         sigma = np.array(self.sigma_h, dtype=np.complex128)
         if mu.shape != (dim,) or sigma.shape != (dim, dim):
-            raise ModelError(f"stats dimensions do not match l_t*l_r*n = {dim}")
+            raise ModelError(f"mu_h must have shape ({dim},) and sigma_h ({dim}, {dim}), "
+                             f"l_t*l_r*n = {dim}, got {mu.shape} and {sigma.shape}")
         _check_hermitian_psd(sigma, "sigma_h", factor=False)
         mu.setflags(write=False)
         sigma.setflags(write=False)
@@ -468,7 +468,8 @@ def synthesize_rx(pilot: PilotMatrix, l_r: int, f_true, h: np.ndarray,
     n, l_t = pilot.entries.shape
     h = np.asarray(h, dtype=np.complex128)
     if h.shape != (l_r * n * l_t,):
-        raise ParameterError(f"channel vector must have length {l_r * n * l_t}")
+        raise ParameterError(f"channel vector h must have length l_r*n*l_t = {l_r * n * l_t}, "
+                             f"got shape {h.shape}")
     y = _rotation(f_true, l_r, n) * np.einsum("kt,rkt->rk", pilot.entries,
                                                 h.reshape(l_r, n, l_t))
     if noise_rng is not None:

@@ -55,8 +55,7 @@ class PilotMatrix:
 
     def __post_init__(self):
         entries = np.array(self.entries, dtype=np.complex128)
-        if entries.ndim != 2:
-            raise ParameterError("pilot entries must be a 2-D (n, l_t) array")
+        power = _average_power(entries)
         n = entries.shape[0]
         scrambling = np.array(self.scrambling, dtype=np.complex128)
         if scrambling.shape != (n,):
@@ -65,10 +64,8 @@ class PilotMatrix:
             )
         _check_rho(self.rho, n)
         _check_finite("scrambling", scrambling)
-        _check_finite("entries", entries)
         if np.max(np.abs(np.abs(scrambling) - 1.0)) > UNIT_MODULUS_TOL:
             raise ParameterError("scrambling entries must have unit modulus")
-        power = np.trace(entries.conj().T @ entries).real / n
         if abs(power - self.rho) > 1e-9 * max(1.0, self.rho):
             raise ParameterError(
                 f"entries have average power {power:.6g}, expected rho={self.rho:.6g}"
@@ -119,6 +116,19 @@ def _check_rho(rho, n: int):
     if not (0 < rho and math.isfinite(n * rho)):
         raise ParameterError(f"pilot power rho must be positive with a finite "
                              f"total power n*rho, got rho={rho!r} at n={n}")
+
+
+def _average_power(entries: np.ndarray) -> float:
+    """tr(S^H S)/n of the pilot entries S, which must be a finite 2-D array
+    of n >= 1 rows; inf when the trace overflows, which it does, without a
+    warning, once an entry passes about 1e154.  The entries are finite, so
+    a trace that is not is an overflow (inf, or inf - inf in a product)."""
+    if entries.ndim != 2 or entries.shape[0] < 1:
+        raise ParameterError("pilot entries must be a 2-D (n, l_t) array with n >= 1")
+    _check_finite("entries", entries)
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = float(np.trace(entries.conj().T @ entries).real)
+    return trace / entries.shape[0] if math.isfinite(trace) else math.inf
 
 
 def _check_finite(name: str, values: np.ndarray):
@@ -179,18 +189,9 @@ def generate_td_pilot(l_t: int, m: int, rho: float = 1.0, scrambling=None) -> Pi
 def custom_pilot(entries) -> PilotMatrix:
     """Wrap an arbitrary complex matrix; rho is derived from the entries."""
     entries = np.asarray(entries, dtype=np.complex128)
-    if entries.ndim != 2:
-        raise ParameterError("pilot entries must be a 2-D (n, l_t) array")
-    _check_finite("entries", entries)
-    n = entries.shape[0]
-    # the power trace n*rho = sum |S[k, t]|^2 overflows once an entry passes
-    # about 1e154, so it is checked first through math.hypot, which scales
-    # its sum: only its square reaches inf, and without a warning
-    norm = math.hypot(*entries.real.ravel(), *entries.imag.ravel())
-    _check_rho(norm * norm / n, n)
-    rho = float(np.trace(entries.conj().T @ entries).real / n)
-    return PilotMatrix(entries=entries, rho=rho, structure=PilotStructure.CUSTOM,
-                       scrambling=np.ones(n, dtype=np.complex128))
+    return PilotMatrix(entries=entries, rho=_average_power(entries),
+                       structure=PilotStructure.CUSTOM,
+                       scrambling=np.ones(entries.shape[0], dtype=np.complex128))
 
 
 def expand_block(pilot, l_r: int) -> np.ndarray:

@@ -71,8 +71,13 @@ in, nor on the thread that drew it.  The workers config key, which has no
 flag, is accepted and must be >= 0, but has no effect: the one helper
 sharing the draws is not a setting.
 
-CSV schema (fixed): sweep_var,value,mse,crlb,bcrlb,trials,failures,mean_iters
-with infinities serialized as "inf" and inapplicable cells left empty.
+CSV schema (fixed): sweep_var,value,mse,crlb,bcrlb,trials,failures,mean_iters,
+one column per SweepRow field, with infinities serialized as "inf" and
+inapplicable cells left empty.  failures counts only the trials whose search
+failed; mse and mean_iters average the others (empty when every trial
+failed), so a trial that stops at max_iter unconverged goes into mse.
+
+validate runs 9 fast self-checks and exits 1 if any fails.
 """
 
 from __future__ import annotations
@@ -85,6 +90,7 @@ import threading
 from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 from itertools import accumulate
+from operator import attrgetter
 
 import numpy as np
 
@@ -99,7 +105,6 @@ from .estimator import (build_workspace, compute_z, estimate_cfo_universal,
                         map_metric, metric_gradient, mmse_gain)
 from .pilots import expand_block, generate_periodic_pilot, generate_td_pilot
 
-CSV_HEADER = "sweep_var,value,mse,crlb,bcrlb,trials,failures,mean_iters"
 PLOT_HEADER = "figure,series,x,y"
 PILOT_STRUCTURES = ("periodic", "td")
 # the key path of each ExperimentConfig field in a config file: the one list
@@ -275,23 +280,17 @@ class SweepRow:
     mean_iters: float | None
 
 
+# the CSV schema: one column per SweepRow field, in field order
+CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
+_csv_cells = attrgetter(*CSV_HEADER.split(","))
+
+
 @dataclass(frozen=True)
 class SweepResult:
     rows: tuple
 
     def to_csv_text(self) -> str:
-        lines = [CSV_HEADER]
-        for row in self.rows:
-            lines.append(",".join([
-                row.sweep_var,
-                _fmt(row.value),
-                _fmt(row.mse),
-                _fmt(row.crlb),
-                _fmt(row.bcrlb),
-                str(row.trials),
-                str(row.failures),
-                _fmt(row.mean_iters),
-            ]))
+        lines = [CSV_HEADER] + [",".join(map(_fmt, _csv_cells(row))) for row in self.rows]
         return "\n".join(lines) + "\n"
 
     def plot_data_text(self, figure: str) -> str:
@@ -340,12 +339,13 @@ class TrialRecord:
 
 
 def _fmt(value) -> str:
+    """A CSV cell: empty for None, "inf" or the shortest repr for a float,
+    a str or int cell as it is."""
     if value is None:
         return ""
-    value = float(value)
-    if math.isinf(value):
-        return "inf"
-    return repr(value)
+    if not isinstance(value, float):
+        return str(value)
+    return "inf" if math.isinf(value) else repr(float(value))
 
 
 def _hash_consts(const: int, mult: int, count: int) -> list:
@@ -669,10 +669,9 @@ def _validate_checks():
     yield "lag series ignores prior and trial offset", _check_z_purity(rng)
     yield "bound ordering", _check_bound_ordering(rng)
     yield "map reduces to ml", _check_ml_reduction(rng)
-    yield ("receive-space sampler matches sample_ar1_trajectory + synthesize_rx",
-           _check_receive_sampler(rng))
     yield "Fisher closed form vs Gaussian formula", _check_fisher_formula(rng)
-    yield "block-seeded streams match numpy's SeedSequence seeding", _check_stream_seeding()
+    yield ("trial streams match numpy's seeding and sample_ar1_trajectory + synthesize_rx",
+           _check_trial_streams(rng))
     yield "sweep determinism across block splits", _check_determinism()
 
 
@@ -759,28 +758,6 @@ def _check_ml_reduction(rng):
     return gap < 1e-9, f"|f_ml - f_wide| = {gap:.2e}"
 
 
-def _check_receive_sampler(rng):
-    pilot, model, stats, prior = _random_setup(rng)
-    l_r, n = model.l_r, pilot.n
-    config = ExperimentConfig(l_t=pilot.l_t, m=n // pilot.l_t, l_r=l_r,
-                              seed=int(rng.integers(1 << 31)), f_true_mode="prior")
-    ws = build_workspace(pilot, l_r, stats, prior)
-    trials = range(4)
-    f_true, rows = _draw_block(config, 0, trials, prior)
-    y = _received_trials(model.rho_h, _receive_map(model, pilot.entries),
-                         ws.ybar.reshape(l_r, n), f_true, rows)
-    worst = 0.0
-    for i, trial in enumerate(trials):
-        stream = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0, trial)))
-        f = prior.sample(stream)
-        h = sample_ar1_trajectory(model, n, stream)
-        want = synthesize_rx(pilot, l_r, f, h, stream)
-        if f != f_true[i]:
-            return False, f"trial {trial} drew f_true {f_true[i]!r}, not {f!r}"
-        worst = max(worst, float(np.max(np.abs(y[i].ravel() - want)) / np.max(np.abs(want))))
-    return worst < 1e-12, f"worst relative gap {worst:.2e} over {len(trials)} trials"
-
-
 def _check_fisher_formula(rng):
     """compute_beta against the dense Gaussian Fisher formula at f = 0,
     8 pi^2 Re (K ybar)^H C^{-1} K ybar - 4 pi^2 Re tr(C^{-1} [K, C] C^{-1} [K, C]),
@@ -801,22 +778,39 @@ def _check_fisher_formula(rng):
     return worst < 1e-9, f"worst relative gap {worst:.2e} over 4 random configs"
 
 
-def _check_stream_seeding():
-    prior = CfoPrior(0.1, 1e-3)
+def _check_trial_streams(rng):
+    """The sweep's own draws (_draw_block) and samples (_received_trials)
+    against numpy's stream of each trial, at boundary seeds, points and
+    trial indices, on a random setup per seed: the prior draw and the row of
+    normals bit for bit, and y within 1e-12 of sample_ar1_trajectory +
+    synthesize_rx drawn from the same stream."""
     trials = (0, 1, 5, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 3)
-    rng, count = np.random.Generator(np.random.PCG64(0)), 0
+    worst, count = 0.0, 0
     for seed in (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 7, 2 ** 128 + 5):
+        pilot, model, stats, prior = _random_setup(rng)
+        l_r, n = model.l_r, pilot.n
+        config = ExperimentConfig(l_t=pilot.l_t, m=n // pilot.l_t, l_r=l_r, seed=seed)
+        rx_map = _receive_map(model, pilot.entries)
+        ybar = build_workspace(pilot, l_r, stats, prior).ybar.reshape(l_r, n)
         for point in (0, 1, 2 ** 32 + 1):
-            for trial, state in zip(trials, _pcg64_states(seed, point, trials)):
-                rng.bit_generator.state = state
-                want = np.random.default_rng(np.random.SeedSequence(entropy=seed,
-                                                                    spawn_key=(point, trial)))
-                if (prior.sample(rng) != prior.sample(want)
-                        or not np.array_equal(rng.standard_normal(3456),
-                                              want.standard_normal(3456))):
+            f_true, rows = _draw_block(config, point, trials, prior)
+            y = _received_trials(model.rho_h, rx_map, ybar, f_true, rows)
+            for i, trial in enumerate(trials):
+                stream = np.random.default_rng(np.random.SeedSequence(seed,
+                                                                      spawn_key=(point, trial)))
+                f = prior.sample(stream)
+                state = stream.bit_generator.state
+                if f != f_true[i] or not np.array_equal(rows[i],
+                                                        stream.standard_normal(rows.shape[1])):
                     return False, f"stream (seed {seed}, point {point}, trial {trial}) differs"
+                stream.bit_generator.state = state
+                want = synthesize_rx(pilot, l_r, f, sample_ar1_trajectory(model, n, stream),
+                                     stream)
+                worst = max(worst, float(np.max(np.abs(y[i].ravel() - want))
+                                         / np.max(np.abs(want))))
                 count += 1
-    return True, f"{count} streams: prior draw and 3456 normals bit-identical"
+    return worst < 1e-12, (f"{count} streams: prior draw and row of normals bit-identical, "
+                           f"worst relative y gap {worst:.2e}")
 
 
 def _check_determinism():
@@ -858,26 +852,29 @@ def _add_common(parser, out_help: str):
     parser.add_argument("--snr-db", help="comma-separated SNR grid override, dB")
 
 
+def _rho_grid(text: str) -> tuple:
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise ParameterError(f"--rho-grid must be START:STOP:COUNT, got {text!r}")
+    start, stop = (_coerce("--rho-grid", v, float) for v in parts[:2])
+    count = _coerce("--rho-grid COUNT", parts[2], int)
+    if count < 1:
+        raise ParameterError(f"--rho-grid COUNT must be >= 1, got {count}")
+    return tuple(np.linspace(start, stop, count))
+
+
+# the flags whose text main parses, not argparse, so a bad grid exits 1 as
+# any bad config value does
+GRIDS = {"snr_db": lambda text: tuple(_coerce("--snr-db", v, float) for v in text.split(",")),
+         "rho_h_grid": _rho_grid}
+
+
 def _overrides_from(args) -> dict:
-    """Config overrides from the flags given; args holds only the flags its
-    command declared."""
-    overrides = {key: getattr(args, key) for key in ("seed", "trials")
-                 if getattr(args, key, None) is not None}
-    if getattr(args, "no_noise", False):
-        overrides["noise"] = False
-    if args.snr_db is not None:
-        overrides["snr_db"] = tuple(_coerce("--snr-db", v, float)
-                                    for v in args.snr_db.split(","))
-    if getattr(args, "rho_grid", None) is not None:
-        parts = args.rho_grid.split(":")
-        if len(parts) != 3:
-            raise ParameterError(f"--rho-grid must be START:STOP:COUNT, got {args.rho_grid!r}")
-        start, stop = (_coerce("--rho-grid", v, float) for v in parts[:2])
-        count = _coerce("--rho-grid COUNT", parts[2], int)
-        if count < 1:
-            raise ParameterError(f"--rho-grid COUNT must be >= 1, got {count}")
-        overrides["rho_h_grid"] = tuple(np.linspace(start, stop, count))
-    return overrides
+    """Config overrides from the flags given: a flag that overrides a config
+    key has that key as its dest, and args holds only the flags its command
+    declared."""
+    return {key: GRIDS[key](value) if key in GRIDS else value
+            for key, value in vars(args).items() if key in CONFIG_PATHS and value is not None}
 
 
 def _write(text: str, path: str | None):
@@ -925,7 +922,8 @@ TRIALS = ("--trials", dict(type=int, help="Monte-Carlo trials per SNR point (con
 # a command declares only the flags its run reads
 COMMANDS = {
     "bounds-vs-rho": ("CRLB/BCRLB vs time-correlation for both pilots", CSV_OUT,
-                      [PLOT_DATA, ("--rho-grid", dict(metavar="START:STOP:COUNT"))],
+                      [PLOT_DATA, ("--rho-grid", dict(dest="rho_h_grid",
+                                                      metavar="START:STOP:COUNT"))],
                       _at_first_snr(_sweep(run_bounds_vs_rho, "bounds_vs_rho"))),
     "bounds-vs-snr": ("CRLB/BCRLB vs SNR for both pilots", CSV_OUT, [PLOT_DATA],
                       _sweep(run_bounds_vs_snr, "bounds_vs_snr")),
@@ -935,7 +933,8 @@ COMMANDS = {
                [SEED, ("--f-true", dict(type=float, help="override the true offset")),
                 ("--zero-rx", dict(action="store_true",
                                    help="force y = 0 (degenerate-input check)")),
-                ("--no-noise", dict(action="store_true", help="drop the receiver noise"))],
+                ("--no-noise", dict(dest="noise", action="store_const", const=False,
+                                    help="drop the receiver noise"))],
                _at_first_snr(_single)),
     "validate": ("run the fast oracle/invariant suite", None, [], None),
 }

@@ -106,6 +106,31 @@ def test_non_psd_spatial_rejected():
             CorrelationModel(l_t=2, l_r=1, rho_h=0.5, spatial_cov=cov, mean=mean)
 
 
+def test_malformed_model_stats_and_channel_are_rejected_by_name():
+    # each message names the argument at fault
+    pilot = generate_td_pilot(1, 2)
+    cases = [
+        (lambda: CorrelationModel(l_t=2, l_r=1, rho_h=0.5, spatial_cov=np.eye(3),
+                                  mean=np.zeros(2)), ModelError, "spatial_cov must be 2x2"),
+        (lambda: CorrelationModel(l_t=2, l_r=1, rho_h=0.5, spatial_cov=np.eye(2),
+                                  mean=np.zeros(3)), ModelError, "mean must have length 2"),
+        (lambda: make_model(2, 2, 0.5, spatial="bogus"), ModelError,
+         "unknown spatial model 'bogus'"),
+        (lambda: make_model(2, 2, 0.5, mean="rician", rician_k=-1.0), ModelError,
+         "rician_k must be nonnegative"),
+        (lambda: make_model(2, 2, 0.5, mean="bogus"), ModelError, "unknown mean model 'bogus'"),
+        (lambda: ChannelStats(1, 2, 2, np.zeros(3), np.eye(4)), ModelError,
+         r"mu_h must have shape \(4,\) and sigma_h \(4, 4\), .* got \(3,\) and \(4, 4\)"),
+        (lambda: ChannelStats(1, 2, 2, np.zeros(4), np.eye(3)), ModelError,
+         r"sigma_h \(4, 4\), .* got \(4,\) and \(3, 3\)"),
+        (lambda: synthesize_rx(pilot, 2, 0.0, np.zeros(3)), ParameterError,
+         r"channel vector h must have length l_r\*n\*l_t = 4, got shape \(3,\)"),
+    ]
+    for make, error, message in cases:
+        with pytest.raises(error, match=message):
+            make()
+
+
 def _count_decompositions(monkeypatch) -> list:
     calls = []
     for name in ("cholesky", "eigvalsh", "eigh"):

@@ -573,6 +573,18 @@ def test_degenerate_input_raises_estimation_error(rng):
     assert batch.f_hat[0] == batch.f_hat[2] == estimate_cfo_universal(y, ws0).f_hat
 
 
+def test_per_antenna_input_errors():
+    # one prior per receive antenna; y = 0 under zero-mean fading and flat
+    # priors is a degenerate metric on every antenna, as in the universal search
+    pilot = generate_td_pilot(2, 3)
+    stats = build_stats(make_model(2, 2, 0.9), pilot.n)
+    y0 = np.zeros(2 * pilot.n, dtype=complex)
+    with pytest.raises(ParameterError, match=r"need one prior per receive antenna \(2\)"):
+        estimate_cfo_per_antenna(y0, pilot, stats, [CfoPrior.ml()] * 3)
+    with pytest.raises(EstimationError, match="degenerate metric"):
+        estimate_cfo_per_antenna(y0, pilot, stats, [CfoPrior.ml()] * 2)
+
+
 def reference_search(z, mu_f, inv_var, grid_size, epsilon=1e-10, max_iter=10):
     """The universal search on one lag series with every sum over lags taken
     directly against a phase matrix: (f0, iterations, converged), or None

@@ -252,7 +252,10 @@ def test_non_finite_pilots_are_rejected_by_name():
              # before it is taken (a RuntimeWarning fails the test)
              (lambda: custom_pilot([[1e200, 0], [0, 1e200]]), "total power n\\*rho"),
              (lambda: custom_pilot([[1e154, 1e154j]]), "total power n\\*rho"),
-             (lambda: custom_pilot([[1.7e308 + 1.7e308j]]), "total power n\\*rho")]
+             (lambda: custom_pilot([[1.7e308 + 1.7e308j]]), "total power n\\*rho"),
+             # so are those of a pilot built directly, whose rho is finite
+             (lambda: PilotMatrix(np.array([[1e200], [1e200]]), 1.0, PilotStructure.CUSTOM,
+                                  np.ones(2)), "entries have average power inf, expected rho=1")]
     for make, name in cases:
         with pytest.raises(ParameterError, match=name):
             make()
@@ -290,3 +293,20 @@ def test_config_input_errors_name_the_key():
     # spelled-out and integral numbers are accepted, as in the CLI config
     pilot = pilot_from_config({**good, "l_t": "2", "m": 3.0, "rho": "1.5"})
     np.testing.assert_array_equal(pilot.entries, generate_td_pilot(2, 3, 1.5).entries)
+
+
+def test_malformed_pilots_are_rejected_by_name():
+    td = generate_td_pilot(2, 2)
+    cases = [(lambda: PilotMatrix(td.entries[:, 0], td.rho, td.structure, td.scrambling),
+              r"pilot entries must be a 2-D \(n, l_t\) array with n >= 1"),
+             (lambda: custom_pilot(np.zeros((0, 2))), r"pilot entries must be a 2-D"),
+             (lambda: custom_pilot(np.ones(3)), r"pilot entries must be a 2-D"),
+             (lambda: PilotMatrix(td.entries, td.rho, td.structure, np.ones(3)),
+              r"scrambling length \(3,\) does not match n=4"),
+             (lambda: PilotMatrix(td.entries, 2.0, td.structure, td.scrambling),
+              "entries have average power 1, expected rho=2"),
+             (lambda: generate_periodic_pilot(2, 2, unitary_core=np.ones((2, 3))),
+              "unitary core must be a square matrix")]
+    for make, message in cases:
+        with pytest.raises(ParameterError, match=message):
+            make()

@@ -642,6 +642,27 @@ def test_failures_are_counted_and_excluded(monkeypatch):
     assert row.mse is not None
 
 
+def test_a_point_where_every_trial_fails_leaves_mse_and_mean_iters_empty(monkeypatch):
+    # every trial reported as failed by the batch search: the row counts
+    # them all, and its mse and mean_iters cells are empty
+    import cfomimo.simcli as cli
+
+    real = cli.estimate_cfo_universal_batch
+
+    def failing(y, ws, **kwargs):
+        est = real(y, ws, **kwargs)
+        return replace(est, f_hat=np.full(len(y), np.nan), failed=np.ones(len(y), dtype=bool))
+
+    monkeypatch.setattr(cli, "estimate_cfo_universal_batch", failing)
+    result = run_mse_vs_snr(ExperimentConfig(**FAST))
+    row = result.rows[0]
+    assert row.failures == row.trials == 6
+    assert row.mse is None and row.mean_iters is None
+    cells = dict(zip(CSV_HEADER.split(","), result.to_csv_text().splitlines()[1].split(",")))
+    assert cells["mse"] == cells["mean_iters"] == ""
+    assert cells["trials"] == cells["failures"] == "6"
+
+
 def test_inf_serialization():
     config = replace(ExperimentConfig(**FAST), rho_h=0.0, mean_kind="zero",
                      pilot_structure="periodic", rho_h_grid=(0.0,))
@@ -898,6 +919,13 @@ def test_cli_error_paths(tmp_path, capsys):
     assert out == "" and err.startswith("error: mu_f must lie in the acquisition range"), err
 
 
+def test_cli_numerical_failure_exits_1(capsys):
+    # at 200 dB the workspace is too ill-conditioned to build
+    assert main(["bounds-vs-snr", "--snr-db", "200"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("numerical failure: "), err
+
+
 def test_a_bad_snr_point_fails_before_any_point_runs(monkeypatch, capsys):
     # every SNR point's total pilot power n*rho is checked before the first
     # point sets up, so a bad later point costs no earlier point's work
@@ -983,6 +1011,31 @@ def test_validate_fisher_check_sees_a_wrong_beta(monkeypatch):
     monkeypatch.setattr(cli, "compute_beta", lambda *args: closed_form(*args) * (1 + 1e-8))
     ok, detail = cli._check_fisher_formula(np.random.default_rng(3))
     assert not ok and detail.startswith("worst relative gap 1.0"), detail
+
+
+def test_validate_trial_stream_check_sees_a_wrong_stream_or_sample(monkeypatch):
+    # one trial's PCG64 state off by one bit, at trial index 2^32, fails the
+    # draws; a received signal off by 1e-10 fails the 1e-12 bound on y
+    import cfomimo.simcli as cli
+
+    states, received = cli._pcg64_states, cli._received_trials
+    ok, detail = cli._check_trial_streams(np.random.default_rng(3))
+    assert ok, detail
+
+    def perturbed(seed, point, trials):
+        out = states(seed, point, trials)
+        for trial, state in zip(trials, out):
+            if trial == 2 ** 32:
+                state["state"]["state"] ^= 1
+        return out
+
+    monkeypatch.setattr(cli, "_pcg64_states", perturbed)
+    ok, detail = cli._check_trial_streams(np.random.default_rng(3))
+    assert not ok and detail == "stream (seed 0, point 0, trial 4294967296) differs", detail
+    monkeypatch.setattr(cli, "_pcg64_states", states)
+    monkeypatch.setattr(cli, "_received_trials", lambda *args: received(*args) * (1 + 1e-10))
+    ok, detail = cli._check_trial_streams(np.random.default_rng(3))
+    assert not ok and "worst relative y gap 1.0" in detail, detail
 
 
 def test_each_sweep_point_sets_up_once_before_its_trials(monkeypatch):
