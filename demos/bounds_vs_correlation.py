@@ -8,7 +8,7 @@ and wins as the channel freezes.  The curves cross.
 """
 import numpy as np
 
-from cfomimo import (CfoPrior, build_stats, evaluate_bounds,
+from cfomimo import (CfoPrior, build_stats, build_workspace, evaluate_bounds,
                      generate_periodic_pilot, generate_td_pilot, make_model)
 
 snr_db = 20.0
@@ -23,8 +23,8 @@ crossing = None
 previous = None
 for rho_h in np.linspace(0.05, 1.0, 20):
     stats = build_stats(make_model(4, 4, float(rho_h)), 20)
-    cp = evaluate_bounds(periodic, 4, stats, prior).crlb
-    ct = evaluate_bounds(td, 4, stats, prior).crlb
+    cp = evaluate_bounds(build_workspace(periodic, 4, stats, prior)).crlb
+    ct = evaluate_bounds(build_workspace(td, 4, stats, prior)).crlb
     better = "td" if ct < cp else "periodic"
     if previous and previous != better:
         crossing = rho_h

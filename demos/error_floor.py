@@ -6,8 +6,8 @@ roughly 20 dB more transmit power stops helping.
 """
 import numpy as np
 
-from cfomimo import (CfoPrior, build_stats, evaluate_bounds, generate_td_pilot,
-                     make_model)
+from cfomimo import (CfoPrior, build_stats, build_workspace, evaluate_bounds,
+                     generate_td_pilot, make_model)
 
 prior = CfoPrior(mu_f=0.1, sigma_f_sq=1e-5)
 snrs = np.arange(0.0, 45.0, 5.0)
@@ -22,7 +22,7 @@ for snr_db in snrs:
     cells = []
     for rho_h in correlations:
         stats = build_stats(make_model(4, 4, rho_h), 20)
-        crlb = evaluate_bounds(pilot, 4, stats, prior).crlb
+        crlb = evaluate_bounds(build_workspace(pilot, 4, stats, prior)).crlb
         table[rho_h].append(crlb)
         cells.append(f"{crlb:11.3e}")
     print(f"{snr_db:7.0f} | " + " | ".join(cells))

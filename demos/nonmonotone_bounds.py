@@ -7,8 +7,8 @@ across symbols averages out, so the CRLB can improve again as rho_h drops.
 """
 import numpy as np
 
-from cfomimo import (CfoPrior, build_stats, evaluate_bounds, generate_td_pilot,
-                     make_model)
+from cfomimo import (CfoPrior, build_stats, build_workspace, evaluate_bounds,
+                     generate_td_pilot, make_model)
 
 pilot = generate_td_pilot(4, 5, rho=100.0)  # 20 dB
 prior = CfoPrior(mu_f=0.1, sigma_f_sq=1e-5)
@@ -20,7 +20,7 @@ for mean_kind in ("zero", "rician"):
         model = make_model(4, 4, float(rho_h), spatial="exponential",
                            mean=mean_kind, rician_k=1.0)
         stats = build_stats(model, 20)
-        values.append(evaluate_bounds(pilot, 4, stats, prior).crlb)
+        values.append(evaluate_bounds(build_workspace(pilot, 4, stats, prior)).crlb)
     finite = [v for v in values if np.isfinite(v)]
     diffs = np.diff(finite)
     shape = ("monotone decreasing in rho_h" if np.all(diffs <= 0)

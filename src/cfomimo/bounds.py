@@ -26,10 +26,15 @@ I + R is positive definite.  Bounds follow as
     CRLB  = 1 / beta                (error floor of any unbiased estimator),
     BCRLB = 1 / (beta + 1/sigma_f^2)   (Bayesian version, ML prior gives CRLB).
 
-A Monte-Carlo curvature oracle (finite differences of the exact Gaussian
-log-likelihood) is included for validating the closed form.  Like the
-closed form, it works in the n*l_r receive space, on R and ybar; nothing
-in this module forms Sigma_h or a channel-space design matrix.
+compute_beta and evaluate_bounds take the configuration's
+EstimatorWorkspace (build_workspace) as their one model argument, as the
+estimator's routines do; evaluate_bounds reads the prior from it and the
+resolvability floor from its pilot.  A Monte-Carlo curvature oracle
+(finite differences of the exact Gaussian log-likelihood) is included for
+validating the closed form; it takes the pilot, l_r and stats and builds
+no workspace.  Like the closed form, it works in the n*l_r receive space,
+on R and ybar; nothing in this module forms Sigma_h or a channel-space
+design matrix.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ import numpy as np
 
 from .channel import CfoPrior, ChannelStats, _rotation, _unit_complex
 from .errors import ParameterError, _check_int
-from .estimator import EstimatorWorkspace, _workspace_for
+from .estimator import EstimatorWorkspace
 from .pilots import PilotMatrix
 
 
@@ -54,19 +59,16 @@ class BoundResult:
     bcrlb: float
 
 
-def compute_beta(pilot: PilotMatrix, l_r: int, stats: ChannelStats, *,
-                 workspace: EstimatorWorkspace | None = None) -> float:
+def compute_beta(ws: EstimatorWorkspace) -> float:
     """Closed-form Fisher information of the common normalized offset.
 
     The eigenbasis form of the Gaussian Fisher formula (see the module
     docstring), read from the workspace's eigenpairs of R alone: a, U, m,
-    V and ybar, never the kernels or the linear table.  k is the symbol
-    time of each of the q rows of a factor, arange(q) mod n, so dense stats
-    (p = 1, q = n*l_r) run the same code.  Every term is nonnegative, and a
-    single symbol, n = 1, has k = 0 and hence beta = 0.  A workspace passed
-    in must be built for this pilot, l_r and stats.
+    V and ybar, never the kernels, the linear table or the prior.  k is the
+    symbol time of each of the q rows of a factor, arange(q) mod n, so dense
+    stats (p = 1, q = n*l_r) run the same code.  Every term is nonnegative,
+    and a single symbol, n = 1, has k = 0 and hence beta = 0.
     """
-    ws = _workspace_for(pilot, l_r, stats, CfoPrior.ml(), workspace)
     p, q = ws.a.size, ws.m.size
     k = np.arange(q) % ws.n
     scale = 1.0 / (1.0 + np.multiply.outer(ws.a, ws.m))  # 1 / (1 + lam), (p, q)
@@ -97,12 +99,10 @@ def resolvability_floor(pilot: PilotMatrix) -> float:
     return 1e-14 * pilot.n ** 2 * pilot.rho ** 2
 
 
-def evaluate_bounds(pilot: PilotMatrix, l_r: int, stats: ChannelStats,
-                    prior: CfoPrior, *, workspace: EstimatorWorkspace | None = None
-                    ) -> BoundResult:
-    """compute_beta + compute_bounds with the standard resolvability floor."""
-    beta = compute_beta(pilot, l_r, stats, workspace=workspace)
-    return compute_bounds(beta, prior, beta_floor=resolvability_floor(pilot))
+def evaluate_bounds(ws: EstimatorWorkspace) -> BoundResult:
+    """compute_beta + compute_bounds under the workspace's prior, with the
+    resolvability floor of its pilot."""
+    return compute_bounds(compute_beta(ws), ws.prior, beta_floor=resolvability_floor(ws.pilot))
 
 
 def fisher_oracle(pilot: PilotMatrix, l_r: int, stats: ChannelStats, *,

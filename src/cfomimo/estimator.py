@@ -83,7 +83,7 @@ trials, so a trial's results do not depend on the batch it was run in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -126,8 +126,9 @@ class EstimatorWorkspace:
     """Precomputed, f-independent quantities for one (pilot, stats, prior) triple.
 
     Immutable and shareable across threads; every estimation routine is a
-    pure function of (y, workspace).  The offset search and the bounds read
-    only n*l_r receive-space tables, kept in the factor form of
+    pure function of (y, workspace), and the bounds (compute_beta,
+    evaluate_bounds) of the workspace alone.  The offset search and the
+    bounds read only n*l_r receive-space tables, kept in the factor form of
     R = Sb Sigma_h Sb^H = A_r kron M (a 1 x 1 A_r = 1 and M = R for dense
     stats): ybar = Sb mu_h, the zero-offset received mean; lin_table
     (I + R)^{-1} ybar shaped (l_r, n); a and U, the eigenvalues and
@@ -243,17 +244,6 @@ def build_workspace(pilot: PilotMatrix, l_r: int, stats: ChannelStats,
                               ybar=ybar.ravel(), lin_table=lin.reshape(l_r, n),
                               condition=condition, a=eig_a, U=u, m=eig_m,
                               V=v, kernels=kernels)
-
-
-def _workspace_for(pilot: PilotMatrix, l_r: int, stats: ChannelStats, prior: CfoPrior,
-                   workspace: EstimatorWorkspace | None) -> EstimatorWorkspace:
-    """The workspace passed in, which must be built for this (pilot, l_r,
-    stats), or a new one under prior."""
-    if workspace is None:
-        return build_workspace(pilot, l_r, stats, prior)
-    if workspace.pilot is not pilot or workspace.stats is not stats or workspace.l_r != l_r:
-        raise ParameterError("workspace was built for another pilot, stats or l_r")
-    return workspace
 
 
 def _received_rows(y, ws: EstimatorWorkspace) -> np.ndarray:
@@ -628,30 +618,31 @@ def _per_antenna_grad_hess(y2: np.ndarray, ws: EstimatorWorkspace, f_vec: np.nda
     return grad, hess
 
 
-def estimate_cfo_per_antenna(y: np.ndarray, pilot: PilotMatrix, stats: ChannelStats,
-                             prior, *, grid_size: int | None = None,
-                             epsilon: float = 1e-10, max_iter: int = 10,
-                             workspace: EstimatorWorkspace | None = None) -> CfoEstimate:
+def estimate_cfo_per_antenna(y: np.ndarray, ws: EstimatorWorkspace, prior=None, *,
+                             grid_size: int | None = None, epsilon: float = 1e-10,
+                             max_iter: int = 10) -> CfoEstimate:
     """Per-receive-antenna offsets f_r under independent Gaussian priors.
 
-    Stage 1 runs the scalar universal search on each antenna's decoupled
-    subproblem (cross-antenna coupling in K ignored), costing O(l_r n) grid
-    work.  Stage 2 jointly refines all offsets by Newton steps on the
-    l_r x l_r real system of the metric's gradient and Hessian, repeated
-    until the step is below epsilon.  Where the Hessian is not negative
-    definite the step uses its eigenvalues' magnitudes, so it still points
-    uphill, and a step that lowers the metric is halved, at most
-    NEWTON_HALVINGS times, before the refinement stops unconverged.  A
-    singular refinement system, or a refinement that ends with a lower
-    metric than stage 1 (by more than the grid's tie tolerance), returns the
-    stage-1 estimates flagged as degraded.  A workspace passed in must be
-    built for this pilot and stats.
+    prior is one CfoPrior for every antenna or a sequence of l_r of them,
+    and defaults to ws.prior.  Stage 1 runs the scalar universal search on
+    each antenna's decoupled subproblem (cross-antenna coupling in K
+    ignored), costing O(l_r n) grid work.  Stage 2 jointly refines all
+    offsets by Newton steps on the l_r x l_r real system of the metric's
+    gradient and Hessian, repeated until the step is below epsilon.  Where
+    the Hessian is not negative definite the step uses its eigenvalues'
+    magnitudes, so it still points uphill, and a step that lowers the metric
+    is halved, at most NEWTON_HALVINGS times, before the refinement stops
+    unconverged.  A singular refinement system, or a refinement that ends
+    with a lower metric than stage 1 (by more than the grid's tie
+    tolerance), returns the stage-1 estimates flagged as degraded.
     """
-    priors, mu, inv_var = _prior_vectors(prior, stats.l_r)
-    ws = _workspace_for(pilot, stats.l_r, stats, priors[0], workspace)
     l_r = ws.l_r
+    priors, mu, inv_var = _prior_vectors(ws.prior if prior is None else prior, l_r)
     y2 = _received(y, ws)
     if l_r == 1:
+        # the universal search reads its prior from the workspace
+        if priors[0] is not ws.prior:
+            ws = replace(ws, prior=priors[0])
         est = estimate_cfo_universal(y2, ws, grid_size=grid_size, epsilon=epsilon,
                                      max_iter=max_iter)
         return CfoEstimate(f_hat=np.array([est.f_hat]), metric=est.metric,

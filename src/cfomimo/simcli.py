@@ -14,7 +14,9 @@ y are bit for bit those of mse-vs-snr's trial 0 there; its channel h comes
 from the same row of normals (channel._ar1_trajectories).  bounds-vs-rho
 and single run at the first SNR point only and name it on stderr when the
 grid has more; the SNR sweeps check every point's pilot power before the
-first point runs.  The bounds sweeps are closed form and draw nothing.
+first point runs.  Every point, a bounds point included, builds one
+workspace (build_workspace) and reads its bounds from it (evaluate_bounds);
+the bounds sweeps are closed form and draw nothing.
 Experiments are driven by a YAML config file; command-line flags override
 file values.  Example config::
 
@@ -425,9 +427,8 @@ def _point_setup(config: ExperimentConfig, rho: float, stats, prior: CfoPrior):
     """(workspace, bounds) of the sweep point of pilot power rho: the
     workspace of the pilot, which holds the pilot and prior, and the bounds
     read from it."""
-    pilot = config.pilot(rho)
-    ws = build_workspace(pilot, config.l_r, stats, prior)
-    return ws, evaluate_bounds(pilot, config.l_r, stats, prior, workspace=ws)
+    ws = build_workspace(config.pilot(rho), config.l_r, stats, prior)
+    return ws, evaluate_bounds(ws)
 
 
 def run_bounds_vs_rho(config: ExperimentConfig) -> SweepResult:
@@ -446,7 +447,7 @@ def run_bounds_vs_rho(config: ExperimentConfig) -> SweepResult:
         pilot = config.pilot(rho, structure)
         for rho_h in grid:
             stats = build_stats(model, config.n, rho_h)
-            res = evaluate_bounds(pilot, config.l_r, stats, prior)
+            res = evaluate_bounds(build_workspace(pilot, config.l_r, stats, prior))
             rows.append(SweepRow(f"rho_h[{structure}]", rho_h, None,
                                  res.crlb, res.bcrlb, 0, 0, None))
     return SweepResult(rows=tuple(rows))
@@ -461,8 +462,8 @@ def run_bounds_vs_snr(config: ExperimentConfig) -> SweepResult:
     rows = []
     for structure in PILOT_STRUCTURES:
         for snr_db, rho in zip(config.snr_db, rhos):
-            pilot = config.pilot(rho, structure)
-            res = evaluate_bounds(pilot, config.l_r, stats, prior)
+            ws = build_workspace(config.pilot(rho, structure), config.l_r, stats, prior)
+            res = evaluate_bounds(ws)
             rows.append(SweepRow(f"snr_db[{structure}]", snr_db, None,
                                  res.crlb, res.bcrlb, 0, 0, None))
     return SweepResult(rows=tuple(rows))
@@ -741,7 +742,7 @@ def _check_z_purity(rng):
 def _check_bound_ordering(rng):
     for _ in range(20):
         pilot, model, stats, prior = _random_setup(rng)
-        res = evaluate_bounds(pilot, model.l_r, stats, prior)
+        res = evaluate_bounds(build_workspace(pilot, model.l_r, stats, prior))
         if not (res.bcrlb <= res.crlb + 1e-15 and res.bcrlb <= prior.sigma_f_sq + 1e-15):
             return False, f"violated: {res}"
     return True, "bcrlb <= min(crlb, sigma_f^2) on 20 random configs"
@@ -764,7 +765,7 @@ def _check_fisher_formula(rng):
     with C = R + I and K = diag(k), k the symbol time of each receive sample."""
     worst = 0.0
     for _ in range(4):
-        pilot, model, stats, _ = _random_setup(rng)
+        pilot, model, stats, prior = _random_setup(rng)
         l_r, n = model.l_r, pilot.n
         cov = stats._receive_cov(pilot.entries) + np.eye(l_r * n)
         k = np.arange(l_r * n) % n
@@ -773,7 +774,7 @@ def _check_fisher_formula(rng):
         term = inv @ (k[:, None] * cov - cov * k)  # C^{-1} [K, C]
         want = 8.0 * np.pi ** 2 * (np.real(np.vdot(ky, inv @ ky))
                                    - 0.5 * np.real(np.trace(term @ term)))
-        got = compute_beta(pilot, l_r, stats)
+        got = compute_beta(build_workspace(pilot, l_r, stats, prior))
         worst = max(worst, abs(got - want) / abs(want))
     return worst < 1e-9, f"worst relative gap {worst:.2e} over 4 random configs"
 

@@ -95,7 +95,7 @@ def test_criterion_03_fisher_oracle_equivalence():
     gaps = []
     for i, (label, _, model, pilot) in enumerate(cases):
         stats = build_stats(model, 6)
-        beta = compute_beta(pilot, 2, stats)
+        beta = compute_beta(build_workspace(pilot, 2, stats, CfoPrior.ml()))
         oracle = fisher_oracle(pilot, 2, stats, n_samples=100000,
                                rng=np.random.default_rng(300 + i))
         gap = abs(oracle - beta) / beta
@@ -129,7 +129,7 @@ def test_criterion_05_bound_ordering():
     rng = np.random.default_rng(505)
     for _ in range(200):
         pilot, model, stats, prior = random_case(rng, l_t_max=3, l_r_max=3, n_max=10)
-        res = evaluate_bounds(pilot, model.l_r, stats, prior)
+        res = evaluate_bounds(build_workspace(pilot, model.l_r, stats, prior))
         assert res.bcrlb <= res.crlb + 1e-15
         assert res.bcrlb <= prior.sigma_f_sq + 1e-15
     budget.done(5, "BCRLB <= min(CRLB, prior variance) on 200 random configs")
@@ -184,7 +184,7 @@ def test_criterion_08_error_floor():
         for snr_db in (20.0, 40.0):
             pilot = generate_td_pilot(4, 5, rho=10.0 ** (snr_db / 10.0))
             stats = build_stats(make_model(4, 4, rho_h), 20)
-            crlb[snr_db] = evaluate_bounds(pilot, 4, stats, prior).crlb
+            crlb[snr_db] = evaluate_bounds(build_workspace(pilot, 4, stats, prior)).crlb
         ratios[rho_h] = crlb[40.0] / crlb[20.0]
     assert ratios[0.99] > 0.1
     assert ratios[1.0] < 0.02
@@ -201,7 +201,7 @@ def test_criterion_09_nonmonotone_bound():
         model = make_model(4, 4, float(rho_h), spatial="exponential",
                            mean="rician", rician_k=1.0)
         stats = build_stats(model, 20)
-        curve.append(evaluate_bounds(pilot, 4, stats, prior).crlb)
+        curve.append(evaluate_bounds(build_workspace(pilot, 4, stats, prior)).crlb)
     diffs = np.diff(curve)
     assert np.any(diffs > 0) and np.any(diffs < 0), "CRLB curve is monotone"
     budget.done(9, "CRLB vs time correlation is non-monotone for nonzero-mean "
@@ -212,9 +212,9 @@ def test_criterion_10_degenerate_identifiability():
     budget = Budget(1.0)
     pilot = generate_periodic_pilot(4, 5, rho=100.0)
     stats = build_stats(make_model(4, 4, 0.0), 20)
-    beta = compute_beta(pilot, 4, stats)
+    beta = compute_beta(build_workspace(pilot, 4, stats, CfoPrior.ml()))
     assert beta < resolvability_floor(pilot)
-    res = evaluate_bounds(pilot, 4, stats, CfoPrior(0.1, 1e-5))
+    res = evaluate_bounds(build_workspace(pilot, 4, stats, CfoPrior(0.1, 1e-5)))
     assert math.isinf(res.crlb)
     budget.done(10, f"zero-mean i.i.d. fading: beta {beta:.1e} below the "
                     f"resolvability floor, CRLB reported infinite")

@@ -16,7 +16,7 @@ from reference_impls import reference_beta
 def test_single_symbol_has_no_information():
     pilot = custom_pilot(np.ones((1, 1), dtype=complex))
     stats = build_stats(make_model(1, 1, 0.5), 1)
-    assert compute_beta(pilot, 1, stats) == 0.0
+    assert compute_beta(build_workspace(pilot, 1, stats, CfoPrior.ml())) == 0.0
     res = compute_bounds(0.0, CfoPrior(0.0, 1e-5))
     assert math.isinf(res.crlb)
     assert res.bcrlb == pytest.approx(1e-5)
@@ -44,9 +44,9 @@ def test_zero_mean_iid_fading_not_identifiable():
     # fading phase: the Fisher information vanishes
     pilot = generate_periodic_pilot(4, 5)
     stats = build_stats(make_model(4, 4, 0.0), 20)
-    beta = compute_beta(pilot, 4, stats)
+    beta = compute_beta(build_workspace(pilot, 4, stats, CfoPrior.ml()))
     assert beta < 1e-9 * resolvability_floor(pilot) + 1e-12
-    res = evaluate_bounds(pilot, 4, stats, CfoPrior(0.1, 1e-5))
+    res = evaluate_bounds(build_workspace(pilot, 4, stats, CfoPrior(0.1, 1e-5)))
     assert math.isinf(res.crlb)
     assert res.bcrlb == pytest.approx(1e-5)
 
@@ -80,7 +80,7 @@ def test_beta_matches_direct_loop_reference(rng):
     cases.append((long_pilot, 1, build_stats(make_model(2, 1, 0.95, mean="rician"), 40)))
     for pilot, l_r, stats in cases + [_dense_case()]:
         ws = build_workspace(pilot, l_r, stats, CfoPrior.ml())
-        fast = compute_beta(pilot, l_r, stats, workspace=ws)
+        fast = compute_beta(ws)
         slow = reference_beta(pilot.entries, l_r, stats.mu_h, stats.sigma_h,
                               *dense_gain_and_offset(pilot, l_r, stats))
         assert fast == pytest.approx(slow, rel=1e-9, abs=1e-9)
@@ -93,17 +93,18 @@ def test_beta_reads_only_the_eigenpairs():
     for mean in ("rician", "zero"):
         stats = build_stats(make_model(2, 2, 0.9, mean=mean), pilot.n)
         ws = build_workspace(pilot, 2, stats, CfoPrior.ml())
-        beta = compute_beta(pilot, 2, stats, workspace=ws)
+        beta = compute_beta(ws)
         blind = dataclasses.replace(ws, kernels=np.full_like(ws.kernels, np.nan),
                                     lin_table=np.full_like(ws.lin_table, np.nan))
-        assert compute_beta(pilot, 2, stats, workspace=blind) == beta
+        assert compute_beta(blind) == beta
+        assert compute_beta(dataclasses.replace(ws, prior=CfoPrior(0.0, 1e-3))) == beta
         assert beta >= 0.0 and np.any(ws.ybar) == (mean == "rician")
 
 
 def test_beta_nonnegative_on_random_configs(rng):
     for _ in range(20):
-        pilot, model, stats, _ = random_case(rng)
-        assert compute_beta(pilot, model.l_r, stats) >= 0.0
+        pilot, model, stats, prior = random_case(rng)
+        assert compute_beta(build_workspace(pilot, model.l_r, stats, prior)) >= 0.0
 
 
 def test_bounds_ordering_and_trivial_cases():
@@ -120,7 +121,7 @@ def test_bcrlb_below_prior_variance_at_default_operating_point():
     snr = 10.0 ** 2.0  # 20 dB
     pilot = generate_td_pilot(4, 5, rho=snr)
     stats = build_stats(make_model(4, 4, 0.99), 20)
-    res = evaluate_bounds(pilot, 4, stats, CfoPrior(0.1, 1e-5))
+    res = evaluate_bounds(build_workspace(pilot, 4, stats, CfoPrior(0.1, 1e-5)))
     assert res.bcrlb < 1e-5
     assert res.bcrlb <= res.crlb
 
@@ -131,7 +132,7 @@ def test_crlb_monotone_in_pilot_power():
     last = math.inf
     for rho in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0):
         pilot = generate_td_pilot(2, 6, rho=rho)
-        crlb = evaluate_bounds(pilot, 2, stats, prior).crlb
+        crlb = evaluate_bounds(build_workspace(pilot, 2, stats, prior)).crlb
         assert crlb < last
         last = crlb
 
@@ -146,8 +147,8 @@ def test_pilot_crossing_in_time_correlation():
     signs = []
     for rho_h in np.linspace(0.05, 0.995, 20):
         stats = build_stats(make_model(4, 4, rho_h), 20)
-        gap = (evaluate_bounds(td, 4, stats, prior).crlb
-               - evaluate_bounds(periodic, 4, stats, prior).crlb)
+        gap = (evaluate_bounds(build_workspace(td, 4, stats, prior)).crlb
+               - evaluate_bounds(build_workspace(periodic, 4, stats, prior)).crlb)
         signs.append(np.sign(gap))
     assert signs[0] < 0 < signs[-1]
 
@@ -161,7 +162,7 @@ def test_nonmonotone_crlb_with_nonzero_mean():
         model = make_model(4, 4, rho_h, spatial="exponential",
                            mean="rician", rician_k=1.0)
         stats = build_stats(model, 20)
-        curve.append(evaluate_bounds(td, 4, stats, prior).crlb)
+        curve.append(evaluate_bounds(build_workspace(td, 4, stats, prior)).crlb)
     diffs = np.diff(curve)
     assert np.any(diffs > 0) and np.any(diffs < 0)
 
@@ -174,7 +175,7 @@ def test_error_floor_when_correlation_slips():
         for snr_db in (20.0, 40.0):
             pilot = generate_td_pilot(4, 5, rho=10.0 ** (snr_db / 10.0))
             stats = build_stats(make_model(4, 4, rho_h), 20)
-            crlb[snr_db] = evaluate_bounds(pilot, 4, stats, prior).crlb
+            crlb[snr_db] = evaluate_bounds(build_workspace(pilot, 4, stats, prior)).crlb
         ratios[rho_h] = crlb[40.0] / crlb[20.0]
     assert ratios[1.0] < 0.02
     assert ratios[0.99] > 0.1
@@ -184,7 +185,7 @@ def test_fisher_oracle_agrees_and_tightens(rng):
     pilot = generate_td_pilot(2, 3, rho=2.0)
     model = make_model(2, 2, 0.5, mean="rician", rician_k=1.0)
     stats = build_stats(model, 6)
-    beta = compute_beta(pilot, 2, stats)
+    beta = compute_beta(build_workspace(pilot, 2, stats, CfoPrior.ml()))
     small = fisher_oracle(pilot, 2, stats, n_samples=1000,
                           rng=np.random.default_rng(0))
     large = fisher_oracle(pilot, 2, stats, n_samples=25000,
@@ -197,7 +198,7 @@ def test_fisher_oracle_invariant_to_probe_offset():
     pilot = generate_td_pilot(2, 3, rho=2.0)
     model = make_model(2, 2, 0.5, mean="rician", rician_k=1.0)
     stats = build_stats(model, 6)
-    beta = compute_beta(pilot, 2, stats)
+    beta = compute_beta(build_workspace(pilot, 2, stats, CfoPrior.ml()))
     estimates = [fisher_oracle(pilot, 2, stats, f_probe=fp, n_samples=20000,
                                rng=np.random.default_rng(7 + i))
                  for i, fp in enumerate((0.0, 0.1, 0.3))]
@@ -227,7 +228,7 @@ def test_fisher_oracle_takes_no_prior_and_tuning_by_keyword():
 def test_bound_ordering_random_sweep(rng):
     for _ in range(30):
         pilot, model, stats, prior = random_case(rng)
-        res = evaluate_bounds(pilot, model.l_r, stats, prior)
+        res = evaluate_bounds(build_workspace(pilot, model.l_r, stats, prior))
         assert res.bcrlb <= res.crlb + 1e-15
         assert res.bcrlb <= prior.sigma_f_sq + 1e-15
         assert res.beta >= 0.0

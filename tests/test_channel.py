@@ -200,6 +200,13 @@ def test_dense_stats_check_takes_eigenvalues_only(monkeypatch):
     np.testing.assert_array_equal(stats.sigma_h, sigma)
 
 
+def test_repr_of_model_stats_forms_no_dense_covariance():
+    # a dataclass repr would read the cached dense sigma_h, 1 GB at (8,16,8)
+    stats = build_stats(make_model(2, 3, 0.9, spatial="exponential"), 4)
+    assert repr(stats) == "ChannelStats(l_t=2, l_r=3, n=4, separable)"
+    assert "sigma_h" not in vars(stats)
+
+
 def test_rho_h_range_checked():
     with pytest.raises(ModelError):
         scalar_model(1.5)

@@ -15,8 +15,8 @@ from cfomimo import (CfoPrior, ChannelStats, CorrelationModel, EstimationError,
                      metric_gradient, mmse_gain, per_antenna_metric,
                      rotated_design, sample_ar1_trajectory, synthesize_rx,
                      wrap_frequency)
-from cfomimo.estimator import (CONDITION_LIMIT, _grid_sums, _lag_metric, _lag_terms,
-                               _per_antenna_grad_hess, _prior_vectors,
+from cfomimo.estimator import (CONDITION_LIMIT, NEWTON_HALVINGS, _grid_sums, _lag_metric,
+                               _lag_terms, _per_antenna_grad_hess, _prior_vectors,
                                _universal_search)
 
 from conftest import (dense_gain_and_offset, dense_kernel, random_case, random_psd,
@@ -127,8 +127,7 @@ def test_separable_stats_match_dense_copy(spatial, maker, rho_h):
     assert close(np.kron(*stats._receive_factors(pilot.entries)), r_dense)
     assert close(ws.lin_table, ref.lin_table)
     assert close(ws.condition, ref.condition)
-    assert close(compute_beta(pilot, l_r, stats, workspace=ws),
-                 compute_beta(pilot, l_r, dense, workspace=ref))
+    assert close(compute_beta(ws), compute_beta(ref))
     a, m = stats._receive_factors(pilot.entries)
     if spatial == "non-kron":
         assert model._kronecker_factors is None
@@ -162,8 +161,7 @@ def test_separable_stats_match_dense_copy(spatial, maker, rho_h):
         assert close(got, want)
     prior = CfoPrior(0.0, 1e-3)
     x = synthesize_rx(pilot, l_r, 0.04, sample_ar1_trajectory(model, pilot.n, rng), rng)
-    got, want = (estimate_cfo_per_antenna(x, pilot, s, prior, workspace=w)
-                 for s, w in ((stats, ws), (dense, ref)))
+    got, want = (estimate_cfo_per_antenna(x, w, prior) for w in (ws, ref))
     # a refinement that stops unconverged can stop anywhere, and rounding
     # alone then sends the two paths apart
     assert got.converged == want.converged
@@ -211,7 +209,7 @@ def test_workspace_factors_are_real_when_r_factors_are(maker, scrambled, spatial
     sb = expand_block(pilot, l_r)
     want = eye - np.linalg.inv(eye + sb @ stats.sigma_h @ sb.conj().T)
     assert np.max(np.abs(dense_kernel(ws) - want)) <= 1e-12 * np.max(np.abs(want))
-    beta = compute_beta(pilot, l_r, stats, workspace=ws)
+    beta = compute_beta(ws)
     assert beta == pytest.approx(
         reference_beta(pilot.entries, l_r, stats.mu_h, stats.sigma_h,
                        *dense_gain_and_offset(pilot, l_r, stats)),
@@ -226,7 +224,7 @@ def test_workspace_factors_are_real_when_r_factors_are(maker, scrambled, spatial
     rows = rng.standard_normal((2, l_r, pilot.n)) + 1j * rng.standard_normal((2, l_r, pilot.n))
     y, f_vec = rows[0].ravel(), rng.uniform(-0.2, 0.2, l_r)
     assert close(_lag_terms(rows, ws)[0], _lag_terms(rows, cws)[0])
-    assert close(compute_beta(pilot, l_r, stats, workspace=cws), beta)
+    assert close(compute_beta(cws), beta)
     assert close(map_metric(y, 0.13, ws), map_metric(y, 0.13, cws))
     assert close(estimate_channel_mmse(y, 0.13, ws), estimate_channel_mmse(y, 0.13, cws))
     _, mu, inv_var = _prior_vectors(ws.prior, l_r)
@@ -253,7 +251,7 @@ def test_zero_covariance_workspace():
     assert ws.condition == 1.0
     np.testing.assert_array_equal(ws.kernels, 0.0)
     np.testing.assert_allclose(ws.lin_table.ravel(), ws.ybar, rtol=1e-14, atol=0)
-    assert np.isfinite(compute_beta(pilot, l_r, stats, workspace=ws))
+    assert np.isfinite(compute_beta(ws))
 
 
 def test_large_array_setup_never_forms_dense_covariance():
@@ -266,7 +264,7 @@ def test_large_array_setup_never_forms_dense_covariance():
     try:
         stats = build_stats(model, pilot.n)
         ws = build_workspace(pilot, 8, stats, CfoPrior.ml())
-        evaluate_bounds(pilot, 8, stats, ws.prior, workspace=ws)
+        evaluate_bounds(ws)
         h = sample_ar1_trajectory(model, pilot.n, rng)
         y = synthesize_rx(pilot, 8, 0.05, h, rng)
         est = estimate_cfo_universal(y, ws)
@@ -289,10 +287,9 @@ def test_workspace_and_beta_stay_factored():
     tracemalloc.start()
     try:
         ws = build_workspace(pilot, 8, stats, CfoPrior.ml())
-        beta = compute_beta(pilot, 8, stats, workspace=ws)
+        beta = compute_beta(ws)
         batch = estimate_cfo_universal_batch(rows, ws)
-        per_antenna = estimate_cfo_per_antenna(rows[1], pilot, stats, CfoPrior(0.0, 1e-3),
-                                               workspace=ws)
+        per_antenna = estimate_cfo_per_antenna(rows[1], ws, CfoPrior(0.0, 1e-3))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -336,31 +333,6 @@ def test_ill_conditioned_model_raises():
         build_workspace(pilot, 2, stats, CfoPrior.ml())
     assert np.isfinite(info.value.condition)
     assert info.value.condition > CONDITION_LIMIT
-
-
-def test_mismatched_workspace_rejected(rng):
-    # compute_beta, evaluate_bounds and estimate_cfo_per_antenna read only
-    # the workspace, so one built for another pilot, stats or l_r is refused
-    model = make_model(2, 2, 0.9)
-    stats = build_stats(model, 8)
-    td, periodic = generate_td_pilot(2, 4, rho=3.0), generate_periodic_pilot(2, 4, rho=30.0)
-    ws = build_workspace(td, 2, stats, CfoPrior.ml())
-    other_stats = build_stats(model, 8)
-    y = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    prior = CfoPrior(0.0, 1e-3)
-    for pilot, l_r, s in ((periodic, 2, stats), (td, 2, other_stats), (td, 3, stats)):
-        with pytest.raises(ParameterError):
-            compute_beta(pilot, l_r, s, workspace=ws)
-        with pytest.raises(ParameterError):
-            evaluate_bounds(pilot, l_r, s, CfoPrior.ml(), workspace=ws)
-        if l_r == 2:
-            with pytest.raises(ParameterError):
-                estimate_cfo_per_antenna(y, pilot, s, prior, workspace=ws)
-    # a copy that shares the pilot and stats, under another prior, is the same workspace
-    copy = replace(ws, prior=prior)
-    assert compute_beta(td, 2, stats, workspace=copy) == compute_beta(td, 2, stats)
-    assert np.array_equal(estimate_cfo_per_antenna(y, td, stats, prior, workspace=copy).f_hat,
-                          estimate_cfo_per_antenna(y, td, stats, prior).f_hat)
 
 
 def test_dimension_mismatch_rejected(rng):
@@ -579,10 +551,11 @@ def test_per_antenna_input_errors():
     pilot = generate_td_pilot(2, 3)
     stats = build_stats(make_model(2, 2, 0.9), pilot.n)
     y0 = np.zeros(2 * pilot.n, dtype=complex)
+    ws = build_workspace(pilot, 2, stats, CfoPrior.ml())
     with pytest.raises(ParameterError, match=r"need one prior per receive antenna \(2\)"):
-        estimate_cfo_per_antenna(y0, pilot, stats, [CfoPrior.ml()] * 3)
+        estimate_cfo_per_antenna(y0, ws, [CfoPrior.ml()] * 3)
     with pytest.raises(EstimationError, match="degenerate metric"):
-        estimate_cfo_per_antenna(y0, pilot, stats, [CfoPrior.ml()] * 2)
+        estimate_cfo_per_antenna(y0, ws, [CfoPrior.ml()] * 2)
 
 
 def reference_search(z, mu_f, inv_var, grid_size, epsilon=1e-10, max_iter=10):
@@ -681,8 +654,7 @@ def test_grid_size_must_be_positive(rng):
     y, _ = draw_y(rng, pilot, model, stats, 0.05)
     callers = (estimate_cfo_universal,
                lambda y, ws, **kw: estimate_cfo_universal_batch(y[None], ws, **kw),
-               lambda y, ws, **kw: estimate_cfo_per_antenna(y, pilot, stats, prior,
-                                                            workspace=ws, **kw))
+               lambda y, ws, **kw: estimate_cfo_per_antenna(y, ws, prior, **kw))
     bad = [("grid_size", value) for value in (0, -1, 2.5, True)]
     bad += [("epsilon", value) for value in (np.nan, np.inf, -1e-3)]
     bad += [("max_iter", value) for value in (-1, 2.5)]
@@ -883,7 +855,7 @@ def test_per_antenna_matches_scalar_for_common_offset(rng):
     ws = build_workspace(pilot, 2, stats, prior)
     y, _ = draw_y(rng, pilot, model, stats, 0.05, noisy=False)
     scalar = estimate_cfo_universal(y, ws)
-    vector = estimate_cfo_per_antenna(y, pilot, stats, prior)
+    vector = estimate_cfo_per_antenna(y, ws)
     np.testing.assert_allclose(vector.f_hat,
                                np.full(2, scalar.f_hat), atol=1e-6)
 
@@ -896,9 +868,15 @@ def test_per_antenna_single_receiver_delegates(rng):
     ws = build_workspace(pilot, 1, stats, prior)
     y, _ = draw_y(rng, pilot, model, stats, 0.04)
     scalar = estimate_cfo_universal(y, ws)
-    vector = estimate_cfo_per_antenna(y, pilot, stats, prior)
+    vector = estimate_cfo_per_antenna(y, ws)
     assert vector.f_hat.shape == (1,)
     assert vector.f_hat[0] == scalar.f_hat
+    # a prior passed in replaces the workspace's, on the one antenna too
+    ml = build_workspace(pilot, 1, stats, CfoPrior.ml())
+    assert estimate_cfo_per_antenna(y, ml).metric != vector.metric
+    for priors in (prior, [prior]):
+        got = estimate_cfo_per_antenna(y, ml, priors)
+        assert np.array_equal(got.f_hat, vector.f_hat) and got.metric == vector.metric
 
 
 def test_per_antenna_noiseless_distinct_offsets(rng):
@@ -906,7 +884,7 @@ def test_per_antenna_noiseless_distinct_offsets(rng):
     model = make_model(2, 2, 1.0)
     stats = build_stats(model, pilot.n)
     y, _ = draw_y(rng, pilot, model, stats, np.array([0.05, -0.08]), noisy=False)
-    est = estimate_cfo_per_antenna(y, pilot, stats, CfoPrior.ml())
+    est = estimate_cfo_per_antenna(y, build_workspace(pilot, 2, stats, CfoPrior.ml()))
     np.testing.assert_allclose(est.f_hat, [0.05, -0.08], atol=1e-6)
     assert not est.degraded
 
@@ -924,9 +902,49 @@ def test_per_antenna_degraded_fallback(rng, monkeypatch):
         return np.zeros(2), np.zeros((2, 2))
 
     monkeypatch.setattr(est_mod, "_per_antenna_grad_hess", singular)
-    est = est_mod.estimate_cfo_per_antenna(y, pilot, stats, prior)
+    est = est_mod.estimate_cfo_per_antenna(y, build_workspace(pilot, 2, stats, prior))
     assert est.degraded and not est.converged
     assert est.f_hat.shape == (2,)
+
+
+@pytest.mark.parametrize("accepted", [0, 1])
+def test_per_antenna_stops_unconverged_when_every_halving_fails(rng, monkeypatch, accepted):
+    # after `accepted` steps every step lowers the metric at every length
+    # tried: the refinement stops there, unconverged but not degraded, and
+    # counts only the steps it took
+    import cfomimo.estimator as est_mod
+
+    pilot = generate_td_pilot(2, 4)
+    # correlated receive antennas, so stage 1 is not already the joint optimum
+    model = make_model(2, 2, 0.9, spatial="exponential", mean="rician")
+    stats = build_stats(model, pilot.n)
+    ws = build_workspace(pilot, 2, stats, CfoPrior(0.05, 1e-4))
+    y, _ = draw_y(rng, pilot, model, stats, 0.05)
+    free = estimate_cfo_per_antenna(y, ws)
+    assert free.converged and free.iterations > accepted
+    metric, grad_hess = est_mod.per_antenna_metric, est_mod._per_antenna_grad_hess
+    steps, seen, refused = [], [], []
+
+    def counting(*args):
+        steps.append(None)
+        return grad_hess(*args)
+
+    def lowered(y, f_vec, ws, prior=None):
+        # the final metrics are read at the wrapped offsets, within an ulp
+        if len(steps) <= accepted:  # stage 1 and the steps let through
+            seen.append(np.array(f_vec))
+        elif min(np.max(np.abs(f_vec - f)) for f in seen) > 1e-15:
+            refused.append(np.array(f_vec))
+            return -np.inf
+        return metric(y, f_vec, ws, prior)
+
+    monkeypatch.setattr(est_mod, "_per_antenna_grad_hess", counting)
+    monkeypatch.setattr(est_mod, "per_antenna_metric", lowered)
+    est = estimate_cfo_per_antenna(y, ws)
+    assert not est.converged and not est.degraded
+    assert est.iterations == accepted and len(steps) == accepted + 1
+    assert len(refused) == NEWTON_HALVINGS + 1  # the full step and each halving
+    assert est.metric == metric(y, est.f_hat, ws) > -np.inf
 
 
 @pytest.mark.parametrize("maker,rho_h", [(generate_td_pilot, 1.0),
@@ -948,7 +966,7 @@ def test_per_antenna_never_ends_below_stage_one(maker, rho_h):
     rng.standard_normal(2 * pilot.n * l_r)
     x = synthesize_rx(pilot, l_r, 0.04, sample_ar1_trajectory(model, pilot.n, rng), rng)
     prior = CfoPrior(0.0, 1e-3)
-    est = estimate_cfo_per_antenna(x, pilot, stats, prior, workspace=ws)
+    est = estimate_cfo_per_antenna(x, ws, prior)
     # stage 1: the universal search on each antenna's own rows
     _, mu, inv_var = _prior_vectors(prior, l_r)
     z_rows = _lag_terms(x.reshape(l_r, pilot.n) * np.eye(l_r)[:, :, None], ws)[0]
@@ -1002,8 +1020,7 @@ Y_CALLERS = {
     "estimate_cfo_universal": lambda pilot, stats, ws, y: estimate_cfo_universal(y, ws),
     "estimate_cfo_universal_derotated": lambda pilot, stats, ws, y: estimate_cfo_universal(
         y, ws, derotate_by_prior_mean=True),
-    "estimate_cfo_per_antenna": lambda pilot, stats, ws, y: estimate_cfo_per_antenna(
-        y, pilot, stats, ws.prior, workspace=ws),
+    "estimate_cfo_per_antenna": lambda pilot, stats, ws, y: estimate_cfo_per_antenna(y, ws),
     "estimate_channel_mmse": lambda pilot, stats, ws, y: estimate_channel_mmse(y, 0.05, ws),
 }
 
@@ -1033,6 +1050,6 @@ def test_universal_search_always_reports_its_grid(rng):
         sizes = {len(est.diagnostics[key])
                  for key in ("grid_f0", "grid_candidates", "grid_metrics")}
         assert len(sizes) == 1 and 0 < sizes.pop() <= (grid_size or 4 * pilot.n)
-    assert estimate_cfo_per_antenna(y, pilot, stats, ws.prior, workspace=ws).diagnostics is None
+    assert estimate_cfo_per_antenna(y, ws).diagnostics is None
     with pytest.raises(TypeError, match="return_diagnostics"):
         estimate_cfo_universal(y, ws, return_diagnostics=True)

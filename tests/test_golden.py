@@ -139,9 +139,10 @@ def _per_antenna_cases():
     stats = build_stats(model, pilot.n)
     y = synthesize_rx(pilot, model.l_r, np.array([0.05, -0.08]),
                       sample_ar1_trajectory(model, pilot.n, rng), rng)
-    yield "demo-ml", estimate_cfo_per_antenna(y, pilot, stats, CfoPrior.ml())
+    ws = build_workspace(pilot, model.l_r, stats, CfoPrior.ml())
+    yield "demo-ml", estimate_cfo_per_antenna(y, ws)
     priors = [CfoPrior(0.05, 1e-6), CfoPrior(-0.08, 1e-6)]
-    yield "demo-priors", estimate_cfo_per_antenna(y, pilot, stats, priors)
+    yield "demo-priors", estimate_cfo_per_antenna(y, ws, priors)
     l_t, l_r = 2, 3
     for maker in (generate_periodic_pilot, generate_td_pilot):
         for rho_h in (0.0, 0.5, 1.0):
@@ -156,8 +157,7 @@ def _per_antenna_cases():
             x = synthesize_rx(pilot, l_r, 0.04,
                               sample_ar1_trajectory(model, pilot.n, rng), rng)
             yield (f"complex-kron-{maker.__name__}-{rho_h}",
-                   estimate_cfo_per_antenna(x, pilot, stats, CfoPrior(0.0, 1e-3),
-                                            workspace=ws))
+                   estimate_cfo_per_antenna(x, ws, CfoPrior(0.0, 1e-3)))
 
 
 def _per_antenna_record(est) -> dict:

@@ -980,6 +980,18 @@ def test_cli_validate_passes():
     assert main(["validate"]) == 0
 
 
+def test_cli_validate_fails_with_exit_1_naming_the_check(monkeypatch, capsys):
+    # CI relies on the exit code: one failing check fails the run, and the
+    # other checks still run and report
+    import cfomimo.simcli as cli
+
+    monkeypatch.setattr(cli, "_check_bound_ordering", lambda rng: (False, "forced failure"))
+    assert main(["validate"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "FAIL  bound ordering: forced failure" in lines
+    assert len(lines) == 9 and sum(line.startswith("PASS  ") for line in lines) == 8
+
+
 def test_validate_determinism_check_sees_block_dependence(monkeypatch):
     # a result that depends on how many trials share a block must fail the
     # check, which runs 8 trials in one block, in blocks of 3, 3 and 2, and
@@ -1062,7 +1074,7 @@ def test_each_sweep_point_sets_up_once_before_its_trials(monkeypatch):
     config = ExperimentConfig(**FAST, rho_h_grid=(0.0, 0.5, 1.0))
     run_bounds_vs_rho(config)
     points = len(PILOT_STRUCTURES) * len(config.rho_h_grid)
-    assert calls == ["make_model"] + ["build_stats", "evaluate_bounds"] * points
+    assert calls == ["make_model"] + ["build_stats", "build_workspace", "evaluate_bounds"] * points
     calls.clear()
     row_bytes = 8 * cli._trial_normals(config.n, config.l_r, config.l_t * config.l_r, True)
     monkeypatch.setattr(cli, "BLOCK_BYTES", 3 * row_bytes)  # two blocks of 3
@@ -1097,7 +1109,8 @@ def test_sweeps_single_and_oracle_form_no_channel_space_matrix(monkeypatch):
     rng = np.random.default_rng(5)
     y = synthesize_rx(pilot, config.l_r, [0.02, -0.03],
                       sample_ar1_trajectory(model, config.n, rng), rng)
-    assert estimate_cfo_per_antenna(y, pilot, stats, CfoPrior(0.0, 1e-3)).f_hat.shape == (2,)
+    ws = build_workspace(pilot, config.l_r, stats, CfoPrior(0.0, 1e-3))
+    assert estimate_cfo_per_antenna(y, ws).f_hat.shape == (2,)
     assert fisher_oracle(pilot, config.l_r, stats, n_samples=10,
                          rng=np.random.default_rng(0)) > 0
 
