@@ -1,9 +1,9 @@
 """Sweep CSVs, their --emit-plot-data series (<command>.plot.csv) and the
 single-trial JSON must keep matching the files in tests/golden/, which were
-recorded from tests/golden/config.yaml; so must mse-vs-snr and single on the
-large array of tests/configs/large.yaml (n = 128, tests/golden/large/), the
-per-antenna estimates of per_antenna.json and the stdout of every demo
-(demos/*.txt).
+recorded from tests/golden/config.yaml; so must the three sweeps and single
+on the large array of tests/configs/large.yaml (n = 128,
+tests/golden/large/), the per-antenna estimates of per_antenna.json and the
+stdout of every demo (demos/*.txt).
 
 Tolerances: the sweep coordinates, the plot figure, series and x, and the
 trial and failure counts are exact, crlb and bcrlb agree to a relative 1e-8,
@@ -113,12 +113,21 @@ def test_single_matches_golden(tmp_path):
     _check_single(out, GOLDEN / "single.json")
 
 
+LARGE_SWEEPS = {
+    "bounds-vs-rho": ["--rho-grid", "0:1:3"],
+    "bounds-vs-snr": [],
+    "mse-vs-snr": [],
+}
+
+
 def test_large_array_matches_golden(tmp_path):
     # the offset search at n = 128 (a 512-point grid, 127 lags), which no
-    # other golden reaches: 20 trials of mse-vs-snr and one single trial
-    out = tmp_path / "mse.csv"
-    assert main(["mse-vs-snr", "--config", LARGE, "--out", str(out)]) == 0
-    _check_sweep("mse-vs-snr", out, GOLDEN / "large" / "mse-vs-snr.csv")
+    # other golden reaches: 20 trials of mse-vs-snr and one single trial;
+    # and both bounds sweeps at l_t*l_r*n = 8192
+    for command, flags in LARGE_SWEEPS.items():
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--config", LARGE, *flags, "--out", str(out)]) == 0
+        _check_sweep(command, out, GOLDEN / "large" / f"{command}.csv")
     out = tmp_path / "single.json"
     assert main(["single", "--config", LARGE, "--out", str(out)]) == 0
     _check_single(out, GOLDEN / "large" / "single.json")
