@@ -20,13 +20,12 @@ with i.i.d. unit-variance circularly-symmetric complex Gaussian noise.
 Both samplers write h_k = mu + L e_k (L L^H = spatial_cov), where one
 zero-mean AR(1) recursion, _ar1, makes e_k from white innovations xi_k.
 sample_ar1_trajectory and synthesize_rx build y through the channel h.  The
-Monte-Carlo trials need only y, so they sample it in the receive space from
-the same normals: the mean passes through the pilot as ybar = Sb mu_h and
-G[k] = (I_r kron S[k, :]) L maps e_k to the n*l_r receive space
-(_receive_map, _received_trials).  One core, _innovations, reads the
-innovations from a trial's row of normals and makes e_k; after it a
-trajectory applies L and mu (_ar1_trajectories), a received signal G and
-ybar (_received_trials).  The two paths agree up to rounding.
+Monte-Carlo trials need only y, so _received_trials samples it in the n*l_r
+receive space from the same normals and a sweep point's workspace.  One
+core, _innovations, reads the innovations from a trial's row of normals and
+makes e_k; after it a trajectory applies L and mu (_ar1_trajectories), a
+received signal the pilot's map of L and the workspace's mean
+(_received_trials).  The two paths agree up to rounding.
 """
 
 from __future__ import annotations
@@ -382,52 +381,45 @@ def _ar1_trajectories(model: CorrelationModel, n: int, normals: np.ndarray) -> n
     return h.reshape(-1, n, model.l_r, model.l_t).transpose(0, 2, 1, 3).reshape(len(normals), -1)
 
 
-def _receive_map(model: CorrelationModel, entries: np.ndarray) -> np.ndarray:
-    """G[k] = (I_r kron S[k, :]) L for the (n, l_t) pilot entries S and the
-    spatial factor L (L L^H = spatial_cov), shape (n, l_r, l_t*l_r).
-
-    With h_k = mu + L e_k, the zero-offset noiseless sample of symbol k is
-    sum_t S[k, t] h[r, t, k] = ybar[r, k] + (G[k] e_k)[r], so G takes the
-    white innovations straight to the receive space.  Any L will do, so a
-    spatial covariance that is not a Kronecker product runs the same code.
-    """
-    factor = model._spatial_factor.reshape(model.l_r, model.l_t, -1)
-    return np.matmul(entries, factor).transpose(1, 0, 2)
-
-
 def _trial_normals(n: int, l_r: int, d: int, noise: bool) -> int:
     """Standard normals one trial of _received_trials takes: 2*n*d for its
     innovations, plus 2*l_r*n for its noise when it has noise."""
     return 2 * n * (d + (l_r if noise else 0))
 
 
-def _received_trials(rho_h: float, rx_map: np.ndarray, ybar: np.ndarray,
-                     f: np.ndarray, normals: np.ndarray) -> np.ndarray:
-    """Received signals (T, l_r, n) of T trials, sampled in the receive space.
+def _received_trials(model: CorrelationModel, ws, f: np.ndarray,
+                     normals: np.ndarray) -> np.ndarray:
+    """Received signals (T, n*l_r) of T trials of the model's channel under
+    the pilot of the workspace ws, sampled in the receive space.
 
     normals holds one row per trial of standard normals as a stream draws
     them for sample_ar1_trajectory and synthesize_rx: the innovations' real
     and imaginary parts (n, d each), then the noise's real and imaginary
     parts (l_r, n each); a row of exactly 2*n*d normals is a noiseless
-    trial.  rx_map is _receive_map's G (n, l_r, d), ybar the zero-offset
-    mean Sb mu_h (l_r, n) and f the T offsets.  _innovations makes the
-    zero-mean AR(1) e in time-major (n, T, d) layout; the mean of every
-    h_k is mu, which ybar carries.  Then y = D(f)(ybar +
-    G[k] e_k) + noise: one (l_r x d)(d) product per symbol and trial, so no
-    BLAS call spans two trials and a trial's y does not depend on its
-    block.  Same law as synthesize_rx of sample_ar1_trajectory from the
-    same draws, equal to it up to rounding.
+    trial.  f holds the T offsets.  _innovations makes the zero-mean AR(1)
+    e in time-major (n, T, d) layout.  With h_k = mu + L e_k (L L^H =
+    spatial_cov), the zero-offset noiseless sample of symbol k is
+    sum_t S[k, t] h[r, t, k] = ybar[r, k] + (G[k] e_k)[r], with ybar = Sb mu_h
+    the workspace's zero-offset mean and G[k] = (I_r kron S[k, :]) L for the
+    pilot entries S.  So y = D(f)(ybar + G[k] e_k) + noise: one
+    (l_r x d)(d) product per symbol and trial, so no BLAS call spans two
+    trials and a trial's y does not depend on its block.  Any L will do, so
+    a spatial covariance that is not a Kronecker product runs the same code.
+    Same law as synthesize_rx of sample_ar1_trajectory from the same draws,
+    equal to it up to rounding.
     """
-    n, l_r, d = rx_map.shape
-    e = _innovations(normals, n, d, rho_h)
+    n, l_r, d = ws.n, ws.l_r, model.l_t * model.l_r
+    factor = model._spatial_factor.reshape(l_r, model.l_t, d)
+    rx_map = np.matmul(ws.pilot.entries, factor).transpose(1, 0, 2)  # G, (n, l_r, d)
+    e = _innovations(normals, n, d, model.rho_h)
     y0 = np.matmul(rx_map[:, None], e[..., None])[..., 0]  # (n, T, l_r)
     y = np.empty(y0.shape[1:] + (n,), dtype=np.complex128)
-    np.add(ybar, y0.transpose(1, 2, 0), out=y)
+    np.add(ws.ybar.reshape(l_r, n), y0.transpose(1, 2, 0), out=y)
     y *= _phases(f, n)[:, None, :]
     if normals.shape[1] > 2 * n * d:
         noise = normals[:, 2 * n * d:].reshape(-1, 2, l_r, n)
         y += _unit_complex(noise[:, 0], noise[:, 1])
-    return y
+    return y.reshape(len(normals), -1)
 
 
 def _phases(f: np.ndarray, n: int) -> np.ndarray:

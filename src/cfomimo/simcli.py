@@ -8,15 +8,15 @@ so any other flag exits 2 as unrecognized: --config, --out and --snr-db on
 all four that run on a config, --emit-plot-data on the three sweeps,
 --rho-grid on bounds-vs-rho, --seed and --trials on mse-vs-snr, and --seed,
 --f-true, --zero-rx and --no-noise on single.  single's one trial is trial
-0 of the first SNR point, drawn (_draw_block) and sampled
+0 of the first SNR point, drawn (_BlockDraws) and sampled
 (channel._received_trials) through the sweep's own code, so its f_true and
 y are bit for bit those of mse-vs-snr's trial 0 there; its channel h comes
 from the same row of normals (channel._ar1_trajectories).  bounds-vs-rho
 and single run at the first SNR point only and name it on stderr when the
-grid has more; the SNR sweeps check every point's pilot power before the
-first point runs.  Every point, a bounds point included, builds one
-workspace (build_workspace) and reads its bounds from it (evaluate_bounds);
-the bounds sweeps are closed form and draw nothing.
+grid has more; every command checks every point's pilot power before the
+first point runs.  Every point of every command is set up one way
+(_point_setup): one workspace and the bounds read from it; the bounds
+sweeps are closed form and draw nothing.
 Experiments are driven by a YAML config file; command-line flags override
 file values.  Example config::
 
@@ -44,34 +44,14 @@ SNR is defined as pilot power times per-coefficient channel power with unit
 noise variance, so sweeps rescale the pilot power only.  Every trial draws
 from its own PCG64 stream, the one numpy's
 default_rng(SeedSequence(entropy=seed, spawn_key=(sweep point, trial)))
-gives, so results are reproducible; identical config and seed give
-byte-identical CSV output.  numpy's SeedSequence hashes the seed and sweep
-point; a block's streams mix in each trial's word and take PCG64's seeding
-step in one vectorized pass (_pcg64_states), and a thread drawing trials
-loads their states in turn into one reused generator of its own
-(_BlockDraws).  Every trial stream, single's included, is seeded so.  Trials
-run in the fewest blocks that fit their rows of normals into BLOCK_BYTES
-(2 MiB) each, with sizes that differ by at most one (_block_sizes), so no
-block is a small tail.  A sweep point of two or more blocks has two such
-buffers and one helper thread, and each block's draws are a queue of its
-trials that both threads drain, one trial at a time (_BlockDraws): both
-draw block 0; the helper starts on block b + 1, into the other buffer, as
-soon as block b is drawn, while the calling thread samples and searches
-block b, then draws what is left of block b + 1 itself, so it waits for
-at most the helper's one trial in flight.  The helper is joined before
-the point returns; a one-block point has one buffer and starts no thread.
-Each trial fills its row in one standard_normal call, which releases the
-GIL, with the normals sample_ar1_trajectory and synthesize_rx would draw
-from its stream, but mse-vs-snr takes them straight to the n*l_r received
-signal: channel._received_trials splits the rows, runs the AR(1)
-recursion on the white innovations (channel._innovations, the core the
-channel trajectories share) and applies one map per symbol,
-G[k] = (I_r kron S[k, :]) L, in place of the l_t*l_r*n channel and its
-projection through the pilot.  The batched estimator core then searches
-the whole block.  A trial's result does not depend on the block it ran
-in, nor on the thread that drew it.  The workers config key, which has no
-flag, is accepted and must be >= 0, but has no effect: the one helper
-sharing the draws is not a setting.
+gives (_pcg64_states), so results are reproducible; identical config and
+seed give byte-identical CSV output.  A sweep point runs its trials in
+blocks whose draws it shares with one helper thread (_run_point_trials,
+_BlockDraws), and samples each block's received signals in the n*l_r
+receive space (channel._received_trials); a trial's result does not depend
+on the block it ran in, nor on the thread that drew it.  The workers config
+key, which has no flag, is accepted and must be >= 0, but has no effect:
+the one helper sharing the draws is not a setting.
 
 CSV schema (fixed): sweep_var,value,mse,crlb,bcrlb,trials,failures,mean_iters,
 one column per SweepRow field, with infinities serialized as "inf" and
@@ -97,9 +77,8 @@ from operator import attrgetter
 import numpy as np
 
 from .bounds import compute_beta, evaluate_bounds
-from .channel import (CfoPrior, _ar1_trajectories, _receive_map, _received_trials,
-                      _trial_normals, build_stats, make_model, sample_ar1_trajectory,
-                      synthesize_rx)
+from .channel import (CfoPrior, _ar1_trajectories, _received_trials, _trial_normals,
+                      build_stats, make_model, sample_ar1_trajectory, synthesize_rx)
 from .errors import (EstimationError, ModelError, NumericalError,
                      ParameterError, _coerce)
 from .estimator import (build_workspace, compute_z, estimate_cfo_universal,
@@ -411,46 +390,56 @@ def _check_offset(name: str, f: float):
         raise ParameterError(f"{name} must lie in the acquisition range [-0.5, 0.5), got {f}")
 
 
-def _snr_to_rho(config: ExperimentConfig, snr_db: float, model) -> float:
-    """The pilot power rho at snr_db; ParameterError naming snr_db unless
-    the pilot's total power n*rho is finite.  A sweep over the SNR grid
-    takes every point's rho before its first point runs."""
-    # SNR = rho * per-coefficient channel power, unit noise variance
-    rho = 10.0 ** (snr_db / 10.0) / model.per_coefficient_power()
-    if not math.isfinite(config.n * rho):
-        raise ParameterError(f"snr_db must give a pilot of finite total power n*rho "
-                             f"(n = {config.n}), got {snr_db}")
-    return rho
+def _snr_to_rho(config: ExperimentConfig, model) -> list:
+    """The pilot power rho of every SNR point, in grid order; ParameterError
+    naming the first snr_db whose pilot's total power n*rho is not finite.
+    Every command takes them all before its first point runs, a command
+    that runs at the first point only included."""
+    rhos = []
+    for snr_db in config.snr_db:
+        # SNR = rho * per-coefficient channel power, unit noise variance
+        rhos.append(10.0 ** (snr_db / 10.0) / model.per_coefficient_power())
+        if not math.isfinite(config.n * rhos[-1]):
+            raise ParameterError(f"snr_db must give a pilot of finite total power n*rho "
+                                 f"(n = {config.n}), got {snr_db}")
+    return rhos
 
 
-def _point_setup(config: ExperimentConfig, rho: float, stats, prior: CfoPrior):
-    """(workspace, bounds) of the sweep point of pilot power rho: the
-    workspace of the pilot, which holds the pilot and prior, and the bounds
-    read from it."""
-    ws = build_workspace(config.pilot(rho), config.l_r, stats, prior)
+def _point_setup(config: ExperimentConfig, pilot, stats, prior: CfoPrior):
+    """(workspace, bounds) of one sweep point of any command: the workspace
+    of the pilot, stats and prior, and the bounds read from it.  Its one
+    evaluate_bounds call comes after the point's other set-up."""
+    ws = build_workspace(pilot, config.l_r, stats, prior)
     return ws, evaluate_bounds(ws)
+
+
+def _bounds_sweep(config: ExperimentConfig, sweep_var: str, prior: CfoPrior,
+                  points) -> SweepResult:
+    """The closed-form rows of a bounds sweep, one per (structure, value,
+    pilot, stats) point, each set up as it is reached; no sampling."""
+    rows = []
+    for structure, value, pilot, stats in points:
+        res = _point_setup(config, pilot, stats, prior)[1]
+        rows.append(SweepRow(f"{sweep_var}[{structure}]", value, None,
+                             res.crlb, res.bcrlb, 0, 0, None))
+    return SweepResult(rows=tuple(rows))
 
 
 def run_bounds_vs_rho(config: ExperimentConfig) -> SweepResult:
     """Closed-form CRLB/BCRLB over a rho_h grid for both pilot structures.
 
-    No sampling; evaluated at the first SNR grid point.  The model and, per
-    structure, the pilot are built once: neither the per-coefficient power
-    nor the pilot depends on rho_h.
+    Evaluated at the first SNR grid point.  The model and, per structure,
+    the pilot are built once: neither the per-coefficient power nor the
+    pilot depends on rho_h.  Each rho_h point builds its own stats.
     """
     grid = config.rho_h_grid or tuple(np.linspace(0.0, 1.0, 50))
     prior = config.prior()
     model = config.model()
-    rho = _snr_to_rho(config, config.snr_db[0], model)
-    rows = []
-    for structure in PILOT_STRUCTURES:
-        pilot = config.pilot(rho, structure)
-        for rho_h in grid:
-            stats = build_stats(model, config.n, rho_h)
-            res = evaluate_bounds(build_workspace(pilot, config.l_r, stats, prior))
-            rows.append(SweepRow(f"rho_h[{structure}]", rho_h, None,
-                                 res.crlb, res.bcrlb, 0, 0, None))
-    return SweepResult(rows=tuple(rows))
+    rho = _snr_to_rho(config, model)[0]
+    pilots = ((structure, config.pilot(rho, structure)) for structure in PILOT_STRUCTURES)
+    return _bounds_sweep(config, "rho_h", prior, (
+        (structure, rho_h, pilot, build_stats(model, config.n, rho_h))
+        for structure, pilot in pilots for rho_h in grid))
 
 
 def run_bounds_vs_snr(config: ExperimentConfig) -> SweepResult:
@@ -458,15 +447,10 @@ def run_bounds_vs_snr(config: ExperimentConfig) -> SweepResult:
     prior = config.prior()
     model = config.model()
     stats = build_stats(model, config.n)
-    rhos = [_snr_to_rho(config, snr_db, model) for snr_db in config.snr_db]
-    rows = []
-    for structure in PILOT_STRUCTURES:
-        for snr_db, rho in zip(config.snr_db, rhos):
-            ws = build_workspace(config.pilot(rho, structure), config.l_r, stats, prior)
-            res = evaluate_bounds(ws)
-            rows.append(SweepRow(f"snr_db[{structure}]", snr_db, None,
-                                 res.crlb, res.bcrlb, 0, 0, None))
-    return SweepResult(rows=tuple(rows))
+    rhos = _snr_to_rho(config, model)
+    return _bounds_sweep(config, "snr_db", prior, (
+        (structure, snr_db, config.pilot(rho, structure), stats)
+        for structure in PILOT_STRUCTURES for snr_db, rho in zip(config.snr_db, rhos)))
 
 
 class _BlockDraws:
@@ -515,24 +499,17 @@ class _BlockDraws:
         return i, self._states[i]
 
     def draw(self):
-        """Draw trials from the queue on this thread until it is empty; a
-        trial another thread took may still be in flight on return."""
+        """Draw trials from the queue on this thread until it is empty, and
+        return the block's f_true (T,) and rows of normals (T, row), which
+        _received_trials makes into y; a trial another thread took may still
+        be in flight on return."""
         rng = np.random.Generator(np.random.PCG64(0))
         for i, state in iter(self.take, None):
             rng.bit_generator.state = state
             if self._prior is not None:
                 self.f_true[i] = self._prior.sample(rng)
             rng.standard_normal(out=self.rows[i])
-
-
-def _draw_block(config: ExperimentConfig, point: int, trials: range, prior: CfoPrior,
-                normals: np.ndarray | None = None):
-    """f_true (T,) and the rows of normals (T, row) of the given trials,
-    every draw made on this thread (_BlockDraws).  _received_trials makes
-    the rows into y."""
-    draws = _BlockDraws(config, point, trials, prior, normals)
-    draws.draw()
-    return draws.f_true, draws.rows
+        return self.f_true, self.rows
 
 
 def _block_sizes(trials: int, cap: int) -> list:
@@ -559,14 +536,11 @@ def _run_point_trials(config: ExperimentConfig, point: int, model, ws):
     only for the helper's trial in flight, so it never waits for a whole
     block.  A one-block point draws on this thread alone and starts no
     thread.  The helper is joined before this returns or raises, and its
-    exception reaches the caller.  The received signals are sampled in the
-    receive space: the point's map G[k] = (I_r kron S[k, :]) L takes each
-    trial's white innovations, run through the AR(1) recursion, straight to
-    y, and the l_t*l_r*n channel is never formed.
+    exception reaches the caller.  _received_trials samples each block's
+    received signals in the receive space, so the l_t*l_r*n channel is
+    never formed.
     """
-    rx_map = _receive_map(model, ws.pilot.entries)
-    ybar = ws.ybar.reshape(config.l_r, config.n)
-    row = _trial_normals(*rx_map.shape, config.noise)
+    row = _trial_normals(config.n, config.l_r, config.l_t * config.l_r, config.noise)
     sizes = _block_sizes(config.trials, max(1, BLOCK_BYTES // (8 * row)))
     blocks = [range(end - size, end) for size, end in zip(sizes, accumulate(sizes))]
     # block b's rows go to buffers[b % 2], free again once block b - 2 has
@@ -581,19 +555,17 @@ def _run_point_trials(config: ExperimentConfig, point: int, model, ws):
     with ThreadPoolExecutor(max_workers=1) as helper:
         draws = _BlockDraws(config, point, blocks[0], ws.prior, buffers[0])
         shared = helper.submit(draws.draw) if len(blocks) > 1 else None
-        for b, trials in enumerate(blocks):
-            draws.draw()
+        for b in range(len(blocks)):
+            f_true, rows = draws.draw()
             # a helper that has not yet started on the block has nothing in
             # flight: cancelling spares the wait for it to be scheduled
             if shared is not None and not shared.cancel():
                 shared.result()
-            f_true, rows = draws.f_true, draws.rows
             if b + 1 < len(blocks):
                 draws = _BlockDraws(config, point, blocks[b + 1], ws.prior,
                                     buffers[(b + 1) % 2])
                 shared = helper.submit(draws.draw)
-            y = _received_trials(model.rho_h, rx_map, ybar, f_true, rows)
-            est = estimate_cfo_universal_batch(y.reshape(len(trials), -1), ws)
+            est = estimate_cfo_universal_batch(_received_trials(model, ws, f_true, rows), ws)
             ok = ~est.failed
             sq_errors.append((est.f_hat[ok] - f_true[ok]) ** 2)
             iterations.append(est.iterations[ok])
@@ -608,10 +580,9 @@ def run_mse_vs_snr(config: ExperimentConfig) -> SweepResult:
     prior = config.prior()
     model = config.model()
     stats = build_stats(model, config.n)
-    rhos = [_snr_to_rho(config, snr_db, model) for snr_db in config.snr_db]
     rows = []
-    for point, (snr_db, rho) in enumerate(zip(config.snr_db, rhos)):
-        ws, res = _point_setup(config, rho, stats, prior)
+    for point, (snr_db, rho) in enumerate(zip(config.snr_db, _snr_to_rho(config, model))):
+        ws, res = _point_setup(config, config.pilot(rho), stats, prior)
         mse, failures, mean_iters = _run_point_trials(config, point, model, ws)
         rows.append(SweepRow("snr_db", snr_db, mse, res.crlb, res.bcrlb,
                              config.trials, failures, mean_iters))
@@ -630,13 +601,12 @@ def run_single(config: ExperimentConfig, f_true_override: float | None = None,
     prior = config.prior()
     model = config.model()
     stats = build_stats(model, config.n)
-    ws, res = _point_setup(config, _snr_to_rho(config, config.snr_db[0], model), stats, prior)
+    ws, res = _point_setup(config, config.pilot(_snr_to_rho(config, model)[0]), stats, prior)
     # a pinned offset is the mean of the flat ML prior, which no trial samples
-    f_true, rows = _draw_block(config, 0, range(1), prior if f_true_override is None
-                               else CfoPrior.ml(f_true_override))
+    f_true, rows = _BlockDraws(config, 0, range(1), prior if f_true_override is None
+                               else CfoPrior.ml(f_true_override)).draw()
     h = _ar1_trajectories(model, config.n, rows)[0]
-    y = _received_trials(model.rho_h, _receive_map(model, ws.pilot.entries),
-                         ws.ybar.reshape(config.l_r, config.n), f_true, rows)[0].ravel()
+    y = _received_trials(model, ws, f_true, rows)[0]
     if force_zero_rx:
         y[:] = 0.0
     f_true = float(f_true[0])
@@ -780,7 +750,7 @@ def _check_fisher_formula(rng):
 
 
 def _check_trial_streams(rng):
-    """The sweep's own draws (_draw_block) and samples (_received_trials)
+    """The sweep's own draws (_BlockDraws) and samples (_received_trials)
     against numpy's stream of each trial, at boundary seeds, points and
     trial indices, on a random setup per seed: the prior draw and the row of
     normals bit for bit, and y within 1e-12 of sample_ar1_trajectory +
@@ -791,11 +761,10 @@ def _check_trial_streams(rng):
         pilot, model, stats, prior = _random_setup(rng)
         l_r, n = model.l_r, pilot.n
         config = ExperimentConfig(l_t=pilot.l_t, m=n // pilot.l_t, l_r=l_r, seed=seed)
-        rx_map = _receive_map(model, pilot.entries)
-        ybar = build_workspace(pilot, l_r, stats, prior).ybar.reshape(l_r, n)
+        ws = build_workspace(pilot, l_r, stats, prior)
         for point in (0, 1, 2 ** 32 + 1):
-            f_true, rows = _draw_block(config, point, trials, prior)
-            y = _received_trials(model.rho_h, rx_map, ybar, f_true, rows)
+            f_true, rows = _BlockDraws(config, point, trials, prior).draw()
+            y = _received_trials(model, ws, f_true, rows)
             for i, trial in enumerate(trials):
                 stream = np.random.default_rng(np.random.SeedSequence(seed,
                                                                       spawn_key=(point, trial)))
@@ -807,8 +776,7 @@ def _check_trial_streams(rng):
                 stream.bit_generator.state = state
                 want = synthesize_rx(pilot, l_r, f, sample_ar1_trajectory(model, n, stream),
                                      stream)
-                worst = max(worst, float(np.max(np.abs(y[i].ravel() - want))
-                                         / np.max(np.abs(want))))
+                worst = max(worst, float(np.max(np.abs(y[i] - want)) / np.max(np.abs(want))))
                 count += 1
     return worst < 1e-12, (f"{count} streams: prior draw and row of normals bit-identical, "
                            f"worst relative y gap {worst:.2e}")

@@ -102,9 +102,9 @@ class DrawLog:
                 self.taken.setdefault(draws, []).append((trial[0], threading.current_thread()))
             return trial
 
-        def recording_received(rho_h, rx_map, ybar, f_true, rows):
+        def recording_received(model, ws, f_true, rows):
             self.sampled.append((f_true.copy(), rows.copy(), rows))
-            return received(rho_h, rx_map, ybar, f_true, rows)
+            return received(model, ws, f_true, rows)
 
         monkeypatch.setattr(simcli._BlockDraws, "take", recording_take)
         monkeypatch.setattr(simcli, "_received_trials", recording_received)

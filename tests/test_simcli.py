@@ -16,10 +16,10 @@ import yaml
 
 from cfomimo import (CfoPrior, ParameterError, build_stats, build_workspace,
                      sample_ar1_trajectory, synthesize_rx)
-from cfomimo.channel import _receive_map, _received_trials
+from cfomimo.channel import _received_trials
 from cfomimo.simcli import (CONFIG_PATHS, CSV_HEADER, MINIMUMS, PILOT_STRUCTURES,
                             ExperimentConfig,
-                            _block_sizes, _draw_block, _pcg64_states,
+                            _block_sizes, _BlockDraws, _pcg64_states,
                             load_config, main, run_bounds_vs_rho, run_bounds_vs_snr,
                             run_mse_vs_snr, run_single)
 
@@ -349,11 +349,12 @@ def hold_back(monkeypatch, held: str):
         if on_sweep == (held == "sweep"):
             arrived.set()
             assert drained.wait(timeout=30)
-            draw(draws)
+            return draw(draws)
         else:
             assert arrived.wait(timeout=30)
-            draw(draws)
+            drawn = draw(draws)
             drained.set()
+            return drawn
 
     monkeypatch.setattr(cli._BlockDraws, "draw", ordered)
 
@@ -526,14 +527,12 @@ def test_one_call_draws_match_four_calls(noise):
     config = ExperimentConfig(**FAST, noise=noise)
     n, l_r, d = config.n, config.l_r, config.l_t * config.l_r
     prior, model = config.prior(), config.model()
-    pilot = config.pilot(2.0)
-    rx_map = _receive_map(model, pilot.entries)
-    ybar = np.zeros((l_r, n), dtype=np.complex128)
+    ws = build_workspace(config.pilot(2.0), l_r, build_stats(model, n), prior)
     trials = range(3, 8)
     width = 2 * n * d + (2 * l_r * n if noise else 0)
     # a sweep point's buffer, larger than the block and holding stale rows
     stale = np.full((len(trials) + 2, width), np.nan)
-    f_true, rows = _draw_block(config, 2, trials, prior, stale)
+    f_true, rows = _BlockDraws(config, 2, trials, prior, stale).draw()
     assert np.shares_memory(rows, stale) and rows.shape == (len(trials), width)
     for i, trial in enumerate(trials):
         rng = reference_trial_rng(config.seed, 2, trial)
@@ -543,10 +542,10 @@ def test_one_call_draws_match_four_calls(noise):
             parts += [rng.standard_normal((l_r, n)), rng.standard_normal((l_r, n))]
         np.testing.assert_array_equal(rows[i], np.concatenate([p.ravel() for p in parts]))
     assert np.isnan(stale[len(trials):]).all()
-    y = _received_trials(model.rho_h, rx_map, ybar, f_true, rows)
+    y = _received_trials(model, ws, f_true, rows)
     # a fresh buffer gives the same draws and signals
-    fresh_f, fresh_rows = _draw_block(config, 2, trials, prior)
-    fresh_y = _received_trials(model.rho_h, rx_map, ybar, fresh_f, fresh_rows)
+    fresh_f, fresh_rows = _BlockDraws(config, 2, trials, prior).draw()
+    fresh_y = _received_trials(model, ws, fresh_f, fresh_rows)
     for got, want in zip((fresh_f, fresh_rows, fresh_y), (f_true, rows, y)):
         np.testing.assert_array_equal(got, want)
 
@@ -591,11 +590,10 @@ def test_receive_space_sampler_matches_channel_path(spatial, rho_h):
                                   sigma_f_sq=1e-3)
         prior, pilot, n = config.prior(), config.pilot(2.0), config.n
         ws = build_workspace(pilot, l_r, build_stats(model, n), prior)
-        rx_map, ybar = _receive_map(model, pilot.entries), ws.ybar.reshape(l_r, n)
 
         def sample(trials):
-            f_true, rows = _draw_block(config, 1, trials, prior)
-            return f_true, _received_trials(model.rho_h, rx_map, ybar, f_true, rows)
+            f_true, rows = _BlockDraws(config, 1, trials, prior).draw()
+            return f_true, _received_trials(model, ws, f_true, rows)
 
         f_true, y = sample(trials)
         for i, trial in enumerate(trials):
@@ -604,7 +602,7 @@ def test_receive_space_sampler_matches_channel_path(spatial, rho_h):
             h = sample_ar1_trajectory(model, n, rng)
             want = synthesize_rx(pilot, l_r, f, h, rng if noise else None)
             assert f_true[i] == f
-            np.testing.assert_allclose(y[i].ravel(), want, rtol=0,
+            np.testing.assert_allclose(y[i], want, rtol=0,
                                        atol=1e-12 * np.max(np.abs(want)))
             alone = sample(range(trial, trial + 1))[1]
             np.testing.assert_array_equal(alone[0], y[i])
@@ -729,9 +727,9 @@ def test_single_is_trial_zero_of_the_sweep(monkeypatch, base, mode, noise):
     received, batch, single = (cli._received_trials, cli.estimate_cfo_universal_batch,
                                cli.estimate_cfo_universal)
 
-    def recording_received(rho_h, rx_map, ybar, f_true, rows):
+    def recording_received(model, ws, f_true, rows):
         seen["f_true"].append(f_true.copy())
-        return received(rho_h, rx_map, ybar, f_true, rows)
+        return received(model, ws, f_true, rows)
 
     def recording_batch(y, ws):
         seen["batch"].append(y.copy())
