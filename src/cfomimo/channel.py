@@ -176,8 +176,8 @@ def make_model(l_t: int, l_r: int, rho_h: float, *, spatial: str = "iid",
     if mean == "zero":
         mu = np.zeros(d, dtype=np.complex128)
     elif mean == "rician":
-        if rician_k < 0:
-            raise ModelError("rician_k must be nonnegative")
+        if not 0.0 <= rician_k < math.inf:  # a NaN fails too
+            raise ModelError(f"rician_k must be nonnegative and finite, got {rician_k}")
         mu = np.full(d, math.sqrt(sigma_h_sq * rician_k / (rician_k + 1.0)),
                      dtype=np.complex128)
         cov = cov / (rician_k + 1.0)

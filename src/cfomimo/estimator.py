@@ -83,6 +83,7 @@ trials, so a trial's results do not depend on the batch it was run in.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -571,12 +572,13 @@ def estimate_channel_mmse(y: np.ndarray, f_hat, ws: EstimatorWorkspace) -> np.nd
 
 
 def _prior_vectors(prior, l_r: int):
-    if isinstance(prior, CfoPrior):
-        priors = [prior] * l_r
-    else:
-        priors = list(prior)
-        if len(priors) != l_r:
-            raise ParameterError(f"need one prior per receive antenna ({l_r})")
+    """(priors, mu, inv_var) of one CfoPrior for every receive antenna or a
+    sequence of l_r of them; ParameterError for anything else."""
+    priors = [prior] * l_r if isinstance(prior, CfoPrior) else prior
+    if (not isinstance(priors, Sequence) or len(priors) != l_r
+            or not all(isinstance(p, CfoPrior) for p in priors)):
+        raise ParameterError(f"need one prior per receive antenna ({l_r}): a CfoPrior or "
+                             f"a sequence of {l_r} of them, got {prior!r}")
     mu = np.array([p.mu_f for p in priors], dtype=float)
     inv_var = np.array([p.inv_var for p in priors], dtype=float)
     return priors, mu, inv_var

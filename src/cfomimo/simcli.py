@@ -826,6 +826,10 @@ def _rho_grid(text: str) -> tuple:
     if len(parts) != 3:
         raise ParameterError(f"--rho-grid must be START:STOP:COUNT, got {text!r}")
     start, stop = (_coerce("--rho-grid", v, float) for v in parts[:2])
+    # named before linspace could warn on a NaN or an overflowing span
+    for name, value in (("START", start), ("STOP", stop), ("STOP - START", stop - start)):
+        if not math.isfinite(value):
+            raise ParameterError(f"--rho-grid {name} must be finite, got {value}")
     count = _coerce("--rho-grid COUNT", parts[2], int)
     if count < 1:
         raise ParameterError(f"--rho-grid COUNT must be >= 1, got {count}")
@@ -865,13 +869,13 @@ def _sweep(runner, figure: str):
 
 def _at_first_snr(step):
     """The step of a command that runs at the first SNR point only; a grid
-    of more points gets one stderr line naming the SNR used and how many
-    points are ignored."""
+    of more points gets one stderr line, once the step has run, naming the
+    SNR used and how many points are ignored."""
     def run(config: ExperimentConfig, args):
+        step(config, args)
         if len(config.snr_db) > 1:
             print(f"note: {args.command} uses the first snr_db point, {config.snr_db[0]!r} dB, "
                   f"and ignores the other {len(config.snr_db) - 1}", file=sys.stderr)
-        step(config, args)
     return run
 
 

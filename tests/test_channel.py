@@ -118,6 +118,10 @@ def test_malformed_model_stats_and_channel_are_rejected_by_name():
          "unknown spatial model 'bogus'"),
         (lambda: make_model(2, 2, 0.5, mean="rician", rician_k=-1.0), ModelError,
          "rician_k must be nonnegative"),
+        (lambda: make_model(2, 2, 0.5, mean="rician", rician_k=float("nan")), ModelError,
+         "rician_k must be nonnegative and finite, got nan"),
+        (lambda: make_model(2, 2, 0.5, mean="rician", rician_k=float("inf")), ModelError,
+         "rician_k must be nonnegative and finite, got inf"),
         (lambda: make_model(2, 2, 0.5, mean="bogus"), ModelError, "unknown mean model 'bogus'"),
         (lambda: ChannelStats(1, 2, 2, np.zeros(3), np.eye(4)), ModelError,
          r"mu_h must have shape \(4,\) and sigma_h \(4, 4\), .* got \(3,\) and \(4, 4\)"),

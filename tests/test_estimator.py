@@ -554,6 +554,13 @@ def test_per_antenna_input_errors():
     ws = build_workspace(pilot, 2, stats, CfoPrior.ml())
     with pytest.raises(ParameterError, match=r"need one prior per receive antenna \(2\)"):
         estimate_cfo_per_antenna(y0, ws, [CfoPrior.ml()] * 3)
+    # anything but one CfoPrior or a sequence of l_r of them is named as such
+    for prior in ("ab", (0.1, 0.2), [CfoPrior(), None], 5):
+        for call in (lambda: estimate_cfo_per_antenna(y0, ws, prior),
+                     lambda: per_antenna_metric(y0, np.zeros(2), ws, prior)):
+            with pytest.raises(ParameterError, match=r"need one prior per receive antenna \(2\): "
+                               r"a CfoPrior or a sequence of 2 of them, got "):
+                call()
     with pytest.raises(EstimationError, match="degenerate metric"):
         estimate_cfo_per_antenna(y0, ws, [CfoPrior.ml()] * 2)
 

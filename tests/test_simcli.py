@@ -883,6 +883,11 @@ def test_cli_error_paths(tmp_path, capsys):
         assert main(argv) == 1, argv
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: rho_h must lie in [0, 1]"), (argv, err)
+    # a non-finite end or span is named before linspace could warn on it
+    for grid, message in (("0:inf:3", "--rho-grid STOP must be finite, got inf"),
+                          ("1e308:-1e308:3", "--rho-grid STOP - START must be finite, got -inf")):
+        assert main(["bounds-vs-rho", "--rho-grid", grid]) == 1, grid
+        assert capsys.readouterr() == ("", f"error: {message}\n"), grid
     bad.write_text("channel: {rho_h: 1.5}\n")
     assert main(["bounds-vs-snr", "--config", str(bad)]) == 1
     assert capsys.readouterr().err.startswith("error: rho_h must lie in [0, 1]")
@@ -941,7 +946,9 @@ def test_a_bad_snr_point_fails_before_any_point_runs(monkeypatch, capsys):
 
     for name in ("build_workspace", "evaluate_bounds", "_pcg64_states"):
         monkeypatch.setattr(cli, name, counting(name))
-    for argv in (["bounds-vs-snr"], ["mse-vs-snr", "--trials", "20000"]):
+    # the first-point commands too, although they run at 10 dB only
+    for argv in (["bounds-vs-snr"], ["mse-vs-snr", "--trials", "20000"],
+                 ["bounds-vs-rho", "--rho-grid", "0:1:3"], ["single"]):
         assert main([*argv, "--snr-db", "10,20,3070"]) == 1, argv
         out, err = capsys.readouterr()
         assert out == "" and err == ("error: snr_db must give a pilot of finite total power "
