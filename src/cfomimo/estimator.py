@@ -68,17 +68,19 @@ stationary condition at each point, keeps the candidate with the best
 metric, and polishes it by repeating the linearized step.  No phase
 unwrapping is involved anywhere.
 
-On the grid f_g = -1/2 + g/G the step needs sum_k e^{j 2 pi f_g k} {z_k,
-k z_k, k^2 z_k}; since e^{j 2 pi f_g k} = (-1)^k e^{j 2 pi g k / G}, all G
-points come from one inverse FFT of length G of (-1)^k k^m z_k, with lags
-k >= G folded onto k mod G (the periodogram trick of Rife and Boorstyn,
-IEEE Trans. IT, 1974).  The candidates' metrics follow from the lag series
-by Horner's rule in e^{j 2 pi f}.  Every trial routine works on a batch of
-received signals at once, the single-trial functions being the batch of
-one: estimate_cfo_universal_batch takes a (T, n*l_r) array, forms all T
-lag series with one contraction against the K_i and refines all trials
-together under per-trial convergence masks.  No arithmetic mixes two
-trials, so a trial's results do not depend on the batch it was run in.
+On the grid f_g = -1/2 + g/G of G = 4n points the step needs
+sum_k e^{j 2 pi f_g k} {z_k, k z_k, k^2 z_k}; since e^{j 2 pi f_g k} =
+(-1)^k e^{j 2 pi g k / G}, all G points come from one inverse FFT of length
+G of (-1)^k k^m z_k, zero-padded from the n - 1 lags (the periodogram trick
+of Rife and Boorstyn, IEEE Trans. IT, 1974).  The refinements stop once a
+step is at most EPSILON, or after MAX_ITER steps.  The candidates' metrics
+follow from the lag series by Horner's rule in e^{j 2 pi f}.  Every trial
+routine works on a batch of received signals at once, the single-trial
+functions being the batch of one: estimate_cfo_universal_batch takes a
+(T, n*l_r) array, forms all T lag series with one contraction against the
+K_i and refines all trials together under per-trial convergence masks.  No
+arithmetic mixes two trials, so a trial's results do not depend on the
+batch it was run in.
 """
 
 from __future__ import annotations
@@ -90,13 +92,15 @@ from functools import cached_property
 import numpy as np
 
 from .channel import CfoPrior, ChannelStats, _phases, _rotation
-from .errors import EstimationError, NumericalError, ParameterError, _check_int
+from .errors import EstimationError, NumericalError, ParameterError
 from .pilots import PilotMatrix, expand_block
 
 CONDITION_LIMIT = 1e13
 DENOMINATOR_FLOOR = 1e-300
 METRIC_TIE_TOL = 1e-12
 NEWTON_HALVINGS = 10  # per-antenna refinement: a step is cut at most to 2^-10
+EPSILON = 1e-10  # both refinements stop once a step is at most this
+MAX_ITER = 10  # or after this many steps
 
 
 @dataclass(frozen=True)
@@ -110,7 +114,7 @@ class CfoEstimate:
     singular or it ended below the first stage's metric.  diagnostics is
     always set by the universal search (its usable grid points grid_f0, the
     candidates after one linearized step, grid_candidates, and their
-    metrics, grid_metrics, of equal length) and None for per-antenna
+    metrics, grid_metrics, at most 4n of each) and None for per-antenna
     estimates.
     """
 
@@ -390,18 +394,17 @@ def _step_terms(s1, s2, f0, mu_f, inv_var):
             np.real(s2) + prior_scale)
 
 
-def _grid_sums(z: np.ndarray, grid_size: int) -> np.ndarray:
-    """sum_k e^{j 2 pi f_g k} k^m z_k for m = 1, 2 at the G = grid_size points
-    f_g = -1/2 + g/G, shape (T, 2, G), by one unnormalized inverse FFT."""
+def _grid_sums(z: np.ndarray) -> np.ndarray:
+    """sum_k e^{j 2 pi f_g k} k^m z_k for m = 1, 2 at the G = 4n grid points
+    f_g = -1/2 + g/G of a (T, n-1) batch of lag series, shape (T, 2, G), by
+    one unnormalized inverse FFT."""
     trials, lags = z.shape
     k = np.arange(1, lags + 1)
-    width = -(-(lags + 1) // grid_size) * grid_size
-    terms = np.zeros((trials, 2, width), dtype=np.complex128)
+    terms = np.zeros((trials, 2, 4 * (lags + 1)), dtype=np.complex128)
     alternating = np.where(k % 2, -1.0, 1.0) * k
     terms[:, 0, 1:lags + 1] = alternating * z
     terms[:, 1, 1:lags + 1] = alternating * k * z
-    folded = terms.reshape(trials, 2, width // grid_size, grid_size).sum(axis=2)  # k -> k mod G
-    return np.fft.ifft(folded, axis=-1, norm="forward")
+    return np.fft.ifft(terms, axis=-1, norm="forward")
 
 
 @dataclass(frozen=True)
@@ -418,20 +421,13 @@ class _Search:
     metrics: np.ndarray     # (T, G) -inf where not usable
 
 
-def _universal_search(z: np.ndarray, mu_f: np.ndarray, inv_var: np.ndarray,
-                      grid_size: int | None, epsilon: float, max_iter: int) -> _Search:
+def _universal_search(z: np.ndarray, mu_f: np.ndarray, inv_var: np.ndarray) -> _Search:
     """Grid-plus-refinement search on a (T, n-1) batch of lag series, each
     row under its own prior mean and inverse variance."""
     trials, lags = z.shape
-    if grid_size is None:
-        grid_size = 4 * (lags + 1)
-    _check_int("grid_size", grid_size)
-    _check_int("max_iter", max_iter, 0)
-    if not 0.0 <= epsilon < np.inf:
-        raise ParameterError(f"epsilon must be finite and >= 0, got {epsilon!r}")
     mu_col, iv_col = mu_f[:, None], inv_var[:, None]
-    grid = -0.5 + np.arange(grid_size) / grid_size
-    s1, s2 = _grid_sums(z, grid_size).transpose(1, 0, 2)
+    s1, s2 = _grid_sums(z).transpose(1, 0, 2)
+    grid = -0.5 + np.arange(s1.shape[-1]) / s1.shape[-1]
     num, den = _step_terms(s1, s2, grid, mu_col, iv_col)
     usable = np.abs(den) >= DENOMINATOR_FLOOR
     fe = num / np.where(usable, den, 1.0)
@@ -445,7 +441,7 @@ def _universal_search(z: np.ndarray, mu_f: np.ndarray, inv_var: np.ndarray,
     f0 = np.where(failed, np.nan, candidates[rows, pick])
     step = np.where(failed, np.nan, fe[rows, pick])
     iterations = np.zeros(trials, dtype=int)
-    active = (np.abs(step) > epsilon) & (iterations < max_iter)
+    active = (np.abs(step) > EPSILON) & (iterations < MAX_ITER)
     k = np.arange(1, lags + 1)
     kz = k * z
     k2z = k * kz
@@ -465,8 +461,8 @@ def _universal_search(z: np.ndarray, mu_f: np.ndarray, inv_var: np.ndarray,
         step[idx] = fe
         f0[idx] += fe
         iterations[idx] += 1
-        active[idx] = (np.abs(fe) > epsilon) & (iterations[idx] < max_iter)
-    return _Search(f0=f0, iterations=iterations, converged=np.abs(step) <= epsilon,
+        active[idx] = (np.abs(fe) > EPSILON) & (iterations[idx] < MAX_ITER)
+    return _Search(f0=f0, iterations=iterations, converged=np.abs(step) <= EPSILON,
                    failed=failed, grid=grid, usable=usable, candidates=candidates,
                    metrics=metrics)
 
@@ -492,8 +488,7 @@ class CfoBatchEstimate:
     failed: np.ndarray
 
 
-def _estimate_rows(y3: np.ndarray, ws: EstimatorWorkspace, grid_size, epsilon,
-                   max_iter, derotate_by_prior_mean: bool):
+def _estimate_rows(y3: np.ndarray, ws: EstimatorWorkspace, derotate_by_prior_mean: bool):
     """The common-offset search on a validated (T, l_r, n) batch; returns the
     CfoBatchEstimate and the _Search behind it."""
     prior = ws.prior
@@ -503,8 +498,7 @@ def _estimate_rows(y3: np.ndarray, ws: EstimatorWorkspace, grid_size, epsilon,
         offset, mu_f = prior.mu_f, 0.0
     z, lag0 = _lag_terms(y3, ws)
     trials = z.shape[0]
-    search = _universal_search(z, np.full(trials, mu_f), np.full(trials, prior.inv_var),
-                               grid_size, epsilon, max_iter)
+    search = _universal_search(z, np.full(trials, mu_f), np.full(trials, prior.inv_var))
     f_hat = wrap_frequency(search.f0 + offset)
     iv = prior.inv_var
     metric = (lag0 + _lag_metric(z, (f_hat - offset)[:, None], 0.0, 0.0)[:, 0]
@@ -515,8 +509,6 @@ def _estimate_rows(y3: np.ndarray, ws: EstimatorWorkspace, grid_size, epsilon,
 
 
 def estimate_cfo_universal_batch(y: np.ndarray, ws: EstimatorWorkspace, *,
-                                 grid_size: int | None = None, epsilon: float = 1e-10,
-                                 max_iter: int = 10,
                                  derotate_by_prior_mean: bool = False) -> CfoBatchEstimate:
     """estimate_cfo_universal for every row of a (T, n*l_r) array of received
     signals, in one pass.
@@ -525,29 +517,25 @@ def estimate_cfo_universal_batch(y: np.ndarray, ws: EstimatorWorkspace, *,
     results do not depend on the other rows.  A row whose metric is
     degenerate is marked in failed instead of raising.
     """
-    return _estimate_rows(_received_rows(y, ws), ws, grid_size, epsilon, max_iter,
-                          derotate_by_prior_mean)[0]
+    return _estimate_rows(_received_rows(y, ws), ws, derotate_by_prior_mean)[0]
 
 
 def estimate_cfo_universal(y: np.ndarray, ws: EstimatorWorkspace, *,
-                           grid_size: int | None = None, epsilon: float = 1e-10,
-                           max_iter: int = 10,
                            derotate_by_prior_mean: bool = False) -> CfoEstimate:
     """Common-offset MAP estimate via the universal grid-plus-refinement search.
 
-    The default grid has 4n points over [-0.5, 0.5); each point gets one
-    linearized stationary step, the candidate with the largest MAP metric is
-    kept and then refined until the step falls below epsilon (at most
-    max_iter times).  With derotate_by_prior_mean the received signal is
+    The grid has 4n points over [-0.5, 0.5); each point gets one linearized
+    stationary step, the candidate with the largest MAP metric is kept and
+    then refined until the step is at most EPSILON (at most MAX_ITER
+    times).  With derotate_by_prior_mean the received signal is
     first rotated by exp(-j 2 pi mu_f k), which re-centers the acquisition
     range on the prior mean.  This is estimate_cfo_universal_batch on one
     row; a degenerate metric raises EstimationError.  diagnostics always
     holds the search's usable grid points (grid_f0), their candidates after
     one linearized step (grid_candidates) and those candidates' metrics
-    (grid_metrics), at most 4n of each by default.
+    (grid_metrics), at most 4n of each.
     """
-    estimate, search = _estimate_rows(_received(y, ws)[None], ws, grid_size, epsilon,
-                                      max_iter, derotate_by_prior_mean)
+    estimate, search = _estimate_rows(_received(y, ws)[None], ws, derotate_by_prior_mean)
     if estimate.failed[0]:
         raise EstimationError(DEGENERATE)
     usable = search.usable[0]
@@ -620,9 +608,8 @@ def _per_antenna_grad_hess(y2: np.ndarray, ws: EstimatorWorkspace, f_vec: np.nda
     return grad, hess
 
 
-def estimate_cfo_per_antenna(y: np.ndarray, ws: EstimatorWorkspace, prior=None, *,
-                             grid_size: int | None = None, epsilon: float = 1e-10,
-                             max_iter: int = 10) -> CfoEstimate:
+def estimate_cfo_per_antenna(y: np.ndarray, ws: EstimatorWorkspace,
+                             prior=None) -> CfoEstimate:
     """Per-receive-antenna offsets f_r under independent Gaussian priors.
 
     prior is one CfoPrior for every antenna or a sequence of l_r of them,
@@ -630,7 +617,8 @@ def estimate_cfo_per_antenna(y: np.ndarray, ws: EstimatorWorkspace, prior=None, 
     each antenna's decoupled subproblem (cross-antenna coupling in K
     ignored), costing O(l_r n) grid work.  Stage 2 jointly refines all
     offsets by Newton steps on the l_r x l_r real system of the metric's
-    gradient and Hessian, repeated until the step is below epsilon.  Where
+    gradient and Hessian, repeated until the step is at most EPSILON, at
+    most MAX_ITER times.  Where
     the Hessian is not negative definite the step uses its eigenvalues'
     magnitudes, so it still points uphill, and a step that lowers the metric
     is halved, at most NEWTON_HALVINGS times, before the refinement stops
@@ -645,21 +633,20 @@ def estimate_cfo_per_antenna(y: np.ndarray, ws: EstimatorWorkspace, prior=None, 
         # the universal search reads its prior from the workspace
         if priors[0] is not ws.prior:
             ws = replace(ws, prior=priors[0])
-        est = estimate_cfo_universal(y2, ws, grid_size=grid_size, epsilon=epsilon,
-                                     max_iter=max_iter)
+        est = estimate_cfo_universal(y2, ws)
         return CfoEstimate(f_hat=np.array([est.f_hat]), metric=est.metric,
                            iterations=est.iterations, converged=est.converged)
     # one row per antenna, under its own prior: the lag series of y masked
     # to that antenna, which reads only the antenna's diagonal block of K
     z_rows = _lag_terms(y2 * np.eye(l_r)[:, :, None], ws)[0]
-    search = _universal_search(z_rows, mu, inv_var, grid_size, epsilon, max_iter)
+    search = _universal_search(z_rows, mu, inv_var)
     if np.any(search.failed):
         raise EstimationError(DEGENERATE)
     f_vec = search.f0
     current = per_antenna_metric(y2, f_vec, ws, priors)
     iterations = 0
     converged = singular = False
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         grad, hess = _per_antenna_grad_hess(y2, ws, f_vec, mu, inv_var)
         try:
             curv, basis = np.linalg.eigh(hess)
@@ -686,7 +673,7 @@ def estimate_cfo_per_antenna(y: np.ndarray, ws: EstimatorWorkspace, prior=None, 
             break
         f_vec, current = f_vec + step, trial
         iterations += 1
-        if np.max(np.abs(newton)) <= epsilon:
+        if np.max(np.abs(newton)) <= EPSILON:
             converged = True
             break
     stage1 = wrap_frequency(search.f0)

@@ -57,7 +57,8 @@ CSV schema (fixed): sweep_var,value,mse,crlb,bcrlb,trials,failures,mean_iters,
 one column per SweepRow field, with infinities serialized as "inf" and
 inapplicable cells left empty.  failures counts only the trials whose search
 failed; mse and mean_iters average the others (empty when every trial
-failed), so a trial that stops at max_iter unconverged goes into mse.
+failed), so a trial that stops unconverged after the estimator's MAX_ITER
+steps goes into mse.
 
 validate runs 9 fast self-checks and exits 1 if any fails.
 """
@@ -103,6 +104,8 @@ CONFIG_PATHS = {
 }
 FIELD_AT = {path: name for name, path in CONFIG_PATHS.items()}
 MINIMUMS = {"l_t": 1, "m": 1, "l_r": 1, "trials": 1, "seed": 0, "workers": 0}
+# the most points --rho-grid takes: at about 0.5 ms a point, a 2-minute sweep
+MAX_RHO_POINTS = 100_000
 # a block's rows of normals fit into this many bytes, each of the two buffers
 # a sweep point of two or more blocks allocates (one for a single block);
 # the trials are split evenly over the fewest such blocks:
@@ -392,16 +395,17 @@ def _check_offset(name: str, f: float):
 
 def _snr_to_rho(config: ExperimentConfig, model) -> list:
     """The pilot power rho of every SNR point, in grid order; ParameterError
-    naming the first snr_db whose pilot's total power n*rho is not finite.
+    naming the first snr_db whose pilot's total power n*rho is not positive
+    and finite (it underflows to 0 or overflows).
     Every command takes them all before its first point runs, a command
     that runs at the first point only included."""
     rhos = []
     for snr_db in config.snr_db:
         # SNR = rho * per-coefficient channel power, unit noise variance
         rhos.append(10.0 ** (snr_db / 10.0) / model.per_coefficient_power())
-        if not math.isfinite(config.n * rhos[-1]):
-            raise ParameterError(f"snr_db must give a pilot of finite total power n*rho "
-                                 f"(n = {config.n}), got {snr_db}")
+        if not 0.0 < config.n * rhos[-1] < math.inf:
+            raise ParameterError(f"snr_db must give a pilot of positive, finite total power "
+                                 f"n*rho (n = {config.n}), got {snr_db}")
     return rhos
 
 
@@ -833,6 +837,8 @@ def _rho_grid(text: str) -> tuple:
     count = _coerce("--rho-grid COUNT", parts[2], int)
     if count < 1:
         raise ParameterError(f"--rho-grid COUNT must be >= 1, got {count}")
+    if count > MAX_RHO_POINTS:  # checked before linspace allocates the grid
+        raise ParameterError(f"--rho-grid COUNT must be <= {MAX_RHO_POINTS}, got {count}")
     return tuple(np.linspace(start, stop, count))
 
 

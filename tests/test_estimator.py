@@ -638,38 +638,20 @@ def test_batch_search_matches_reference_search(rng):
     _check_batch_against_reference_search(rng, "large", *random_case(rng, n_max=64))
 
 
-@pytest.mark.parametrize("grid_size", [1, 3, 10, 11, 12, 40])
-def test_fft_grid_sums_match_direct_sums(grid_size, rng):
-    # n = 12: lag counts n-1 = 11 above, at and below the grid size; lags
-    # at or beyond the grid size fold onto k mod G
-    z = rng.standard_normal((3, 11)) + 1j * rng.standard_normal((3, 11))
-    k = np.arange(1, 12)
-    grid = -0.5 + np.arange(grid_size) / grid_size
+@pytest.mark.parametrize("n", [1, 2, 12, 64])
+def test_fft_grid_sums_match_direct_sums(n, rng):
+    # the G = 4n grid sums of n - 1 lags, from n = 1 (no lags) up
+    z = rng.standard_normal((3, n - 1)) + 1j * rng.standard_normal((3, n - 1))
+    k = np.arange(1, n)
+    grid = -0.5 + np.arange(4 * n) / (4 * n)
     phases = np.exp(2j * np.pi * np.outer(grid, k))
-    sums = _grid_sums(z, grid_size)
-    assert sums.shape == (3, 2, grid_size)
+    sums = _grid_sums(z)
+    assert sums.shape == (3, 2, 4 * n)
     for row in range(3):
         for m in (1, 2):
             direct = phases @ (k ** m * z[row])
             np.testing.assert_allclose(sums[row, m - 1], direct,
                                        atol=1e-12 * np.sum(k ** m * np.abs(z[row])))
-
-
-def test_grid_size_must_be_positive(rng):
-    # grid_size an integer >= 1, epsilon finite and >= 0, max_iter an integer >= 0
-    pilot, model, stats, prior, ws = _small_case()
-    y, _ = draw_y(rng, pilot, model, stats, 0.05)
-    callers = (estimate_cfo_universal,
-               lambda y, ws, **kw: estimate_cfo_universal_batch(y[None], ws, **kw),
-               lambda y, ws, **kw: estimate_cfo_per_antenna(y, ws, prior, **kw))
-    bad = [("grid_size", value) for value in (0, -1, 2.5, True)]
-    bad += [("epsilon", value) for value in (np.nan, np.inf, -1e-3)]
-    bad += [("max_iter", value) for value in (-1, 2.5)]
-    for call in callers:
-        call(y, ws, grid_size=7, epsilon=0.0, max_iter=0)  # the edges pass
-        for name, value in bad:
-            with pytest.raises(ParameterError, match=name):
-                call(y, ws, **{name: value})
 
 
 @pytest.mark.parametrize("derotate", [False, True])
@@ -954,6 +936,33 @@ def test_per_antenna_stops_unconverged_when_every_halving_fails(rng, monkeypatch
     assert est.metric == metric(y, est.f_hat, ws) > -np.inf
 
 
+def test_no_refinement_step_leaves_both_searches_unconverged(rng, monkeypatch):
+    # MAX_ITER caps both refinements: at 0 the batch search keeps its best
+    # grid candidate and the per-antenna search its stage 1, each after 0
+    # steps and unconverged, and stage 1 kept as it is is not degraded
+    import cfomimo.estimator as est_mod
+
+    pilot = generate_td_pilot(2, 4)
+    model = make_model(2, 2, 0.9, spatial="exponential", mean="rician")
+    stats = build_stats(model, pilot.n)
+    prior = CfoPrior(0.05, 1e-4)
+    ws = build_workspace(pilot, 2, stats, prior)
+    rows = np.stack([draw_y(rng, pilot, model, stats, f)[0] for f in (-0.3, 0.05, 0.2)])
+    free = estimate_cfo_universal_batch(rows, ws)
+    free_per_antenna = estimate_cfo_per_antenna(rows[0], ws)
+    assert np.all(free.converged) and free_per_antenna.converged
+    monkeypatch.setattr(est_mod, "MAX_ITER", 0)
+    batch = estimate_cfo_universal_batch(rows, ws)
+    assert np.all(batch.iterations == 0) and not np.any(batch.converged | batch.failed)
+    est = estimate_cfo_per_antenna(rows[0], ws)
+    assert est.iterations == 0 and not est.converged and not est.degraded
+    _, mu, inv_var = _prior_vectors(prior, 2)
+    z_rows = _lag_terms(rows[0].reshape(2, pilot.n) * np.eye(2)[:, :, None], ws)[0]
+    stage1 = wrap_frequency(_universal_search(z_rows, mu, inv_var).f0)
+    np.testing.assert_array_equal(est.f_hat, stage1)
+    assert est.metric == per_antenna_metric(rows[0], stage1, ws, prior)
+
+
 @pytest.mark.parametrize("maker,rho_h", [(generate_td_pilot, 1.0),
                                          (generate_periodic_pilot, 0.5)])
 def test_per_antenna_never_ends_below_stage_one(maker, rho_h):
@@ -977,7 +986,7 @@ def test_per_antenna_never_ends_below_stage_one(maker, rho_h):
     # stage 1: the universal search on each antenna's own rows
     _, mu, inv_var = _prior_vectors(prior, l_r)
     z_rows = _lag_terms(x.reshape(l_r, pilot.n) * np.eye(l_r)[:, :, None], ws)[0]
-    stage1 = wrap_frequency(_universal_search(z_rows, mu, inv_var, None, 1e-10, 10).f0)
+    stage1 = wrap_frequency(_universal_search(z_rows, mu, inv_var).f0)
     stage1_metric = per_antenna_metric(x, stage1, ws, prior)
     assert stage1_metric < {1.0: 65.0, 0.5: 80.2}[rho_h]
     assert est.converged and not est.degraded
@@ -1048,15 +1057,16 @@ def test_received_signal_is_validated(caller, rng):
 
 
 def test_universal_search_always_reports_its_grid(rng):
-    # diagnostics are always attached: the usable grid points, their
-    # candidates after one step and those candidates' metrics
+    # diagnostics are always attached: the usable points of the 4n grid,
+    # their candidates after one step and those candidates' metrics; the
+    # grid is not an option
     pilot, model, stats, _, ws = _small_case()
     y, _ = draw_y(rng, pilot, model, stats, 0.05)
-    for grid_size in (None, 5):
-        est = estimate_cfo_universal(y, ws, grid_size=grid_size)
-        sizes = {len(est.diagnostics[key])
-                 for key in ("grid_f0", "grid_candidates", "grid_metrics")}
-        assert len(sizes) == 1 and 0 < sizes.pop() <= (grid_size or 4 * pilot.n)
+    est = estimate_cfo_universal(y, ws)
+    sizes = {len(est.diagnostics[key]) for key in ("grid_f0", "grid_candidates", "grid_metrics")}
+    assert len(sizes) == 1 and 0 < sizes.pop() <= 4 * pilot.n
+    assert set(est.diagnostics["grid_f0"]) <= set(-0.5 + np.arange(4 * pilot.n) / (4 * pilot.n))
     assert estimate_cfo_per_antenna(y, ws).diagnostics is None
-    with pytest.raises(TypeError, match="return_diagnostics"):
-        estimate_cfo_universal(y, ws, return_diagnostics=True)
+    for option in ("return_diagnostics", "grid_size"):
+        with pytest.raises(TypeError, match=option):
+            estimate_cfo_universal(y, ws, **{option: True})

@@ -17,9 +17,9 @@ import yaml
 from cfomimo import (CfoPrior, ParameterError, build_stats, build_workspace,
                      sample_ar1_trajectory, synthesize_rx)
 from cfomimo.channel import _received_trials
-from cfomimo.simcli import (CONFIG_PATHS, CSV_HEADER, MINIMUMS, PILOT_STRUCTURES,
-                            ExperimentConfig,
-                            _block_sizes, _BlockDraws, _pcg64_states,
+from cfomimo.simcli import (CONFIG_PATHS, CSV_HEADER, MAX_RHO_POINTS, MINIMUMS,
+                            PILOT_STRUCTURES, ExperimentConfig,
+                            _block_sizes, _BlockDraws, _pcg64_states, _rho_grid,
                             load_config, main, run_bounds_vs_rho, run_bounds_vs_snr,
                             run_mse_vs_snr, run_single)
 
@@ -907,19 +907,28 @@ def test_cli_error_paths(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(f"error: {message}"), (argv, err)
     # an SNR whose linear power is finite but whose pilot's total power n*rho
-    # (n = 20 by default) overflows is rejected by name, before the pilot's
-    # power trace could overflow
+    # (n = 20 by default) overflows, or underflows to 0, is rejected by name,
+    # before the pilot's power trace could overflow
     for command in ("bounds-vs-rho", "bounds-vs-snr", "mse-vs-snr", "single"):
-        for snr_db in ("3070", "3075", "3082"):
-            assert main([command, "--snr-db", snr_db]) == 1, (command, snr_db)
+        for snr_db in ("3070", "3075", "3082", "-4000"):
+            assert main([command, f"--snr-db={snr_db}"]) == 1, (command, snr_db)
             out, err = capsys.readouterr()
             assert out == "" and err == (
-                "error: snr_db must give a pilot of finite total power n*rho "
+                "error: snr_db must give a pilot of positive, finite total power n*rho "
                 f"(n = 20), got {float(snr_db)}\n"), (command, snr_db, err)
     bad.write_text("prior: {mu_f: 0.9, sigma_f_sq: 1.0e-5}\ntrials: 50\nsnr_db: [20]\n")
     assert main(["mse-vs-snr", "--config", str(bad)]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: mu_f must lie in the acquisition range"), err
+
+
+def test_rho_grid_count_is_capped():
+    # a COUNT past the cap is named before linspace allocates the grid;
+    # the cap itself passes
+    assert len(_rho_grid(f"0:1:{MAX_RHO_POINTS}")) == MAX_RHO_POINTS
+    with pytest.raises(ParameterError, match=rf"^--rho-grid COUNT must be <= {MAX_RHO_POINTS}, "
+                                             rf"got {MAX_RHO_POINTS + 1}$"):
+        _rho_grid(f"0:1:{MAX_RHO_POINTS + 1}")
 
 
 def test_cli_numerical_failure_exits_1(capsys):
@@ -949,11 +958,12 @@ def test_a_bad_snr_point_fails_before_any_point_runs(monkeypatch, capsys):
     # the first-point commands too, although they run at 10 dB only
     for argv in (["bounds-vs-snr"], ["mse-vs-snr", "--trials", "20000"],
                  ["bounds-vs-rho", "--rho-grid", "0:1:3"], ["single"]):
-        assert main([*argv, "--snr-db", "10,20,3070"]) == 1, argv
-        out, err = capsys.readouterr()
-        assert out == "" and err == ("error: snr_db must give a pilot of finite total power "
-                                     "n*rho (n = 20), got 3070.0\n"), (argv, err)
-        assert calls == [], (argv, calls)
+        for grid, bad in (("10,20,3070", 3070.0), ("10,-4000", -4000.0)):
+            assert main([*argv, f"--snr-db={grid}"]) == 1, (argv, grid)
+            out, err = capsys.readouterr()
+            assert out == "" and err == ("error: snr_db must give a pilot of positive, finite "
+                                         f"total power n*rho (n = 20), got {bad}\n"), (argv, err)
+            assert calls == [], (argv, grid, calls)
 
 
 def test_first_point_commands_name_the_snr_they_use(tmp_path, capsys):
