@@ -46,7 +46,7 @@ import numpy as np
 
 from .channel import CfoPrior, ChannelStats, _rotation, _unit_complex
 from .errors import ParameterError, _check_int
-from .estimator import EstimatorWorkspace
+from .estimator import EstimatorWorkspace, _check_stats_match
 from .pilots import PilotMatrix
 
 
@@ -126,6 +126,7 @@ def fisher_oracle(pilot: PilotMatrix, l_r: int, stats: ChannelStats, *,
     about 3 s and 300 MB for 2000 samples (one BLAS thread, 2-core host).
     """
     _check_int("n_samples", n_samples)
+    _check_stats_match(pilot, l_r, stats)
     if not 0.0 < step < math.inf:
         raise ParameterError(f"step must be finite and > 0, got {step!r}")
     rng = rng or np.random.default_rng()

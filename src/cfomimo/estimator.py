@@ -217,16 +217,22 @@ def mmse_gain(design: np.ndarray, sigma_h: np.ndarray) -> tuple[np.ndarray, floa
     return 0.5 * (gain + gain.conj().T), condition
 
 
+def _check_stats_match(pilot: PilotMatrix, l_r: int, stats: ChannelStats):
+    """ParameterError unless stats were built for this pilot's l_t and n
+    and for l_r receive antennas."""
+    if stats.l_t != pilot.l_t or stats.n != pilot.n or stats.l_r != l_r:
+        raise ParameterError(
+            f"stats built for (l_t={stats.l_t}, l_r={stats.l_r}, n={stats.n}) do not "
+            f"match pilot (l_t={pilot.l_t}, n={pilot.n}) with l_r={l_r}")
+
+
 def build_workspace(pilot: PilotMatrix, l_r: int, stats: ChannelStats,
                     prior: CfoPrior) -> EstimatorWorkspace:
     """Assemble the receive-space kernels K_i and linear table for one
     configuration, from one eigendecomposition per factor of R = A_r kron M;
     no (n*l_r)^2 matrix is formed when R factors.  A factor with an exactly
     zero imaginary part is diagonalized, and kept, in real arithmetic."""
-    if stats.l_t != pilot.l_t or stats.n != pilot.n or stats.l_r != l_r:
-        raise ParameterError(
-            f"stats built for (l_t={stats.l_t}, l_r={stats.l_r}, n={stats.n}) do not "
-            f"match pilot (l_t={pilot.l_t}, n={pilot.n}) with l_r={l_r}")
+    _check_stats_match(pilot, l_r, stats)
     n, s = pilot.n, pilot.entries
     a, m = (0.5 * (x + x.conj().T) for x in stats._receive_factors(s))
     # a factor with an exactly zero imaginary part is kept real, so eigh takes

@@ -11,6 +11,14 @@ it never affects S^H S.
 Arbitrary complex matrices are accepted as custom pilots.  Their
 orthogonality is measured and reported, not enforced.
 
+Each input rule is stated, and checked, in one place: the entries and their
+power in _average_power, the power rho in _check_rho, the scrambling in
+_scrambling and the unitary core in _unitary_core.  The generators and
+PilotMatrix call the same helpers, so an input is rejected with the same
+message whichever way the pilot is built.  pilot_from_config reads the
+scrambling and core specs, a default name ("ones", "identity") or a list
+of complex numbers, with one reader, _spec.
+
 Index conventions used throughout the package (all 0-based):
 
 * pilot entries ``S[k, t]``: symbol time k, transmit antenna t;
@@ -23,7 +31,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -56,29 +64,16 @@ class PilotMatrix:
     def __post_init__(self):
         entries = np.array(self.entries, dtype=np.complex128)
         power = _average_power(entries)
-        n = entries.shape[0]
-        scrambling = np.array(self.scrambling, dtype=np.complex128)
-        if scrambling.shape != (n,):
-            raise ParameterError(
-                f"scrambling length {scrambling.shape} does not match n={n}"
-            )
+        n, l_t = entries.shape
+        object.__setattr__(self, "scrambling", _scrambling(self.scrambling, n))
         _check_rho(self.rho, n)
-        _check_finite("scrambling", scrambling)
-        if np.max(np.abs(np.abs(scrambling) - 1.0)) > UNIT_MODULUS_TOL:
-            raise ParameterError("scrambling entries must have unit modulus")
         if abs(power - self.rho) > 1e-9 * max(1.0, self.rho):
             raise ParameterError(
                 f"entries have average power {power:.6g}, expected rho={self.rho:.6g}"
             )
-        entries.setflags(write=False)
-        scrambling.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "scrambling", scrambling)
+        object.__setattr__(self, "entries", _read_only(entries))
         if self.unitary_core is not None:
-            core = np.array(self.unitary_core, dtype=np.complex128)
-            _check_unitary(core)
-            core.setflags(write=False)
-            object.__setattr__(self, "unitary_core", core)
+            object.__setattr__(self, "unitary_core", _unitary_core(self.unitary_core, l_t))
 
     @property
     def n(self) -> int:
@@ -100,14 +95,7 @@ class PilotMatrix:
     def with_power(self, rho: float) -> "PilotMatrix":
         """Same pilot rescaled to a new average power."""
         _check_rho(rho, self.n)
-        scale = np.sqrt(rho / self.rho)
-        return PilotMatrix(
-            entries=self.entries * scale,
-            rho=rho,
-            structure=self.structure,
-            scrambling=self.scrambling,
-            unitary_core=self.unitary_core,
-        )
+        return replace(self, entries=self.entries * np.sqrt(rho / self.rho), rho=rho)
 
 
 def _check_rho(rho, n: int):
@@ -136,26 +124,44 @@ def _check_finite(name: str, values: np.ndarray):
         raise ParameterError(f"pilot {name} must be finite")
 
 
-def _check_unitary(core: np.ndarray):
-    if core.ndim != 2 or core.shape[0] != core.shape[1]:
-        raise ParameterError("unitary core must be a square matrix")
-    defect = np.max(np.abs(core.conj().T @ core - np.eye(core.shape[0])))
-    if defect > UNITARY_TOL:
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.setflags(write=False)
+    return values
+
+
+def _scrambling(values, n: int) -> np.ndarray:
+    """values as a read-only copy of n finite unit-modulus complex entries:
+    the one scrambling rule, which both the generators and PilotMatrix apply."""
+    scrambling = np.array(values, dtype=np.complex128)
+    if scrambling.shape != (n,):
+        raise ParameterError(f"scrambling length {scrambling.shape} does not match n={n}")
+    _check_finite("scrambling", scrambling)
+    if np.max(np.abs(np.abs(scrambling) - 1.0)) > UNIT_MODULUS_TOL:
+        raise ParameterError("scrambling entries must have unit modulus")
+    return _read_only(scrambling)
+
+
+def _unitary_core(values, l_t: int) -> np.ndarray:
+    """values as a read-only copy of a unitary l_t x l_t complex matrix: the
+    one core rule, which both generate_periodic_pilot and PilotMatrix apply."""
+    core = np.array(values, dtype=np.complex128)
+    if core.shape != (l_t, l_t):
+        raise ParameterError(f"unitary core must be a square matrix of size "
+                             f"l_t = {l_t}, got shape {core.shape}")
+    defect = np.max(np.abs(core.conj().T @ core - np.eye(l_t)))
+    if not defect <= UNITARY_TOL:  # a NaN defect fails too
         raise ParameterError(f"core is not unitary (defect {defect:.3e})")
+    return _read_only(core)
 
 
 def _prepare(l_t: int, m: int, rho: float, scrambling) -> np.ndarray:
+    """Check l_t, m and rho, and return the scrambling of the m*l_t-symbol
+    pilot: all ones for None, else checked by _scrambling."""
     _check_int("l_t", l_t)
     _check_int("m", m)
     n = m * l_t
     _check_rho(rho, n)
-    if scrambling is None:
-        return np.ones(n, dtype=np.complex128)
-    scrambling = np.asarray(scrambling, dtype=np.complex128)
-    if scrambling.shape != (n,):
-        raise ParameterError(f"scrambling must have length n = m*l_t = {n}")
-    _check_finite("scrambling", scrambling)
-    return scrambling
+    return np.ones(n, dtype=np.complex128) if scrambling is None else _scrambling(scrambling, n)
 
 
 def generate_periodic_pilot(l_t: int, m: int, rho: float = 1.0,
@@ -166,13 +172,8 @@ def generate_periodic_pilot(l_t: int, m: int, rho: float = 1.0,
     scrambling sequence (all ones by default).  Shape is (m*l_t, l_t).
     """
     scrambling = _prepare(l_t, m, rho, scrambling)
-    if unitary_core is None:
-        core = np.eye(l_t, dtype=np.complex128)
-    else:
-        core = np.asarray(unitary_core, dtype=np.complex128)
-        _check_unitary(core)
-    stacked = np.tile(core, (m, 1))
-    entries = np.sqrt(rho) * scrambling[:, None] * stacked
+    core = np.eye(l_t) if unitary_core is None else _unitary_core(unitary_core, l_t)
+    entries = np.sqrt(rho) * scrambling[:, None] * np.tile(core, (m, 1))
     return PilotMatrix(entries=entries, rho=rho, structure=PilotStructure.PERIODIC,
                        scrambling=scrambling, unitary_core=core)
 
@@ -204,6 +205,9 @@ def expand_block(pilot, l_r: int) -> np.ndarray:
     """
     _check_int("l_r", l_r)
     entries = pilot.entries if isinstance(pilot, PilotMatrix) else np.asarray(pilot)
+    if entries.ndim != 2:
+        raise ParameterError(f"pilot entries must be a 2-D (n, l_t) array, got shape "
+                             f"{entries.shape}")
     n, l_t = entries.shape
     out = np.zeros((n * l_r, l_r * n * l_t), dtype=np.complex128)
     for r in range(l_r):
@@ -254,6 +258,17 @@ def _complex_array(cfg: dict, key: str) -> np.ndarray:
                              f"got {cfg.get(key)!r}") from None
 
 
+def _spec(cfg: dict, key: str, default: str):
+    """cfg[key], default when absent: None for the name default, the one
+    name the key takes, else the complex array it lists (_complex_array)."""
+    value = cfg.get(key, default)
+    if not isinstance(value, str):
+        return _complex_array(cfg, key)
+    if value != default:
+        raise ParameterError(f"unknown {key} spec {value!r}")
+    return None
+
+
 def pilot_from_config(cfg: dict) -> PilotMatrix:
     """Inverse of :func:`pilot_to_config`; also accepts hand-written configs.
     A missing, unknown or malformed value raises ParameterError naming its key."""
@@ -267,20 +282,7 @@ def pilot_from_config(cfg: dict) -> PilotMatrix:
     l_t = _coerce("l_t", cfg.get("l_t"), int)  # a missing key reads None
     m = _coerce("m", cfg.get("m"), int)
     rho = _coerce("rho", cfg.get("rho", 1.0), float)
-    scrambling = cfg.get("scrambling", "ones")
-    if isinstance(scrambling, str):
-        if scrambling != "ones":
-            raise ParameterError(f"unknown scrambling spec {scrambling!r}")
-        scrambling = None
-    else:
-        scrambling = _complex_array(cfg, "scrambling")
+    scrambling = _spec(cfg, "scrambling", "ones")
     if structure is PilotStructure.TIME_DIVISION:
         return generate_td_pilot(l_t, m, rho, scrambling)
-    core = cfg.get("core", "identity")
-    if isinstance(core, str):
-        if core != "identity":
-            raise ParameterError(f"unknown core spec {core!r}")
-        core = None
-    else:
-        core = _complex_array(cfg, "core")
-    return generate_periodic_pilot(l_t, m, rho, scrambling, core)
+    return generate_periodic_pilot(l_t, m, rho, scrambling, _spec(cfg, "core", "identity"))

@@ -88,7 +88,12 @@ from .estimator import (build_workspace, compute_z, estimate_cfo_universal,
 from .pilots import expand_block, generate_periodic_pilot, generate_td_pilot
 
 PLOT_HEADER = "figure,series,x,y"
-PILOT_STRUCTURES = ("periodic", "td")
+# each structure's generator, (l_t, m, rho) -> PilotMatrix; its keys are the
+# structure names.  Each entry calls the generator by its module-level name,
+# so a wrapper bound to that name in its place (bench/tracer.py) is called.
+PILOT_GENERATORS = {"periodic": lambda *args: generate_periodic_pilot(*args),
+                    "td": lambda *args: generate_td_pilot(*args)}
+PILOT_STRUCTURES = tuple(PILOT_GENERATORS)
 # the key path of each ExperimentConfig field in a config file: the one list
 # of config keys, which from_mapping walks
 CONFIG_PATHS = {
@@ -197,7 +202,9 @@ class ExperimentConfig:
             raise ParameterError("f_true must be 'prior' or 'fixed'")
         for name in ("snr_db", "rho_h_grid"):
             grid = getattr(self, name)
-            if grid is None or np.isscalar(grid):  # a scalar is a one-point grid
+            # a list, a tuple or an array of one or more dimensions is a grid;
+            # anything else is one point, which _coerce accepts or names
+            if not isinstance(grid, (list, tuple)) and np.ndim(grid) == 0:
                 grid = (grid,)
             grid = tuple(_coerce(name, v, float) for v in grid)
             if not all(math.isfinite(v) for v in grid):
@@ -236,10 +243,7 @@ class ExperimentConfig:
                           mean=self.mean_kind, rician_k=self.rician_k)
 
     def pilot(self, rho: float, structure: str | None = None):
-        structure = structure or self.pilot_structure
-        if structure == "periodic":
-            return generate_periodic_pilot(self.l_t, self.m, rho)
-        return generate_td_pilot(self.l_t, self.m, rho)
+        return PILOT_GENERATORS[structure or self.pilot_structure](self.l_t, self.m, rho)
 
 
 def load_config(path: str | None, overrides: dict | None = None) -> ExperimentConfig:

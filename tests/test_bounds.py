@@ -39,6 +39,24 @@ def test_fisher_oracle_rejects_bad_sample_count_and_step():
             fisher_oracle(pilot, 2, stats, rng=np.random.default_rng(0), **kwargs)
 
 
+@pytest.mark.parametrize("l_t, n, l_r, stats_l_t, stats_n, stats_l_r", [
+    (2, 8, 3, 2, 8, 2),    # l_r other than the stats'
+    (2, 10, 2, 2, 8, 2),   # a pilot of n = 10 against stats of n = 8
+    (1, 8, 2, 2, 8, 2),    # l_t other than the stats'
+])
+def test_stats_of_another_shape_are_named(l_t, n, l_r, stats_l_t, stats_n, stats_l_r):
+    # the oracle and the workspace apply one check: stats must be built for
+    # the pilot's l_t and n and for the l_r asked for
+    pilot = generate_td_pilot(l_t, n // l_t)
+    stats = build_stats(make_model(stats_l_t, stats_l_r, 0.9), stats_n)
+    message = (rf"stats built for \(l_t={stats_l_t}, l_r={stats_l_r}, n={stats_n}\) do not "
+               rf"match pilot \(l_t={l_t}, n={n}\) with l_r={l_r}")
+    with pytest.raises(ParameterError, match=message):
+        fisher_oracle(pilot, l_r, stats, n_samples=10, rng=np.random.default_rng(0))
+    with pytest.raises(ParameterError, match=message):
+        build_workspace(pilot, l_r, stats, CfoPrior.ml())
+
+
 def test_zero_mean_iid_fading_not_identifiable():
     # without time correlation or a mean, the offset phase is absorbed by the
     # fading phase: the Fisher information vanishes

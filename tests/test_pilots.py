@@ -306,7 +306,27 @@ def test_malformed_pilots_are_rejected_by_name():
              (lambda: PilotMatrix(td.entries, 2.0, td.structure, td.scrambling),
               "entries have average power 1, expected rho=2"),
              (lambda: generate_periodic_pilot(2, 2, unitary_core=np.ones((2, 3))),
-              "unitary core must be a square matrix")]
+              "unitary core must be a square matrix"),
+             # the generators apply the scrambling, core and power rules of
+             # PilotMatrix itself, with the same messages
+             (lambda: generate_td_pilot(2, 2, scrambling=np.ones(3)),
+              r"scrambling length \(3,\) does not match n=4"),
+             (lambda: generate_periodic_pilot(2, 2, scrambling=[1, 1j, 2, 1]),
+              "scrambling entries must have unit modulus"),
+             (lambda: td.with_power(-1.0), "pilot power rho must be positive"),
+             # a core of another size than l_t, or with a NaN, is named too
+             (lambda: generate_periodic_pilot(2, 2, unitary_core=np.eye(3)),
+              r"unitary core must be a square matrix of size l_t = 2, got shape \(3, 3\)"),
+             (lambda: PilotMatrix(td.entries, td.rho, td.structure, td.scrambling,
+                                  unitary_core=np.eye(3)),
+              "unitary core must be a square matrix of size l_t = 2"),
+             (lambda: PilotMatrix(td.entries, td.rho, td.structure, td.scrambling,
+                                  unitary_core=[[1, 0], [0, np.nan]]),
+              "core is not unitary"),
+             # expand_block takes raw entries too, and names their shape
+             (lambda: expand_block(np.zeros(3), 2),
+              r"pilot entries must be a 2-D \(n, l_t\) array, got shape \(3,\)"),
+             (lambda: expand_block(np.zeros((2, 2, 2)), 2), r"pilot entries must be a 2-D")]
     for make, message in cases:
         with pytest.raises(ParameterError, match=message):
             make()

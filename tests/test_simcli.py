@@ -121,7 +121,7 @@ def test_lower_bounds_name_the_field_and_value():
             ExperimentConfig(**{name: minimum - 1})
 
 
-def test_config_validation():
+def test_config_validation(tmp_path):
     with pytest.raises(ParameterError):
         ExperimentConfig(trials=0)
     with pytest.raises(ParameterError):
@@ -182,6 +182,19 @@ def test_config_validation():
         with pytest.raises(ParameterError, match="snr_db must have a finite linear power"):
             ExperimentConfig.from_mapping({"snr_db": grid})
     assert ExperimentConfig(snr_db=(3000.0,)).snr_db == (3000.0,)
+    # only a list, a tuple or an array of one or more dimensions is a grid:
+    # a mapping or a set is one point, which is named, not read as its keys
+    config_file = tmp_path / "mapping.yaml"
+    for data, name in (({"snr_db": {10: 1, 20: 3}}, "snr_db"),
+                       ({"channel": {"rho_h_grid": {0.5: "x"}}}, "rho_h_grid")):
+        config_file.write_text(yaml.safe_dump(data))
+        with pytest.raises(ParameterError, match=f"{name} must be float, got {{"):
+            load_config(str(config_file))
+    for bad in ({10: 1, 20: 3}, {10, 20}):
+        with pytest.raises(ParameterError, match=re.escape(f"snr_db must be float, got {bad!r}")):
+            ExperimentConfig(snr_db=bad)
+    assert ExperimentConfig(snr_db=np.array(10.0)).snr_db == (10.0,)
+    assert ExperimentConfig(rho_h_grid=np.array([0.25, 0.5])).rho_h_grid == (0.25, 0.5)
     # the estimator reports offsets in [-0.5, 0.5), so a prior mean outside it
     # could never be met
     for mu_f in (0.9, 0.5, -0.6, -2.0):
