@@ -23,8 +23,8 @@ crossing = None
 previous = None
 for rho_h in np.linspace(0.05, 1.0, 20):
     stats = build_stats(make_model(4, 4, float(rho_h)), 20)
-    cp = evaluate_bounds(build_workspace(periodic, 4, stats, prior)).crlb
-    ct = evaluate_bounds(build_workspace(td, 4, stats, prior)).crlb
+    cp = evaluate_bounds(build_workspace(periodic, stats, prior)).crlb
+    ct = evaluate_bounds(build_workspace(td, stats, prior)).crlb
     better = "td" if ct < cp else "periodic"
     if previous and previous != better:
         crossing = rho_h

@@ -22,7 +22,7 @@ for snr_db in snrs:
     cells = []
     for rho_h in correlations:
         stats = build_stats(make_model(4, 4, rho_h), 20)
-        crlb = evaluate_bounds(build_workspace(pilot, 4, stats, prior)).crlb
+        crlb = evaluate_bounds(build_workspace(pilot, stats, prior)).crlb
         table[rho_h].append(crlb)
         cells.append(f"{crlb:11.3e}")
     print(f"{snr_db:7.0f} | " + " | ".join(cells))

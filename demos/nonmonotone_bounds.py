@@ -20,7 +20,7 @@ for mean_kind in ("zero", "rician"):
         model = make_model(4, 4, float(rho_h), spatial="exponential",
                            mean=mean_kind, rician_k=1.0)
         stats = build_stats(model, 20)
-        values.append(evaluate_bounds(build_workspace(pilot, 4, stats, prior)).crlb)
+        values.append(evaluate_bounds(build_workspace(pilot, stats, prior)).crlb)
     finite = [v for v in values if np.isfinite(v)]
     diffs = np.diff(finite)
     shape = ("monotone decreasing in rho_h" if np.all(diffs <= 0)

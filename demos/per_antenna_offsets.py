@@ -13,7 +13,7 @@ rng = np.random.default_rng(3)
 pilot = generate_td_pilot(l_t=2, m=6, rho=10 ** 2.5)  # 25 dB
 model = make_model(l_t=2, l_r=2, rho_h=1.0)
 stats = build_stats(model, pilot.n)
-ws = build_workspace(pilot, model.l_r, stats, CfoPrior.ml())
+ws = build_workspace(pilot, stats, CfoPrior.ml())
 
 f_true = np.array([0.05, -0.08])
 h = sample_ar1_trajectory(model, pilot.n, rng)

@@ -25,7 +25,7 @@ print(f"channel statistics: dim {stats.dim}, rho_h={model.rho_h}")
 
 # residual offset believed to sit near 0.1 cycles/symbol
 prior = CfoPrior(mu_f=0.1, sigma_f_sq=1e-5)
-ws = build_workspace(pilot, model.l_r, stats, prior)
+ws = build_workspace(pilot, stats, prior)
 # the MMSE error covariance A lives in the channel space, so it is built on request
 gain = mmse_gain(expand_block(pilot, model.l_r), stats.sigma_h)[0]
 print(f"workspace: A is {gain.shape}, inner solve condition {ws.condition:.1f}")

@@ -26,15 +26,16 @@ I + R is positive definite.  Bounds follow as
     CRLB  = 1 / beta                (error floor of any unbiased estimator),
     BCRLB = 1 / (beta + 1/sigma_f^2)   (Bayesian version, ML prior gives CRLB).
 
-compute_beta and evaluate_bounds take the configuration's
-EstimatorWorkspace (build_workspace) as their one model argument, as the
-estimator's routines do; evaluate_bounds reads the prior from it and the
-resolvability floor from its pilot.  A Monte-Carlo curvature oracle
-(finite differences of the exact Gaussian log-likelihood) is included for
-validating the closed form; it takes the pilot, l_r and stats and builds
-no workspace.  Like the closed form, it works in the n*l_r receive space,
-on R and ybar; nothing in this module forms Sigma_h or a channel-space
-design matrix.
+compute_beta, resolvability_floor and evaluate_bounds take the
+configuration's EstimatorWorkspace (build_workspace) as their one model
+argument, as the estimator's routines do; evaluate_bounds reads the prior
+from it.  The floor, like beta, reads only the received moments R and ybar,
+so neither changes when power moves between the pilot and the channel at a
+fixed SNR.  A Monte-Carlo curvature oracle (finite differences of the exact
+Gaussian log-likelihood) is included for validating the closed form; it
+takes the pilot and stats, which give l_r, and builds no workspace.  Like
+the closed form, it works in the n*l_r receive space, on R and ybar;
+nothing in this module forms Sigma_h or a channel-space design matrix.
 """
 
 from __future__ import annotations
@@ -48,6 +49,8 @@ from .channel import CfoPrior, ChannelStats, _rotation, _unit_complex
 from .errors import ParameterError, _check_int
 from .estimator import EstimatorWorkspace, _check_stats_match
 from .pilots import PilotMatrix
+
+FISHER_STEP = 1e-4  # fisher_oracle's second-difference step in f
 
 
 @dataclass(frozen=True)
@@ -94,26 +97,33 @@ def compute_bounds(beta: float, prior: CfoPrior, *, beta_floor: float = 0.0) -> 
     return BoundResult(beta=beta, crlb=crlb, bcrlb=bcrlb)
 
 
-def resolvability_floor(pilot: PilotMatrix) -> float:
-    """Fisher values below 1e-14 n^2 rho^2 are indistinguishable from zero."""
-    return 1e-14 * pilot.n ** 2 * pilot.rho ** 2
+def resolvability_floor(ws: EstimatorWorkspace) -> float:
+    """Fisher values below 1e-14 (n P)^2 are indistinguishable from zero.
+
+    P = (tr R + |ybar|^2) / (n l_r) is the mean received power per sample,
+    read from the workspace: tr R = sum(a) sum(m) and ybar.  P is the pilot
+    power rho for every built-in pilot at unit per-coefficient channel
+    power.
+    """
+    scale = float(ws.a.sum() * ws.m.sum() + np.vdot(ws.ybar, ws.ybar).real) / ws.l_r
+    return 1e-14 * scale * scale  # scale = n P; a Python float overflows to inf
 
 
 def evaluate_bounds(ws: EstimatorWorkspace) -> BoundResult:
-    """compute_beta + compute_bounds under the workspace's prior, with the
-    resolvability floor of its pilot."""
-    return compute_bounds(compute_beta(ws), ws.prior, beta_floor=resolvability_floor(ws.pilot))
+    """compute_beta + compute_bounds under the workspace's prior, with its
+    resolvability floor."""
+    return compute_bounds(compute_beta(ws), ws.prior, beta_floor=resolvability_floor(ws))
 
 
-def fisher_oracle(pilot: PilotMatrix, l_r: int, stats: ChannelStats, *,
-                  f_probe: float = 0.0, n_samples: int = 10000,
-                  rng: np.random.Generator | None = None, step: float = 1e-4) -> float:
+def fisher_oracle(pilot: PilotMatrix, stats: ChannelStats, *, f_probe: float = 0.0,
+                  n_samples: int = 10000, rng: np.random.Generator | None = None) -> float:
     """Monte-Carlo estimate of the Fisher information at a probe offset.
 
     Draws y from the exact conditional law at f_probe and averages the
-    central second difference of the Gaussian log-likelihood.  The prior
-    term is deliberately excluded, so the estimate targets beta itself and
-    takes no prior.  The tuning arguments are keyword-only.
+    central second difference, of step FISHER_STEP, of the Gaussian
+    log-likelihood.  The prior term is deliberately excluded, so the
+    estimate targets beta itself and takes no prior.  The stats give the
+    receive size l_r.  The tuning arguments are keyword-only.
 
     Everything is formed in the n*l_r receive space: at offset f, y has the
     law D(f) CN(ybar, R + I) with R = Sb Sigma_h Sb^H and ybar = Sb mu_h,
@@ -126,11 +136,9 @@ def fisher_oracle(pilot: PilotMatrix, l_r: int, stats: ChannelStats, *,
     about 3 s and 300 MB for 2000 samples (one BLAS thread, 2-core host).
     """
     _check_int("n_samples", n_samples)
-    _check_stats_match(pilot, l_r, stats)
-    if not 0.0 < step < math.inf:
-        raise ParameterError(f"step must be finite and > 0, got {step!r}")
+    _check_stats_match(pilot, stats)
     rng = rng or np.random.default_rng()
-    n = pilot.n
+    n, l_r = pilot.n, stats.l_r
     cov = stats._receive_cov(pilot.entries) + np.eye(l_r * n)
     cov = 0.5 * (cov + cov.conj().T)
     mu_0 = stats._receive_mean(pilot.entries).ravel()
@@ -140,8 +148,8 @@ def fisher_oracle(pilot: PilotMatrix, l_r: int, stats: ChannelStats, *,
     samples = probe * mu_0 + z @ factor.T
     eig, vec = np.linalg.eigh(cov)
     loglik = np.empty((3, n_samples))
-    for idx, f in enumerate((f_probe - step, f_probe, f_probe + step)):
+    for idx, f in enumerate((f_probe - FISHER_STEP, f_probe, f_probe + FISHER_STEP)):
         proj = (samples * _rotation(f, l_r, n).conj().ravel() - mu_0) @ vec.conj()
         loglik[idx] = -(np.abs(proj) ** 2) @ (1.0 / eig)
-    curvature = (loglik[2] - 2.0 * loglik[1] + loglik[0]) / step ** 2
+    curvature = (loglik[2] - 2.0 * loglik[1] + loglik[0]) / FISHER_STEP ** 2
     return float(-np.mean(curvature))

@@ -67,6 +67,13 @@ def _check_hermitian_psd(matrix: np.ndarray, label: str, factor: bool = True):
     return None if vec is None else vec * np.sqrt(np.clip(eig, 0.0, None))[None, :]
 
 
+def _check_rho_h(rho_h, error=ModelError):
+    """error unless the time correlation rho_h lies in [0, 1]: the one range
+    rule of CorrelationModel, build_stats and the CLI config."""
+    if not 0.0 <= rho_h <= 1.0:
+        raise error(f"rho_h must lie in [0, 1], got {rho_h}")
+
+
 @dataclass(frozen=True)
 class CorrelationModel:
     """Separable space-time correlation: AR(1) in time, arbitrary in space.
@@ -85,8 +92,7 @@ class CorrelationModel:
     def __post_init__(self):
         for name in ("l_t", "l_r"):
             _check_int(name, getattr(self, name), error=ModelError)
-        if not (0.0 <= self.rho_h <= 1.0):
-            raise ModelError(f"rho_h must lie in [0, 1], got {self.rho_h}")
+        _check_rho_h(self.rho_h)
         d = self.l_t * self.l_r
         cov = np.array(self.spatial_cov, dtype=np.complex128)
         if cov.shape != (d, d):
@@ -318,8 +324,7 @@ def build_stats(model: CorrelationModel, n: int,
     """
     _check_int("n", n)
     rho_h = model.rho_h if rho_h is None else rho_h
-    if not (0.0 <= rho_h <= 1.0):
-        raise ModelError(f"rho_h must lie in [0, 1], got {rho_h}")
+    _check_rho_h(rho_h)
     l_t, l_r = model.l_t, model.l_r
     time_corr = (rho_h ** np.arange(n))[_lags(n)]  # 0**0 == 1 covers rho_h = 0
     time_corr.setflags(write=False)

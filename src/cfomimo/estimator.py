@@ -149,7 +149,8 @@ class EstimatorWorkspace:
     product with Sigma_h: h_hat = mu_h + Sigma_h Sb^H (I - K)(w - ybar).
     U is float64 when A_r is real, and V and kernels are float64 when M is
     real (an unscrambled 0/1 pilot and a real B_t); otherwise complex.
-    a and m are always float64, ybar and lin_table always complex.
+    a and m are always float64, ybar and lin_table always complex.  The
+    sizes are read, not stored: n from the pilot and l_r from the stats.
 
     subdiagonals, the kernels' subdiagonals in time that the lag series is
     read along, is built on its first read.  The workspace holds no dense
@@ -159,7 +160,6 @@ class EstimatorWorkspace:
     """
 
     pilot: PilotMatrix
-    l_r: int
     stats: ChannelStats
     prior: CfoPrior
     ybar: np.ndarray
@@ -174,6 +174,10 @@ class EstimatorWorkspace:
     @property
     def n(self) -> int:
         return self.pilot.n
+
+    @property
+    def l_r(self) -> int:
+        return self.stats.l_r
 
     @cached_property
     def subdiagonals(self) -> tuple:
@@ -217,22 +221,21 @@ def mmse_gain(design: np.ndarray, sigma_h: np.ndarray) -> tuple[np.ndarray, floa
     return 0.5 * (gain + gain.conj().T), condition
 
 
-def _check_stats_match(pilot: PilotMatrix, l_r: int, stats: ChannelStats):
-    """ParameterError unless stats were built for this pilot's l_t and n
-    and for l_r receive antennas."""
-    if stats.l_t != pilot.l_t or stats.n != pilot.n or stats.l_r != l_r:
-        raise ParameterError(
-            f"stats built for (l_t={stats.l_t}, l_r={stats.l_r}, n={stats.n}) do not "
-            f"match pilot (l_t={pilot.l_t}, n={pilot.n}) with l_r={l_r}")
+def _check_stats_match(pilot: PilotMatrix, stats: ChannelStats):
+    """ParameterError unless stats were built for this pilot's l_t and n."""
+    if stats.l_t != pilot.l_t or stats.n != pilot.n:
+        raise ParameterError(f"stats built for (l_t={stats.l_t}, n={stats.n}) do not match "
+                             f"pilot (l_t={pilot.l_t}, n={pilot.n})")
 
 
-def build_workspace(pilot: PilotMatrix, l_r: int, stats: ChannelStats,
+def build_workspace(pilot: PilotMatrix, stats: ChannelStats,
                     prior: CfoPrior) -> EstimatorWorkspace:
     """Assemble the receive-space kernels K_i and linear table for one
     configuration, from one eigendecomposition per factor of R = A_r kron M;
-    no (n*l_r)^2 matrix is formed when R factors.  A factor with an exactly
-    zero imaginary part is diagonalized, and kept, in real arithmetic."""
-    _check_stats_match(pilot, l_r, stats)
+    no (n*l_r)^2 matrix is formed when R factors.  The stats give the
+    receive size l_r.  A factor with an exactly zero imaginary part is
+    diagonalized, and kept, in real arithmetic."""
+    _check_stats_match(pilot, stats)
     n, s = pilot.n, pilot.entries
     a, m = (0.5 * (x + x.conj().T) for x in stats._receive_factors(s))
     # a factor with an exactly zero imaginary part is kept real, so eigh takes
@@ -251,8 +254,8 @@ def build_workspace(pilot: PilotMatrix, l_r: int, stats: ChannelStats,
     kernels = 0.5 * (kernels + kernels.conj().transpose(0, 2, 1))
     # lin = W diag(1 / (1 + lam)) W^H ybar, with W^H ybar = U^H ybar conj(V)
     lin = u @ ((u.conj().T @ ybar.reshape(p, q) @ v.conj()) / inner) @ v.T
-    return EstimatorWorkspace(pilot=pilot, l_r=l_r, stats=stats, prior=prior,
-                              ybar=ybar.ravel(), lin_table=lin.reshape(l_r, n),
+    return EstimatorWorkspace(pilot=pilot, stats=stats, prior=prior,
+                              ybar=ybar.ravel(), lin_table=lin.reshape(stats.l_r, n),
                               condition=condition, a=eig_a, U=u, m=eig_m,
                               V=v, kernels=kernels)
 

@@ -218,26 +218,36 @@ def expand_block(pilot, l_r: int) -> np.ndarray:
 
 
 def pilot_to_config(pilot: PilotMatrix) -> dict:
-    """Serializable description: {structure, l_t, m, rho, scrambling, core}."""
-    cfg = {
-        "structure": pilot.structure.value,
-        "l_t": pilot.l_t,
-        "rho": float(pilot.rho),
-    }
+    """Serializable description: {structure, l_t, m, rho, scrambling, core}.
+
+    A periodic or TD pilot is written as its generator's spec, so it must be
+    that generator's output: the pilot the spec rebuilds must have the same
+    entries (within UNIT_MODULUS_TOL of sqrt(rho)), scrambling and core, or
+    ParameterError names the structure.  A custom pilot writes its entries.
+    """
+    kind = pilot.structure.value
+    cfg = {"structure": kind, "l_t": pilot.l_t, "rho": float(pilot.rho)}
     if pilot.structure is PilotStructure.CUSTOM:
         cfg["entries"] = [[repr(v) for v in row] for row in pilot.entries.tolist()]
         return cfg
     cfg["m"] = pilot.n // pilot.l_t
     # only an exact default is written by name, so the round trip is lossless
-    if np.all(pilot.scrambling == 1.0):
-        cfg["scrambling"] = "ones"
-    else:
-        cfg["scrambling"] = [repr(v) for v in pilot.scrambling.tolist()]
+    cfg["scrambling"] = ("ones" if np.all(pilot.scrambling == 1.0)
+                         else [repr(v) for v in pilot.scrambling.tolist()])
     if pilot.structure is PilotStructure.PERIODIC:
-        if pilot.unitary_core is None or np.array_equal(pilot.unitary_core, np.eye(pilot.l_t)):
-            cfg["core"] = "identity"
-        else:
-            cfg["core"] = [[repr(v) for v in row] for row in pilot.unitary_core.tolist()]
+        core = pilot.unitary_core
+        cfg["core"] = ("identity" if core is None or np.array_equal(core, np.eye(pilot.l_t))
+                       else [[repr(v) for v in row] for row in core.tolist()])
+    # the scrambling and core are written exactly, so the rebuilt pilot has
+    # the same scrambling, and a core unless the spec has none (TD)
+    rebuilt = pilot_from_config(cfg) if pilot.n % pilot.l_t == 0 else None
+    if rebuilt is None or not (
+            np.allclose(rebuilt.entries, pilot.entries, rtol=0.0,
+                        atol=UNIT_MODULUS_TOL * math.sqrt(pilot.rho))
+            and (pilot.unitary_core is None
+                 or np.array_equal(rebuilt.unitary_core, pilot.unitary_core))):
+        raise ParameterError(f"this {kind} pilot's entries, scrambling or core are not those "
+                             f"of the {kind} generator, so no config rebuilds it")
     return cfg
 
 

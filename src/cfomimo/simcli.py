@@ -78,8 +78,9 @@ from operator import attrgetter
 import numpy as np
 
 from .bounds import compute_beta, evaluate_bounds
-from .channel import (CfoPrior, _ar1_trajectories, _received_trials, _trial_normals,
-                      build_stats, make_model, sample_ar1_trajectory, synthesize_rx)
+from .channel import (CfoPrior, _ar1_trajectories, _check_rho_h, _received_trials,
+                      _trial_normals, build_stats, make_model, sample_ar1_trajectory,
+                      synthesize_rx)
 from .errors import (EstimationError, ModelError, NumericalError,
                      ParameterError, _coerce)
 from .estimator import (build_workspace, compute_z, estimate_cfo_universal,
@@ -220,8 +221,7 @@ class ExperimentConfig:
                                      f"(at most about 3082 dB), got {snr_db}") from None
         _check_offset("mu_f", self.mu_f)
         for rho_h in (self.rho_h,) + self.rho_h_grid:
-            if not 0.0 <= rho_h <= 1.0:
-                raise ParameterError(f"rho_h must lie in [0, 1], got {rho_h}")
+            _check_rho_h(rho_h, ParameterError)
 
     @property
     def n(self) -> int:
@@ -413,21 +413,20 @@ def _snr_to_rho(config: ExperimentConfig, model) -> list:
     return rhos
 
 
-def _point_setup(config: ExperimentConfig, pilot, stats, prior: CfoPrior):
+def _point_setup(pilot, stats, prior: CfoPrior):
     """(workspace, bounds) of one sweep point of any command: the workspace
     of the pilot, stats and prior, and the bounds read from it.  Its one
     evaluate_bounds call comes after the point's other set-up."""
-    ws = build_workspace(pilot, config.l_r, stats, prior)
+    ws = build_workspace(pilot, stats, prior)
     return ws, evaluate_bounds(ws)
 
 
-def _bounds_sweep(config: ExperimentConfig, sweep_var: str, prior: CfoPrior,
-                  points) -> SweepResult:
+def _bounds_sweep(sweep_var: str, prior: CfoPrior, points) -> SweepResult:
     """The closed-form rows of a bounds sweep, one per (structure, value,
     pilot, stats) point, each set up as it is reached; no sampling."""
     rows = []
     for structure, value, pilot, stats in points:
-        res = _point_setup(config, pilot, stats, prior)[1]
+        res = _point_setup(pilot, stats, prior)[1]
         rows.append(SweepRow(f"{sweep_var}[{structure}]", value, None,
                              res.crlb, res.bcrlb, 0, 0, None))
     return SweepResult(rows=tuple(rows))
@@ -445,7 +444,7 @@ def run_bounds_vs_rho(config: ExperimentConfig) -> SweepResult:
     model = config.model()
     rho = _snr_to_rho(config, model)[0]
     pilots = ((structure, config.pilot(rho, structure)) for structure in PILOT_STRUCTURES)
-    return _bounds_sweep(config, "rho_h", prior, (
+    return _bounds_sweep("rho_h", prior, (
         (structure, rho_h, pilot, build_stats(model, config.n, rho_h))
         for structure, pilot in pilots for rho_h in grid))
 
@@ -456,7 +455,7 @@ def run_bounds_vs_snr(config: ExperimentConfig) -> SweepResult:
     model = config.model()
     stats = build_stats(model, config.n)
     rhos = _snr_to_rho(config, model)
-    return _bounds_sweep(config, "snr_db", prior, (
+    return _bounds_sweep("snr_db", prior, (
         (structure, snr_db, config.pilot(rho, structure), stats)
         for structure in PILOT_STRUCTURES for snr_db, rho in zip(config.snr_db, rhos)))
 
@@ -590,7 +589,7 @@ def run_mse_vs_snr(config: ExperimentConfig) -> SweepResult:
     stats = build_stats(model, config.n)
     rows = []
     for point, (snr_db, rho) in enumerate(zip(config.snr_db, _snr_to_rho(config, model))):
-        ws, res = _point_setup(config, config.pilot(rho), stats, prior)
+        ws, res = _point_setup(config.pilot(rho), stats, prior)
         mse, failures, mean_iters = _run_point_trials(config, point, model, ws)
         rows.append(SweepRow("snr_db", snr_db, mse, res.crlb, res.bcrlb,
                              config.trials, failures, mean_iters))
@@ -609,7 +608,7 @@ def run_single(config: ExperimentConfig, f_true_override: float | None = None,
     prior = config.prior()
     model = config.model()
     stats = build_stats(model, config.n)
-    ws, res = _point_setup(config, config.pilot(_snr_to_rho(config, model)[0]), stats, prior)
+    ws, res = _point_setup(config.pilot(_snr_to_rho(config, model)[0]), stats, prior)
     # a pinned offset is the mean of the flat ML prior, which no trial samples
     f_true, rows = _BlockDraws(config, 0, range(1), prior if f_true_override is None
                                else CfoPrior.ml(f_true_override)).draw()
@@ -696,7 +695,7 @@ def _check_gradient(rng):
     worst = 0.0
     for _ in range(10):
         pilot, model, stats, prior = _random_setup(rng)
-        ws = build_workspace(pilot, model.l_r, stats, prior)
+        ws = build_workspace(pilot, stats, prior)
         h = sample_ar1_trajectory(model, pilot.n, rng)
         y = synthesize_rx(pilot, model.l_r, float(rng.uniform(-0.4, 0.4)), h, rng)
         f = float(rng.uniform(-0.45, 0.45))
@@ -711,8 +710,8 @@ def _check_z_purity(rng):
     pilot, model, stats, _ = _random_setup(rng)
     h = sample_ar1_trajectory(model, pilot.n, rng)
     y = synthesize_rx(pilot, model.l_r, 0.1, h, rng)
-    ws1 = build_workspace(pilot, model.l_r, stats, CfoPrior(0.2, 1e-3))
-    ws2 = build_workspace(pilot, model.l_r, stats, CfoPrior.ml())
+    ws1 = build_workspace(pilot, stats, CfoPrior(0.2, 1e-3))
+    ws2 = build_workspace(pilot, stats, CfoPrior.ml())
     same = np.array_equal(compute_z(y, ws1), compute_z(y, ws2))
     return same, "bit-identical across priors" if same else "z depends on prior"
 
@@ -720,7 +719,7 @@ def _check_z_purity(rng):
 def _check_bound_ordering(rng):
     for _ in range(20):
         pilot, model, stats, prior = _random_setup(rng)
-        res = evaluate_bounds(build_workspace(pilot, model.l_r, stats, prior))
+        res = evaluate_bounds(build_workspace(pilot, stats, prior))
         if not (res.bcrlb <= res.crlb + 1e-15 and res.bcrlb <= prior.sigma_f_sq + 1e-15):
             return False, f"violated: {res}"
     return True, "bcrlb <= min(crlb, sigma_f^2) on 20 random configs"
@@ -730,8 +729,8 @@ def _check_ml_reduction(rng):
     pilot, model, stats, _ = _random_setup(rng)
     h = sample_ar1_trajectory(model, pilot.n, rng)
     y = synthesize_rx(pilot, model.l_r, 0.07, h, rng)
-    ws_ml = build_workspace(pilot, model.l_r, stats, CfoPrior.ml())
-    ws_wide = build_workspace(pilot, model.l_r, stats, CfoPrior(0.0, 1e12))
+    ws_ml = build_workspace(pilot, stats, CfoPrior.ml())
+    ws_wide = build_workspace(pilot, stats, CfoPrior(0.0, 1e12))
     gap = abs(estimate_cfo_universal(y, ws_ml).f_hat
               - estimate_cfo_universal(y, ws_wide).f_hat)
     return gap < 1e-9, f"|f_ml - f_wide| = {gap:.2e}"
@@ -752,7 +751,7 @@ def _check_fisher_formula(rng):
         term = inv @ (k[:, None] * cov - cov * k)  # C^{-1} [K, C]
         want = 8.0 * np.pi ** 2 * (np.real(np.vdot(ky, inv @ ky))
                                    - 0.5 * np.real(np.trace(term @ term)))
-        got = compute_beta(build_workspace(pilot, l_r, stats, prior))
+        got = compute_beta(build_workspace(pilot, stats, prior))
         worst = max(worst, abs(got - want) / abs(want))
     return worst < 1e-9, f"worst relative gap {worst:.2e} over 4 random configs"
 
@@ -769,7 +768,7 @@ def _check_trial_streams(rng):
         pilot, model, stats, prior = _random_setup(rng)
         l_r, n = model.l_r, pilot.n
         config = ExperimentConfig(l_t=pilot.l_t, m=n // pilot.l_t, l_r=l_r, seed=seed)
-        ws = build_workspace(pilot, l_r, stats, prior)
+        ws = build_workspace(pilot, stats, prior)
         for point in (0, 1, 2 ** 32 + 1):
             f_true, rows = _BlockDraws(config, point, trials, prior).draw()
             y = _received_trials(model, ws, f_true, rows)

@@ -16,7 +16,7 @@ from reference_impls import reference_beta
 def test_single_symbol_has_no_information():
     pilot = custom_pilot(np.ones((1, 1), dtype=complex))
     stats = build_stats(make_model(1, 1, 0.5), 1)
-    assert compute_beta(build_workspace(pilot, 1, stats, CfoPrior.ml())) == 0.0
+    assert compute_beta(build_workspace(pilot, stats, CfoPrior.ml())) == 0.0
     res = compute_bounds(0.0, CfoPrior(0.0, 1e-5))
     assert math.isinf(res.crlb)
     assert res.bcrlb == pytest.approx(1e-5)
@@ -28,33 +28,32 @@ def test_compute_bounds_rejects_nan_and_negative_beta():
             compute_bounds(beta, CfoPrior(0.1, 1e-5))
 
 
-def test_fisher_oracle_rejects_bad_sample_count_and_step():
+def test_fisher_oracle_rejects_bad_sample_count():
     pilot = generate_td_pilot(2, 3)
     stats = build_stats(make_model(2, 2, 0.9), pilot.n)
-    for kwargs, name in (({"n_samples": 2.5}, "n_samples"), ({"n_samples": True}, "n_samples"),
-                         ({"n_samples": 0}, "n_samples"), ({"step": 0.0}, "step"),
-                         ({"step": -1e-4}, "step"), ({"step": np.nan}, "step"),
-                         ({"step": np.inf}, "step")):
-        with pytest.raises(ParameterError, match=name):
-            fisher_oracle(pilot, 2, stats, rng=np.random.default_rng(0), **kwargs)
+    for n_samples in (2.5, True, 0):
+        with pytest.raises(ParameterError, match="n_samples"):
+            fisher_oracle(pilot, stats, n_samples=n_samples, rng=np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("l_t, n, l_r, stats_l_t, stats_n, stats_l_r", [
-    (2, 8, 3, 2, 8, 2),    # l_r other than the stats'
     (2, 10, 2, 2, 8, 2),   # a pilot of n = 10 against stats of n = 8
     (1, 8, 2, 2, 8, 2),    # l_t other than the stats'
 ])
 def test_stats_of_another_shape_are_named(l_t, n, l_r, stats_l_t, stats_n, stats_l_r):
     # the oracle and the workspace apply one check: stats must be built for
-    # the pilot's l_t and n and for the l_r asked for
+    # the pilot's l_t and n; they give l_r, so stats of the pilot's own
+    # shape pass it at any l_r
     pilot = generate_td_pilot(l_t, n // l_t)
     stats = build_stats(make_model(stats_l_t, stats_l_r, 0.9), stats_n)
-    message = (rf"stats built for \(l_t={stats_l_t}, l_r={stats_l_r}, n={stats_n}\) do not "
-               rf"match pilot \(l_t={l_t}, n={n}\) with l_r={l_r}")
+    message = (rf"stats built for \(l_t={stats_l_t}, n={stats_n}\) do not match "
+               rf"pilot \(l_t={l_t}, n={n}\)$")
     with pytest.raises(ParameterError, match=message):
-        fisher_oracle(pilot, l_r, stats, n_samples=10, rng=np.random.default_rng(0))
+        fisher_oracle(pilot, stats, n_samples=10, rng=np.random.default_rng(0))
     with pytest.raises(ParameterError, match=message):
-        build_workspace(pilot, l_r, stats, CfoPrior.ml())
+        build_workspace(pilot, stats, CfoPrior.ml())
+    own = build_stats(make_model(l_t, l_r, 0.9), n)
+    assert build_workspace(pilot, own, CfoPrior.ml()).l_r == l_r
 
 
 def test_zero_mean_iid_fading_not_identifiable():
@@ -62,9 +61,10 @@ def test_zero_mean_iid_fading_not_identifiable():
     # fading phase: the Fisher information vanishes
     pilot = generate_periodic_pilot(4, 5)
     stats = build_stats(make_model(4, 4, 0.0), 20)
-    beta = compute_beta(build_workspace(pilot, 4, stats, CfoPrior.ml()))
-    assert beta < 1e-9 * resolvability_floor(pilot) + 1e-12
-    res = evaluate_bounds(build_workspace(pilot, 4, stats, CfoPrior(0.1, 1e-5)))
+    ws = build_workspace(pilot, stats, CfoPrior.ml())
+    beta = compute_beta(ws)
+    assert beta < 1e-9 * resolvability_floor(ws) + 1e-12
+    res = evaluate_bounds(build_workspace(pilot, stats, CfoPrior(0.1, 1e-5)))
     assert math.isinf(res.crlb)
     assert res.bcrlb == pytest.approx(1e-5)
 
@@ -97,7 +97,7 @@ def test_beta_matches_direct_loop_reference(rng):
     long_pilot = generate_periodic_pilot(2, 20, 2.0, np.exp(0.3j * np.arange(40)))
     cases.append((long_pilot, 1, build_stats(make_model(2, 1, 0.95, mean="rician"), 40)))
     for pilot, l_r, stats in cases + [_dense_case()]:
-        ws = build_workspace(pilot, l_r, stats, CfoPrior.ml())
+        ws = build_workspace(pilot, stats, CfoPrior.ml())
         fast = compute_beta(ws)
         slow = reference_beta(pilot.entries, l_r, stats.mu_h, stats.sigma_h,
                               *dense_gain_and_offset(pilot, l_r, stats))
@@ -110,7 +110,7 @@ def test_beta_reads_only_the_eigenpairs():
     pilot = generate_td_pilot(2, 3)
     for mean in ("rician", "zero"):
         stats = build_stats(make_model(2, 2, 0.9, mean=mean), pilot.n)
-        ws = build_workspace(pilot, 2, stats, CfoPrior.ml())
+        ws = build_workspace(pilot, stats, CfoPrior.ml())
         beta = compute_beta(ws)
         blind = dataclasses.replace(ws, kernels=np.full_like(ws.kernels, np.nan),
                                     lin_table=np.full_like(ws.lin_table, np.nan))
@@ -122,7 +122,7 @@ def test_beta_reads_only_the_eigenpairs():
 def test_beta_nonnegative_on_random_configs(rng):
     for _ in range(20):
         pilot, model, stats, prior = random_case(rng)
-        assert compute_beta(build_workspace(pilot, model.l_r, stats, prior)) >= 0.0
+        assert compute_beta(build_workspace(pilot, stats, prior)) >= 0.0
 
 
 def test_bounds_ordering_and_trivial_cases():
@@ -139,7 +139,7 @@ def test_bcrlb_below_prior_variance_at_default_operating_point():
     snr = 10.0 ** 2.0  # 20 dB
     pilot = generate_td_pilot(4, 5, rho=snr)
     stats = build_stats(make_model(4, 4, 0.99), 20)
-    res = evaluate_bounds(build_workspace(pilot, 4, stats, CfoPrior(0.1, 1e-5)))
+    res = evaluate_bounds(build_workspace(pilot, stats, CfoPrior(0.1, 1e-5)))
     assert res.bcrlb < 1e-5
     assert res.bcrlb <= res.crlb
 
@@ -150,7 +150,7 @@ def test_crlb_monotone_in_pilot_power():
     last = math.inf
     for rho in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0):
         pilot = generate_td_pilot(2, 6, rho=rho)
-        crlb = evaluate_bounds(build_workspace(pilot, 2, stats, prior)).crlb
+        crlb = evaluate_bounds(build_workspace(pilot, stats, prior)).crlb
         assert crlb < last
         last = crlb
 
@@ -165,8 +165,8 @@ def test_pilot_crossing_in_time_correlation():
     signs = []
     for rho_h in np.linspace(0.05, 0.995, 20):
         stats = build_stats(make_model(4, 4, rho_h), 20)
-        gap = (evaluate_bounds(build_workspace(td, 4, stats, prior)).crlb
-               - evaluate_bounds(build_workspace(periodic, 4, stats, prior)).crlb)
+        gap = (evaluate_bounds(build_workspace(td, stats, prior)).crlb
+               - evaluate_bounds(build_workspace(periodic, stats, prior)).crlb)
         signs.append(np.sign(gap))
     assert signs[0] < 0 < signs[-1]
 
@@ -180,7 +180,7 @@ def test_nonmonotone_crlb_with_nonzero_mean():
         model = make_model(4, 4, rho_h, spatial="exponential",
                            mean="rician", rician_k=1.0)
         stats = build_stats(model, 20)
-        curve.append(evaluate_bounds(build_workspace(td, 4, stats, prior)).crlb)
+        curve.append(evaluate_bounds(build_workspace(td, stats, prior)).crlb)
     diffs = np.diff(curve)
     assert np.any(diffs > 0) and np.any(diffs < 0)
 
@@ -193,7 +193,7 @@ def test_error_floor_when_correlation_slips():
         for snr_db in (20.0, 40.0):
             pilot = generate_td_pilot(4, 5, rho=10.0 ** (snr_db / 10.0))
             stats = build_stats(make_model(4, 4, rho_h), 20)
-            crlb[snr_db] = evaluate_bounds(build_workspace(pilot, 4, stats, prior)).crlb
+            crlb[snr_db] = evaluate_bounds(build_workspace(pilot, stats, prior)).crlb
         ratios[rho_h] = crlb[40.0] / crlb[20.0]
     assert ratios[1.0] < 0.02
     assert ratios[0.99] > 0.1
@@ -203,10 +203,10 @@ def test_fisher_oracle_agrees_and_tightens(rng):
     pilot = generate_td_pilot(2, 3, rho=2.0)
     model = make_model(2, 2, 0.5, mean="rician", rician_k=1.0)
     stats = build_stats(model, 6)
-    beta = compute_beta(build_workspace(pilot, 2, stats, CfoPrior.ml()))
-    small = fisher_oracle(pilot, 2, stats, n_samples=1000,
+    beta = compute_beta(build_workspace(pilot, stats, CfoPrior.ml()))
+    small = fisher_oracle(pilot, stats, n_samples=1000,
                           rng=np.random.default_rng(0))
-    large = fisher_oracle(pilot, 2, stats, n_samples=25000,
+    large = fisher_oracle(pilot, stats, n_samples=25000,
                           rng=np.random.default_rng(1))
     assert abs(small - beta) / beta < 0.25
     assert abs(large - beta) / beta < 0.05
@@ -216,8 +216,8 @@ def test_fisher_oracle_invariant_to_probe_offset():
     pilot = generate_td_pilot(2, 3, rho=2.0)
     model = make_model(2, 2, 0.5, mean="rician", rician_k=1.0)
     stats = build_stats(model, 6)
-    beta = compute_beta(build_workspace(pilot, 2, stats, CfoPrior.ml()))
-    estimates = [fisher_oracle(pilot, 2, stats, f_probe=fp, n_samples=20000,
+    beta = compute_beta(build_workspace(pilot, stats, CfoPrior.ml()))
+    estimates = [fisher_oracle(pilot, stats, f_probe=fp, n_samples=20000,
                                rng=np.random.default_rng(7 + i))
                  for i, fp in enumerate((0.0, 0.1, 0.3))]
     for est in estimates:
@@ -227,7 +227,7 @@ def test_fisher_oracle_invariant_to_probe_offset():
 def test_fisher_oracle_single_symbol_is_zero():
     pilot = custom_pilot(np.ones((1, 1), dtype=complex))
     stats = build_stats(make_model(1, 1, 0.5), 1)
-    est = fisher_oracle(pilot, 1, stats, n_samples=200,
+    est = fisher_oracle(pilot, stats, n_samples=200,
                         rng=np.random.default_rng(2))
     assert abs(est) < 1e-6
 
@@ -238,15 +238,15 @@ def test_fisher_oracle_takes_no_prior_and_tuning_by_keyword():
     pilot = custom_pilot(np.ones((1, 1), dtype=complex))
     stats = build_stats(make_model(1, 1, 0.5), 1)
     with pytest.raises(TypeError):
-        fisher_oracle(pilot, 1, stats, None, 0.0)
+        fisher_oracle(pilot, stats, None, 0.0)
     with pytest.raises(TypeError):
-        fisher_oracle(pilot, 1, stats, prior=CfoPrior.ml())
+        fisher_oracle(pilot, stats, prior=CfoPrior.ml())
 
 
 def test_bound_ordering_random_sweep(rng):
     for _ in range(30):
         pilot, model, stats, prior = random_case(rng)
-        res = evaluate_bounds(build_workspace(pilot, model.l_r, stats, prior))
+        res = evaluate_bounds(build_workspace(pilot, stats, prior))
         assert res.bcrlb <= res.crlb + 1e-15
         assert res.bcrlb <= prior.sigma_f_sq + 1e-15
         assert res.beta >= 0.0

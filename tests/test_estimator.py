@@ -58,7 +58,7 @@ def test_offset_zero_for_zero_mean(rng):
                              np.zeros_like(stats.mu_h), stats.sigma_h)
     np.testing.assert_array_equal(dense_gain_and_offset(pilot, stats.l_r, zero_mean)[1], 0.0)
     # and its receive-space image lin = Sb b
-    ws = build_workspace(pilot, stats.l_r, zero_mean, prior)
+    ws = build_workspace(pilot, zero_mean, prior)
     np.testing.assert_array_equal(ws.lin_table, 0.0)
 
 
@@ -88,7 +88,7 @@ def test_offset_two_forms_agree(rng):
 def test_workspace_accepts_singular_sigma(rng):
     pilot = generate_td_pilot(2, 3)
     stats = build_stats(make_model(2, 2, 1.0), pilot.n)  # rank-deficient
-    build_workspace(pilot, 2, stats, CfoPrior.ml())
+    build_workspace(pilot, stats, CfoPrior.ml())
     gain = mmse_gain(expand_block(pilot, 2), stats.sigma_h)[0]
     assert np.all(np.isfinite(gain))
     assert np.linalg.eigvalsh(gain)[0] > -1e-10
@@ -114,8 +114,8 @@ def test_separable_stats_match_dense_copy(spatial, maker, rho_h):
     model = spatial_model(spatial, l_t, l_r, rho_h)
     stats = build_stats(model, pilot.n)
     dense = ChannelStats(l_t, l_r, pilot.n, stats.mu_h, stats.sigma_h)
-    ws = build_workspace(pilot, l_r, stats, CfoPrior.ml())
-    ref = build_workspace(pilot, l_r, dense, CfoPrior.ml())
+    ws = build_workspace(pilot, stats, CfoPrior.ml())
+    ref = build_workspace(pilot, dense, CfoPrior.ml())
 
     def close(a, b):
         return np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
@@ -199,7 +199,7 @@ def test_workspace_factors_are_real_when_r_factors_are(maker, scrambled, spatial
     else:
         model = spatial_model(spatial, l_t, l_r, 0.7)
     stats = build_stats(model, pilot.n)
-    ws = build_workspace(pilot, l_r, stats, CfoPrior(0.02, 1e-3))
+    ws = build_workspace(pilot, stats, CfoPrior(0.02, 1e-3))
     assert ws.U.dtype == u_dtype
     assert ws.V.dtype == ws.kernels.dtype == m_dtype
     assert ws.a.dtype == ws.m.dtype == np.float64
@@ -247,7 +247,7 @@ def test_zero_covariance_workspace():
     stats = build_stats(model, pilot.n)
     a, m = stats._receive_factors(pilot.entries)
     assert (a.shape, m.shape) == ((l_r, l_r), (pilot.n, pilot.n))
-    ws = build_workspace(pilot, l_r, stats, CfoPrior.ml())
+    ws = build_workspace(pilot, stats, CfoPrior.ml())
     assert ws.condition == 1.0
     np.testing.assert_array_equal(ws.kernels, 0.0)
     np.testing.assert_allclose(ws.lin_table.ravel(), ws.ybar, rtol=1e-14, atol=0)
@@ -263,7 +263,7 @@ def test_large_array_setup_never_forms_dense_covariance():
     tracemalloc.start()
     try:
         stats = build_stats(model, pilot.n)
-        ws = build_workspace(pilot, 8, stats, CfoPrior.ml())
+        ws = build_workspace(pilot, stats, CfoPrior.ml())
         evaluate_bounds(ws)
         h = sample_ar1_trajectory(model, pilot.n, rng)
         y = synthesize_rx(pilot, 8, 0.05, h, rng)
@@ -286,7 +286,7 @@ def test_workspace_and_beta_stay_factored():
     rows = np.stack([draw_y(rng, pilot, model, stats, f)[0] for f in (-0.1, 0.02, 0.3)])
     tracemalloc.start()
     try:
-        ws = build_workspace(pilot, 8, stats, CfoPrior.ml())
+        ws = build_workspace(pilot, stats, CfoPrior.ml())
         beta = compute_beta(ws)
         batch = estimate_cfo_universal_batch(rows, ws)
         per_antenna = estimate_cfo_per_antenna(rows[1], ws, CfoPrior(0.0, 1e-3))
@@ -310,7 +310,7 @@ def test_ill_conditioned_raises():
     sigma = np.diag([1e16, 1e16, 1.0, 1.0]).astype(complex)
     stats = ChannelStats(1, 1, 4, np.zeros(4, dtype=complex), sigma)
     with pytest.raises(NumericalError) as info:
-        build_workspace(pilot, 1, stats, CfoPrior.ml())
+        build_workspace(pilot, stats, CfoPrior.ml())
     assert info.value.condition is not None
     with pytest.raises(NumericalError) as info:
         mmse_gain(rotated_design(pilot, 1, 0.0), sigma)
@@ -330,17 +330,9 @@ def test_ill_conditioned_model_raises():
                                    sigma_h_sq=1e14), pilot.n)
     assert stats._receive_factors(pilot.entries)[0].shape == (2, 2)
     with pytest.raises(NumericalError) as info:
-        build_workspace(pilot, 2, stats, CfoPrior.ml())
+        build_workspace(pilot, stats, CfoPrior.ml())
     assert np.isfinite(info.value.condition)
     assert info.value.condition > CONDITION_LIMIT
-
-
-def test_dimension_mismatch_rejected(rng):
-    pilot = generate_td_pilot(2, 3)
-    stats = build_stats(make_model(2, 2, 0.5), pilot.n)
-    from cfomimo import ParameterError
-    with pytest.raises(ParameterError):
-        build_workspace(pilot, 3, stats, CfoPrior.ml())
 
 
 # ---------------------------------------------------------------------------
@@ -350,14 +342,14 @@ def test_dimension_mismatch_rejected(rng):
 def test_z_empty_for_single_symbol():
     pilot = custom_pilot(np.ones((1, 1), dtype=complex))
     stats = build_stats(make_model(1, 1, 0.5), 1)
-    ws = build_workspace(pilot, 1, stats, CfoPrior.ml())
+    ws = build_workspace(pilot, stats, CfoPrior.ml())
     assert compute_z(np.ones(1, dtype=complex), ws).size == 0
 
 
 def test_z_matches_six_loop_reference(rng):
     for _ in range(5):
         pilot, model, stats, prior = random_case(rng, n_max=8)
-        ws = build_workspace(pilot, model.l_r, stats, prior)
+        ws = build_workspace(pilot, stats, prior)
         y, _ = draw_y(rng, pilot, model, stats, 0.12)
         z_fast = compute_z(y, ws)
         z_ref = reference_z(y, pilot.entries, *dense_gain_and_offset(pilot, model.l_r, stats),
@@ -373,7 +365,7 @@ def test_z_is_scaled_autocorrelation_for_frozen_scalar_channel(rng):
     pilot = custom_pilot(np.ones((n, 1), dtype=complex))
     sigma_sq = 1.7
     stats = build_stats(make_model(1, 1, 1.0, sigma_h_sq=sigma_sq), n)
-    ws = build_workspace(pilot, 1, stats, CfoPrior.ml())
+    ws = build_workspace(pilot, stats, CfoPrior.ml())
     alpha = 1.0 / (1.0 / sigma_sq + n)
     y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     z = compute_z(y, ws)
@@ -386,7 +378,7 @@ def test_z_phase_tracks_offset_noiselessly():
     n = 10
     pilot = custom_pilot(np.ones((n, 1), dtype=complex))
     stats = build_stats(make_model(1, 1, 1.0), n)
-    ws = build_workspace(pilot, 1, stats, CfoPrior.ml())
+    ws = build_workspace(pilot, stats, CfoPrior.ml())
     f = 0.03
     y = synthesize_rx(pilot, 1, f, np.ones(n, dtype=complex), None)
     z = compute_z(y, ws)
@@ -402,8 +394,8 @@ def wrap_phase(theta):
 def test_z_ignores_prior_and_trial_offset(rng):
     pilot, model, stats, _ = random_case(rng)
     y, _ = draw_y(rng, pilot, model, stats, 0.2)
-    ws_map = build_workspace(pilot, model.l_r, stats, CfoPrior(0.3, 1e-4))
-    ws_ml = build_workspace(pilot, model.l_r, stats, CfoPrior.ml())
+    ws_map = build_workspace(pilot, stats, CfoPrior(0.3, 1e-4))
+    ws_ml = build_workspace(pilot, stats, CfoPrior.ml())
     assert np.array_equal(compute_z(y, ws_map), compute_z(y, ws_ml))
 
 
@@ -413,7 +405,7 @@ def test_z_ignores_prior_and_trial_offset(rng):
 
 def test_metric_zero_for_zero_signal_ml(rng):
     pilot, model, stats, _ = random_case(rng)
-    ws = build_workspace(pilot, model.l_r, stats, CfoPrior.ml())
+    ws = build_workspace(pilot, stats, CfoPrior.ml())
     y0 = np.zeros(model.l_r * pilot.n, dtype=complex)
     for f in (-0.3, 0.0, 0.17):
         assert map_metric(y0, f, ws) == 0.0
@@ -421,7 +413,7 @@ def test_metric_zero_for_zero_signal_ml(rng):
 
 def test_lag_metric_matches_direct_up_to_constant(rng):
     pilot, model, stats, prior = random_case(rng)
-    ws = build_workspace(pilot, model.l_r, stats, prior)
+    ws = build_workspace(pilot, stats, prior)
     y, _ = draw_y(rng, pilot, model, stats, 0.05)
     z = compute_z(y, ws)
     fgrid = np.linspace(-0.45, 0.45, 9)
@@ -434,7 +426,7 @@ def test_lag_metric_matches_direct_up_to_constant(rng):
 
 def test_prior_only_maximum_at_prior_mean(rng):
     pilot, model, stats, _ = random_case(rng)
-    ws = build_workspace(pilot, model.l_r, stats, CfoPrior(0.1, 1e-5))
+    ws = build_workspace(pilot, stats, CfoPrior(0.1, 1e-5))
     y0 = np.zeros(model.l_r * pilot.n, dtype=complex)
     est = estimate_cfo_universal(y0, ws)
     assert est.f_hat == pytest.approx(0.1, abs=1e-12)
@@ -442,7 +434,7 @@ def test_prior_only_maximum_at_prior_mean(rng):
 
 def test_gradient_zero_when_z_vanishes_ml(rng):
     pilot, model, stats, _ = random_case(rng)
-    ws = build_workspace(pilot, model.l_r, stats, CfoPrior.ml())
+    ws = build_workspace(pilot, stats, CfoPrior.ml())
     y0 = np.zeros(model.l_r * pilot.n, dtype=complex)
     for f in (-0.2, 0.0, 0.4):
         assert metric_gradient(y0, f, ws) == 0.0
@@ -451,7 +443,7 @@ def test_gradient_zero_when_z_vanishes_ml(rng):
 def test_gradient_matches_finite_differences(rng):
     for _ in range(20):
         pilot, model, stats, prior = random_case(rng)
-        ws = build_workspace(pilot, model.l_r, stats, prior)
+        ws = build_workspace(pilot, stats, prior)
         y, _ = draw_y(rng, pilot, model, stats, float(rng.uniform(-0.4, 0.4)))
         f = float(rng.uniform(-0.45, 0.45))
         step = 1e-7
@@ -463,7 +455,7 @@ def test_gradient_matches_finite_differences(rng):
 def test_gradient_stationary_at_estimate(rng):
     for _ in range(5):
         pilot, model, stats, prior = random_case(rng)
-        ws = build_workspace(pilot, model.l_r, stats, prior)
+        ws = build_workspace(pilot, stats, prior)
         y, _ = draw_y(rng, pilot, model, stats, 0.08)
         est = estimate_cfo_universal(y, ws)
         if not est.converged:
@@ -480,7 +472,7 @@ def test_noiseless_consistency_td(rng):
     pilot = generate_td_pilot(4, 5)
     model = make_model(4, 4, 1.0)
     stats = build_stats(model, 20)
-    ws = build_workspace(pilot, 4, stats, CfoPrior.ml())
+    ws = build_workspace(pilot, stats, CfoPrior.ml())
     for f_true in (-0.31, 0.1, 0.433):
         y, _ = draw_y(rng, pilot, model, stats, f_true, noisy=False)
         est = estimate_cfo_universal(y, ws)
@@ -493,7 +485,7 @@ def test_periodic_pilot_acquisition_range(rng):
     pilot = generate_periodic_pilot(4, 5)
     model = make_model(4, 4, 1.0)
     stats = build_stats(model, 20)
-    ws = build_workspace(pilot, 4, stats, CfoPrior.ml())
+    ws = build_workspace(pilot, stats, CfoPrior.ml())
     y, _ = draw_y(rng, pilot, model, stats, 0.3, noisy=False)
     est = estimate_cfo_universal(y, ws)
     alias = abs(wrap_frequency(est.f_hat - 0.3))
@@ -502,7 +494,7 @@ def test_periodic_pilot_acquisition_range(rng):
 
 def test_prior_dominated_estimate(rng):
     pilot, model, stats, _ = random_case(rng)
-    ws = build_workspace(pilot, model.l_r, stats, CfoPrior(0.12, 1e-18))
+    ws = build_workspace(pilot, stats, CfoPrior(0.12, 1e-18))
     y, _ = draw_y(rng, pilot, model, stats, -0.2)
     est = estimate_cfo_universal(y, ws)
     assert est.f_hat == pytest.approx(0.12, abs=1e-6)
@@ -512,8 +504,8 @@ def test_map_reduces_to_ml(rng):
     for _ in range(5):
         pilot, model, stats, _ = random_case(rng)
         y, _ = draw_y(rng, pilot, model, stats, 0.07)
-        ws_ml = build_workspace(pilot, model.l_r, stats, CfoPrior.ml())
-        ws_wide = build_workspace(pilot, model.l_r, stats, CfoPrior(0.0, 1e12))
+        ws_ml = build_workspace(pilot, stats, CfoPrior.ml())
+        ws_wide = build_workspace(pilot, stats, CfoPrior(0.0, 1e12))
         f_ml = estimate_cfo_universal(y, ws_ml).f_hat
         f_wide = estimate_cfo_universal(y, ws_wide).f_hat
         assert abs(f_ml - f_wide) < 1e-9
@@ -522,7 +514,7 @@ def test_map_reduces_to_ml(rng):
 def test_estimate_always_in_acquisition_range(rng):
     for _ in range(10):
         pilot, model, stats, prior = random_case(rng)
-        ws = build_workspace(pilot, model.l_r, stats, prior)
+        ws = build_workspace(pilot, stats, prior)
         y, _ = draw_y(rng, pilot, model, stats, float(rng.uniform(-0.5, 0.5)))
         est = estimate_cfo_universal(y, ws)
         assert -0.5 <= est.f_hat < 0.5
@@ -532,7 +524,7 @@ def test_degenerate_input_raises_estimation_error(rng):
     pilot, model, stats, _ = random_case(rng)
     zero_mean = ChannelStats(stats.l_t, stats.l_r, stats.n,
                              np.zeros_like(stats.mu_h), stats.sigma_h)
-    ws0 = build_workspace(pilot, model.l_r, zero_mean, CfoPrior.ml())
+    ws0 = build_workspace(pilot, zero_mean, CfoPrior.ml())
     y0 = np.zeros(model.l_r * pilot.n, dtype=complex)
     with pytest.raises(EstimationError):
         estimate_cfo_universal(y0, ws0)
@@ -551,7 +543,7 @@ def test_per_antenna_input_errors():
     pilot = generate_td_pilot(2, 3)
     stats = build_stats(make_model(2, 2, 0.9), pilot.n)
     y0 = np.zeros(2 * pilot.n, dtype=complex)
-    ws = build_workspace(pilot, 2, stats, CfoPrior.ml())
+    ws = build_workspace(pilot, stats, CfoPrior.ml())
     with pytest.raises(ParameterError, match=r"need one prior per receive antenna \(2\)"):
         estimate_cfo_per_antenna(y0, ws, [CfoPrior.ml()] * 3)
     # anything but one CfoPrior or a sequence of l_r of them is named as such
@@ -604,7 +596,7 @@ def reference_search(z, mu_f, inv_var, grid_size, epsilon=1e-10, max_iter=10):
 
 
 def _check_batch_against_reference_search(rng, case, pilot, model, stats, prior):
-    ws = build_workspace(pilot, model.l_r, stats, prior)
+    ws = build_workspace(pilot, stats, prior)
     rows = [draw_y(rng, pilot, model, stats, float(rng.uniform(-0.5, 0.5)))[0]
             for _ in range(5)]
     rows.append(np.zeros(model.l_r * pilot.n, dtype=complex))
@@ -661,7 +653,7 @@ def test_batch_results_do_not_depend_on_the_split(derotate, rng):
     pilot = generate_periodic_pilot(4, 3, rho=10.0)
     model = make_model(4, 4, 0.9, spatial="exponential", mean="rician")
     stats = build_stats(model, pilot.n)
-    ws = build_workspace(pilot, 4, stats, CfoPrior(0.05, 1e-3))
+    ws = build_workspace(pilot, stats, CfoPrior(0.05, 1e-3))
     rows = np.stack([draw_y(rng, pilot, model, stats, float(f))[0]
                      for f in rng.uniform(-0.3, 0.3, 11)])
     whole = estimate_cfo_universal_batch(rows, ws, derotate_by_prior_mean=derotate)
@@ -684,7 +676,7 @@ def test_batch_results_do_not_depend_on_the_split(derotate, rng):
     # thousand move in the last bit against blocks of 40
     pilot = generate_td_pilot(4, 5, rho=10.0)
     model = make_model(4, 4, 0.99)
-    ws = build_workspace(pilot, 4, build_stats(model, pilot.n), CfoPrior(0.1, 1e-5))
+    ws = build_workspace(pilot, build_stats(model, pilot.n), CfoPrior(0.1, 1e-5))
     rows = np.stack([synthesize_rx(pilot, 4, f, sample_ar1_trajectory(model, pilot.n, rng),
                                    rng) for f in rng.normal(0.1, 10 ** -2.5, 1000)])
     whole = estimate_cfo_universal_batch(rows, ws, derotate_by_prior_mean=derotate)
@@ -702,11 +694,11 @@ def test_derotation_matches_manual_recentering(rng):
     model = make_model(2, 2, 0.95)
     stats = build_stats(model, 12)
     prior = CfoPrior(0.31, 1e-4)
-    ws = build_workspace(pilot, 2, stats, prior)
+    ws = build_workspace(pilot, stats, prior)
     y, _ = draw_y(rng, pilot, model, stats, 0.32)
     recentered = estimate_cfo_universal(y, ws, derotate_by_prior_mean=True)
     y_rot = (y.reshape(2, 12) * np.exp(-2j * np.pi * 0.31 * np.arange(12))).ravel()
-    ws0 = build_workspace(pilot, 2, stats, CfoPrior(0.0, 1e-4))
+    ws0 = build_workspace(pilot, stats, CfoPrior(0.0, 1e-4))
     manual = estimate_cfo_universal(y_rot, ws0)
     assert recentered.f_hat == pytest.approx(wrap_frequency(manual.f_hat + 0.31),
                                              abs=1e-12)
@@ -721,7 +713,7 @@ def test_channel_estimate_zero_input(rng):
     pilot, model, stats, prior = random_case(rng)
     zero_mean = ChannelStats(stats.l_t, stats.l_r, stats.n,
                              np.zeros_like(stats.mu_h), stats.sigma_h)
-    ws = build_workspace(pilot, model.l_r, zero_mean, prior)
+    ws = build_workspace(pilot, zero_mean, prior)
     y0 = np.zeros(model.l_r * pilot.n, dtype=complex)
     np.testing.assert_array_equal(estimate_channel_mmse(y0, 0.1, ws),
                                   np.zeros(stats.dim))
@@ -738,7 +730,7 @@ def test_channel_estimate_matches_normal_equations(rng):
     model_built = build_stats(make_model(l_t, l_r, 0.6, spatial="exponential",
                                          mean="rician"), n)
     for stats in (user_supplied, model_built):
-        ws = build_workspace(pilot, l_r, stats, CfoPrior.ml())
+        ws = build_workspace(pilot, stats, CfoPrior.ml())
         y = rng.standard_normal(n * l_r) + 1j * rng.standard_normal(n * l_r)
         f_hat = 0.09
         h_hat = estimate_channel_mmse(y, f_hat, ws)
@@ -754,7 +746,7 @@ def test_channel_estimate_high_snr_recovers_truth(rng):
     pilot = generate_td_pilot(2, 4, rho=1e6)
     model = make_model(2, 2, 1.0)
     stats = build_stats(model, 8)
-    ws = build_workspace(pilot, 2, stats, CfoPrior.ml())
+    ws = build_workspace(pilot, stats, CfoPrior.ml())
     y, h = draw_y(rng, pilot, model, stats, 0.08, noisy=False)
     est = estimate_cfo_universal(y, ws)
     h_hat = estimate_channel_mmse(y, est.f_hat, ws)
@@ -808,7 +800,7 @@ def test_per_antenna_gradient_matches_finite_differences(rng):
         model = make_model(2, 2, 0.8)
         stats = build_stats(model, pilot.n)
         prior = CfoPrior(0.05, 1e-4)
-    ws = build_workspace(pilot, model.l_r, stats, prior)
+    ws = build_workspace(pilot, stats, prior)
     y, _ = draw_y(rng, pilot, model, stats, 0.06)
     y2 = y.reshape(model.l_r, pilot.n)
     _, mu, inv_var = _prior_vectors(prior, model.l_r)
@@ -841,7 +833,7 @@ def test_per_antenna_matches_scalar_for_common_offset(rng):
     model = make_model(2, 2, 1.0)
     stats = build_stats(model, pilot.n)
     prior = CfoPrior.ml(0.05)
-    ws = build_workspace(pilot, 2, stats, prior)
+    ws = build_workspace(pilot, stats, prior)
     y, _ = draw_y(rng, pilot, model, stats, 0.05, noisy=False)
     scalar = estimate_cfo_universal(y, ws)
     vector = estimate_cfo_per_antenna(y, ws)
@@ -854,14 +846,14 @@ def test_per_antenna_single_receiver_delegates(rng):
     model = make_model(2, 1, 0.9)
     stats = build_stats(model, pilot.n)
     prior = CfoPrior(0.0, 1e-3)
-    ws = build_workspace(pilot, 1, stats, prior)
+    ws = build_workspace(pilot, stats, prior)
     y, _ = draw_y(rng, pilot, model, stats, 0.04)
     scalar = estimate_cfo_universal(y, ws)
     vector = estimate_cfo_per_antenna(y, ws)
     assert vector.f_hat.shape == (1,)
     assert vector.f_hat[0] == scalar.f_hat
     # a prior passed in replaces the workspace's, on the one antenna too
-    ml = build_workspace(pilot, 1, stats, CfoPrior.ml())
+    ml = build_workspace(pilot, stats, CfoPrior.ml())
     assert estimate_cfo_per_antenna(y, ml).metric != vector.metric
     for priors in (prior, [prior]):
         got = estimate_cfo_per_antenna(y, ml, priors)
@@ -873,7 +865,7 @@ def test_per_antenna_noiseless_distinct_offsets(rng):
     model = make_model(2, 2, 1.0)
     stats = build_stats(model, pilot.n)
     y, _ = draw_y(rng, pilot, model, stats, np.array([0.05, -0.08]), noisy=False)
-    est = estimate_cfo_per_antenna(y, build_workspace(pilot, 2, stats, CfoPrior.ml()))
+    est = estimate_cfo_per_antenna(y, build_workspace(pilot, stats, CfoPrior.ml()))
     np.testing.assert_allclose(est.f_hat, [0.05, -0.08], atol=1e-6)
     assert not est.degraded
 
@@ -891,7 +883,7 @@ def test_per_antenna_degraded_fallback(rng, monkeypatch):
         return np.zeros(2), np.zeros((2, 2))
 
     monkeypatch.setattr(est_mod, "_per_antenna_grad_hess", singular)
-    est = est_mod.estimate_cfo_per_antenna(y, build_workspace(pilot, 2, stats, prior))
+    est = est_mod.estimate_cfo_per_antenna(y, build_workspace(pilot, stats, prior))
     assert est.degraded and not est.converged
     assert est.f_hat.shape == (2,)
 
@@ -907,7 +899,7 @@ def test_per_antenna_stops_unconverged_when_every_halving_fails(rng, monkeypatch
     # correlated receive antennas, so stage 1 is not already the joint optimum
     model = make_model(2, 2, 0.9, spatial="exponential", mean="rician")
     stats = build_stats(model, pilot.n)
-    ws = build_workspace(pilot, 2, stats, CfoPrior(0.05, 1e-4))
+    ws = build_workspace(pilot, stats, CfoPrior(0.05, 1e-4))
     y, _ = draw_y(rng, pilot, model, stats, 0.05)
     free = estimate_cfo_per_antenna(y, ws)
     assert free.converged and free.iterations > accepted
@@ -946,7 +938,7 @@ def test_no_refinement_step_leaves_both_searches_unconverged(rng, monkeypatch):
     model = make_model(2, 2, 0.9, spatial="exponential", mean="rician")
     stats = build_stats(model, pilot.n)
     prior = CfoPrior(0.05, 1e-4)
-    ws = build_workspace(pilot, 2, stats, prior)
+    ws = build_workspace(pilot, stats, prior)
     rows = np.stack([draw_y(rng, pilot, model, stats, f)[0] for f in (-0.3, 0.05, 0.2)])
     free = estimate_cfo_universal_batch(rows, ws)
     free_per_antenna = estimate_cfo_per_antenna(rows[0], ws)
@@ -975,7 +967,7 @@ def test_per_antenna_never_ends_below_stage_one(maker, rho_h):
     pilot = maker(l_t, 4, rho=1.7)
     model = spatial_model("complex-kron", l_t, l_r, rho_h)
     stats = build_stats(model, pilot.n)
-    ws = build_workspace(pilot, l_r, stats, CfoPrior.ml())
+    ws = build_workspace(pilot, stats, CfoPrior.ml())
     rng = np.random.default_rng(11)
     rng.standard_normal(2 * pilot.n * l_r)
     rng.uniform(-0.3, 0.3, l_r)
@@ -1003,7 +995,7 @@ def _small_case():
     model = make_model(2, 2, 0.9)
     stats = build_stats(model, pilot.n)
     prior = CfoPrior(0.05, 1e-4)
-    return pilot, model, stats, prior, build_workspace(pilot, 2, stats, prior)
+    return pilot, model, stats, prior, build_workspace(pilot, stats, prior)
 
 
 OFFSET_CALLERS = {

@@ -148,7 +148,7 @@ def _per_antenna_cases():
     stats = build_stats(model, pilot.n)
     y = synthesize_rx(pilot, model.l_r, np.array([0.05, -0.08]),
                       sample_ar1_trajectory(model, pilot.n, rng), rng)
-    ws = build_workspace(pilot, model.l_r, stats, CfoPrior.ml())
+    ws = build_workspace(pilot, stats, CfoPrior.ml())
     yield "demo-ml", estimate_cfo_per_antenna(y, ws)
     priors = [CfoPrior(0.05, 1e-6), CfoPrior(-0.08, 1e-6)]
     yield "demo-priors", estimate_cfo_per_antenna(y, ws, priors)
@@ -158,7 +158,7 @@ def _per_antenna_cases():
             pilot = maker(l_t, 4, rho=1.7)
             model = spatial_model("complex-kron", l_t, l_r, rho_h)
             stats = build_stats(model, pilot.n)
-            ws = build_workspace(pilot, l_r, stats, CfoPrior.ml())
+            ws = build_workspace(pilot, stats, CfoPrior.ml())
             rng = np.random.default_rng(11)
             rng.standard_normal(2 * pilot.n * l_r)
             rng.uniform(-0.3, 0.3, l_r)

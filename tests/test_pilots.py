@@ -223,6 +223,28 @@ def test_config_round_trip(rng):
         assert rebuilt.structure == pilot.structure
 
 
+_TD = generate_td_pilot(2, 3)
+
+
+@pytest.mark.parametrize("pilot, structure", [
+    # reversed rows: the spec would rebuild the generator's order
+    pytest.param(PilotMatrix(_TD.entries[::-1], _TD.rho, _TD.structure, _TD.scrambling),
+                 "td", id="reversed-td"),
+    # 3 x 2 is no whole number of 2 x 2 cores: the spec would give 2 x 2
+    pytest.param(PilotMatrix(np.array([[1, 0], [0, 1], [1, 0]]), 1.0, PilotStructure.PERIODIC,
+                             np.ones(3)), "periodic", id="periodic-3x2"),
+    # the TD spec has no core, so a TD pilot's core would be dropped
+    pytest.param(PilotMatrix(_TD.entries, _TD.rho, _TD.structure, _TD.scrambling,
+                             unitary_core=np.eye(2)), "td", id="td-with-core"),
+])
+def test_config_round_trip_rejects_hand_built_pilots(pilot, structure):
+    # a periodic or TD pilot is written as its generator's spec, so a pilot
+    # that spec would not rebuild is named, not silently changed
+    with pytest.raises(ParameterError, match=f"this {structure} pilot's entries, scrambling or "
+                                             f"core are not those of the {structure} generator"):
+        pilot_to_config(pilot)
+
+
 def test_non_finite_pilots_are_rejected_by_name():
     nan, inf = float("nan"), float("inf")
     td = generate_td_pilot(2, 2)

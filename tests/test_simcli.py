@@ -289,6 +289,31 @@ def test_bounds_vs_snr_rows_and_schema():
     assert first[2] == ""  # no MSE for bound-only sweeps
 
 
+@pytest.mark.parametrize("sigma_h_sq", [1e8, 1e-8, 1e-10, 1e-300])
+def test_bounds_stay_when_power_moves_between_pilot_and_channel(sigma_h_sq):
+    # at a fixed SNR the pilot power rho scales as 1 / sigma_h_sq, so the
+    # received moments R and ybar stay, and so do beta and the floor
+    config = ExperimentConfig(l_t=2, m=3, l_r=2, snr_db=(10.0,))
+    want = run_bounds_vs_snr(config).rows
+    got = run_bounds_vs_snr(replace(config, sigma_h_sq=sigma_h_sq)).rows
+    assert [row.sweep_var for row in got] == [row.sweep_var for row in want]
+    assert all(math.isfinite(row.crlb) for row in got)
+    np.testing.assert_allclose([(row.crlb, row.bcrlb) for row in got],
+                               [(row.crlb, row.bcrlb) for row in want], rtol=1e-12, atol=0)
+
+
+def test_cli_bounds_at_a_tiny_channel_power(tmp_path, capsys):
+    # a pilot power of 1e301 is finite, so the bounds print and exit 0
+    cfg = tmp_path / "tiny.yaml"
+    cfg.write_text("pilot: {l_t: 2, m: 3}\nl_r: 2\n"
+                   "channel: {spatial: {sigma_h_sq: 1.0e-300}}\nsnr_db: [10]\n")
+    assert main(["bounds-vs-snr", "--config", str(cfg)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == run_bounds_vs_snr(load_config(str(cfg))).to_csv_text()
+    assert "inf" not in out
+
+
 def test_mse_vs_snr_basic_row_contract():
     config = ExperimentConfig(**FAST)
     result = run_mse_vs_snr(config)
@@ -540,7 +565,7 @@ def test_one_call_draws_match_four_calls(noise):
     config = ExperimentConfig(**FAST, noise=noise)
     n, l_r, d = config.n, config.l_r, config.l_t * config.l_r
     prior, model = config.prior(), config.model()
-    ws = build_workspace(config.pilot(2.0), l_r, build_stats(model, n), prior)
+    ws = build_workspace(config.pilot(2.0), build_stats(model, n), prior)
     trials = range(3, 8)
     width = 2 * n * d + (2 * l_r * n if noise else 0)
     # a sweep point's buffer, larger than the block and holding stale rows
@@ -602,7 +627,7 @@ def test_receive_space_sampler_matches_channel_path(spatial, rho_h):
                                   seed=7, noise=noise, f_true_mode=mode, mu_f=0.05,
                                   sigma_f_sq=1e-3)
         prior, pilot, n = config.prior(), config.pilot(2.0), config.n
-        ws = build_workspace(pilot, l_r, build_stats(model, n), prior)
+        ws = build_workspace(pilot, build_stats(model, n), prior)
 
         def sample(trials):
             f_true, rows = _BlockDraws(config, 1, trials, prior).draw()
@@ -1137,9 +1162,9 @@ def test_sweeps_single_and_oracle_form_no_channel_space_matrix(monkeypatch):
     rng = np.random.default_rng(5)
     y = synthesize_rx(pilot, config.l_r, [0.02, -0.03],
                       sample_ar1_trajectory(model, config.n, rng), rng)
-    ws = build_workspace(pilot, config.l_r, stats, CfoPrior(0.0, 1e-3))
+    ws = build_workspace(pilot, stats, CfoPrior(0.0, 1e-3))
     assert estimate_cfo_per_antenna(y, ws).f_hat.shape == (2,)
-    assert fisher_oracle(pilot, config.l_r, stats, n_samples=10,
+    assert fisher_oracle(pilot, stats, n_samples=10,
                          rng=np.random.default_rng(0)) > 0
 
 
@@ -1162,8 +1187,8 @@ def test_oracles_and_validate_run_without_scipy():
             "pilot = generate_td_pilot(2, 3)\n"
             "stats = build_stats(make_model(2, 2, 0.5), pilot.n)\n"
             "mmse_gain(expand_block(pilot, 2), stats.sigma_h)\n"
-            "build_workspace(pilot, 2, stats, CfoPrior.ml())\n"
-            "fisher_oracle(pilot, 2, stats, n_samples=10, rng=np.random.default_rng(0))\n"
+            "build_workspace(pilot, stats, CfoPrior.ml())\n"
+            "fisher_oracle(pilot, stats, n_samples=10, rng=np.random.default_rng(0))\n"
             "sys.exit(main(['validate']))\n")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {**os.environ, "PYTHONPATH": src}
