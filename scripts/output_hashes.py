@@ -96,9 +96,9 @@ def run(tree: Path, argv: list, path: str = "src") -> tuple:
     return done.returncode, done.stdout
 
 
-def ledger(tree: Path, scratch: Path) -> dict:
+def ledger(tree: Path, workdir: Path) -> dict:
     """{output name: (exit status, sha256)} of every output of the code in tree."""
-    td_iid_zero = scratch / "td-iid-zero.yaml"
+    td_iid_zero = workdir / "td-iid-zero.yaml"
     td_iid_zero.write_text(TD_IID_ZERO)
     out = {}
 
@@ -106,7 +106,7 @@ def ledger(tree: Path, scratch: Path) -> dict:
         out[name] = (status, hashlib.sha256(data).hexdigest())
 
     for name, args, plot in cli_runs(td_iid_zero):
-        plot_path = scratch / "plot.csv"
+        plot_path = workdir / "plot.csv"
         plot_path.unlink(missing_ok=True)
         extra = ["--emit-plot-data", str(plot_path)] if plot else []
         status, stdout = run(tree, ["-m", "cfomimo.simcli", *args, *extra])

@@ -718,7 +718,7 @@ def _check_z_purity(rng):
 
 def _check_bound_ordering(rng):
     for _ in range(20):
-        pilot, model, stats, prior = _random_setup(rng)
+        pilot, _, stats, prior = _random_setup(rng)
         res = evaluate_bounds(build_workspace(pilot, stats, prior))
         if not (res.bcrlb <= res.crlb + 1e-15 and res.bcrlb <= prior.sigma_f_sq + 1e-15):
             return False, f"violated: {res}"

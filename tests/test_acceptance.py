@@ -128,7 +128,7 @@ def test_criterion_05_bound_ordering():
     budget = Budget(60.0)
     rng = np.random.default_rng(505)
     for _ in range(200):
-        pilot, model, stats, prior = random_case(rng, l_t_max=3, l_r_max=3, n_max=10)
+        pilot, _, stats, prior = random_case(rng, l_t_max=3, l_r_max=3, n_max=10)
         res = evaluate_bounds(build_workspace(pilot, stats, prior))
         assert res.bcrlb <= res.crlb + 1e-15
         assert res.bcrlb <= prior.sigma_f_sq + 1e-15

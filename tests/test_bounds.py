@@ -121,7 +121,7 @@ def test_beta_reads_only_the_eigenpairs():
 
 def test_beta_nonnegative_on_random_configs(rng):
     for _ in range(20):
-        pilot, model, stats, prior = random_case(rng)
+        pilot, _, stats, prior = random_case(rng)
         assert compute_beta(build_workspace(pilot, stats, prior)) >= 0.0
 
 
@@ -245,7 +245,7 @@ def test_fisher_oracle_takes_no_prior_and_tuning_by_keyword():
 
 def test_bound_ordering_random_sweep(rng):
     for _ in range(30):
-        pilot, model, stats, prior = random_case(rng)
+        pilot, _, stats, prior = random_case(rng)
         res = evaluate_bounds(build_workspace(pilot, stats, prior))
         assert res.bcrlb <= res.crlb + 1e-15
         assert res.bcrlb <= prior.sigma_f_sq + 1e-15

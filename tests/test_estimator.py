@@ -53,7 +53,7 @@ def test_gain_frozen_channel_iid_spatial_closed_form():
 
 
 def test_offset_zero_for_zero_mean(rng):
-    pilot, model, stats, prior = random_case(rng)
+    pilot, _, stats, prior = random_case(rng)
     zero_mean = ChannelStats(stats.l_t, stats.l_r, stats.n,
                              np.zeros_like(stats.mu_h), stats.sigma_h)
     np.testing.assert_array_equal(dense_gain_and_offset(pilot, stats.l_r, zero_mean)[1], 0.0)
