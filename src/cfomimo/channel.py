@@ -36,7 +36,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import ModelError, ParameterError, _check_int
+from .errors import ModelError, _array, _check_int
 from .pilots import PilotMatrix
 
 HERMITIAN_TOL = 1e-12
@@ -94,15 +94,8 @@ class CorrelationModel:
             _check_int(name, getattr(self, name), error=ModelError)
         _check_rho_h(self.rho_h)
         d = self.l_t * self.l_r
-        cov = np.array(self.spatial_cov, dtype=np.complex128)
-        if cov.shape != (d, d):
-            raise ModelError(f"spatial_cov must be {d}x{d}")
-        mean = np.array(self.mean, dtype=np.complex128)
-        if mean.shape != (d,):
-            raise ModelError(f"mean must have length {d}")
-        for label, value in (("spatial_cov", cov), ("mean", mean)):
-            if not np.all(np.isfinite(value)):
-                raise ModelError(f"{label} has non-finite entries")
+        cov = _array("spatial_cov", self.spatial_cov, (d, d), error=ModelError)
+        mean = _array("mean", self.mean, (d,), error=ModelError)
         # the samplers' L with L L^H = spatial_cov, from the check's
         # decomposition: Cholesky, or the eigen factor of a singular one
         factor = _check_hermitian_psd(cov, "spatial_cov")
@@ -152,6 +145,8 @@ class CorrelationModel:
 def exponential_spatial_cov(l_t: int, l_r: int, a: float = 0.5, b: float = 0.5,
                             sigma_h_sq: float = 1.0) -> np.ndarray:
     """C[(r,t),(r',t')] = sigma_h^2 * a^|r-r'| * b^|t-t'|."""
+    for name, value in (("l_t", l_t), ("l_r", l_r)):
+        _check_int(name, value, error=ModelError)
     r = np.arange(l_r)
     t = np.arange(l_t)
     corr_r = a ** np.abs(r[:, None] - r[None, :])
@@ -196,10 +191,11 @@ def make_model(l_t: int, l_r: int, rho_h: float, *, spatial: str = "iid",
 class ChannelStats:
     """Mean and covariance of the length l_t*l_r*n vectorized channel.
 
-    Constructed directly, it holds the dense (l_t*l_r*n)^2 covariance
-    sigma_h, which must be Hermitian and positive semidefinite.  Stats made
-    by build_stats keep the covariance in its separable form instead (see
-    there); sigma_h is then built densely on first read.  Other modules
+    Constructed directly, it holds a finite mean mu_h and the dense
+    (l_t*l_r*n)^2 covariance sigma_h, which must be finite, Hermitian and
+    positive semidefinite.  Stats made by build_stats keep the covariance
+    in its separable form instead (see there); sigma_h is then built
+    densely on first read.  Other modules
     reach the covariance only through _receive_factors, _receive_cov and
     _apply_cov, which work on either form.
     """
@@ -212,11 +208,8 @@ class ChannelStats:
 
     def __post_init__(self):
         dim = self.l_t * self.l_r * self.n
-        mu = np.array(self.mu_h, dtype=np.complex128)
-        sigma = np.array(self.sigma_h, dtype=np.complex128)
-        if mu.shape != (dim,) or sigma.shape != (dim, dim):
-            raise ModelError(f"mu_h must have shape ({dim},) and sigma_h ({dim}, {dim}), "
-                             f"l_t*l_r*n = {dim}, got {mu.shape} and {sigma.shape}")
+        mu = _array("mu_h", self.mu_h, (dim,), error=ModelError)
+        sigma = _array("sigma_h", self.sigma_h, (dim, dim), error=ModelError)
         _check_hermitian_psd(sigma, "sigma_h", factor=False)
         mu.setflags(write=False)
         sigma.setflags(write=False)
@@ -386,12 +379,6 @@ def _ar1_trajectories(model: CorrelationModel, n: int, normals: np.ndarray) -> n
     return h.reshape(-1, n, model.l_r, model.l_t).transpose(0, 2, 1, 3).reshape(len(normals), -1)
 
 
-def _trial_normals(n: int, l_r: int, d: int, noise: bool) -> int:
-    """Standard normals one trial of _received_trials takes: 2*n*d for its
-    innovations, plus 2*l_r*n for its noise when it has noise."""
-    return 2 * n * (d + (l_r if noise else 0))
-
-
 def _received_trials(model: CorrelationModel, ws, f: np.ndarray,
                      normals: np.ndarray) -> np.ndarray:
     """Received signals (T, n*l_r) of T trials of the model's channel under
@@ -445,14 +432,9 @@ def _rotation(f, l_r: int, n: int) -> np.ndarray:
     vector of per-antenna offsets, in cycles per symbol; a non-finite
     offset is rejected.
     """
-    f = np.atleast_1d(np.asarray(f, dtype=float))
-    if f.size == 1:
-        f = np.full(l_r, f[0])
-    elif f.shape != (l_r,):
-        raise ParameterError(f"offset must be scalar or length {l_r}, got shape {f.shape}")
-    if not np.all(np.isfinite(f)):
-        raise ParameterError(f"offset must be finite, got {f}")
-    return _phases(f, n)
+    # one offset, in an array of any shape with one entry, serves every antenna
+    f = _array("offset", f, np.shape(f) if np.size(f) == 1 else (l_r,), dtype=float)
+    return _phases(np.broadcast_to(f.ravel(), (l_r,)), n)
 
 
 def synthesize_rx(pilot: PilotMatrix, l_r: int, f_true, h: np.ndarray,
@@ -462,11 +444,9 @@ def synthesize_rx(pilot: PilotMatrix, l_r: int, f_true, h: np.ndarray,
     f_true may be a scalar (common offset) or a length-l_r vector of
     per-receive-antenna offsets, in cycles per symbol.
     """
+    _check_int("l_r", l_r)
     n, l_t = pilot.entries.shape
-    h = np.asarray(h, dtype=np.complex128)
-    if h.shape != (l_r * n * l_t,):
-        raise ParameterError(f"channel vector h must have length l_r*n*l_t = {l_r * n * l_t}, "
-                             f"got shape {h.shape}")
+    h = _array("channel vector h (l_r*n*l_t)", h, (l_r * n * l_t,))
     y = _rotation(f_true, l_r, n) * np.einsum("kt,rkt->rk", pilot.entries,
                                                 h.reshape(l_r, n, l_t))
     if noise_rng is not None:

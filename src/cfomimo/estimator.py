@@ -92,7 +92,7 @@ from functools import cached_property
 import numpy as np
 
 from .channel import CfoPrior, ChannelStats, _phases, _rotation
-from .errors import EstimationError, NumericalError, ParameterError
+from .errors import EstimationError, NumericalError, ParameterError, _array
 from .pilots import PilotMatrix, expand_block
 
 CONDITION_LIMIT = 1e13
@@ -212,6 +212,8 @@ def mmse_gain(design: np.ndarray, sigma_h: np.ndarray) -> tuple[np.ndarray, floa
     it is not positive definite), checked against CONDITION_LIMIT, and the
     solve.
     """
+    design = _array("design", design, (None, None))
+    sigma_h = _array("sigma_h", sigma_h, (design.shape[1],) * 2)
     cross = design @ sigma_h
     inner = np.eye(design.shape[0], dtype=np.complex128) + cross @ design.conj().T
     eig, vec = np.linalg.eigh(inner)
@@ -263,13 +265,8 @@ def build_workspace(pilot: PilotMatrix, stats: ChannelStats,
 def _received_rows(y, ws: EstimatorWorkspace) -> np.ndarray:
     """A (T, n*l_r) batch of received signals as a (T, l_r, n) complex array;
     a wrong shape or a non-finite sample is rejected."""
-    y = np.asarray(y, dtype=np.complex128)
-    if y.ndim != 2 or y.shape[1] != ws.l_r * ws.n:
-        raise ParameterError(f"each received signal must have l_r*n = {ws.l_r * ws.n} "
-                             f"samples, one signal per row, got shape {y.shape}")
-    if not np.all(np.isfinite(y)):
-        raise ParameterError("y has non-finite samples")
-    return y.reshape(-1, ws.l_r, ws.n)
+    q = ws.l_r * ws.n
+    return _array(f"y (l_r*n = {q} samples a signal)", y, (None, q)).reshape(-1, ws.l_r, ws.n)
 
 
 def _received(y, ws: EstimatorWorkspace) -> np.ndarray:
@@ -338,11 +335,8 @@ def _data_term(w: np.ndarray, ws: EstimatorWorkspace) -> float:
 
 
 def _common_offset(f) -> float:
-    """A common offset as a float; anything but one finite number is rejected."""
-    f = np.asarray(f, dtype=float)
-    if f.size != 1 or not np.isfinite(f).all():
-        raise ParameterError(f"a common offset must be one finite number, got {f!r}")
-    return float(f.reshape(()))
+    """A common offset, one finite number in an array of any shape, as a float."""
+    return float(_array("common offset", f, (1,) * np.ndim(f), dtype=float).reshape(()))
 
 
 def map_metric(y: np.ndarray, f: float, ws: EstimatorWorkspace) -> float:

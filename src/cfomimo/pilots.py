@@ -13,11 +13,14 @@ orthogonality is measured and reported, not enforced.
 
 Each input rule is stated, and checked, in one place: the entries and their
 power in _average_power, the power rho in _check_rho, the scrambling in
-_scrambling and the unitary core in _unitary_core.  The generators and
-PilotMatrix call the same helpers, so an input is rejected with the same
-message whichever way the pilot is built.  pilot_from_config reads the
-scrambling and core specs, a default name ("ones", "identity") or a list
-of complex numbers, with one reader, _spec.
+_scrambling and the unitary core in _unitary_core.  The shape and
+finiteness of every array among them, and of the raw entries expand_block
+takes, are checked by the package's one array rule, errors._array, and the
+sizes l_t, m, n and l_r by its size rule, errors._check_int.  The
+generators and PilotMatrix call the same helpers, so an input is rejected
+with the same message whichever way the pilot is built.  pilot_from_config
+reads the scrambling and core specs, a default name ("ones", "identity")
+or a list of complex numbers, with one reader, _spec.
 
 Index conventions used throughout the package (all 0-based):
 
@@ -35,7 +38,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ParameterError, _check_int, _coerce
+from .errors import ParameterError, _array, _check_int, _coerce
 
 UNITARY_TOL = 1e-12
 UNIT_MODULUS_TOL = 1e-12
@@ -62,8 +65,7 @@ class PilotMatrix:
     unitary_core: np.ndarray | None = None
 
     def __post_init__(self):
-        entries = np.array(self.entries, dtype=np.complex128)
-        power = _average_power(entries)
+        entries, power = _average_power(self.entries)
         n, l_t = entries.shape
         object.__setattr__(self, "scrambling", _scrambling(self.scrambling, n))
         _check_rho(self.rho, n)
@@ -106,22 +108,17 @@ def _check_rho(rho, n: int):
                              f"total power n*rho, got rho={rho!r} at n={n}")
 
 
-def _average_power(entries: np.ndarray) -> float:
-    """tr(S^H S)/n of the pilot entries S, which must be a finite 2-D array
-    of n >= 1 rows; inf when the trace overflows, which it does, without a
+def _average_power(values) -> tuple[np.ndarray, float]:
+    """(S, tr(S^H S)/n): values as a complex copy S of the pilot entries,
+    which must be a finite (n, l_t) array of n >= 1 rows, and their
+    average power; inf when the trace overflows, which it does, without a
     warning, once an entry passes about 1e154.  The entries are finite, so
     a trace that is not is an overflow (inf, or inf - inf in a product)."""
-    if entries.ndim != 2 or entries.shape[0] < 1:
-        raise ParameterError("pilot entries must be a 2-D (n, l_t) array with n >= 1")
-    _check_finite("entries", entries)
+    entries = _array("pilot entries (n, l_t)", values, (None, None))
+    _check_int("pilot length n", entries.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):
         trace = float(np.trace(entries.conj().T @ entries).real)
-    return trace / entries.shape[0] if math.isfinite(trace) else math.inf
-
-
-def _check_finite(name: str, values: np.ndarray):
-    if not np.all(np.isfinite(values)):
-        raise ParameterError(f"pilot {name} must be finite")
+    return entries, trace / entries.shape[0] if math.isfinite(trace) else math.inf
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:
@@ -132,10 +129,7 @@ def _read_only(values: np.ndarray) -> np.ndarray:
 def _scrambling(values, n: int) -> np.ndarray:
     """values as a read-only copy of n finite unit-modulus complex entries:
     the one scrambling rule, which both the generators and PilotMatrix apply."""
-    scrambling = np.array(values, dtype=np.complex128)
-    if scrambling.shape != (n,):
-        raise ParameterError(f"scrambling length {scrambling.shape} does not match n={n}")
-    _check_finite("scrambling", scrambling)
+    scrambling = _array("scrambling", values, (n,))
     if np.max(np.abs(np.abs(scrambling) - 1.0)) > UNIT_MODULUS_TOL:
         raise ParameterError("scrambling entries must have unit modulus")
     return _read_only(scrambling)
@@ -144,12 +138,9 @@ def _scrambling(values, n: int) -> np.ndarray:
 def _unitary_core(values, l_t: int) -> np.ndarray:
     """values as a read-only copy of a unitary l_t x l_t complex matrix: the
     one core rule, which both generate_periodic_pilot and PilotMatrix apply."""
-    core = np.array(values, dtype=np.complex128)
-    if core.shape != (l_t, l_t):
-        raise ParameterError(f"unitary core must be a square matrix of size "
-                             f"l_t = {l_t}, got shape {core.shape}")
+    core = _array("unitary core (l_t x l_t)", values, (l_t, l_t))
     defect = np.max(np.abs(core.conj().T @ core - np.eye(l_t)))
-    if not defect <= UNITARY_TOL:  # a NaN defect fails too
+    if not defect <= UNITARY_TOL:  # an overflow's NaN defect fails too
         raise ParameterError(f"core is not unitary (defect {defect:.3e})")
     return _read_only(core)
 
@@ -189,8 +180,8 @@ def generate_td_pilot(l_t: int, m: int, rho: float = 1.0, scrambling=None) -> Pi
 
 def custom_pilot(entries) -> PilotMatrix:
     """Wrap an arbitrary complex matrix; rho is derived from the entries."""
-    entries = np.asarray(entries, dtype=np.complex128)
-    return PilotMatrix(entries=entries, rho=_average_power(entries),
+    entries, rho = _average_power(entries)
+    return PilotMatrix(entries=entries, rho=rho,
                        structure=PilotStructure.CUSTOM,
                        scrambling=np.ones(entries.shape[0], dtype=np.complex128))
 
@@ -204,10 +195,8 @@ def expand_block(pilot, l_r: int) -> np.ndarray:
     signal is exactly this matrix times the channel vector.
     """
     _check_int("l_r", l_r)
-    entries = pilot.entries if isinstance(pilot, PilotMatrix) else np.asarray(pilot)
-    if entries.ndim != 2:
-        raise ParameterError(f"pilot entries must be a 2-D (n, l_t) array, got shape "
-                             f"{entries.shape}")
+    entries = (pilot.entries if isinstance(pilot, PilotMatrix)
+               else _array("pilot entries (n, l_t)", pilot, (None, None)))
     n, l_t = entries.shape
     out = np.zeros((n * l_r, l_r * n * l_t), dtype=np.complex128)
     for r in range(l_r):

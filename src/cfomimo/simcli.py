@@ -79,8 +79,7 @@ import numpy as np
 
 from .bounds import compute_beta, evaluate_bounds
 from .channel import (CfoPrior, _ar1_trajectories, _check_rho_h, _received_trials,
-                      _trial_normals, build_stats, make_model, sample_ar1_trajectory,
-                      synthesize_rx)
+                      build_stats, make_model, sample_ar1_trajectory, synthesize_rx)
 from .errors import (EstimationError, ModelError, NumericalError,
                      ParameterError, _coerce)
 from .estimator import (build_workspace, compute_z, estimate_cfo_universal,
@@ -226,6 +225,12 @@ class ExperimentConfig:
     @property
     def n(self) -> int:
         return self.m * self.l_t
+
+    @property
+    def trial_row(self) -> int:
+        """Standard normals in one trial's row, as _received_trials reads it:
+        2*n*l_t*l_r for the innovations, plus 2*l_r*n for the noise."""
+        return 2 * self.n * self.l_r * (self.l_t + (1 if self.noise else 0))
 
     @classmethod
     def from_mapping(cls, data: dict) -> "ExperimentConfig":
@@ -481,8 +486,7 @@ class _BlockDraws:
                  prior: CfoPrior, normals: np.ndarray | None = None):
         count = len(trials)
         if normals is None:
-            normals = np.empty((count, _trial_normals(config.n, config.l_r,
-                                                      config.l_t * config.l_r, config.noise)))
+            normals = np.empty((count, config.trial_row))
         self.f_true = np.full(count, prior.mu_f)
         self.rows = normals[:count]
         self._streams = (config.seed, point, trials)
@@ -547,7 +551,7 @@ def _run_point_trials(config: ExperimentConfig, point: int, model, ws):
     received signals in the receive space, so the l_t*l_r*n channel is
     never formed.
     """
-    row = _trial_normals(config.n, config.l_r, config.l_t * config.l_r, config.noise)
+    row = config.trial_row
     sizes = _block_sizes(config.trials, max(1, BLOCK_BYTES // (8 * row)))
     blocks = [range(end - size, end) for size, end in zip(sizes, accumulate(sizes))]
     # block b's rows go to buffers[b % 2], free again once block b - 2 has
@@ -793,8 +797,7 @@ def _check_determinism():
     global BLOCK_BYTES
     config = ExperimentConfig(snr_db=(15.0,), trials=8, seed=123, m=3, l_t=2,
                               l_r=2, rho_h=0.9)
-    row_bytes = 8 * _trial_normals(config.n, config.l_r, config.l_t * config.l_r,
-                                   config.noise)
+    row_bytes = 8 * config.trial_row
     saved, texts = BLOCK_BYTES, []
     try:
         # one block, an uneven balanced split and one trial per block

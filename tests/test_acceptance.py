@@ -19,7 +19,6 @@ from cfomimo import (CfoPrior, build_stats, build_workspace, compute_beta,
                      resolvability_floor, rotated_design,
                      sample_ar1_trajectory, synthesize_rx)
 from cfomimo import simcli
-from cfomimo.channel import _trial_normals
 from cfomimo.simcli import ExperimentConfig, run_mse_vs_snr
 
 from conftest import random_case
@@ -243,8 +242,7 @@ def test_criterion_12_determinism(monkeypatch, draw_log):
     config = ExperimentConfig(pilot_structure="td", l_t=2, m=4, l_r=2,
                               rho_h=0.95, snr_db=(10.0, 20.0), trials=40,
                               seed=1212)
-    row_bytes = 8 * _trial_normals(config.n, config.l_r, config.l_t * config.l_r,
-                                   config.noise)
+    row_bytes = 8 * config.trial_row
     texts = []
     # one block, an uneven balanced split and one trial per block, set by
     # the block budget as validate does; each SNR point splits alike, and

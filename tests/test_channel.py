@@ -3,8 +3,9 @@ import pytest
 
 from cfomimo import (CfoPrior, ChannelStats, CorrelationModel, ModelError, ParameterError,
                      build_stats,
-                     custom_pilot, expand_block, generate_td_pilot, make_model,
-                     sample_ar1_trajectory, synthesize_rx)
+                     custom_pilot, expand_block, exponential_spatial_cov,
+                     generate_td_pilot, make_model, mmse_gain, sample_ar1_trajectory,
+                     synthesize_rx)
 from cfomimo.channel import _ar1_trajectories, _unit_complex
 
 
@@ -99,21 +100,28 @@ def test_non_psd_spatial_rejected():
         CorrelationModel(l_t=2, l_r=1, rho_h=0.5, spatial_cov=bad,
                          mean=np.zeros(2, dtype=complex))
     # non-finite entries are named before any eigenvalue solve sees them
-    for cov, mean in ((np.diag([1.0, np.inf]), np.zeros(2)),
-                      (np.diag([1.0, np.nan]), np.zeros(2)),
-                      (np.eye(2), np.array([0.0, np.inf]))):
-        with pytest.raises(ModelError, match="non-finite"):
+    for cov, mean, name in ((np.diag([1.0, np.inf]), np.zeros(2), "spatial_cov"),
+                            (np.diag([1.0, np.nan]), np.zeros(2), "spatial_cov"),
+                            (np.eye(2), np.array([0.0, np.inf]), "mean")):
+        with pytest.raises(ModelError, match=f"^{name} has non-finite entries$"):
             CorrelationModel(l_t=2, l_r=1, rho_h=0.5, spatial_cov=cov, mean=mean)
 
 
 def test_malformed_model_stats_and_channel_are_rejected_by_name():
     # each message names the argument at fault
     pilot = generate_td_pilot(1, 2)
+    nan_at_1 = np.array([0.0, np.nan, 0.0, 0.0])
     cases = [
         (lambda: CorrelationModel(l_t=2, l_r=1, rho_h=0.5, spatial_cov=np.eye(3),
-                                  mean=np.zeros(2)), ModelError, "spatial_cov must be 2x2"),
+                                  mean=np.zeros(2)), ModelError,
+         r"spatial_cov must have shape \(2, 2\), got \(3, 3\)"),
         (lambda: CorrelationModel(l_t=2, l_r=1, rho_h=0.5, spatial_cov=np.eye(2),
-                                  mean=np.zeros(3)), ModelError, "mean must have length 2"),
+                                  mean=np.zeros(3)), ModelError,
+         r"mean must have shape \(2,\), got \(3,\)"),
+        (lambda: exponential_spatial_cov(2.5, 2), ModelError,
+         "l_t must be an integer >= 1, got 2.5"),
+        (lambda: exponential_spatial_cov(2, 0), ModelError,
+         "l_r must be an integer >= 1, got 0"),
         (lambda: make_model(2, 2, 0.5, spatial="bogus"), ModelError,
          "unknown spatial model 'bogus'"),
         (lambda: make_model(2, 2, 0.5, mean="rician", rician_k=-1.0), ModelError,
@@ -124,11 +132,32 @@ def test_malformed_model_stats_and_channel_are_rejected_by_name():
          "rician_k must be nonnegative and finite, got inf"),
         (lambda: make_model(2, 2, 0.5, mean="bogus"), ModelError, "unknown mean model 'bogus'"),
         (lambda: ChannelStats(1, 2, 2, np.zeros(3), np.eye(4)), ModelError,
-         r"mu_h must have shape \(4,\) and sigma_h \(4, 4\), .* got \(3,\) and \(4, 4\)"),
+         r"mu_h must have shape \(4,\), got \(3,\)"),
         (lambda: ChannelStats(1, 2, 2, np.zeros(4), np.eye(3)), ModelError,
-         r"sigma_h \(4, 4\), .* got \(4,\) and \(3, 3\)"),
+         r"sigma_h must have shape \(4, 4\), got \(3, 3\)"),
+        # a NaN or inf in the stats is named, not left to the workspace or
+        # the bounds to blame on conditioning or a negative beta
+        (lambda: ChannelStats(1, 2, 2, nan_at_1, np.eye(4)), ModelError,
+         "^mu_h has non-finite entries$"),
+        (lambda: ChannelStats(1, 2, 2, np.array([0.0, np.inf, 0.0, 0.0]), np.eye(4)),
+         ModelError, "^mu_h has non-finite entries$"),
+        (lambda: ChannelStats(1, 2, 2, np.zeros(4), np.diag(1.0 + nan_at_1)), ModelError,
+         "^sigma_h has non-finite entries$"),
         (lambda: synthesize_rx(pilot, 2, 0.0, np.zeros(3)), ParameterError,
-         r"channel vector h must have length l_r\*n\*l_t = 4, got shape \(3,\)"),
+         r"channel vector h \(l_r\*n\*l_t\) must have shape \(4,\), got \(3,\)"),
+        (lambda: synthesize_rx(pilot, 2, 0.0, nan_at_1), ParameterError,
+         r"^channel vector h \(l_r\*n\*l_t\) has non-finite entries$"),
+        (lambda: synthesize_rx(pilot, 2.0, 0.0, np.zeros(4)), ParameterError,
+         "l_r must be an integer >= 1, got 2.0"),
+        (lambda: synthesize_rx(pilot, 0, 0.0, np.zeros(0)), ParameterError,
+         "l_r must be an integer >= 1, got 0"),
+        # mmse_gain names a design and a covariance that do not fit, or a NaN
+        (lambda: mmse_gain(expand_block(pilot, 2), np.eye(3)), ParameterError,
+         r"sigma_h must have shape \(4, 4\), got \(3, 3\)"),
+        (lambda: mmse_gain(expand_block(pilot, 2), np.diag(1.0 + nan_at_1)), ParameterError,
+         "^sigma_h has non-finite entries$"),
+        (lambda: mmse_gain(np.full((2, 2), np.nan), np.eye(2)), ParameterError,
+         "^design has non-finite entries$"),
     ]
     for make, error, message in cases:
         with pytest.raises(error, match=message):

@@ -1039,12 +1039,14 @@ def test_received_signal_is_validated(caller, rng):
     y, _ = draw_y(rng, pilot, model, stats, 0.05)
     call = Y_CALLERS[caller]
     call(pilot, stats, ws, y)  # a well-formed y passes
-    with pytest.raises(ParameterError, match=r"l_r\*n = 12 samples"):
+    name = r"^y \(l_r\*n = 12 samples a signal\)"
+    with pytest.raises(ParameterError, match=name + r" must have shape \(any, 12\), "
+                                                    r"got \([12], 5\)$"):
         call(pilot, stats, ws, y[:5])
     for bad in (np.nan, np.inf):
         y_bad = y.copy()
         y_bad[3] = bad
-        with pytest.raises(ParameterError, match="non-finite"):
+        with pytest.raises(ParameterError, match=name + " has non-finite entries$"):
             call(pilot, stats, ws, y_bad)
 
 

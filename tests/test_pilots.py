@@ -319,36 +319,38 @@ def test_config_input_errors_name_the_key():
 
 def test_malformed_pilots_are_rejected_by_name():
     td = generate_td_pilot(2, 2)
+    entries = r"pilot entries \(n, l_t\) must have shape \(any, any\), got "
     cases = [(lambda: PilotMatrix(td.entries[:, 0], td.rho, td.structure, td.scrambling),
-              r"pilot entries must be a 2-D \(n, l_t\) array with n >= 1"),
-             (lambda: custom_pilot(np.zeros((0, 2))), r"pilot entries must be a 2-D"),
-             (lambda: custom_pilot(np.ones(3)), r"pilot entries must be a 2-D"),
+              entries + r"\(4,\)"),
+             (lambda: custom_pilot(np.zeros((0, 2))), "pilot length n must be an integer >= 1, got 0"),
+             (lambda: custom_pilot(np.ones(3)), entries + r"\(3,\)"),
+             (lambda: custom_pilot([[1.0, "x"]]),
+              r"pilot entries \(n, l_t\) must be an array of numbers, got list"),
              (lambda: PilotMatrix(td.entries, td.rho, td.structure, np.ones(3)),
-              r"scrambling length \(3,\) does not match n=4"),
+              r"scrambling must have shape \(4,\), got \(3,\)"),
              (lambda: PilotMatrix(td.entries, 2.0, td.structure, td.scrambling),
               "entries have average power 1, expected rho=2"),
              (lambda: generate_periodic_pilot(2, 2, unitary_core=np.ones((2, 3))),
-              "unitary core must be a square matrix"),
+              r"unitary core \(l_t x l_t\) must have shape \(2, 2\), got \(2, 3\)"),
              # the generators apply the scrambling, core and power rules of
              # PilotMatrix itself, with the same messages
              (lambda: generate_td_pilot(2, 2, scrambling=np.ones(3)),
-              r"scrambling length \(3,\) does not match n=4"),
+              r"scrambling must have shape \(4,\), got \(3,\)"),
              (lambda: generate_periodic_pilot(2, 2, scrambling=[1, 1j, 2, 1]),
               "scrambling entries must have unit modulus"),
              (lambda: td.with_power(-1.0), "pilot power rho must be positive"),
              # a core of another size than l_t, or with a NaN, is named too
              (lambda: generate_periodic_pilot(2, 2, unitary_core=np.eye(3)),
-              r"unitary core must be a square matrix of size l_t = 2, got shape \(3, 3\)"),
+              r"unitary core \(l_t x l_t\) must have shape \(2, 2\), got \(3, 3\)"),
              (lambda: PilotMatrix(td.entries, td.rho, td.structure, td.scrambling,
                                   unitary_core=np.eye(3)),
-              "unitary core must be a square matrix of size l_t = 2"),
+              r"unitary core \(l_t x l_t\) must have shape \(2, 2\), got \(3, 3\)"),
              (lambda: PilotMatrix(td.entries, td.rho, td.structure, td.scrambling,
                                   unitary_core=[[1, 0], [0, np.nan]]),
-              "core is not unitary"),
+              r"^unitary core \(l_t x l_t\) has non-finite entries$"),
              # expand_block takes raw entries too, and names their shape
-             (lambda: expand_block(np.zeros(3), 2),
-              r"pilot entries must be a 2-D \(n, l_t\) array, got shape \(3,\)"),
-             (lambda: expand_block(np.zeros((2, 2, 2)), 2), r"pilot entries must be a 2-D")]
+             (lambda: expand_block(np.zeros(3), 2), entries + r"\(3,\)"),
+             (lambda: expand_block(np.zeros((2, 2, 2)), 2), entries + r"\(2, 2, 2\)")]
     for make, message in cases:
         with pytest.raises(ParameterError, match=message):
             make()

@@ -1129,7 +1129,7 @@ def test_each_sweep_point_sets_up_once_before_its_trials(monkeypatch):
     points = len(PILOT_STRUCTURES) * len(config.rho_h_grid)
     assert calls == ["make_model"] + ["build_stats", "build_workspace", "evaluate_bounds"] * points
     calls.clear()
-    row_bytes = 8 * cli._trial_normals(config.n, config.l_r, config.l_t * config.l_r, True)
+    row_bytes = 8 * config.trial_row
     monkeypatch.setattr(cli, "BLOCK_BYTES", 3 * row_bytes)  # two blocks of 3
     run_mse_vs_snr(replace(config, snr_db=(10.0, 20.0)))
     assert calls == ["make_model", "build_stats"] + [
