@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import CfoPrior, ChannelStats, _rotation, _unit_complex
-from .errors import ParameterError, _check_int
+from .errors import ParameterError, _check_int, _coerce
 from .estimator import EstimatorWorkspace, _check_stats_match
 from .pilots import PilotMatrix
 
@@ -86,10 +86,14 @@ def compute_bounds(beta: float, prior: CfoPrior, *, beta_floor: float = 0.0) -> 
     """CRLB and BCRLB from a Fisher information value.
 
     beta below beta_floor is treated as exactly zero: the bound is then
-    beyond numerical resolvability and the CRLB is reported infinite.
+    beyond numerical resolvability and the CRLB is reported infinite.  Both
+    are read by the scalar rule (errors._coerce) and must be nonnegative.
     """
-    if not beta >= 0:
-        raise ParameterError(f"beta must be nonnegative, got {beta!r}")
+    beta = _coerce("beta", beta, float)
+    beta_floor = _coerce("beta_floor", beta_floor, float)
+    for name, value in (("beta", beta), ("beta_floor", beta_floor)):
+        if not value >= 0:
+            raise ParameterError(f"{name} must be nonnegative, got {value!r}")
     effective = 0.0 if beta < beta_floor else beta
     crlb = math.inf if effective == 0.0 else 1.0 / effective
     denom = effective + prior.inv_var

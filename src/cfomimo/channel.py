@@ -36,7 +36,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import ModelError, _array, _check_int
+from .errors import ModelError, ParameterError, _array, _check_int, _coerce
 from .pilots import PilotMatrix
 
 HERMITIAN_TOL = 1e-12
@@ -67,11 +67,14 @@ def _check_hermitian_psd(matrix: np.ndarray, label: str, factor: bool = True):
     return None if vec is None else vec * np.sqrt(np.clip(eig, 0.0, None))[None, :]
 
 
-def _check_rho_h(rho_h, error=ModelError):
-    """error unless the time correlation rho_h lies in [0, 1]: the one range
-    rule of CorrelationModel, build_stats and the CLI config."""
+def _check_rho_h(rho_h, error=ModelError) -> float:
+    """The time correlation rho_h as a float; error unless it is a number
+    (_coerce) in [0, 1]: the one rule of CorrelationModel, build_stats and
+    the CLI config."""
+    rho_h = _coerce("rho_h", rho_h, float, error=error)
     if not 0.0 <= rho_h <= 1.0:
         raise error(f"rho_h must lie in [0, 1], got {rho_h}")
+    return rho_h
 
 
 @dataclass(frozen=True)
@@ -92,7 +95,7 @@ class CorrelationModel:
     def __post_init__(self):
         for name in ("l_t", "l_r"):
             _check_int(name, getattr(self, name), error=ModelError)
-        _check_rho_h(self.rho_h)
+        object.__setattr__(self, "rho_h", _check_rho_h(self.rho_h))
         d = self.l_t * self.l_r
         cov = _array("spatial_cov", self.spatial_cov, (d, d), error=ModelError)
         mean = _array("mean", self.mean, (d,), error=ModelError)
@@ -207,6 +210,8 @@ class ChannelStats:
     sigma_h: np.ndarray
 
     def __post_init__(self):
+        for name in ("l_t", "l_r", "n"):
+            _check_int(name, getattr(self, name), error=ModelError)
         dim = self.l_t * self.l_r * self.n
         mu = _array("mu_h", self.mu_h, (dim,), error=ModelError)
         sigma = _array("sigma_h", self.sigma_h, (dim, dim), error=ModelError)
@@ -316,8 +321,7 @@ def build_stats(model: CorrelationModel, n: int,
     rho_h reuses one model's checks and factors.
     """
     _check_int("n", n)
-    rho_h = model.rho_h if rho_h is None else rho_h
-    _check_rho_h(rho_h)
+    rho_h = _check_rho_h(model.rho_h if rho_h is None else rho_h)
     l_t, l_r = model.l_t, model.l_r
     time_corr = (rho_h ** np.arange(n))[_lags(n)]  # 0**0 == 1 covers rho_h = 0
     time_corr.setflags(write=False)
@@ -425,24 +429,31 @@ def _phases(f: np.ndarray, n: int) -> np.ndarray:
     return np.cumprod(steps, axis=-1)
 
 
-def _rotation(f, l_r: int, n: int) -> np.ndarray:
-    """exp(j 2 pi f_r k) on the (l_r, n) receive grid.
+def _offsets(f, count: int) -> np.ndarray:
+    """The one offset rule: count finite real offsets, in cycles per symbol,
+    read from f by the array rule.  One number, in an array of any shape
+    with one entry, serves all count receive antennas; otherwise f holds
+    count of them, one per antenna.  A complex, ragged, non-finite or
+    wrong-length offset raises ParameterError naming it."""
+    f = _array("offset", f, None, dtype=float)
+    if f.size != 1 and f.shape != (count,):
+        each = "" if count == 1 else f" or {count}, one per receive antenna"
+        raise ParameterError(f"offset must be one number{each}, got shape {f.shape}")
+    return np.broadcast_to(f.ravel(), (count,))
 
-    f is a scalar offset shared by every receive antenna or a length-l_r
-    vector of per-antenna offsets, in cycles per symbol; a non-finite
-    offset is rejected.
-    """
-    # one offset, in an array of any shape with one entry, serves every antenna
-    f = _array("offset", f, np.shape(f) if np.size(f) == 1 else (l_r,), dtype=float)
-    return _phases(np.broadcast_to(f.ravel(), (l_r,)), n)
+
+def _rotation(f, l_r: int, n: int) -> np.ndarray:
+    """exp(j 2 pi f_r k) on the (l_r, n) receive grid, for the l_r offsets
+    that the offset rule, _offsets, reads from f."""
+    return _phases(_offsets(f, l_r), n)
 
 
 def synthesize_rx(pilot: PilotMatrix, l_r: int, f_true, h: np.ndarray,
                   noise_rng: np.random.Generator | None = None) -> np.ndarray:
     """Received vector y of length n*l_r; pass noise_rng=None for a noiseless run.
 
-    f_true may be a scalar (common offset) or a length-l_r vector of
-    per-receive-antenna offsets, in cycles per symbol.
+    f_true is one offset shared by the receive antennas or l_r of them, one
+    per antenna, in cycles per symbol, read by the offset rule (_offsets).
     """
     _check_int("l_r", l_r)
     n, l_t = pilot.entries.shape
@@ -463,6 +474,9 @@ class CfoPrior:
     sigma_f_sq: float = math.inf
 
     def __post_init__(self):
+        for name in ("mu_f", "sigma_f_sq"):
+            object.__setattr__(self, name, _coerce(name, getattr(self, name), float,
+                                                   error=ModelError))
         if not math.isfinite(self.mu_f):
             raise ModelError(f"mu_f must be finite, got {self.mu_f}")
         if not (self.sigma_f_sq > 0):

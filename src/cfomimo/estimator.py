@@ -91,7 +91,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import CfoPrior, ChannelStats, _phases, _rotation
+from .channel import CfoPrior, ChannelStats, _offsets, _phases, _rotation
 from .errors import EstimationError, NumericalError, ParameterError, _array
 from .pilots import PilotMatrix, expand_block
 
@@ -223,8 +223,17 @@ def mmse_gain(design: np.ndarray, sigma_h: np.ndarray) -> tuple[np.ndarray, floa
     return 0.5 * (gain + gain.conj().T), condition
 
 
+def _check_type(name: str, value, kind: type):
+    """ParameterError naming the argument unless value is a kind."""
+    if not isinstance(value, kind):
+        raise ParameterError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+
+
 def _check_stats_match(pilot: PilotMatrix, stats: ChannelStats):
-    """ParameterError unless stats were built for this pilot's l_t and n."""
+    """ParameterError unless pilot is a PilotMatrix and stats are
+    ChannelStats built for its l_t and n."""
+    _check_type("pilot", pilot, PilotMatrix)
+    _check_type("stats", stats, ChannelStats)
     if stats.l_t != pilot.l_t or stats.n != pilot.n:
         raise ParameterError(f"stats built for (l_t={stats.l_t}, n={stats.n}) do not match "
                              f"pilot (l_t={pilot.l_t}, n={pilot.n})")
@@ -238,6 +247,7 @@ def build_workspace(pilot: PilotMatrix, stats: ChannelStats,
     receive size l_r.  A factor with an exactly zero imaginary part is
     diagonalized, and kept, in real arithmetic."""
     _check_stats_match(pilot, stats)
+    _check_type("prior", prior, CfoPrior)
     n, s = pilot.n, pilot.entries
     a, m = (0.5 * (x + x.conj().T) for x in stats._receive_factors(s))
     # a factor with an exactly zero imaginary part is kept real, so eigh takes
@@ -262,17 +272,22 @@ def build_workspace(pilot: PilotMatrix, stats: ChannelStats,
                               V=v, kernels=kernels)
 
 
+def _signal(ws: EstimatorWorkspace) -> str:
+    """A received signal's name in the array rule's messages."""
+    return f"y (l_r*n = {ws.l_r * ws.n} samples a signal)"
+
+
 def _received_rows(y, ws: EstimatorWorkspace) -> np.ndarray:
     """A (T, n*l_r) batch of received signals as a (T, l_r, n) complex array;
-    a wrong shape or a non-finite sample is rejected."""
-    q = ws.l_r * ws.n
-    return _array(f"y (l_r*n = {q} samples a signal)", y, (None, q)).reshape(-1, ws.l_r, ws.n)
+    a ragged or wrong shape or a non-finite sample is rejected."""
+    return _array(_signal(ws), y, (None, ws.l_r * ws.n)).reshape(-1, ws.l_r, ws.n)
 
 
 def _received(y, ws: EstimatorWorkspace) -> np.ndarray:
-    """One received signal of any shape as an (l_r, n) complex array: the
-    one-row batch of _received_rows."""
-    return _received_rows(np.reshape(y, (1, -1)), ws)[0]
+    """One received signal, an array of any shape holding its n*l_r
+    samples, as an (l_r, n) complex array: read by the array rule before
+    any reshape, then checked as the one-row batch of _received_rows."""
+    return _received_rows(_array(_signal(ws), y, None).reshape(1, -1), ws)[0]
 
 
 def _lag_terms(y3: np.ndarray, ws: EstimatorWorkspace):
@@ -308,7 +323,7 @@ def compute_z(y: np.ndarray, ws: EstimatorWorkspace) -> np.ndarray:
 
 def rotated_design(pilot: PilotMatrix, l_r: int, f) -> np.ndarray:
     """Design matrix X(f): the block expansion of S with rows rotated by
-    exp(j 2 pi f_r k); f is a scalar or a length-l_r vector."""
+    exp(j 2 pi f_r k); f is one offset or l_r of them (channel._offsets)."""
     return _rotation(f, l_r, pilot.n).reshape(-1, 1) * expand_block(pilot, l_r)
 
 
@@ -334,18 +349,14 @@ def _data_term(w: np.ndarray, ws: EstimatorWorkspace) -> float:
                  + 2.0 * np.real(np.vdot(ws.lin_table, w)))
 
 
-def _common_offset(f) -> float:
-    """A common offset, one finite number in an array of any shape, as a float."""
-    return float(_array("common offset", f, (1,) * np.ndim(f), dtype=float).reshape(()))
-
-
 def map_metric(y: np.ndarray, f: float, ws: EstimatorWorkspace) -> float:
     """MAP objective g(y, f) for a common offset, exact matrix form.
 
-    The prior contribution is -f^2/(2 sigma_f^2) + mu_f f / sigma_f^2 and
+    f is one real number, read by the offset rule (channel._offsets).  The
+    prior contribution is -f^2/(2 sigma_f^2) + mu_f f / sigma_f^2 and
     vanishes in ML mode.
     """
-    f = _common_offset(f)
+    f = float(_offsets(f, 1)[0])
     g = _data_term(_derotated(_received(y, ws), f), ws)
     iv = ws.prior.inv_var
     if iv:
@@ -376,8 +387,8 @@ def _lag_metric(z: np.ndarray, f, mu_f, inv_var) -> np.ndarray:
 def metric_gradient(y: np.ndarray, f: float, ws: EstimatorWorkspace) -> float:
     """dg/df at a common offset, -4 pi Im sum k e^{j2pi f k} z_k - (f - mu_f)/sigma_f^2
     with z the lag series of y: 8 pi^2 times the numerator of the search's
-    linearized step at f (_step_terms)."""
-    f = _common_offset(f)
+    linearized step at f (_step_terms); f is read as in map_metric."""
+    f = float(_offsets(f, 1)[0])
     kz = np.arange(1, ws.n) * compute_z(y, ws)
     num = _step_terms(np.sum(_phases(f, ws.n)[1:] * kz), 0.0, f, ws.prior.mu_f,
                       ws.prior.inv_var)[0]
@@ -577,9 +588,11 @@ def _prior_vectors(prior, l_r: int):
 
 def per_antenna_metric(y: np.ndarray, f_vec: np.ndarray, ws: EstimatorWorkspace,
                        prior=None) -> float:
-    """MAP objective for a vector of per-receive-antenna offsets."""
+    """MAP objective for a vector of per-receive-antenna offsets: f_vec
+    holds l_r of them, or one for every antenna, read by the offset rule
+    (channel._offsets)."""
     _, mu, inv_var = _prior_vectors(ws.prior if prior is None else prior, ws.l_r)
-    f_vec = np.asarray(f_vec, dtype=float)
+    f_vec = _offsets(f_vec, ws.l_r)
     g = _data_term(_derotated(_received(y, ws), f_vec), ws)
     g += np.sum(-0.5 * inv_var * f_vec ** 2 + inv_var * mu * f_vec)
     return float(g)

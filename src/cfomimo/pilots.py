@@ -68,7 +68,7 @@ class PilotMatrix:
         entries, power = _average_power(self.entries)
         n, l_t = entries.shape
         object.__setattr__(self, "scrambling", _scrambling(self.scrambling, n))
-        _check_rho(self.rho, n)
+        object.__setattr__(self, "rho", _check_rho(self.rho, n))
         if abs(power - self.rho) > 1e-9 * max(1.0, self.rho):
             raise ParameterError(
                 f"entries have average power {power:.6g}, expected rho={self.rho:.6g}"
@@ -96,16 +96,19 @@ class PilotMatrix:
 
     def with_power(self, rho: float) -> "PilotMatrix":
         """Same pilot rescaled to a new average power."""
-        _check_rho(rho, self.n)
+        rho = _check_rho(rho, self.n)
         return replace(self, entries=self.entries * np.sqrt(rho / self.rho), rho=rho)
 
 
-def _check_rho(rho, n: int):
-    """ParameterError unless rho is positive and the total power n*rho of
-    an n-symbol pilot, which its power trace sums to, is finite."""
+def _check_rho(rho, n: int) -> float:
+    """rho as a float; ParameterError unless it is a number (_coerce), is
+    positive and the total power n*rho of an n-symbol pilot, which its
+    power trace sums to, is finite."""
+    rho = _coerce("pilot power rho", rho, float)
     if not (0 < rho and math.isfinite(n * rho)):
         raise ParameterError(f"pilot power rho must be positive with a finite "
                              f"total power n*rho, got rho={rho!r} at n={n}")
+    return rho
 
 
 def _average_power(values) -> tuple[np.ndarray, float]:
@@ -145,14 +148,17 @@ def _unitary_core(values, l_t: int) -> np.ndarray:
     return _read_only(core)
 
 
-def _prepare(l_t: int, m: int, rho: float, scrambling) -> np.ndarray:
-    """Check l_t, m and rho, and return the scrambling of the m*l_t-symbol
-    pilot: all ones for None, else checked by _scrambling."""
+def _prepare(l_t: int, m: int, rho: float, scrambling) -> tuple[float, np.ndarray]:
+    """Check l_t and m, and return rho as _check_rho reads it and the
+    scrambling of the m*l_t-symbol pilot: all ones for None, else checked
+    by _scrambling."""
     _check_int("l_t", l_t)
     _check_int("m", m)
     n = m * l_t
-    _check_rho(rho, n)
-    return np.ones(n, dtype=np.complex128) if scrambling is None else _scrambling(scrambling, n)
+    rho = _check_rho(rho, n)
+    if scrambling is None:
+        return rho, np.ones(n, dtype=np.complex128)
+    return rho, _scrambling(scrambling, n)
 
 
 def generate_periodic_pilot(l_t: int, m: int, rho: float = 1.0,
@@ -162,7 +168,7 @@ def generate_periodic_pilot(l_t: int, m: int, rho: float = 1.0,
     O is an l_t x l_t unitary core (identity by default) and c a unit-modulus
     scrambling sequence (all ones by default).  Shape is (m*l_t, l_t).
     """
-    scrambling = _prepare(l_t, m, rho, scrambling)
+    rho, scrambling = _prepare(l_t, m, rho, scrambling)
     core = np.eye(l_t) if unitary_core is None else _unitary_core(unitary_core, l_t)
     entries = np.sqrt(rho) * scrambling[:, None] * np.tile(core, (m, 1))
     return PilotMatrix(entries=entries, rho=rho, structure=PilotStructure.PERIODIC,
@@ -171,7 +177,7 @@ def generate_periodic_pilot(l_t: int, m: int, rho: float = 1.0,
 
 def generate_td_pilot(l_t: int, m: int, rho: float = 1.0, scrambling=None) -> PilotMatrix:
     """Time-division pilot: antenna t alone transmits scrambled ones for m symbols."""
-    scrambling = _prepare(l_t, m, rho, scrambling)
+    rho, scrambling = _prepare(l_t, m, rho, scrambling)
     skeleton = np.kron(np.eye(l_t), np.ones((m, 1)))
     entries = np.sqrt(rho) * scrambling[:, None] * skeleton
     return PilotMatrix(entries=entries, rho=rho, structure=PilotStructure.TIME_DIVISION,

@@ -26,6 +26,18 @@ def test_compute_bounds_rejects_nan_and_negative_beta():
     for beta in (float("nan"), -1.0):
         with pytest.raises(ParameterError, match="beta"):
             compute_bounds(beta, CfoPrior(0.1, 1e-5))
+    # beta and the floor are read by the scalar rule before they are
+    # compared, and a NaN floor is named instead of silently dropped
+    prior = CfoPrior(0.1, 1e-5)
+    assert compute_bounds("2", prior) == compute_bounds(2.0, prior)
+    for beta, floor, message in (("x", 0.0, "^beta must be float, got 'x'$"),
+                                 (True, 0.0, "^beta must be float, got True$"),
+                                 (1.0 + 1j, 0.0, r"^beta must be float, got \(1\+1j\)$"),
+                                 (1e-30, float("nan"), "^beta_floor must be nonnegative, got nan$"),
+                                 (1.0, -1.0, "^beta_floor must be nonnegative, got -1.0$"),
+                                 (1.0, "x", "^beta_floor must be float, got 'x'$")):
+        with pytest.raises(ParameterError, match=message):
+            compute_bounds(beta, prior, beta_floor=floor)
 
 
 def test_fisher_oracle_rejects_bad_sample_count():

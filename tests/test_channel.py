@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cfomimo import (CfoPrior, ChannelStats, CorrelationModel, ModelError, ParameterError,
-                     build_stats,
+                     build_stats, build_workspace,
                      custom_pilot, expand_block, exponential_spatial_cov,
                      generate_td_pilot, make_model, mmse_gain, sample_ar1_trajectory,
                      synthesize_rx)
@@ -143,6 +143,31 @@ def test_malformed_model_stats_and_channel_are_rejected_by_name():
          ModelError, "^mu_h has non-finite entries$"),
         (lambda: ChannelStats(1, 2, 2, np.zeros(4), np.diag(1.0 + nan_at_1)), ModelError,
          "^sigma_h has non-finite entries$"),
+        # the sizes are checked by the size rule, not through the shape
+        # they give (1.5 * 2 * 2 = 6.0 matched a (6,) mean)
+        (lambda: ChannelStats(1.5, 2, 2, np.zeros(6), np.eye(6)), ModelError,
+         "^l_t must be an integer >= 1, got 1.5$"),
+        (lambda: ChannelStats(1, True, 2, np.zeros(2), np.eye(2)), ModelError,
+         "^l_r must be an integer >= 1, got True$"),
+        (lambda: ChannelStats(1, 2, 0, np.zeros(0), np.eye(0)), ModelError,
+         "^n must be an integer >= 1, got 0$"),
+        # the time correlation is read by the scalar rule before its range check
+        (lambda: make_model(2, 2, "x"), ModelError, "^rho_h must be float, got 'x'$"),
+        (lambda: make_model(2, 2, 0.5 + 1j), ModelError,
+         r"^rho_h must be float, got \(0.5\+1j\)$"),
+        (lambda: CorrelationModel(l_t=1, l_r=1, rho_h=True, spatial_cov=np.eye(1),
+                                  mean=np.zeros(1)), ModelError, "^rho_h must be float, got True$"),
+        (lambda: build_stats(make_model(2, 2, 0.5), 2, "x"), ModelError,
+         "^rho_h must be float, got 'x'$"),
+        # the workspace names an argument of the wrong type, instead of
+        # failing at its first use
+        (lambda: build_workspace(pilot, build_stats(make_model(1, 2, 0.5), 2), None),
+         ParameterError, "^prior must be a CfoPrior, got NoneType$"),
+        (lambda: build_workspace(pilot, make_model(1, 2, 0.5), CfoPrior.ml()), ParameterError,
+         "^stats must be a ChannelStats, got CorrelationModel$"),
+        (lambda: build_workspace(pilot.entries, build_stats(make_model(1, 2, 0.5), 2),
+                                 CfoPrior.ml()), ParameterError,
+         "^pilot must be a PilotMatrix, got ndarray$"),
         (lambda: synthesize_rx(pilot, 2, 0.0, np.zeros(3)), ParameterError,
          r"channel vector h \(l_r\*n\*l_t\) must have shape \(4,\), got \(3,\)"),
         (lambda: synthesize_rx(pilot, 2, 0.0, nan_at_1), ParameterError,
@@ -162,6 +187,9 @@ def test_malformed_model_stats_and_channel_are_rejected_by_name():
     for make, error, message in cases:
         with pytest.raises(error, match=message):
             make()
+    # a string that spells a number is read as one
+    assert make_model(2, 2, "0.5").rho_h == 0.5
+    assert build_stats(make_model(2, 2, 1.0), 2, "0.5").time_corr[0, 1] == 0.5
 
 
 def _count_decompositions(monkeypatch) -> list:
@@ -386,6 +414,16 @@ def test_prior_modes():
     for mu_f in (np.inf, -np.inf, np.nan):
         with pytest.raises(ModelError, match="mu_f"):
             CfoPrior(mu_f, 1e-5)
+    # both numbers are read by the scalar rule before they are compared: a
+    # string that spells a number is read as one, anything else is named
+    assert CfoPrior("0.1", "1e-5") == gauss and type(CfoPrior(0, 1).mu_f) is float
+    for mu_f, sigma_f_sq, name, value in ((True, 1.0, "mu_f", "True"),
+                                          (0.1 + 1j, 1.0, "mu_f", r"\(0.1\+1j\)"),
+                                          ("x", 1.0, "mu_f", "'x'"),
+                                          (0.1, "x", "sigma_f_sq", "'x'"),
+                                          (0.1, None, "sigma_f_sq", "None")):
+        with pytest.raises(ModelError, match=f"^{name} must be float, got {value}$"):
+            CfoPrior(mu_f, sigma_f_sq)
     with pytest.raises(ModelError):
         ml.sample(np.random.default_rng(0))
 

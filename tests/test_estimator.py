@@ -1009,6 +1009,7 @@ OFFSET_CALLERS = {
 }
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("caller", sorted(OFFSET_CALLERS))
 def test_wrong_length_offset_raises(caller, rng):
     # a wrong shape or a non-finite offset, never a silent NaN
@@ -1017,12 +1018,21 @@ def test_wrong_length_offset_raises(caller, rng):
     for f in (np.zeros(3), np.zeros((2, 2)), np.nan, np.array([0.0, np.inf])):
         with pytest.raises(ParameterError):
             OFFSET_CALLERS[caller](pilot, model, ws, y, f)
+    # a complex offset is named, not cast to its real part with numpy's
+    # ComplexWarning (an error here), and a ragged one never reaches numpy
+    complex_offset = "^offset must be real, got complex values$"
+    for f, message in ((0.05 + 1j, complex_offset),
+                       (np.array([0.05 + 1j]), complex_offset),
+                       ([0.05 + 1j, 0.0], complex_offset),
+                       ([[0.0], [0.0, 0.1]], "^offset must be an array of numbers, got list$")):
+        with pytest.raises(ParameterError, match=message):
+            OFFSET_CALLERS[caller](pilot, model, ws, y, f)
 
 
 Y_CALLERS = {
     "compute_z": lambda pilot, stats, ws, y: compute_z(y, ws),
     "estimate_cfo_universal_batch": lambda pilot, stats, ws, y: estimate_cfo_universal_batch(
-        np.stack([y, y]), ws),
+        [y, y], ws),
     "map_metric": lambda pilot, stats, ws, y: map_metric(y, 0.05, ws),
     "per_antenna_metric": lambda pilot, stats, ws, y: per_antenna_metric(y, [0.0, 0.1], ws),
     "estimate_cfo_universal": lambda pilot, stats, ws, y: estimate_cfo_universal(y, ws),
@@ -1033,6 +1043,7 @@ Y_CALLERS = {
 }
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("caller", sorted(Y_CALLERS))
 def test_received_signal_is_validated(caller, rng):
     pilot, model, stats, _, ws = _small_case()
@@ -1048,6 +1059,9 @@ def test_received_signal_is_validated(caller, rng):
         y_bad[3] = bad
         with pytest.raises(ParameterError, match=name + " has non-finite entries$"):
             call(pilot, stats, ws, y_bad)
+    # a ragged signal is named by the array rule before any reshape
+    with pytest.raises(ParameterError, match=name + " must be an array of numbers, got list$"):
+        call(pilot, stats, ws, [list(y[:6]), list(y[6:11])])
 
 
 def test_universal_search_always_reports_its_grid(rng):

@@ -350,7 +350,19 @@ def test_malformed_pilots_are_rejected_by_name():
               r"^unitary core \(l_t x l_t\) has non-finite entries$"),
              # expand_block takes raw entries too, and names their shape
              (lambda: expand_block(np.zeros(3), 2), entries + r"\(3,\)"),
-             (lambda: expand_block(np.zeros((2, 2, 2)), 2), entries + r"\(2, 2, 2\)")]
+             (lambda: expand_block(np.zeros((2, 2, 2)), 2), entries + r"\(2, 2, 2\)"),
+             # rho is read by the scalar rule before it is compared
+             (lambda: generate_td_pilot(2, 2, "x"), "^pilot power rho must be float, got 'x'$"),
+             (lambda: generate_periodic_pilot(2, 2, True),
+              "^pilot power rho must be float, got True$"),
+             (lambda: td.with_power(1j), r"^pilot power rho must be float, got 1j$"),
+             (lambda: PilotMatrix(td.entries, None, td.structure, td.scrambling),
+              "^pilot power rho must be float, got None$")]
     for make, message in cases:
         with pytest.raises(ParameterError, match=message):
             make()
+    # a string that spells a number is read as one
+    for pilot in (generate_td_pilot(2, 2, "1"), td.with_power("1"),
+                  PilotMatrix(td.entries, "1", td.structure, td.scrambling)):
+        assert type(pilot.rho) is float
+        np.testing.assert_array_equal(pilot.entries, td.entries)
