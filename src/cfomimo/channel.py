@@ -439,7 +439,8 @@ def _offsets(f, count: int) -> np.ndarray:
     if f.size != 1 and f.shape != (count,):
         each = "" if count == 1 else f" or {count}, one per receive antenna"
         raise ParameterError(f"offset must be one number{each}, got shape {f.shape}")
-    return np.broadcast_to(f.ravel(), (count,))
+    f = f.ravel()
+    return f if f.size == count else f.repeat(count)
 
 
 def _rotation(f, l_r: int, n: int) -> np.ndarray:

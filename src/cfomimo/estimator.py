@@ -328,8 +328,9 @@ def rotated_design(pilot: PilotMatrix, l_r: int, f) -> np.ndarray:
 
 
 def _derotated(y2: np.ndarray, f) -> np.ndarray:
-    """w = D(f)^H y on the (l_r, n) grid, for a scalar or per-antenna offset."""
-    return _rotation(f, *y2.shape).conj() * y2
+    """w = D(f)^H y on the (l_r, n) grid, for offsets the offset rule has
+    read: one float, or one per antenna."""
+    return _phases(f, y2.shape[1]).conj() * y2
 
 
 def _eigen_rows(w: np.ndarray, ws: EstimatorWorkspace):
@@ -567,7 +568,7 @@ def estimate_channel_mmse(y: np.ndarray, f_hat, ws: EstimatorWorkspace) -> np.nd
     Equal to A X(f_hat)^H y + b (A, from mmse_gain, is its error covariance) by
     A Sb^H = Sigma_h Sb^H (I + R)^{-1} and (I + R)^{-1} = I - K.
     """
-    resid = _derotated(_received(y, ws), f_hat).ravel() - ws.ybar
+    resid = _derotated(_received(y, ws), _offsets(f_hat, ws.l_r)).ravel() - ws.ybar
     resid = resid - (ws.U @ _eigen_rows(resid, ws)[1][0]).ravel()
     u = resid.reshape(ws.l_r, ws.n)[:, :, None] * ws.pilot.entries.conj()[None, :, :]
     return ws.stats.mu_h + ws.stats._apply_cov(u.ravel())
